@@ -8,7 +8,7 @@ documents (schema version 1):
      "records": [{"name": "c1", "initial_index": 1, "blocks": [...]}]}
 
 Exit codes: 0 success/verdict pass, 1 verdict fail, 2 hypothesis or input
-rejection, 3 search exhaustion.
+rejection, 3 search exhaustion, 4 internal error (a failed self-check).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .scalars import PrecisionExhausted
-from .normal_forms import SymplecticClass, block_from_json
+from .normal_forms import N2, R, SymplecticClass, block_from_json
 from .iteration import PathClass, index_iterate, path_nullity
 from .engine import (
     NotFoundWithinBound,
@@ -43,6 +43,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_REJECT = 2
 EXIT_EXHAUSTED = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -57,6 +58,8 @@ def load_dataset(path: str) -> GeodesicDataset:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError("cannot read dataset %s: %s" % (path, exc))
+    if not isinstance(doc, dict):
+        raise CliError("dataset must be a JSON object")
     if doc.get("version") != 1:
         raise CliError("unsupported dataset version: %r" % doc.get("version"))
     try:
@@ -72,7 +75,7 @@ def load_dataset(path: str) -> GeodesicDataset:
             for r in doc["records"]
         )
         return GeodesicDataset(shape, records, doc.get("options", {}).get("bumpy", True))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliError("invalid dataset: %s" % exc)
 
 
@@ -93,17 +96,14 @@ def _parse_vertex(spec: str, dataset: GeodesicDataset):
     if not set(bits) <= {"0", "1"}:
         raise CliError("vertex bits must be 0/1")
     q = len(dataset.records)
-    counts = []
-    for r in dataset.records:
-        from .normal_forms import R, N2
-
-        counts.append(
-            sum(
-                1
-                for b in r.path.monodromy.blocks
-                if isinstance(b, (R, N2)) and not b.theta.is_rational
-            )
+    counts = [
+        sum(
+            1
+            for b in r.path.monodromy.blocks
+            if isinstance(b, (R, N2)) and not b.theta.is_rational
         )
+        for r in dataset.records
+    ]
     if len(bits) != q + sum(counts):
         raise CliError(
             "vertex needs %d bits (%d chi + %d angle)" % (q + sum(counts), q, sum(counts))
@@ -225,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         if dataset:
             p.add_argument("dataset", help="dataset JSON file")
         p.add_argument("--format", choices=("json", "tsv"), default="json")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; execution is sequential")
 
     p = sub.add_parser("iterate", help="index/nullity table of one record")
     common(p)
@@ -280,6 +278,9 @@ def main(argv=None) -> int:
     except (ValueError, PrecisionExhausted) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_REJECT
+    except AssertionError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

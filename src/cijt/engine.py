@@ -197,18 +197,14 @@ class _PathData:
     def __init__(self, path: PathClass, m_bar_period: int):
         self.path = path
         self.mean = mean_index(path)
-        sp, c, _ = path._spectral
-        self.s_plus = sp
-        self.C = c
-        self.rho = path.i1 + sp - c
+        sp, self.C, self.minus = path.spectral
+        self.s_plus_C = sp + self.C
+        # Delta_k + Delta'_k at opposite vertices: S^- weight on irrational angles
+        self.C_irrational = sum(w for t, w in self.minus if not t.is_rational)
         # u = 1 / (Mbar * ihat): chi component of the torus vector
         self.u = Exact(1) / (self.mean * m_bar_period)
         self.u_pinned = self.u.is_rational
         self.u_float = float(self.u)
-        # all angles theta/pi with S^- weight (for I and Delta)
-        from .normal_forms import unit_angles
-
-        self.weighted = [(t, pair.minus) for t, pair in unit_angles(path.monodromy) if pair.minus]
         # one representative irrational angle per R/N2 block, in block order:
         # these carry the vertex bits; conjugates follow automatically
         self.bit_angles = [
@@ -219,17 +215,15 @@ class _PathData:
         self.bit_floats = [float(t) for t in self.bit_angles]
 
     def I(self, m: int) -> int:
-        total = m * self.rho
-        for t, w in self.weighted:
-            total += ceil_mult(t, m) * w
-        return total
+        """m*rho + sum of E(m*theta/pi) * S^-, i.e. (i(2m) + S^+ + C) / 2."""
+        return (index_iterate(self.path, 2 * m) + self.s_plus_C) // 2
 
     def delta_count(self, m: int, delta: Fraction) -> int:
-        out = 0
-        for t, w in self.weighted:
-            if not t.is_rational and is_near_lattice(t, m, delta) is Lattice.LOW:
-                out += w
-        return out
+        """S^- weight of irrational angles with {m*theta/pi} in the Low band."""
+        return sum(
+            w for ht, w in self.minus
+            if not ht.is_rational and is_near_lattice(ht, 2 * m, delta) is Lattice.LOW
+        )
 
     def classify_bits(self, m: int, delta: Fraction) -> Optional[tuple[int, ...]]:
         """Low/High bits of the representative angles, or None if any is Interior/Zero."""
@@ -399,23 +393,17 @@ def find_tuple(
 
 def q_correction(path: PathClass, m_k: int, m: int) -> int:
     """Q_k(m): S^- weight of angles with {m_k*theta/pi} = {m*theta/2pi} = 0."""
-    sp, c, _ = path._spectral
-    out = 0
-    from .normal_forms import unit_angles
-
-    for t, pair in unit_angles(path.monodromy):
-        if not pair.minus or not t.is_rational:
-            continue
-        if (m_k * t.r) % 1 == 0 and (m * t.r / 2) % 1 == 0:
-            out += pair.minus
-    return out
+    return sum(
+        w for ht, w in path.spectral[2]
+        if ht.is_rational and (2 * m_k * ht.r) % 1 == 0 and (m * ht.r) % 1 == 0
+    )
 
 
 def verify_tuple(t: CijtTuple, problem: SelectionProblem) -> VerificationReport:
     """Re-derive the index/nullity identities of the jump interval from scratch."""
     checks: list[CheckRecord] = []
     for k, (path, m_k) in enumerate(zip(problem.paths, t.m)):
-        sp, c, _ = path._spectral
+        sp, c, _ = path.spectral
         mc = m_check(path.monodromy)
         nu1 = path_nullity(path, 1)
         two_n = 2 * t.N
@@ -459,20 +447,13 @@ def verify_tuple(t: CijtTuple, problem: SelectionProblem) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def _ceil_exact(x: Exact) -> int:
-    f = floor_mult(x, 1)
-    if x.is_rational and x.r.denominator == 1:
-        return f
-    return f + 1 if x - f > Exact(0) else f
-
-
 def xi_plus(m_k: int, theta: Exact, m: int) -> int:
     """E(m_k t + m t/2) - E(m_k t) - E(m t/2), t = theta/pi."""
     half_m = Fraction(2 * m_k + m, 2)
     return (
-        _ceil_exact(theta * half_m)
+        ceil_mult(theta * half_m, 1)
         - ceil_mult(theta, m_k)
-        - _ceil_exact(theta * Fraction(m, 2))
+        - ceil_mult(theta * Fraction(m, 2), 1)
     )
 
 
@@ -480,9 +461,9 @@ def xi_minus(m_k: int, theta: Exact, m: int) -> int:
     """E(m_k t - m t/2) - E(m_k t) + E(m t/2), t = theta/pi."""
     half_m = Fraction(2 * m_k - m, 2)
     return (
-        _ceil_exact(theta * half_m)
+        ceil_mult(theta * half_m, 1)
         - ceil_mult(theta, m_k)
-        + _ceil_exact(theta * Fraction(m, 2))
+        + ceil_mult(theta * Fraction(m, 2), 1)
     )
 
 
@@ -493,7 +474,8 @@ def opposite_tuple(
 ) -> CijtTuple:
     """Tuple at the opposite cube vertex; pinned chi components stay free.
 
-    Checks Delta_k + Delta'_k = C(M_k) for every path before returning.
+    Checks that Delta_k + Delta'_k equals the S^- weight on the irrational
+    angles of path k (all of C(M_k) when no rational angle carries S^-).
     """
     mbar = common_period(problem.paths)
     data = [_PathData(p, mbar) for p in problem.paths]
@@ -505,10 +487,10 @@ def opposite_tuple(
         chi_eps = problem.delta
     opp = find_tuple(problem, vertex=VertexSpec(chi, bits), chi_eps=chi_eps)
     for k, pd in enumerate(data):
-        if t.Delta[k] + opp.Delta[k] != pd.C:
+        if t.Delta[k] + opp.Delta[k] != pd.C_irrational:
             raise CertificationError(
-                "Delta + Delta' = %d != C = %d on path %d"
-                % (t.Delta[k] + opp.Delta[k], pd.C, k)
+                "Delta + Delta' = %d != irrational S^- weight %d on path %d"
+                % (t.Delta[k] + opp.Delta[k], pd.C_irrational, k)
             )
     return opp
 

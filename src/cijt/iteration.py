@@ -9,14 +9,14 @@ table in normal_forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .scalars import Exact, ceil_mult, floor_mult
 from .normal_forms import (
     SymplecticClass,
     R,
-    crossing_sum,
     nullity,
     s_plus_one,
     unit_angles,
@@ -31,33 +31,25 @@ class PathClass:
     i1: int
     monodromy: SymplecticClass
 
-    @property
-    def _spectral(self):
-        # (s_plus, C, [(theta/2 as Exact, S^- weight), ...]) cached per path
-        cached = _SPECTRAL_CACHE.get(self)
-        if cached is None:
-            sp = s_plus_one(self.monodromy)
-            angles = unit_angles(self.monodromy)
-            half = Exact(Fraction(1, 2))
-            minus = [(t * half, pair.minus) for t, pair in angles if pair.minus]
-            c = sum(w for _, w in minus)
-            cached = (sp, c, minus)
-            _SPECTRAL_CACHE[self] = cached
-        return cached
+    @cached_property
+    def spectral(self) -> tuple[int, int, tuple[tuple[Exact, int], ...]]:
+        """(S^+(1), C(M), ((theta/2pi, S^- weight), ...)) over weighted angles."""
+        half = Exact(Fraction(1, 2))
+        minus = tuple(
+            (t * half, pair.minus) for t, pair in unit_angles(self.monodromy) if pair.minus
+        )
+        return s_plus_one(self.monodromy), sum(w for _, w in minus), minus
 
     def rho(self) -> int:
-        sp, c, _ = self._spectral
+        sp, c, _ = self.spectral
         return self.i1 + sp - c
-
-
-_SPECTRAL_CACHE: dict[PathClass, tuple] = {}
 
 
 def index_iterate(p: PathClass, m: int) -> int:
     """i(gamma, m) by the precise iteration formula."""
     if m < 1:
         raise ValueError("m must be positive")
-    sp, c, minus = p._spectral
+    sp, c, minus = p.spectral
     total = m * (p.i1 + sp - c) - (sp + c)
     for half_theta, w in minus:
         total += 2 * ceil_mult(half_theta, m) * w
@@ -97,7 +89,7 @@ def path_nullity(p: PathClass, m: int) -> int:
 
 def mean_index(p: PathClass) -> Exact:
     """i-hat = i1 + S^+(1) - C(M) + sum theta/pi * S^-."""
-    sp, c, minus = p._spectral
+    sp, c, minus = p.spectral
     out = Exact(p.i1 + sp - c)
     for half_theta, w in minus:
         out = out + half_theta * (2 * w)

@@ -79,8 +79,6 @@ class N2:
 
 Block = Union[N1, D, R, N2]
 
-_ORDER = {N1: 0, D: 1, R: 2, N2: 3}
-
 
 def _block_key(b: Block):
     if isinstance(b, N1):

@@ -51,12 +51,13 @@ def _sqrt_bounds(s: int, bits: int) -> tuple[Fraction, Fraction]:
 class Exact:
     """Immutable element of Q adjoined with square roots of squarefree ints."""
 
-    __slots__ = ("r", "terms", "_hash")
+    __slots__ = ("r", "terms", "_hash", "_int_form")
 
     def __init__(self, r: Fraction | int = 0, terms: dict[int, Fraction] | None = None):
         self.r = Fraction(r)
         self.terms = {s: c for s, c in (terms or {}).items() if c != 0}
         self._hash = None
+        self._int_form = None
 
     # -- constructors -------------------------------------------------------
 
@@ -78,6 +79,26 @@ class Exact:
     @property
     def is_rational(self) -> bool:
         return not self.terms
+
+    @property
+    def int_form(self) -> tuple[int, int, int, int]:
+        """Integers (A, B, s, q) with self = (A + B*sqrt(s))/q and q > 0.
+
+        Defined for at most one radicand (B = s = 0 when rational); computed
+        once per value.
+        """
+        if self._int_form is None:
+            if len(self.terms) > 1:
+                raise ValueError("several radicands: %r" % (self,))
+            s, c = next(iter(self.terms.items()), (0, Fraction(0)))
+            q = math.lcm(self.r.denominator, c.denominator)
+            self._int_form = (
+                self.r.numerator * (q // self.r.denominator),
+                c.numerator * (q // c.denominator),
+                s,
+                q,
+            )
+        return self._int_form
 
     def as_fraction(self) -> Fraction:
         if self.terms:
@@ -175,25 +196,9 @@ class Exact:
     # -- exact sign and comparisons ----------------------------------------
 
     def sign(self) -> int:
-        if not self.terms:
-            num = self.r.numerator
-            return (num > 0) - (num < 0)
-        if self.r == 0 and len(self.terms) == 1:
-            ((_, c),) = self.terms.items()
-            return 1 if c > 0 else -1
-        if len(self.terms) == 1:
-            ((s, c),) = self.terms.items()
-            a = self.r
-            if a > 0 and c > 0:
-                return 1
-            if a < 0 and c < 0:
-                return -1
-            # opposite signs: compare a^2 with c^2 s
-            lhs, rhs = a * a, c * c * s
-            if lhs == rhs:  # cannot happen: value would be 0, but surd != rational
-                raise AssertionError("surd equals rational")
-            big_rational = lhs > rhs
-            return (1 if big_rational else -1) if a > 0 else (-1 if big_rational else 1)
+        if len(self.terms) <= 1:
+            A, B, s, _ = self.int_form  # q > 0 leaves the sign alone
+            return _cmp_single(A, B, s, 0)
         # Several radicands: sqrt's of distinct squarefree ints are linearly
         # independent over Q, so the value is nonzero; refine an integer
         # interval until it excludes 0.
@@ -258,7 +263,7 @@ class Exact:
     def to_json(self):
         if not self.terms:
             return {"kind": "rational", "num": self.r.numerator, "den": self.r.denominator}
-        if len(self.terms) == 1 and True:
+        if len(self.terms) == 1:
             ((s, c),) = self.terms.items()
             return {
                 "kind": "surd",
@@ -319,32 +324,25 @@ def floor_mult(x: Exact, m: int) -> int:
     """[m*x], exact."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if not x.terms:
-        v = m * x.r
-        return v.numerator // v.denominator
-    if len(x.terms) == 1:
-        ((s, c),) = x.terms.items()
-        a = m * x.r
-        b = m * c
-        q = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-        A = a.numerator * (q // a.denominator)
-        B = b.numerator * (q // b.denominator)
-        # guess from integer sqrt, then certify k <= m*x < k+1
-        if B >= 0:
-            k = (A + math.isqrt(B * B * s)) // q
-        else:
-            k = (A - math.isqrt(B * B * s) - 1) // q
-        while _cmp_single(A, B, s, k * q) < 0:
+    if len(x.terms) > 1:
+        # several radicands: float guess certified by exact comparisons
+        mx = x * m
+        k = math.floor(float(mx))
+        while (mx - k).sign() < 0:
             k -= 1
-        while _cmp_single(A, B, s, (k + 1) * q) >= 0:
+        while (mx - (k + 1)).sign() >= 0:
             k += 1
         return k
-    # several radicands: float guess certified by exact comparisons
-    mx = x * m
-    k = math.floor(float(mx))
-    while (mx - k).sign() < 0:
+    A, B, s, q = x.int_form
+    A, B = m * A, m * B
+    # guess from integer sqrt, then certify k <= m*x < k+1
+    if B >= 0:
+        k = (A + math.isqrt(B * B * s)) // q
+    else:
+        k = (A - math.isqrt(B * B * s) - 1) // q
+    while _cmp_single(A, B, s, k * q) < 0:
         k -= 1
-    while (mx - (k + 1)).sign() >= 0:
+    while _cmp_single(A, B, s, (k + 1) * q) >= 0:
         k += 1
     return k
 
@@ -352,7 +350,7 @@ def floor_mult(x: Exact, m: int) -> int:
 def ceil_mult(x: Exact, m: int) -> int:
     """E(m*x) = min{k in Z | k >= m*x}, exact."""
     f = floor_mult(x, m)
-    if x.is_rational and (m * x.r).denominator == 1:
+    if not x.terms and (m * x.r.numerator) % x.r.denominator == 0:
         return f
     return f + 1
 

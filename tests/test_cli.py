@@ -164,12 +164,32 @@ class TestVerify:
         assert code == 2 and "rejected" in err
 
 
+class TestInternalError:
+    def test_failed_self_check_exits_4(self, capsys, monkeypatch):
+        def broken(dataset):
+            raise AssertionError("lower window violated at c1, m=3")
+
+        monkeypatch.setattr("cijt.cli.resonance_check", broken)
+        code, out, err = run(capsys, "resonance", ds("s2_elliptic"))
+        assert code == 4 and out == ""
+        assert err == "internal error: lower window violated at c1, m=3\n"
+
+
 class TestDatasetLoading:
     def test_bad_version(self, capsys, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text('{"version": 99}')
-        code, _, err = run(capsys, "resonance", str(p))
-        assert code == 2 and "version" in err
+        zero_den = json.load(open(ds("single_sqrt2")))
+        zero_den["records"][0]["blocks"][0]["theta_over_pi"]["a"] = [-1, 0]
+        cases = (
+            ('{"version": 99}', "version"),
+            ("[1, 2]", "JSON object"),
+            (json.dumps(zero_den), "invalid dataset"),
+        )
+        for text, reason in cases:
+            p = tmp_path / "bad.json"
+            p.write_text(text)
+            code, _, err = run(capsys, "resonance", str(p))
+            assert code == 2 and reason in err
+            assert len(err.strip().splitlines()) == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "resonance", "/nonexistent.json")

@@ -98,6 +98,19 @@ class TestFindTuple:
             sqrt2_problem.paths[0].monodromy
         )
 
+    def test_opposite_with_rational_elliptic_path(self):
+        # R(1/3) carries S^- weight but no vertex bit, so Delta + Delta'
+        # equals the irrational S^- weight (0 there), not C = 1
+        problem = SelectionProblem(
+            (path(1, R(SQRT2M1)), path(2, R(Exact(Fraction(1, 3))))),
+            delta=Fraction(1, 1000),
+        )
+        t = find_tuple(problem)
+        assert (t.N, t.Delta) == (4348, (0, 0))
+        opp = opposite_tuple(t, problem)
+        assert (opp.N, opp.m, opp.Delta) == (5572, (13452, 4179), (1, 0))
+        assert opp.report.ok
+
     def test_brute_force_oracle(self, sqrt2_problem):
         """Independent scan of all m <= 10^4: enumerate candidate (N, m)
         pairs directly from the definitions and confirm the smallest N."""

@@ -3,7 +3,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cijt.scalars import (
     Exact,
@@ -22,6 +22,8 @@ fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
 )
 surd_bases = st.sampled_from([2, 3, 5, 7, 10, 13, 6])
+# small iterates and ones far beyond float precision (m*x near 2**53 and up)
+multipliers = st.one_of(st.integers(1, 500), st.integers(1, 10**15))
 
 
 @st.composite
@@ -116,7 +118,9 @@ class TestFloors:
         assert f == Exact.surd(-239, 169, 2)
         assert Exact(0) < f < Exact(Fraction(1, 100))
 
-    @given(exacts(), st.integers(1, 500))
+    @given(exacts(), multipliers)
+    @example(Exact(Fraction(-7, 3)), 10**15 - 1)
+    @example(Exact.surd(Fraction(1, 3), Fraction(-5, 7), 3), 10**15)
     @settings(max_examples=200, deadline=None)
     def test_floor_frac_consistency(self, x, m):
         k = floor_mult(x, m)
@@ -124,7 +128,9 @@ class TestFloors:
         assert Exact(0) <= f < Exact(1)
         assert x * m == f + k
 
-    @given(exacts(), st.integers(1, 300))
+    @given(exacts(), multipliers)
+    @example(Exact(Fraction(7, 3)), 3 * 10**14)
+    @example(Exact.surd(2, Fraction(-3, 4), 5), 10**15)
     @settings(max_examples=100, deadline=None)
     def test_ceil_vs_floor(self, x, m):
         c, f = ceil_mult(x, m), floor_mult(x, m)
