@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -27,6 +29,27 @@ from cijt.morse import (
 
 T35 = Exact.surd(3, -1, 5)
 PHI_M1 = Exact.surd(Fraction(-1, 2), Fraction(1, 2), 5)
+
+# sha256 of each verdict as the CLI prints it, recorded before the three
+# pipelines were folded onto one driver: check names, their order and the
+# lhs/rhs types are all part of the contract.
+GOLDEN = {
+    "1.1 s2": "9542a83055f794888910cdc12502c6a4559526e92607478cefd5e281a1af7713",
+    "1.1 s2[:1]": "f623d4a70aa6b2785e7d542f5061d555922054f86e3bf00b3d013142a5c236f4",
+    "1.5 s3": "2baaa1b5cc15ee033142d43ad60c291a4ac667929c9a3de1f612f3cf3396c792",
+    "1.5 s3[:3]": "618f9b55c39059a0e0c6c17bdacadb9ad18a2828ac87772b408f5f951d0e7ee4",
+    "1.8 hyp": "4f338ebbd2e379a768826bd8a1dd6a3ed02a11d465c465f1d1000f767c399f7a",
+    "1.8 hyp[:1]": "6c596bbbb445bc92cf035bedd8e2707db77ca0087ecaf96295d56b9475ba2a66",
+}
+
+
+def digest(verdict):
+    text = json.dumps(verdict.to_json(), indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def failed_checks(verdict):
+    return [c["check"] for c in verdict.details["checks"] if not c["pass"]]
 
 
 def rec(name, i1, *blocks):
@@ -211,11 +234,13 @@ class TestTheorem11:
         assert v.details["non_hyperbolic"] == ["c1", "c2"]
         assert v.details["tuple"]["N"] == 754
         assert v.details["opposite_tuple"]["N"] == 1220
+        assert digest(v) == GOLDEN["1.1 s2"]
 
     def test_record_removed_fails(self, s2_dataset):
         partial = GeodesicDataset(s2_dataset.shape, s2_dataset.records[:1])
         v = verify_theorem_1_1(partial)
         assert not v.passed
+        assert digest(v) == GOLDEN["1.1 s2[:1]"]
 
     def test_zero_index_rejected(self):
         ds = GeodesicDataset(CohomologyShape(2, 1),
@@ -236,6 +261,14 @@ class TestTheorem15:
         assert sorted(v.details["pinned_at_2N"]) == ["P1", "P2"]
         assert len(v.details["even_index_records"]) >= 4
         assert len(v.details["non_hyperbolic"]) >= 2
+        assert digest(v) == GOLDEN["1.5 s3"]
+
+    def test_records_removed_fails(self, s3_dataset):
+        partial = GeodesicDataset(s3_dataset.shape, s3_dataset.records[:3])
+        v = verify_theorem_1_5(partial)
+        assert not v.passed
+        assert len(failed_checks(v)) == 8
+        assert digest(v) == GOLDEN["1.5 s3[:3]"]
 
     def test_low_index_rejected(self, s2_dataset):
         ds = GeodesicDataset(
@@ -255,6 +288,13 @@ class TestTheorem18:
         v = verify_theorem_1_8(hyperbolic_dataset)
         assert v.passed and v.details["contradiction_found"]
         assert v.details["gap_matches"]
+        assert digest(v) == GOLDEN["1.8 hyp"]
+
+    def test_record_removed_fails(self, hyperbolic_dataset):
+        partial = GeodesicDataset(hyperbolic_dataset.shape, hyperbolic_dataset.records[:1])
+        v = verify_theorem_1_8(partial)
+        assert not v.passed and not v.details["contradiction_found"]
+        assert digest(v) == GOLDEN["1.8 hyp[:1]"]
 
     def test_mixed_rejected(self, s2_dataset):
         with pytest.raises(HypothesisRejected):
