@@ -133,6 +133,8 @@ def cmd_iterate(args) -> int:
     match = [r for r in ds.records if r.name == args.record]
     if not match:
         raise CliError("unknown record: %r" % args.record)
+    if args.m_max < 0:
+        raise CliError("--m-max must be >= 0, got %d" % args.m_max)
     path = match[0].path
     rows = [
         (m, index_iterate(path, m), path_nullity(path, m))
@@ -148,6 +150,8 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_betti(args) -> int:
+    if args.l_max < 0:
+        raise CliError("--l-max must be >= 0, got %d" % args.l_max)
     shape = CohomologyShape(args.d, args.n)
     lo = (shape.d - 1) if shape.d % 2 else (shape.dim - 1)
     rows = []

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Exact, Lattice, ceil_mult, floor_mult, frac_mult, is_near_lattice
-from .normal_forms import N1, N2, R, SymplecticClass, m_check
+from .scalars import Exact, Lattice, floor_mult, frac_mult, is_near_lattice
+from .normal_forms import N1, N2, R, m_check
 from .iteration import PathClass, index_iterate, mean_index, path_nullity
 
 
@@ -445,26 +445,6 @@ def verify_tuple(t: CijtTuple, problem: SelectionProblem) -> VerificationReport:
             )
         )
     return VerificationReport(tuple(checks))
-
-
-def xi_plus(m_k: int, theta: Exact, m: int) -> int:
-    """E(m_k t + m t/2) - E(m_k t) - E(m t/2), t = theta/pi."""
-    half_m = Fraction(2 * m_k + m, 2)
-    return (
-        ceil_mult(theta * half_m, 1)
-        - ceil_mult(theta, m_k)
-        - ceil_mult(theta * Fraction(m, 2), 1)
-    )
-
-
-def xi_minus(m_k: int, theta: Exact, m: int) -> int:
-    """E(m_k t - m t/2) - E(m_k t) + E(m t/2), t = theta/pi."""
-    half_m = Fraction(2 * m_k - m, 2)
-    return (
-        ceil_mult(theta * half_m, 1)
-        - ceil_mult(theta, m_k)
-        + ceil_mult(theta * Fraction(m, 2), 1)
-    )
 
 
 def opposite_tuple(

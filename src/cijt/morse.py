@@ -3,17 +3,19 @@
 A dataset is a cohomology shape plus, per prime closed geodesic, its initial
 Morse index and linearized-Poincare-map class.  On top of the index iteration
 and tuple machinery this module computes critical-module dimensions, the
-gamma invariant, Morse-type numbers, the jump censuses around 2N, and the
-three theorem-level verdicts.  Verdicts never assume an identity that can be
-computed: both sides of every (in)equality appear in the emitted report.
+gamma invariant, Morse-type numbers and the jump censuses around 2N.  One
+driver, ``_verify``, runs theorems 1.1, 1.5 and 1.8 (tuple, opposite tuple
+and censuses where used, Morse chain, Betti sum); the table ``_THEOREMS``
+holds only what differs per theorem.  Verdicts never assume an identity that
+can be computed: both sides of every (in)equality appear in the emitted report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .scalars import Exact
 from .normal_forms import crossing_sum, is_hyperbolic, validate_bumpy
@@ -274,16 +276,13 @@ def _census_block(dataset, t, t_opp, margin):
     if census_opp.plus_e + census_opp.plus_o > census.plus_e + census.plus_o:
         t, t_opp = t_opp, t
         census, census_opp = census_opp, census
-    symmetry = (
-        census.plus_e == census_opp.minus_e
-        and census.plus_o == census_opp.minus_o
-        and census.minus_e == census_opp.plus_e
-        and census.minus_o == census_opp.plus_o
+    symmetry = (census.plus_e, census.plus_o, census.minus_e, census.minus_o) == (
+        census_opp.minus_e, census_opp.minus_o, census_opp.plus_e, census_opp.plus_o
     )
     return t, t_opp, census, census_opp, symmetry
 
 
-def _non_hyperbolic_names(dataset, censuses, two_ns):
+def _non_hyperbolic_names(censuses, two_ns):
     """Records certified non-hyperbolic: i(c^{2m_k}) != 2N at some tuple."""
     out = set()
     for census, two_n in zip(censuses, two_ns):
@@ -291,6 +290,145 @@ def _non_hyperbolic_names(dataset, censuses, two_ns):
             if i2m != two_n:
                 out.add(name)
     return sorted(out)
+
+
+class _Theorem(NamedTuple):
+    """What sets one theorem pipeline apart; ``_verify`` runs the rest."""
+
+    shape_ok: Callable[[CohomologyShape], bool]
+    shape_msg: str
+    record_ok: Callable[[PathClass], bool]
+    record_msg: str  # formatted with the record name
+    n_multiple: Callable[[CohomologyShape], int]
+    margin: Optional[int]  # census window margin; None: no opposite vertex
+    top: int  # the Morse chain runs to degree 2N + top
+    conclude: Callable  # (dataset, t, ..., chain) -> its own checks and details
+    passed_by: Optional[str] = None  # detail that decides instead of the checks
+
+
+def _verify(theorem, dataset, delta, n_bound):
+    """Hypotheses, tuple (and opposite tuple with censuses), Morse chain, verdict."""
+    spec = _THEOREMS[theorem]
+    shape = dataset.shape
+    if not spec.shape_ok(shape):
+        raise HypothesisRejected(spec.shape_msg)
+    for r in dataset.records:
+        if not spec.record_ok(r.path):
+            raise HypothesisRejected(spec.record_msg % r.name)
+    res = resonance_check(dataset)
+    problem, chi_eps = _default_problem(dataset, spec.n_multiple(shape), delta, n_bound)
+    t = find_tuple(problem, chi_eps=chi_eps)
+
+    checks, details, non_hyp = [], {}, []
+    census = opp = None
+    if spec.margin is not None:
+        t_opp = opposite_tuple(t, problem, chi_eps=chi_eps)
+        t, t_opp, census, opp, symmetry = _census_block(dataset, t, t_opp, spec.margin)
+        checks.append(_check("resonance identity", res.passes, True))
+        for label, tt in (("primary", t), ("opposite", t_opp)):
+            lhs, rhs, _ = tuple_resonance_identity(dataset, tt)
+            checks.append(_check("sum 2 m_k gamma_k at %s tuple" % label, lhs, rhs))
+        checks.append(_check("opposite-census symmetry", symmetry, True))
+        non_hyp = _non_hyperbolic_names((census, opp), (2 * t.N, 2 * t_opp.N))
+        details = {
+            "opposite_tuple": t_opp.to_json(),
+            "census": census.to_json(),
+            "opposite_census": opp.to_json(),
+            "non_hyperbolic": non_hyp,
+        }
+
+    M = morse_type_numbers(dataset, 2 * t.N + spec.top)
+    alt_m = alternating_morse_sum(M, 2 * t.N + spec.top)
+    # 2NB + N_+^o - N_+^e; just 2NB without a census
+    chain = 2 * t.N * resonance_constant(shape) + (census.plus_o - census.plus_e if census else 0)
+    alt_b = alternating_betti_sum(shape, 2 * t.N)
+    tail, extra = spec.conclude(dataset, t, census, opp, non_hyp, M, alt_m, alt_b, chain)
+    checks += tail
+    details.update(extra, checks=checks, tuple=t.to_json(), resonance=res.to_json())
+    passed = details[spec.passed_by] if spec.passed_by else all(c["pass"] for c in checks)
+    return Verdict(theorem, passed, details)
+
+
+def _conclude_1_1(dataset, t, census, opp, non_hyp, M, alt_m, alt_b, chain):
+    shape = dataset.shape
+    quarter = Fraction(shape.d * shape.n * (shape.n + 1), 4)
+    return [
+        _check("alternating Morse sum vs census chain", Fraction(alt_m), chain),
+        _check("Morse inequality at 2N", alt_m, alt_b, ">="),
+        _check("N_+^o lower bound", Fraction(census.plus_o), quarter, ">="),
+        _check("N_-^o lower bound (opposite window)", Fraction(opp.minus_o), quarter, ">="),
+        _check("certified non-hyperbolic count", Fraction(len(non_hyp)), 2 * quarter, ">="),
+        _check("record count q", Fraction(len(dataset.records)), 2 * quarter, ">="),
+    ], {}
+
+
+def _conclude_1_5(dataset, t, census, opp, non_hyp, M, alt_m, alt_b, chain):
+    shape, two_n = dataset.shape, 2 * t.N
+    # records pinned at 2N with an even jump: the M_{2N} >= b_{2N} = 2 pair
+    pinned = sorted(
+        r.name
+        for r in dataset.records
+        if census.classification[r.name][0] == two_n and (two_n - r.path.i1) % 2 == 0
+    )
+    even_jumps = [name for name, (_, b) in census.classification.items() if b in ("+e", "-e")]
+    even_valued = sorted(set(pinned) | set(even_jumps))
+    half_d = Fraction(shape.d - 1, 2)
+    return [
+        _check("alternating Morse sum vs census chain (2N+1)", Fraction(alt_m), chain),
+        # odd top degree flips the Morse inequality: sum (-1)^p M_p <= sum b_p
+        _check("Morse chain vs Betti sum", alt_b, alt_m, ">="),
+        _check("H_+^e - H_+^o lower bound", Fraction(census.plus_e - census.plus_o), half_d, ">="),
+        _check(
+            "H_-^e - H_-^o lower bound (opposite window)",
+            Fraction(opp.minus_e - opp.minus_o),
+            half_d,
+            ">=",
+        ),
+        _check("b_{2N}", betti(shape, two_n), 2),
+        _check("M_{2N} >= b_{2N}", M[two_n], 2, ">="),
+        _check("records pinned at 2N with even jump", len(pinned), 2, ">="),
+        _check("even-index classifications", len(even_valued), shape.d + 1, ">="),
+        _check("certified non-hyperbolic count", len(non_hyp), shape.d - 1, ">="),
+    ], {"pinned_at_2N": pinned, "even_index_records": even_valued}
+
+
+def _conclude_1_8(dataset, t, census, opp, non_hyp, M, alt_m, alt_b, chain):
+    shape = dataset.shape
+    checks = [
+        _check("i(%s^{2m_k}) pinned at 2N" % rec.name, index_iterate(rec.path, 2 * m_k), 2 * t.N)
+        for rec, m_k in zip(dataset.records, t.m)
+    ]
+    checks.append(_check("alternating Morse sum equals 2NB", Fraction(alt_m), chain))
+    gap = Fraction(alt_b) - Fraction(alt_m)
+    quarter = Fraction(shape.d * shape.n * (shape.n + 1), 4)
+    return checks, {
+        "contradiction_found": alt_b > alt_m,
+        "alternating_morse_sum": alt_m,
+        "alternating_betti_sum": alt_b,
+        "gap": str(gap),
+        "expected_gap": str(quarter),
+        "gap_matches": gap == quarter,
+    }
+
+
+_THEOREMS = {
+    "1.1": _Theorem(
+        lambda shape: shape.d % 2 == 0, "theorem needs even d",
+        lambda path: path.i1 >= 1, "record %s has zero Morse index",
+        n_multiple=lambda shape: shape.D, margin=1, top=0, conclude=_conclude_1_1,
+    ),
+    "1.5": _Theorem(
+        lambda shape: shape.d % 2 == 1 and shape.n == 1, "theorem needs odd d (so n = 1)",
+        lambda path: path.i1 >= 2, "record %s has Morse index < 2",
+        n_multiple=lambda shape: shape.d - 1, margin=2, top=1, conclude=_conclude_1_5,
+    ),
+    "1.8": _Theorem(
+        lambda shape: shape.d % 2 == 0, "pipeline needs even d",
+        lambda path: is_hyperbolic(path.monodromy), "record %s is not hyperbolic",
+        n_multiple=lambda shape: shape.D, margin=None, top=0, conclude=_conclude_1_8,
+        passed_by="contradiction_found",
+    ),
+}
 
 
 def verify_theorem_1_1(
@@ -305,55 +443,7 @@ def verify_theorem_1_1(
     the Morse inequality at degree 2N, the census lower bounds, the
     opposite-vertex symmetry, and the dn(n+1)/2 multiplicity count.
     """
-    shape = dataset.shape
-    if shape.d % 2:
-        raise HypothesisRejected("theorem needs even d")
-    for r in dataset.records:
-        if r.path.i1 < 1:
-            raise HypothesisRejected("record %s has zero Morse index" % r.name)
-    res = resonance_check(dataset)
-    problem, chi_eps = _default_problem(dataset, shape.D, delta, n_bound)
-    t = find_tuple(problem, chi_eps=chi_eps)
-    t_opp = opposite_tuple(t, problem, chi_eps=chi_eps)
-
-    t, t_opp, census, census_opp, symmetry = _census_block(dataset, t, t_opp, 1)
-    checks = [_check("resonance identity", res.passes, True)]
-    for label, tt in (("primary", t), ("opposite", t_opp)):
-        lhs, rhs, ok = tuple_resonance_identity(dataset, tt)
-        checks.append(_check("sum 2 m_k gamma_k at %s tuple" % label, lhs, rhs))
-    checks.append(_check("opposite-census symmetry", symmetry, True))
-
-    M = morse_type_numbers(dataset, 2 * t.N)
-    alt_m = alternating_morse_sum(M, 2 * t.N)
-    b_const = resonance_constant(shape)
-    chain = 2 * t.N * b_const + census.plus_o - census.plus_e
-    checks.append(_check("alternating Morse sum vs census chain", Fraction(alt_m), chain))
-    alt_b = alternating_betti_sum(shape, 2 * t.N)
-    checks.append(_check("Morse inequality at 2N", alt_m, alt_b, ">="))
-
-    quarter = Fraction(shape.d * shape.n * (shape.n + 1), 4)
-    checks.append(_check("N_+^o lower bound", Fraction(census.plus_o), quarter, ">="))
-    checks.append(
-        _check("N_-^o lower bound (opposite window)", Fraction(census_opp.minus_o), quarter, ">=")
-    )
-    non_hyp = _non_hyperbolic_names(dataset, (census, census_opp), (2 * t.N, 2 * t_opp.N))
-    half = Fraction(shape.d * shape.n * (shape.n + 1), 2)
-    checks.append(_check("certified non-hyperbolic count", Fraction(len(non_hyp)), half, ">="))
-    checks.append(_check("record count q", Fraction(len(dataset.records)), half, ">="))
-
-    return Verdict(
-        "1.1",
-        all(c["pass"] for c in checks),
-        {
-            "checks": checks,
-            "tuple": t.to_json(),
-            "opposite_tuple": t_opp.to_json(),
-            "census": census.to_json(),
-            "opposite_census": census_opp.to_json(),
-            "non_hyperbolic": non_hyp,
-            "resonance": res.to_json(),
-        },
-    )
+    return _verify("1.1", dataset, delta, n_bound)
 
 
 def verify_theorem_1_5(
@@ -362,86 +452,7 @@ def verify_theorem_1_5(
     n_bound: int = 10**8,
 ) -> Verdict:
     """Odd-dimensional sphere pipeline with the widened (+-2) jump windows."""
-    shape = dataset.shape
-    if shape.d % 2 == 0 or shape.n != 1:
-        raise HypothesisRejected("theorem needs odd d (so n = 1)")
-    for r in dataset.records:
-        if r.path.i1 < 2:
-            raise HypothesisRejected("record %s has Morse index < 2" % r.name)
-    res = resonance_check(dataset)
-    problem, chi_eps = _default_problem(dataset, shape.d - 1, delta, n_bound)
-    t = find_tuple(problem, chi_eps=chi_eps)
-    t_opp = opposite_tuple(t, problem, chi_eps=chi_eps)
-
-    t, t_opp, census, census_opp, symmetry = _census_block(dataset, t, t_opp, 2)
-    checks = [_check("resonance identity", res.passes, True)]
-    for label, tt in (("primary", t), ("opposite", t_opp)):
-        lhs, rhs, ok = tuple_resonance_identity(dataset, tt)
-        checks.append(_check("sum 2 m_k gamma_k at %s tuple" % label, lhs, rhs))
-    checks.append(_check("opposite-census symmetry", symmetry, True))
-
-    M = morse_type_numbers(dataset, 2 * t.N + 1)
-    alt_m = alternating_morse_sum(M, 2 * t.N + 1)
-    b_const = resonance_constant(shape)
-    chain = 2 * t.N * b_const + census.plus_o - census.plus_e
-    checks.append(
-        _check("alternating Morse sum vs census chain (2N+1)", Fraction(alt_m), chain)
-    )
-    # odd top degree flips the Morse inequality: sum (-1)^p M_p <= sum b_p
-    sum_b = alternating_betti_sum(shape, 2 * t.N)
-    checks.append(_check("Morse chain vs Betti sum", sum_b, alt_m, ">="))
-
-    half_d = Fraction(shape.d - 1, 2)
-    checks.append(
-        _check("H_+^e - H_+^o lower bound", Fraction(census.plus_e - census.plus_o), half_d, ">=")
-    )
-    checks.append(
-        _check(
-            "H_-^e - H_-^o lower bound (opposite window)",
-            Fraction(census_opp.minus_e - census_opp.minus_o),
-            half_d,
-            ">=",
-        )
-    )
-
-    # records pinned at 2N with an even jump: the M_{2N} >= b_{2N} = 2 pair
-    pinned = sorted(
-        name
-        for name, (i2m, _) in census.classification.items()
-        if i2m == 2 * t.N
-        and (i2m - next(r.path.i1 for r in dataset.records if r.name == name)) % 2 == 0
-    )
-    checks.append(_check("b_{2N}", betti(shape, 2 * t.N), 2))
-    checks.append(_check("M_{2N} >= b_{2N}", M[2 * t.N], 2, ">="))
-    checks.append(_check("records pinned at 2N with even jump", len(pinned), 2, ">="))
-
-    non_hyp = _non_hyperbolic_names(dataset, (census, census_opp), (2 * t.N, 2 * t_opp.N))
-    even_valued = sorted(
-        set(pinned)
-        | {
-            name
-            for name, (i2m, bucket) in census.classification.items()
-            if bucket in ("+e", "-e")
-        }
-    )
-    checks.append(_check("even-index classifications", len(even_valued), shape.d + 1, ">="))
-    checks.append(_check("certified non-hyperbolic count", len(non_hyp), shape.d - 1, ">="))
-
-    return Verdict(
-        "1.5",
-        all(c["pass"] for c in checks),
-        {
-            "checks": checks,
-            "tuple": t.to_json(),
-            "opposite_tuple": t_opp.to_json(),
-            "census": census.to_json(),
-            "opposite_census": census_opp.to_json(),
-            "pinned_at_2N": pinned,
-            "even_index_records": even_valued,
-            "non_hyperbolic": non_hyp,
-            "resonance": res.to_json(),
-        },
-    )
+    return _verify("1.5", dataset, delta, n_bound)
 
 
 def verify_theorem_1_8(
@@ -451,41 +462,4 @@ def verify_theorem_1_8(
 ) -> Verdict:
     """All-hyperbolic contradiction: the two sides of the final count differ
     by exactly dn(n+1)/4, so no finite all-hyperbolic dataset is Morse-consistent."""
-    shape = dataset.shape
-    if shape.d % 2:
-        raise HypothesisRejected("pipeline needs even d")
-    for r in dataset.records:
-        if not is_hyperbolic(r.path.monodromy):
-            raise HypothesisRejected("record %s is not hyperbolic" % r.name)
-    res = resonance_check(dataset)
-    problem, chi_eps = _default_problem(dataset, shape.D, delta, n_bound)
-    t = find_tuple(problem, chi_eps=chi_eps)
-
-    checks = []
-    for rec, m_k in zip(dataset.records, t.m):
-        checks.append(
-            _check("i(%s^{2m_k}) pinned at 2N" % rec.name, index_iterate(rec.path, 2 * m_k), 2 * t.N)
-        )
-    M = morse_type_numbers(dataset, 2 * t.N)
-    alt_m = alternating_morse_sum(M, 2 * t.N)
-    two_nb = 2 * t.N * resonance_constant(shape)
-    checks.append(_check("alternating Morse sum equals 2NB", Fraction(alt_m), two_nb))
-    alt_b = alternating_betti_sum(shape, 2 * t.N)
-    gap = Fraction(alt_b) - Fraction(alt_m)
-    quarter = Fraction(shape.d * shape.n * (shape.n + 1), 4)
-    contradiction = alt_b > alt_m
-    return Verdict(
-        "1.8",
-        contradiction,
-        {
-            "contradiction_found": contradiction,
-            "checks": checks,
-            "alternating_morse_sum": alt_m,
-            "alternating_betti_sum": alt_b,
-            "gap": str(gap),
-            "expected_gap": str(quarter),
-            "gap_matches": gap == quarter,
-            "tuple": t.to_json(),
-            "resonance": res.to_json(),
-        },
-    )
+    return _verify("1.8", dataset, delta, n_bound)

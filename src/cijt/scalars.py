@@ -15,6 +15,10 @@ from fractions import Fraction
 
 MAX_PRECISION_BITS_ENV = "CIJT_MAX_PRECISION_BITS"
 
+# Largest radicand ``Exact.from_json`` accepts.  Reducing s to its squarefree
+# part is trial division, about 0.35 s at this size and without end beyond it.
+MAX_RADICAND = 10**12
+
 
 class PrecisionExhausted(ArithmeticError):
     """Raised when the interval-refinement sign test hits the precision cap.
@@ -39,6 +43,13 @@ def _squarefree_split(s: int) -> tuple[int, int]:
             f *= d
         d += 1
     return f, s
+
+
+def _capped(s):
+    """A radicand read from outside the program, refused above MAX_RADICAND."""
+    if s > MAX_RADICAND:
+        raise ValueError("radicand %d exceeds the cap %d" % (s, MAX_RADICAND))
+    return s
 
 
 def _sqrt_bounds(s: int, bits: int) -> tuple[Fraction, Fraction]:
@@ -287,12 +298,12 @@ class Exact:
             return Exact(Fraction(obj["num"], obj["den"]))
         if kind == "surd":
             return Exact.surd(
-                Fraction(*obj["a"]), Fraction(*obj["b"]), obj["s"]
+                Fraction(*obj["a"]), Fraction(*obj["b"]), _capped(obj["s"])
             )
         if kind == "sum":
             out = Exact(Fraction(*obj["rational"]))
             for t in obj["terms"]:
-                out = out + Exact.surd(0, Fraction(*t["coeff"]), t["s"])
+                out = out + Exact.surd(0, Fraction(*t["coeff"]), _capped(t["s"]))
             return out
         raise ValueError("unknown scalar kind: %r" % (kind,))
 

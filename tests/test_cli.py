@@ -50,10 +50,14 @@ class TestIterate:
         assert out.strip().splitlines() == ["m\tindex\tnullity"]
 
     def test_unknown_record(self, capsys):
-        code, _, err = run(
-            capsys, "iterate", ds("s2_hyperbolic"), "--record", "nope"
+        cases = (
+            (("iterate", ds("s2_hyperbolic"), "--record", "nope"), "unknown record"),
+            (("iterate", ds("s2_hyperbolic"), "--record", "h1", "--m-max", "-3"), "--m-max"),
+            (("betti", "--d", "2", "--n", "1", "--l-max", "-5"), "--l-max"),
         )
-        assert code == 2 and "unknown record" in err
+        for argv, reason in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and reason in err and out == ""
 
 
 class TestBetti:
@@ -179,10 +183,13 @@ class TestDatasetLoading:
     def test_bad_version(self, capsys, tmp_path):
         zero_den = json.load(open(ds("single_sqrt2")))
         zero_den["records"][0]["blocks"][0]["theta_over_pi"]["a"] = [-1, 0]
+        huge_radicand = json.load(open(ds("single_sqrt2")))
+        huge_radicand["records"][0]["blocks"][0]["theta_over_pi"]["s"] = 10**30 + 39
         cases = (
             ('{"version": 99}', "version"),
             ("[1, 2]", "JSON object"),
             (json.dumps(zero_den), "invalid dataset"),
+            (json.dumps(huge_radicand), "exceeds the cap"),
         )
         for text, reason in cases:
             p = tmp_path / "bad.json"

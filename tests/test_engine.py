@@ -16,8 +16,6 @@ from cijt.engine import (
     m_bar_for_geodesics,
     opposite_tuple,
     verify_tuple,
-    xi_minus,
-    xi_plus,
 )
 
 SQRT2M1 = Exact.surd(-1, 1, 2)
@@ -224,18 +222,6 @@ class TestVerifyTuple:
             assert index_iterate(p, 2 * m_k - m) <= two_n - 1
         for m in range(1, 10 * m_k + 1):
             assert index_iterate(p, 2 * m_k + m) >= two_n + 1
-
-
-class TestXi:
-    def test_ranges_on_certified_tuple(self, sqrt2_tuple):
-        m_k = sqrt2_tuple.m[0]
-        for m in range(1, 30):
-            assert xi_plus(m_k, SQRT2M1, m) in (-1, 0)
-            assert xi_minus(m_k, SQRT2M1, m) in (0, 1)
-
-    def test_zero_fractional_part(self):
-        third = Exact(Fraction(2, 3))
-        assert xi_plus(3, third, 6) == 0  # {m_k theta/pi} = 0
 
 
 class TestMBarForGeodesics:
