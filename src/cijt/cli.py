@@ -52,6 +52,23 @@ class CliError(Exception):
         self.code = code
 
 
+def _integers_only(node, where="dataset"):
+    """Every JSON number of a dataset is an integer; true/false only in options.
+
+    Python reads 2.5 and true as numbers that int(), Fraction() and the
+    comparisons downstream would silently round or accept.
+    """
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key != "options":
+                _integers_only(value, "%s.%s" % (where, key))
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            _integers_only(value, "%s[%d]" % (where, k))
+    elif isinstance(node, (bool, float)):
+        raise CliError("invalid dataset: %s is %s, not an integer" % (where, json.dumps(node)))
+
+
 def load_dataset(path: str) -> GeodesicDataset:
     try:
         with open(path) as fh:
@@ -60,6 +77,7 @@ def load_dataset(path: str) -> GeodesicDataset:
         raise CliError("cannot read dataset %s: %s" % (path, exc))
     if not isinstance(doc, dict):
         raise CliError("dataset must be a JSON object")
+    _integers_only(doc)
     if doc.get("version") != 1:
         raise CliError("unsupported dataset version: %r" % doc.get("version"))
     try:

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Exact, Lattice, floor_mult, frac_mult, is_near_lattice
+from .scalars import Exact, Lattice, ceil_mult, floor_mult, frac_mult, is_near_lattice
 from .normal_forms import N1, N2, R, m_check
-from .iteration import PathClass, index_iterate, mean_index, path_nullity
+from .iteration import PathClass, index_bracket, index_iterate, mean_index, path_nullity
 
 
 class NonPositiveMeanIndex(ValueError):
@@ -483,8 +483,9 @@ def m_bar_for_geodesics(paths: Sequence[PathClass], d: int, n: int) -> int:
         if not ihat > Exact(0):
             raise NonPositiveMeanIndex("path %r has mean index <= 0" % (p,))
         target = p.i1 + 2 * (d * n - 1)
-        slack = 2 * p.monodromy.half_dimension + abs(p.i1) + 2
-        stop = int((target + slack) / float(ihat)) + 2
+        # i(c^m) >= m*ihat + lo >= target from m = stop on
+        lo, _ = index_bracket(p)
+        stop = ceil_mult((target - lo) / ihat, 1)
         for m in range(1, stop + 1):
             if index_iterate(p, m) >= target:
                 out = max(out, m)

@@ -94,3 +94,18 @@ def mean_index(p: PathClass) -> Exact:
     for half_theta, w in minus:
         out = out + half_theta * (2 * w)
     return out
+
+
+def index_bracket(p: PathClass) -> tuple[int, int]:
+    """(lo, hi) with lo <= i(gamma, m) - m*ihat < hi for every m >= 1.
+
+    By the precise formula, i(gamma, m) - m*ihat = -(S^+ + C) plus a sum of
+    2w(E(m*x) - m*x) over the weighted angles x = theta/2pi, and each such
+    term lies in [0, 2w).  So lo = -(S^+ + C) and hi = lo + 2C; with C = 0 the
+    difference is exactly lo, and hi = lo + 1 keeps the bracket half-open.
+    This is the mean-index estimate behind the common index jump theorem
+    (Long-Zhu, Ann. of Math. 155 (2002)).
+    """
+    sp, c, _ = p.spectral
+    lo = -(sp + c)
+    return lo, lo + max(2 * c, 1)

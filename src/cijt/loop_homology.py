@@ -7,6 +7,11 @@ in closed form and the two must agree -- that agreement pins down the reading
 of the exceptional degree set Omega(d,n), whose published index range (j
 starting at 1) contradicts the closed form at (d,n) = (2,1); j runs from 0
 here.
+
+Membership p in Omega(d,n) is O(n) per degree: p - (d-1) = i*D + j*d with
+i >= 1 and 0 <= j <= n-1 holds iff some such j leaves a remainder
+p - (d-1) - j*d that is a positive multiple of D.  The direct partial sum is
+therefore O(l*n), and it stays the independent check on the closed form.
 """
 
 from __future__ import annotations
@@ -47,13 +52,7 @@ def _in_omega(shape: CohomologyShape, p: int) -> bool:
     # p odd with p - (d-1) = i*D + j*d for some i >= 1, 0 <= j <= n-1
     d, n, D = shape.d, shape.n, shape.D
     r = p - (d - 1)
-    i = 1
-    while i * D <= r:
-        j, rem = divmod(r - i * D, d)
-        if rem == 0 and 0 <= j <= n - 1:
-            return True
-        i += 1
-    return False
+    return any(r - j * d >= D and (r - j * d) % D == 0 for j in range(n))
 
 
 def betti(shape: CohomologyShape, p: int) -> int:

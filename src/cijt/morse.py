@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .scalars import Exact
+from .scalars import Exact, ceil_mult, floor_mult
 from .normal_forms import crossing_sum, is_hyperbolic, validate_bumpy
-from .iteration import PathClass, index_iterate, mean_index
+from .iteration import PathClass, index_bracket, index_iterate, mean_index
 from .engine import (
     CijtTuple,
     SelectionProblem,
@@ -153,14 +153,33 @@ class JumpCensus:
         }
 
 
+def _open_offsets(path: PathClass, two_n: int, m_k: int, margin: int) -> tuple[range, range]:
+    """Offsets m of the window iterates 2m_k - m and 2m_k + m left open by the bracket.
+
+    From lo <= i(c^j) - j*ihat < hi: i(c^j) <= 2N - margin for every
+    j <= floor((2N - margin + 1 - hi)/ihat), and i(c^j) >= 2N + margin for
+    every j >= ceil((2N + margin - lo)/ihat).  Only the iterates in between
+    need ``index_iterate``.
+    """
+    ihat = mean_index(path)
+    lo, hi = index_bracket(path)
+    below = floor_mult((two_n - margin + 1 - hi) / ihat, 1)
+    above = ceil_mult((two_n + margin - lo) / ihat, 1)
+    return range(1, min(2 * m_k, 2 * m_k - below)), range(1, min(2 * m_k + 1, above - 2 * m_k))
+
+
 def jump_census(
     dataset: GeodesicDataset, t: CijtTuple, margin: int = 1
 ) -> JumpCensus:
     """Bucket records by the position of i(c^{2m_k}) relative to 2N.
 
     Counts only records with i(c^{2m_k}) - i(c) even (the ones whose top
-    iterate carries a critical module).  Window inequalities around the jump
-    are re-verified; a violation is an engine bug, not a dataset property.
+    iterate carries a critical module).  The window inequalities around the
+    jump, i(c^j) <= 2N - margin for 0 < j < 2m_k and i(c^j) >= 2N + margin for
+    2m_k < j <= 4m_k, are proved for every j: the exact mean-index bracket of
+    ``index_bracket`` settles all but a few j near 2m_k by two exact
+    floor/ceiling comparisons (``_open_offsets``), and ``index_iterate``
+    decides those few.  A violation is an engine bug, not a dataset property.
     """
     two_n = 2 * t.N
     counts = {"+e": 0, "+o": 0, "-e": 0, "-o": 0}
@@ -178,10 +197,11 @@ def jump_census(
                 "record %s: i(c^{2m_k}) = %d, spectral formula gives %d"
                 % (rec.name, i2m, expect)
             )
-        for m in range(1, 2 * m_k):
+        lower, upper = _open_offsets(path, two_n, m_k, margin)
+        for m in lower:
             if index_iterate(path, 2 * m_k - m) > two_n - margin:
                 raise AssertionError("lower window violated at %s, m=%d" % (rec.name, m))
-        for m in range(1, 2 * m_k + 1):
+        for m in upper:
             if index_iterate(path, 2 * m_k + m) < two_n + margin:
                 raise AssertionError("upper window violated at %s, m=%d" % (rec.name, m))
         bucket = None
@@ -202,14 +222,13 @@ def jump_census(
 def morse_type_numbers(dataset: GeodesicDataset, P: int) -> list[int]:
     """M_0..M_P: critical-module dimensions summed over all records and iterates.
 
-    The iteration horizon ceil((P + 2(dn-1) + |i(c)|)/ihat) + 2 is a safe
-    over-approximation of when indices leave [0, P] for good.
+    The iteration horizon floor((P - lo)/ihat), lo from ``index_bracket``, is
+    exact: past it i(c^m) >= m*ihat + lo > P.
     """
     M = [0] * (P + 1)
-    k_const = 2 * (dataset.shape.dim - 1)
     for rec in dataset.records:
-        ihat = float(mean_index(rec.path))
-        horizon = math.ceil((P + k_const + abs(rec.path.i1)) / ihat) + 2
+        lo, _ = index_bracket(rec.path)
+        horizon = floor_mult((P - lo) / mean_index(rec.path), 1)
         for m in range(1, horizon + 1):
             i_m = index_iterate(rec.path, m)
             if 0 <= i_m <= P and (i_m - rec.path.i1) % 2 == 0:

@@ -185,11 +185,23 @@ class TestDatasetLoading:
         zero_den["records"][0]["blocks"][0]["theta_over_pi"]["a"] = [-1, 0]
         huge_radicand = json.load(open(ds("single_sqrt2")))
         huge_radicand["records"][0]["blocks"][0]["theta_over_pi"]["s"] = 10**30 + 39
+        half_radicand = json.load(open(ds("single_sqrt2")))
+        half_radicand["records"][0]["blocks"][0]["theta_over_pi"]["s"] = 2.5
+        float_index = json.load(open(ds("s2_elliptic")))
+        float_index["records"][0]["initial_index"] = 1.9
+        float_shape = json.load(open(ds("s2_elliptic")))
+        float_shape["shape"]["d"] = 2.0
+        bool_coeff = json.load(open(ds("single_sqrt2")))
+        bool_coeff["records"][0]["blocks"][0]["theta_over_pi"]["b"] = [True, 1]
         cases = (
             ('{"version": 99}', "version"),
             ("[1, 2]", "JSON object"),
             (json.dumps(zero_den), "invalid dataset"),
             (json.dumps(huge_radicand), "exceeds the cap"),
+            (json.dumps(half_radicand), "theta_over_pi.s is 2.5, not an integer"),
+            (json.dumps(float_index), "initial_index is 1.9, not an integer"),
+            (json.dumps(float_shape), "shape.d is 2.0, not an integer"),
+            (json.dumps(bool_coeff), "theta_over_pi.b[0] is true, not an integer"),
         )
         for text, reason in cases:
             p = tmp_path / "bad.json"

@@ -1,13 +1,16 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cijt.scalars import Exact
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass
+from cijt.cli import load_dataset
 from cijt.iteration import (
     PathClass,
+    index_bracket,
     index_iterate,
     index_iterate_bumpy,
     index_iterate_bumpy_class,
@@ -68,6 +71,35 @@ class TestMeanIndex:
         p = path(i1, R(SQRT2M1), D(Exact(2)))
         ihat = float(mean_index(p))
         assert abs(index_iterate(p, m) / m - ihat) < 5.0 / m
+
+
+SHIPPED = [
+    (name, r.name, r.path)
+    for name in ("s2_elliptic", "s3_elliptic", "s2_hyperbolic", "single_sqrt2")
+    for r in load_dataset(
+        os.path.join(os.path.dirname(__file__), os.pardir, "datasets", name + ".json")
+    ).records
+]
+
+
+class TestIndexBracket:
+    @given(st.one_of(st.integers(1, 1000), st.integers(1, 10**12)))
+    @example(1)
+    @example(10**12)
+    @settings(max_examples=60, deadline=None)
+    def test_holds_on_shipped_records(self, m):
+        for where in SHIPPED:
+            p = where[-1]
+            lo, hi = index_bracket(p)
+            gap = index_iterate(p, m) - mean_index(p) * m
+            assert Exact(lo) <= gap < Exact(hi), (where, m)
+            if p.spectral[1] == 0:  # C = 0: no angle term, the gap is exact
+                assert gap == Exact(lo), (where, m)
+
+    def test_values(self):
+        # S^+ = 0, one rotation angle (C = 1): [-1, 1); hyperbolic: exactly 0
+        assert index_bracket(path(1, R(SQRT2M1))) == (-1, 1)
+        assert index_bracket(path(1, D(Exact(2)))) == (0, 1)
 
 
 class TestCrossCheckGate:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cijt.loop_homology import (
     CohomologyShape,
+    _in_omega,
     alternating_betti_sum,
     betti,
     betti_partial_sum,
@@ -60,6 +61,28 @@ class TestBetti:
     def test_odd_bound(self, d, n):
         s = CohomologyShape(d, n)
         assert all(betti(s, p) <= 2 for p in range(300))
+
+
+def _in_omega_by_loop(shape, p):
+    """Omega membership by a loop over i, O(p/D) per degree: the oracle."""
+    d, n, D = shape.d, shape.n, shape.D
+    r = p - (d - 1)
+    i = 1
+    while i * D <= r:
+        j, rem = divmod(r - i * D, d)
+        if rem == 0 and 0 <= j <= n - 1:
+            return True
+        i += 1
+    return False
+
+
+class TestOmegaMembership:
+    @pytest.mark.parametrize("d", range(2, 15, 2))
+    def test_matches_i_loop(self, d):
+        for n in range(1, 8):
+            shape = CohomologyShape(d, n)
+            for p in range(4000):
+                assert _in_omega(shape, p) == _in_omega_by_loop(shape, p), (d, n, p)
 
 
 class TestPartialSums:

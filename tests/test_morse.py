@@ -1,19 +1,25 @@
+import dataclasses
 import hashlib
 import json
+import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from cijt.scalars import Exact
-from cijt.normal_forms import D, R, SymplecticClass
-from cijt.iteration import PathClass, index_iterate
-from cijt.engine import SelectionProblem, find_tuple, opposite_tuple
+from cijt.normal_forms import D, R, SymplecticClass, crossing_sum
+from cijt.iteration import PathClass, index_iterate, mean_index
+from cijt.cli import load_dataset
+from cijt.engine import NotFoundWithinBound, SelectionProblem, find_tuple, opposite_tuple
 from cijt.loop_homology import CohomologyShape, resonance_constant
 from cijt.morse import (
     GeodesicDataset,
     GeodesicRecord,
     HypothesisRejected,
+    JumpCensus,
+    _open_offsets,
     alternating_morse_sum,
     alternating_sum_identity,
     critical_module_dim,
@@ -27,6 +33,7 @@ from cijt.morse import (
     verify_theorem_1_8,
 )
 
+DATASETS = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
 T35 = Exact.surd(3, -1, 5)
 PHI_M1 = Exact.surd(Fraction(-1, 2), Fraction(1, 2), 5)
 
@@ -202,7 +209,154 @@ class TestJumpCensus:
             done += 1
 
 
+def _census_by_sweep(dataset, t, margin):
+    """jump_census with both windows swept iterate by iterate: the oracle."""
+    two_n = 2 * t.N
+    counts = {"+e": 0, "+o": 0, "-e": 0, "-o": 0}
+    classification = {}
+    for r, m_k, d_k in zip(dataset.records, t.m, t.Delta):
+        path = r.path
+        if path.i1 < margin:
+            raise HypothesisRejected(
+                "record %s: initial index %d < %d" % (r.name, path.i1, margin)
+            )
+        i2m = index_iterate(path, 2 * m_k)
+        expect = two_n - crossing_sum(path.monodromy) + 2 * d_k
+        if i2m != expect:
+            raise AssertionError(
+                "record %s: i(c^{2m_k}) = %d, spectral formula gives %d"
+                % (r.name, i2m, expect)
+            )
+        for m in range(1, 2 * m_k):
+            if index_iterate(path, 2 * m_k - m) > two_n - margin:
+                raise AssertionError("lower window violated at %s, m=%d" % (r.name, m))
+        for m in range(1, 2 * m_k + 1):
+            if index_iterate(path, 2 * m_k + m) < two_n + margin:
+                raise AssertionError("upper window violated at %s, m=%d" % (r.name, m))
+        bucket = None
+        if (i2m - path.i1) % 2 == 0:
+            parity = "e" if path.i1 % 2 == 0 else "o"
+            if i2m >= two_n + margin:
+                bucket = "+" + parity
+            elif i2m <= two_n - margin:
+                bucket = "-" + parity
+        if bucket:
+            counts[bucket] += 1
+        classification[r.name] = (i2m, bucket)
+    return JumpCensus(
+        counts["+e"], counts["+o"], counts["-e"], counts["-o"], margin, classification
+    )
+
+
+def _outcome(census, dataset, t, margin):
+    """The census, or the kind and message of the exception it raised."""
+    try:
+        return census(dataset, t, margin)
+    except (AssertionError, HypothesisRejected) as exc:
+        return type(exc).__name__, str(exc)
+
+
+CENSUS_SURDS = [T35, PHI_M1, Exact.surd(-1, 1, 2), Exact.surd(Fraction(1, 2), Fraction(1, 7), 3)]
+
+
+def _random_census_cases(rng, count):
+    """(dataset, tuple) pairs in the style of criterion 7, tuples and their
+    opposites.  Shape (2,2) puts three blocks on each record; with one angle
+    repeated the index sequence need not be monotone in m.  One base angle per
+    dataset keeps the search single-angle."""
+    while count > 0:
+        shape = CohomologyShape(2, rng.choice([1, 2]))
+        base = rng.choice(CENSUS_SURDS)
+        blocks = lambda: tuple(
+            R(base) if rng.random() < 0.6 else D(Exact(rng.choice([2, -2, 3])))
+            for _ in range(shape.dim - 1)
+        )
+        try:
+            ds = GeodesicDataset(
+                shape, tuple(rec("r%d" % j, rng.randint(1, 4), *blocks()) for j in range(rng.randint(1, 3)))
+            )
+            prob = SelectionProblem(ds.paths, delta=Fraction(1, 50), N_bound=10**5)
+            t = find_tuple(prob)
+            t_opp = opposite_tuple(t, prob)
+        except (ValueError, NotFoundWithinBound):  # mean index <= 0, or no tuple
+            continue
+        if sum(t.m) + sum(t_opp.m) > 10**4:  # keep the oracle sweeps affordable
+            continue
+        yield ds, t
+        yield ds, t_opp
+        count -= 1
+
+
+def _mutated(dataset, t, k, step):
+    """t with m_k moved by step and Delta_k following i(c^{2m_k}) where parity allows."""
+    m = list(t.m)
+    m[k] += step
+    Delta = list(t.Delta)
+    path = dataset.records[k].path
+    gap = index_iterate(path, 2 * m[k]) - 2 * t.N + crossing_sum(path.monodromy)
+    if gap % 2 == 0:
+        Delta[k] = gap // 2
+    return dataclasses.replace(t, m=tuple(m), Delta=tuple(Delta))
+
+
+class TestJumpCensusOracle:
+    def test_bracket_matches_window_sweep(self):
+        """The bracket-settled census equals the full sweep: the same census,
+        or the same violation at the same iterate, on certified tuples, under
+        margins 1..3 and on tuples mutated to m_k +- 1."""
+        rng = random.Random(41)
+        seen = {"census": 0, "window": 0}
+        for ds, t in _random_census_cases(rng, 12):
+            variants = [t] + [
+                _mutated(ds, t, k, step)
+                for k in range(len(t.m))
+                for step in (-1, 1)
+                if t.m[k] + step >= 1
+            ]
+            for tt in variants:
+                for margin in (1, 2, 3):
+                    got = _outcome(jump_census, ds, tt, margin)
+                    assert got == _outcome(_census_by_sweep, ds, tt, margin), (tt, margin)
+                    if isinstance(got, JumpCensus):
+                        seen["census"] += 1
+                    elif "window" in got[1]:
+                        seen["window"] += 1
+        assert seen["census"] > 0 and seen["window"] > 0, seen
+
+    def test_settled_iterates_keep_their_window(self):
+        """Every window iterate the bracket leaves out satisfies its window
+        inequality, with 2N placed anywhere near i(c^{2m_k}) and not only at
+        certified tuples, so that the iterates next to the settled ranges are
+        the ones that break the windows."""
+        rng = random.Random(8)
+        for ds, _ in _random_census_cases(rng, 6):
+            for r in ds.records:
+                for _ in range(20):
+                    m_k, margin = rng.randint(1, 60), rng.randint(1, 3)
+                    two_n = 2 * ((index_iterate(r.path, 2 * m_k) + rng.randint(-4, 4)) // 2)
+                    lower, upper = _open_offsets(r.path, two_n, m_k, margin)
+                    for m in set(range(1, 2 * m_k)) - set(lower):
+                        assert index_iterate(r.path, 2 * m_k - m) <= two_n - margin
+                    for m in set(range(1, 2 * m_k + 1)) - set(upper):
+                        assert index_iterate(r.path, 2 * m_k + m) >= two_n + margin
+
+
 class TestMorseTypeNumbers:
+    def test_exact_horizon_matches_float_horizon(self):
+        """The bracket horizon gives the M_p of the older, looser float horizon
+        ceil((P + 2(dn-1) + |i(c)|)/ihat) + 2."""
+        rng = random.Random(5)
+        for ds, t in _random_census_cases(rng, 6):
+            P = 2 * t.N + 1
+            M = [0] * (P + 1)
+            for r in ds.records:
+                slack = 2 * (ds.shape.dim - 1) + abs(r.path.i1)
+                for m in range(1, math.ceil((P + slack) / float(mean_index(r.path))) + 3):
+                    i_m = index_iterate(r.path, m)
+                    if 0 <= i_m <= P and (i_m - r.path.i1) % 2 == 0:
+                        M[i_m] += 1
+            assert morse_type_numbers(ds, P) == M
+
     def test_hyperbolic_support(self):
         ds = GeodesicDataset(CohomologyShape(2, 1),
                              (rec("h", 1, D(Exact(2))), rec("h2", 1, D(Exact(3)))))
@@ -235,6 +389,14 @@ class TestTheorem11:
         assert v.details["tuple"]["N"] == 754
         assert v.details["opposite_tuple"]["N"] == 1220
         assert digest(v) == GOLDEN["1.1 s2"]
+
+    def test_shipped_s2_at_small_delta(self):
+        # N = 35422 took minutes while the Betti sum and the census windows
+        # were swept degree by degree and iterate by iterate
+        ds = load_dataset(os.path.join(DATASETS, "s2_elliptic.json"))
+        v = verify_theorem_1_1(ds, delta=Fraction(1, 5000))
+        assert v.passed
+        assert v.details["tuple"]["N"] == 35422
 
     def test_record_removed_fails(self, s2_dataset):
         partial = GeodesicDataset(s2_dataset.shape, s2_dataset.records[:1])
