@@ -69,6 +69,18 @@ def _integers_only(node, where="dataset"):
         raise CliError("invalid dataset: %s is %s, not an integer" % (where, json.dumps(node)))
 
 
+def _objects(node, where):
+    """The items of a JSON list that must hold objects only."""
+    if not isinstance(node, list):
+        raise CliError("invalid dataset: %s is %s, not a list" % (where, json.dumps(node)))
+    for k, item in enumerate(node):
+        if not isinstance(item, dict):
+            raise CliError(
+                "invalid dataset: %s[%d] is %s, not an object" % (where, k, json.dumps(item))
+            )
+    return node
+
+
 def load_dataset(path: str) -> GeodesicDataset:
     try:
         with open(path) as fh:
@@ -80,6 +92,11 @@ def load_dataset(path: str) -> GeodesicDataset:
     _integers_only(doc)
     if doc.get("version") != 1:
         raise CliError("unsupported dataset version: %r" % doc.get("version"))
+    options = doc.get("options", {})
+    if not isinstance(options, dict):
+        raise CliError(
+            "invalid dataset: dataset.options is %s, not an object" % json.dumps(options)
+        )
     try:
         shape = CohomologyShape(doc["shape"]["d"], doc["shape"]["n"])
         records = tuple(
@@ -87,12 +104,15 @@ def load_dataset(path: str) -> GeodesicDataset:
                 r["name"],
                 PathClass(
                     int(r["initial_index"]),
-                    SymplecticClass(tuple(block_from_json(b) for b in r["blocks"])),
+                    SymplecticClass(tuple(
+                        block_from_json(b)
+                        for b in _objects(r["blocks"], "dataset.records[%d].blocks" % i)
+                    )),
                 ),
             )
-            for r in doc["records"]
+            for i, r in enumerate(_objects(doc["records"], "dataset.records"))
         )
-        return GeodesicDataset(shape, records, doc.get("options", {}).get("bumpy", True))
+        return GeodesicDataset(shape, records, options.get("bumpy", True))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliError("invalid dataset: %s" % exc)
 

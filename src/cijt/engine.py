@@ -9,9 +9,12 @@ Given symplectic paths gamma_1..gamma_q with positive mean indices, find
     I(k, m_k) = N + Delta_k,
 
 and certify the index identities for the iterates 2m_k +- m.  The search
-enumerates candidate iterates of one path with a float prefilter and a guard
-band, then certifies every condition in exact arithmetic; the reported tuple
-is the smallest admissible N.
+steps from lattice hit to lattice hit of one angle of one path: that angle is
+held as a 2^-K fixed-point integer whose error over the whole search range is
+folded into the window, and each next hit comes from a Euclid-like recursion
+in O(K) integer steps (the three-distance structure of {k*alpha}).  Every hit
+is then certified in exact arithmetic; no float decides anything, and the
+reported tuple is the smallest admissible N.
 """
 
 from __future__ import annotations
@@ -38,9 +41,6 @@ class NotFoundWithinBound(RuntimeError):
 
 class CertificationError(AssertionError):
     """A tuple accepted by the search failed re-verification (engine bug)."""
-
-
-_FLOAT_GUARD = 1e-6
 
 
 def common_period(paths: Sequence[PathClass]) -> int:
@@ -204,7 +204,6 @@ class _PathData:
         # u = 1 / (Mbar * ihat): chi component of the torus vector
         self.u = Exact(1) / (self.mean * m_bar_period)
         self.u_pinned = self.u.is_rational
-        self.u_float = float(self.u)
         # one representative irrational angle per R/N2 block, in block order:
         # these carry the vertex bits; conjugates follow automatically
         self.bit_angles = [
@@ -212,7 +211,6 @@ class _PathData:
             for b in path.monodromy.blocks
             if isinstance(b, (R, N2)) and not b.theta.is_rational
         ]
-        self.bit_floats = [float(t) for t in self.bit_angles]
 
     def I(self, m: int) -> int:
         """m*rho + sum of E(m*theta/pi) * S^-, i.e. (i(2m) + S^+ + C) / 2."""
@@ -239,12 +237,55 @@ class _PathData:
         return tuple(bits)
 
 
-def _float_band_ok(frac: float, delta: float, want: Optional[int]) -> bool:
-    if want == 0:
-        return frac < delta + _FLOAT_GUARD
-    if want == 1:
-        return frac > 1 - delta - _FLOAT_GUARD
-    return frac < delta + _FLOAT_GUARD or frac > 1 - delta - _FLOAT_GUARD
+def _next_hit(a: int, b: int, M: int, lo: int, hi: int) -> Optional[int]:
+    """Least j >= 0 with (a*j + b) mod M in the circular window {lo..hi} mod M
+    (integers lo <= hi), or None if the orbit never enters it.
+
+    After a shift this asks for the least x with l <= a*x mod m <= r.  Either
+    a multiple of a lies in [l, r] (x = ceil(l/a)), or [l, r] is shorter than
+    a and the least x comes with the least y of a*x - m*y in [l, r], which
+    is the same question for (m mod a, a): Euclid's steps, O(log M) of them.
+    """
+    l = (lo - b) % M
+    r = l + hi - lo
+    if r >= M:
+        return 0  # the window wraps through b itself
+    m, a = M, a % M
+    frames = []
+    x = 0
+    while l:
+        if a == 0:
+            return None
+        x = -(-l // a)
+        if a * x <= r:
+            break
+        frames.append((m, a, l))
+        m, a, l, r = a, m % a, (-r) % a, (-l) % a
+    for m, a, l in reversed(frames):
+        x = -(-(m * x + l) // a)
+    return x
+
+
+def _hit_stepper(theta: Exact, mbar: int, k_cap: int, delta: Fraction):
+    """Fixed-point stepping through {k*mbar*theta} for 1 <= k <= k_cap.
+
+    Returns (M, next_hit) with M = 2^K.  With a = [M*mbar*theta] mod M, the
+    residue k*a mod M lags {k*mbar*theta}*M by less than k <= k_cap units, so
+    windows widened by k_cap + 1 units lose no hit.  next_hit(k, h, bit) is
+    the least k' >= k whose {k'*mbar*theta}*M might lie below h + 1 (bit 0,
+    Low), above M - h - 1 (bit 1, High) or either (bit None); None if none
+    ever does.  Every k' it returns still has to be classified exactly.
+    """
+    M = 1 << (k_cap.bit_length() + delta.denominator.bit_length() + 16)
+    a = floor_mult(theta, mbar * M) % M
+
+    def next_hit(k: int, h: int, bit: Optional[int]) -> Optional[int]:
+        lo = -k_cap - 1 if bit == 0 else -h - 1 - k_cap
+        hi = -1 if bit == 1 else h
+        j = _next_hit(a, a * k % M, M, lo, hi)
+        return None if j is None else k + j
+
+    return M, next_hit
 
 
 def _chi_proximity_ok(pd: _PathData, N: int, chi: int, eps: Fraction) -> bool:
@@ -285,6 +326,26 @@ def _try_path(
             continue
         return m, chi, bits, d
     return None
+
+
+def _least_residual(angles, mbar: int, k_lo: int, k_cap: int, M: int, next_hit) -> Exact:
+    """min over k_lo <= k <= k_cap of the largest lattice distance
+    min({m*theta}, 1 - {m*theta}) over the angles, m = k*mbar.
+
+    A ratchet: only k whose first angle lies nearer the lattice than the best
+    so far can improve on it, and those are the hits of a window shrunk to it.
+    """
+
+    def residual(k):
+        fracs = [frac_mult(t, k * mbar) for t in angles]
+        return max(min(f, 1 - f) for f in fracs)
+
+    best, k = residual(k_lo), k_lo
+    while True:
+        k = next_hit(k + 1, floor_mult(best, M), None)
+        if k is None or k > k_cap:
+            return best
+        best = min(best, residual(k))
 
 
 def find_tuple(
@@ -334,37 +395,36 @@ def find_tuple(
         )
 
     best: Optional[CijtTuple] = None
-    best_residual = math.inf
+    best_residual = None
 
     if g.bit_angles:
         want_bits = vertex.angle_bits[gen] if vertex is not None else None
-        df = float(delta)
-        ihat = float(g.mean)
-        m_cap = int((problem.N_bound + 2 * g.C + 4) / ihat) + 2 * mbar
-        lo_m = max(mbar, (int(min_N / ihat) // mbar) * mbar)
-        m = lo_m
-        while m <= m_cap:
-            ok = True
-            worst = 0.0
-            for j, tf in enumerate(g.bit_floats):
-                fr = (m * tf) % 1.0
-                worst = max(worst, min(fr, 1.0 - fr))
-                if not _float_band_ok(fr, df, want_bits[j] if want_bits else None):
-                    ok = False
-                    break
-            best_residual = min(best_residual, worst)
-            if ok:
-                bits = g.classify_bits(m, delta)
-                if bits is not None and (want_bits is None or bits == want_bits):
-                    d = g.delta_count(m, delta)
-                    N = g.I(m) - d
-                    cand = accept(N)
-                    if cand is not None and (best is None or cand.N < best.N):
-                        if cand.m[gen] == m:
-                            best = cand
-                            # later m cannot yield smaller N once m*ihat clears it
-                            m_cap = min(m_cap, int((best.N + 2 * g.C + 4) / ihat) + 2 * mbar)
-            m += mbar
+        # an accepted tuple has m_gen = ([u*N] + chi) * Mbar with chi in {0, 1}:
+        # step k = m_gen / Mbar over [k_lo, k_cap] from hit to hit of one angle
+        def k_max(N: int) -> int:
+            return floor_mult(g.u, N) + 1 if N >= 1 else 0
+
+        k_lo = max(1, floor_mult(g.u, max(1, min_N)))
+        k_cap = k_max(problem.N_bound)
+        M, next_hit = _hit_stepper(g.bit_angles[0], mbar, k_cap, delta)
+        h = delta.numerator * M // delta.denominator
+        bit = want_bits[0] if want_bits else None
+        k = next_hit(k_lo, h, bit)
+        while k is not None and k <= k_cap:
+            m = k * mbar
+            bits = g.classify_bits(m, delta)
+            if bits is not None and (want_bits is None or bits == want_bits):
+                d = g.delta_count(m, delta)
+                N = g.I(m) - d
+                cand = accept(N)
+                if cand is not None and (best is None or cand.N < best.N):
+                    if cand.m[gen] == m:
+                        best = cand
+                        # a later m can only help with N <= best.N - 1
+                        k_cap = k_max(N - 1)
+            k = next_hit(k + 1, h, bit)
+        if best is None and k_lo <= k_cap:
+            best_residual = float(_least_residual(g.bit_angles, mbar, k_lo, k_cap, M, next_hit))
     else:
         # no lattice conditions on any path beyond rational periodicity
         start = max(1, min_N)
@@ -378,8 +438,8 @@ def find_tuple(
         raise NotFoundWithinBound(
             "no tuple with N <= %d (delta = %s, best lattice residual %s)"
             % (problem.N_bound, problem.delta,
-               "n/a" if best_residual is math.inf else "%.3g" % best_residual),
-            best_residual=None if best_residual is math.inf else best_residual,
+               "n/a" if best_residual is None else "%.3g" % best_residual),
+            best_residual=best_residual,
         )
     report = verify_tuple(best, problem)
     if not report.ok:

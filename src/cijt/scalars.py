@@ -293,6 +293,8 @@ class Exact:
 
     @staticmethod
     def from_json(obj) -> "Exact":
+        if not isinstance(obj, dict):
+            raise TypeError("scalar %r is not an object" % (obj,))
         kind = obj.get("kind")
         if kind == "rational":
             return Exact(Fraction(obj["num"], obj["den"]))
@@ -336,14 +338,13 @@ def floor_mult(x: Exact, m: int) -> int:
     if m < 1:
         raise ValueError("m must be a positive integer")
     if len(x.terms) > 1:
-        # several radicands: float guess certified by exact comparisons
+        # several radicands: an enclosure of m*x narrower than 1 leaves two
+        # candidates, [lo] and [lo] + 1; one exact comparison picks
         mx = x * m
-        k = math.floor(float(mx))
-        while (mx - k).sign() < 0:
-            k -= 1
-        while (mx - (k + 1)).sign() >= 0:
-            k += 1
-        return k
+        bits = 64 + math.ceil(sum(abs(c) for c in mx.terms.values())).bit_length()
+        lo = mx.r + sum(c * _sqrt_bounds(s, bits)[c < 0] for s, c in mx.terms.items())
+        k = math.floor(lo)
+        return k + 1 if (mx - (k + 1)).sign() >= 0 else k
     A, B, s, q = x.int_form
     A, B = m * A, m * B
     # guess from integer sqrt, then certify k <= m*x < k+1

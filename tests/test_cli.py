@@ -193,6 +193,14 @@ class TestDatasetLoading:
         float_shape["shape"]["d"] = 2.0
         bool_coeff = json.load(open(ds("single_sqrt2")))
         bool_coeff["records"][0]["blocks"][0]["theta_over_pi"]["b"] = [True, 1]
+        list_options = json.load(open(ds("single_sqrt2")))
+        list_options["options"] = [1]
+        number_block = json.load(open(ds("single_sqrt2")))
+        number_block["records"][0]["blocks"] = [5]
+        list_record = json.load(open(ds("single_sqrt2")))
+        list_record["records"] = [[1]]
+        list_angle = json.load(open(ds("single_sqrt2")))
+        list_angle["records"][0]["blocks"][0]["theta_over_pi"] = [1]
         cases = (
             ('{"version": 99}', "version"),
             ("[1, 2]", "JSON object"),
@@ -202,13 +210,18 @@ class TestDatasetLoading:
             (json.dumps(float_index), "initial_index is 1.9, not an integer"),
             (json.dumps(float_shape), "shape.d is 2.0, not an integer"),
             (json.dumps(bool_coeff), "theta_over_pi.b[0] is true, not an integer"),
+            (json.dumps(list_options), "dataset.options is [1], not an object"),
+            (json.dumps(number_block), "dataset.records[0].blocks[0] is 5, not an object"),
+            (json.dumps(list_record), "dataset.records[0] is [1], not an object"),
+            (json.dumps(list_angle), "scalar [1] is not an object"),
         )
         for text, reason in cases:
             p = tmp_path / "bad.json"
             p.write_text(text)
-            code, _, err = run(capsys, "resonance", str(p))
-            assert code == 2 and reason in err
-            assert len(err.strip().splitlines()) == 1
+            for command in ("resonance", "cijt"):
+                code, _, err = run(capsys, command, str(p))
+                assert code == 2 and reason in err
+                assert len(err.strip().splitlines()) == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "resonance", "/nonexistent.json")

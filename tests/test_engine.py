@@ -1,15 +1,24 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cijt.scalars import Exact, Lattice, frac_mult, is_near_lattice
-from cijt.normal_forms import D, R, SymplecticClass, crossing_sum
+from cijt.scalars import Exact, Lattice, floor_mult, frac_mult, is_near_lattice
+from cijt.normal_forms import D, N2, R, SymplecticClass, crossing_sum
 from cijt.iteration import PathClass, index_iterate, mean_index
 from cijt.engine import (
+    CertificationError,
+    CijtTuple,
     NonPositiveMeanIndex,
     NotFoundWithinBound,
     SelectionProblem,
     VertexSpec,
+    _PathData,
+    _hit_stepper,
+    _next_hit,
+    _try_path,
     common_period,
     delta_zero,
     find_tuple,
@@ -160,6 +169,33 @@ class TestFindTuple:
             find_tuple(prob)
         assert exc.value.best_residual is not None
 
+    @pytest.mark.parametrize("paths, delta, N_bound, min_N", [
+        ((path(1, R(SQRT2M1)),), Fraction(1, 100), 20, 1),
+        ((path(1, R(SQRT2M1)),), Fraction(1, 10**5), 4000, 1),
+        # the range starts at k = 70, the best approximation in it
+        ((path(1, R(SQRT2M1)),), Fraction(1, 10**5), 60, 29),
+        ((path(2, R(T35), R(Exact(2) - T35 * 2)), path(1, R(Exact(Fraction(1, 3))))),
+         Fraction(1, 10**5), 3000, 500),
+        ((path(1, N2(PHI_M1, True)), path(3, R(Exact(Fraction(3, 5))))),
+         Fraction(1, 10**4), 2000, 1),
+        ((path(1, R(SQRT2M1), R(Exact.surd(-1, 1, 3))),), Fraction(1, 10**4), 200, 1),
+    ])
+    def test_residual_is_brute_minimum(self, paths, delta, N_bound, min_N):
+        """best_residual is the least, over the iterates m = k*Mbar the search
+        covers ([u*min_N] <= k <= [u*N_bound] + 1, u = 1/(Mbar*ihat)), of the
+        largest lattice distance of the generator path's angles."""
+        prob = SelectionProblem(paths, delta=delta, N_bound=N_bound)
+        with pytest.raises(NotFoundWithinBound) as exc:
+            find_tuple(prob, min_N=min_N)
+        mbar = common_period(paths)
+        g = max((_PathData(p, mbar) for p in paths), key=lambda pd: len(pd.bit_angles))
+        k_lo, k_cap = max(1, floor_mult(g.u, min_N)), floor_mult(g.u, N_bound) + 1
+        brute = min(
+            max(min(f, 1 - f) for f in (frac_mult(t, k * mbar) for t in g.bit_angles))
+            for k in range(k_lo, k_cap + 1)
+        )
+        assert exc.value.best_residual == float(brute)
+
     def test_demanded_vertex_matches_realized(self, sqrt2_problem, sqrt2_tuple):
         again = find_tuple(sqrt2_problem, vertex=sqrt2_tuple.vertex)
         assert (again.N, again.m) == (sqrt2_tuple.N, sqrt2_tuple.m)
@@ -187,6 +223,254 @@ class TestFindTuple:
         # complementary Low/High pattern on both angles
         assert t.vertex.angle_bits == ((0,), (0,))
         assert opp.vertex.angle_bits == ((1,), (1,))
+
+
+class TestDeepDelta:
+    def test_sqrt2_at_1e_12_gives_pell_numbers(self):
+        """sqrt(2) - 1 at delta = 1e-12: the tuples sit on consecutive Pell
+        numbers P_{n+1} = 2 P_n + P_{n-1}, the convergent denominators of
+        sqrt(2); a linear scan would visit about 10^12 iterates."""
+        pell = [0, 1]
+        while len(pell) < 34:
+            pell.append(2 * pell[-1] + pell[-2])
+        prob = SelectionProblem(
+            (path(1, R(SQRT2M1)),), delta=Fraction(1, 10**12), N_bound=10**18
+        )
+        t = find_tuple(prob)
+        assert (t.N, t.m) == (pell[31], (pell[32],)) == (259717522849, (627013566048,))
+        opp = opposite_tuple(t, prob)
+        assert (opp.N, opp.m) == (pell[32], (pell[33],))
+        assert t.report.ok and opp.report.ok
+
+
+def _next_hit_by_loop(a, b, M, lo, hi):
+    window = {v % M for v in range(lo, hi + 1)}
+    # a*j + b mod M has period at most M
+    return next((j for j in range(M) if (a * j + b) % M in window), None)
+
+
+class TestNextHit:
+    def test_all_small_cases(self):
+        """Every a, b and window, wrapped ones included, for M <= 9."""
+        for M in range(1, 10):
+            for lo in range(-M, M):
+                for hi in range(lo, lo + M + 1):
+                    for a in range(M):
+                        for b in range(M):
+                            assert _next_hit(a, b, M, lo, hi) == _next_hit_by_loop(
+                                a, b, M, lo, hi
+                            ), (a, b, M, lo, hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_loop(self, data):
+        M = data.draw(st.integers(1, 1 << 12))
+        a, b = data.draw(st.integers(0, 3 * M)), data.draw(st.integers(0, M - 1))
+        lo = data.draw(st.integers(-2 * M, 2 * M))
+        hi = lo + data.draw(st.integers(0, M + 1))
+        assert _next_hit(a, b, M, lo, hi) == _next_hit_by_loop(a, b, M, lo, hi)
+
+
+class TestHitStepper:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_band_hit_is_in_its_window(self, data):
+        """theta is built so that {k0*mbar*theta} sits about 1e-30 away from
+        0, delta, 1 - delta or 1, where the fixed-point residue k*a mod M
+        lags across a window edge: k0 must still be a hit."""
+        mbar = data.draw(st.integers(1, 6))
+        k0 = data.draw(st.integers(1, 60))
+        k_cap = k0 + data.draw(st.integers(0, 10**6))
+        delta = Fraction(1, data.draw(st.integers(3, 10**9)))
+        # a second radicand makes theta a sum, floored by the enclosure path
+        eps = Exact.surd(0, Fraction(data.draw(st.integers(1, 99)), 10**30), 2) + Exact.surd(
+            0, Fraction(data.draw(st.integers(0, 99)), 10**30), 3
+        )
+        target = data.draw(st.sampled_from([
+            eps, Exact(delta) - eps, Exact(1 - delta) + eps, Exact(1) - eps,
+        ]))
+        j = data.draw(st.integers(0, k0 * mbar - 1))
+        theta = (target + j) * Fraction(1, k0 * mbar)
+        M, next_hit = _hit_stepper(theta, mbar, k_cap, delta)
+        cls = is_near_lattice(theta, k0 * mbar, delta)
+        assert cls in (Lattice.LOW, Lattice.HIGH)
+        h = delta.numerator * M // delta.denominator
+        for bit in (None, 0 if cls is Lattice.LOW else 1):
+            assert next_hit(k0, h, bit) == k0
+
+
+_FLOAT_GUARD = 1e-6
+
+
+def _float_band_ok(frac, delta, want):
+    low, high = frac < delta + _FLOAT_GUARD, frac > 1 - delta - _FLOAT_GUARD
+    return low if want == 0 else high if want == 1 else low or high
+
+
+def _find_tuple_by_scan(problem, vertex=None, chi_eps=None, min_N=1):
+    """The search as it was before hit stepping, kept as an oracle: every
+    m = 0 (mod Mbar) up to a float cap, a float band test with a 1e-6 guard
+    on every angle, then the same exact certification."""
+    mbar = common_period(problem.paths)
+    data = [_PathData(p, mbar) for p in problem.paths]
+    delta = problem.delta
+    if vertex is not None and (len(vertex.chi) != len(data) or any(
+        len(bits) != len(pd.bit_angles) for bits, pd in zip(vertex.angle_bits, data)
+    )):
+        raise ValueError("vertex spec shape does not match the problem")
+    gen = max(range(len(data)), key=lambda i: len(data[i].bit_angles))
+    g = data[gen]
+
+    def accept(N):
+        if N < max(1, min_N) or N > problem.N_bound or N % problem.N_multiple_of:
+            return None
+        got = []
+        for i, pd in enumerate(data):
+            want_chi = vertex.chi[i] if vertex is not None else None
+            want_bits = vertex.angle_bits[i] if vertex is not None else None
+            one = _try_path(pd, N, mbar, delta, want_chi, want_bits, chi_eps)
+            if one is None:
+                return None
+            got.append(one)
+        ms, chis, bits, deltas = zip(*got)
+        return CijtTuple(N, ms, chis, deltas, mbar, VertexSpec(chis, bits), delta)
+
+    best = None
+    if g.bit_angles:
+        want = vertex.angle_bits[gen] if vertex is not None else None
+        df, ihat = float(delta), float(g.mean)
+        floats = [float(t) for t in g.bit_angles]
+        m_cap = int((problem.N_bound + 2 * g.C + 4) / ihat) + 2 * mbar
+        m = max(mbar, (int(min_N / ihat) // mbar) * mbar)
+        while m <= m_cap:
+            if all(
+                _float_band_ok((m * tf) % 1.0, df, want[j] if want else None)
+                for j, tf in enumerate(floats)
+            ):
+                bits = g.classify_bits(m, delta)
+                if bits is not None and (want is None or bits == want):
+                    cand = accept(g.I(m) - g.delta_count(m, delta))
+                    if cand is not None and (best is None or cand.N < best.N):
+                        if cand.m[gen] == m:
+                            best = cand
+                            m_cap = min(m_cap, int((best.N + 2 * g.C + 4) / ihat) + 2 * mbar)
+            m += mbar
+    else:
+        start = max(1, min_N)
+        start += (-start) % problem.N_multiple_of
+        for N in range(start, problem.N_bound + 1, problem.N_multiple_of):
+            best = accept(N)
+            if best is not None:
+                break
+    if best is None:
+        raise NotFoundWithinBound("no tuple with N <= %d" % problem.N_bound)
+    report = verify_tuple(best, problem)
+    if not report.ok:
+        raise CertificationError("uncertifiable tuple")
+    return dataclasses.replace(best, report=report)
+
+
+SCAN_BASES = [
+    SQRT2M1, T35, PHI_M1, Exact.surd(-1, 1, 3), Exact.surd(Fraction(-1, 2), Fraction(1, 2), 7)
+]
+SCAN_RATIONALS = [Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), Fraction(3, 5)]
+
+
+def _scan_problem(rng):
+    """q <= 3 paths: at most one irrationally elliptic (one or two angles of
+    one base surd), the rest hyperbolic or rational elliptic (Mbar > 1)."""
+    q = rng.randint(1, 3)
+    irr = rng.randrange(q)
+    paths = []
+    for j in range(q):
+        if j == irr and rng.random() < 0.85:
+            base = rng.choice(SCAN_BASES)
+            blocks = [R(base) if rng.random() < 0.7 else N2(base, rng.random() < 0.5)]
+            if rng.random() < 0.4:
+                twice = base * 2
+                blocks.append(R(twice if Exact(0) < twice < Exact(2) else Exact(2) - base))
+            paths.append(path(rng.randint(1, 3), *blocks))
+        elif rng.random() < 0.4:
+            paths.append(path(rng.randint(1, 4), D(Exact(rng.choice([2, -2, 3])))))
+        else:
+            paths.append(path(rng.randint(1, 3), R(Exact(rng.choice(SCAN_RATIONALS)))))
+    return SelectionProblem(
+        paths,
+        delta=rng.choice([Fraction(1, 50), Fraction(1, 120), Fraction(1, 300)]),
+        m_bar=rng.randint(1, 3),
+        N_bound=rng.choice([300, 1000, 3000]),
+        N_multiple_of=rng.choice([1, 1, 2]),
+    )
+
+
+def _outcome(search, problem, **kw):
+    try:
+        return search(problem, **kw)
+    except (NotFoundWithinBound, ValueError, CertificationError) as exc:
+        return type(exc)
+
+
+class TestHitSteppingOracle:
+    def test_matches_linear_scan(self):
+        """Random problems in the style of criterion 3: hit stepping and the
+        old linear float scan return the same tuple or the same exception at
+        the auto, opposite and explicit vertices and with min_N > 1."""
+        rng = random.Random(5)
+        seen = dict.fromkeys(("mbar>1", "opposite", "explicit", "min_N", "exhausted"), 0)
+        for _ in range(60):
+            try:
+                prob = _scan_problem(rng)
+            except NonPositiveMeanIndex:
+                continue
+            mbar = common_period(prob.paths)
+            data = [_PathData(p, mbar) for p in prob.paths]
+            calls = [{}]
+            t = _outcome(find_tuple, prob)
+            if isinstance(t, CijtTuple):
+                seen["mbar>1"] += mbar > 1 and any(pd.bit_angles for pd in data)
+                opp = VertexSpec(
+                    tuple(c if pd.u_pinned else 1 - c for c, pd in zip(t.chi, data)),
+                    tuple(tuple(1 - b for b in bits) for bits in t.vertex.angle_bits),
+                )
+                calls += [
+                    {"vertex": opp, "chi_eps": prob.delta},
+                    {"vertex": t.vertex, "min_N": t.N + 1},
+                    {"min_N": rng.randint(2, prob.N_bound)},
+                ]
+            explicit = VertexSpec(
+                tuple(rng.randint(0, 1) for _ in data),
+                tuple(tuple(rng.randint(0, 1) for _ in pd.bit_angles) for pd in data),
+            )
+            calls.append({"vertex": explicit})
+            if isinstance(t, CijtTuple) and t.N > 1:
+                # the search range ends exactly at the last admissible m
+                tight = dataclasses.replace(prob, N_bound=t.N)
+                assert find_tuple(tight) == t
+                calls.append({"min_N": t.N - 1})
+            for kw in calls:
+                fast = t if not kw else _outcome(find_tuple, prob, **kw)
+                assert fast == _outcome(_find_tuple_by_scan, prob, **kw), (prob, kw)
+                seen["opposite"] += "chi_eps" in kw
+                seen["explicit"] += kw.keys() == {"vertex"}
+                seen["min_N"] += "min_N" in kw
+                seen["exhausted"] += fast is NotFoundWithinBound
+        assert all(seen.values()), seen
+
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (1, 3), (2, 3), (1, 5), (4, 7)])
+    def test_near_rational_angles(self, p, q):
+        """theta/pi = p/q +- 1e-9 * (sqrt(2) - 1): every multiple of q is a
+        hit for a long stretch (each k for q = 1)."""
+        tiny = SQRT2M1 * Fraction(1, 10**9)
+        for theta in (Exact(Fraction(p, q)) + tiny, Exact(Fraction(p, q)) - tiny):
+            prob = SelectionProblem(
+                (path(1, R(theta)),), delta=Fraction(1, 10**7), N_bound=2000
+            )
+            fast = _outcome(find_tuple, prob)
+            assert isinstance(fast, CijtTuple) and fast.m[0] % q == 0
+            assert fast == _outcome(_find_tuple_by_scan, prob)
+            after = {"min_N": fast.N + 1}
+            assert _outcome(find_tuple, prob, **after) == _outcome(_find_tuple_by_scan, prob, **after)
 
 
 class TestVerifyTuple:

@@ -128,6 +128,16 @@ class TestFloors:
         assert Exact(0) <= f < Exact(1)
         assert x * m == f + k
 
+    @given(exacts(max_terms=3), st.integers(1, 2**200))
+    @example(Exact.surd(0, 1, 2) + Exact.surd(0, 1, 3), 2**120 + 1)
+    @example(Exact.surd(Fraction(1, 3), Fraction(-5, 7), 3), 2**200)
+    @settings(max_examples=100, deadline=None)
+    def test_floor_far_beyond_float_precision(self, x, m):
+        """m up to 2**200, as the fixed-point tuple search asks: a float guess
+        is off by about m * 2**-53 there, so the floor must not start from one."""
+        k = floor_mult(x, m)
+        assert (x * m - k).sign() >= 0 > (x * m - (k + 1)).sign()
+
     @given(exacts(), multipliers)
     @example(Exact(Fraction(7, 3)), 3 * 10**14)
     @example(Exact.surd(2, Fraction(-3, 4), 5), 10**15)
