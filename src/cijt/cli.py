@@ -81,6 +81,12 @@ def _objects(node, where):
     return node
 
 
+def _string(node, where):
+    if not isinstance(node, str):
+        raise CliError("invalid dataset: %s is %s, not a string" % (where, json.dumps(node)))
+    return node
+
+
 def load_dataset(path: str) -> GeodesicDataset:
     try:
         with open(path) as fh:
@@ -101,7 +107,7 @@ def load_dataset(path: str) -> GeodesicDataset:
         shape = CohomologyShape(doc["shape"]["d"], doc["shape"]["n"])
         records = tuple(
             GeodesicRecord(
-                r["name"],
+                _string(r["name"], "dataset.records[%d].name" % i),
                 PathClass(
                     int(r["initial_index"]),
                     SymplecticClass(tuple(

@@ -73,10 +73,9 @@ def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Fraction:
                             best = cand
     if best.is_rational:
         return best.as_fraction()
-    # certified rational just below the surd minimum, denominator <= 10**6
-    approx = Fraction(math.floor(float(best) * 10**6) - 2, 10**6)
-    while approx > 0 and not Exact(approx) < best:
-        approx -= Fraction(1, 10**6)
+    # rational below the surd minimum, denominator <= 10**6: the floor is
+    # exact, so (floor - 2)/10**6 < best
+    approx = Fraction(floor_mult(best, 10**6) - 2, 10**6)
     if approx <= 0:
         approx = Fraction(1, 2)
         while not Exact(approx) < best:

@@ -2,11 +2,11 @@
 
 A dataset is a cohomology shape plus, per prime closed geodesic, its initial
 Morse index and linearized-Poincare-map class.  On top of the index iteration
-and tuple machinery this module computes critical-module dimensions, the
-gamma invariant, Morse-type numbers and the jump censuses around 2N.  One
-driver, ``_verify``, runs theorems 1.1, 1.5 and 1.8 (tuple, opposite tuple
-and censuses where used, Morse chain, Betti sum); the table ``_THEOREMS``
-holds only what differs per theorem.  Verdicts never assume an identity that
+and tuple machinery this module computes the gamma invariant, the Morse-type
+numbers (counted by bracket and parity, not listed) and the jump censuses
+around 2N.  One driver, ``_verify``, runs theorems 1.1, 1.5 and 1.8 (tuple,
+opposite tuple and censuses where used, Morse chain, Betti sum); the table
+``_THEOREMS`` holds only what differs per theorem.  Verdicts never assume an identity that
 can be computed: both sides of every (in)equality appear in the emitted report.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from .scalars import Exact, ceil_mult, floor_mult
 from .normal_forms import crossing_sum, is_hyperbolic, validate_bumpy
@@ -76,12 +76,6 @@ class GeodesicDataset:
         return tuple(r.path for r in self.records)
 
 
-def critical_module_dim(record: GeodesicRecord, m: int, degree: int) -> int:
-    """dim C_degree(E, c^m) for a non-degenerate iterate: 0 or 1."""
-    i_m = index_iterate(record.path, m)
-    return 1 if degree == i_m and (i_m - record.path.i1) % 2 == 0 else 0
-
-
 def gamma_invariant(record: GeodesicRecord) -> Fraction:
     """gamma_c: sign from parity of i(c), magnitude 1/2 unless i(c^2)-i(c) even."""
     i1 = record.path.i1
@@ -116,16 +110,6 @@ def tuple_resonance_identity(dataset: GeodesicDataset, t: CijtTuple):
     """Integer identity sum_k 2 m_k gamma_k = 2 N B(d,n); both sides exact."""
     lhs = sum(2 * mk * gamma_invariant(r) for r, mk in zip(dataset.records, t.m))
     rhs = 2 * t.N * resonance_constant(dataset.shape)
-    return lhs, rhs, lhs == rhs
-
-
-def alternating_sum_identity(record: GeodesicRecord, m_k: int):
-    """sum_{m<=2m_k} (-1)^{i(c^m)} dim C_{i(c^m)} vs 2 m_k gamma; both returned."""
-    lhs = 0
-    for m in range(1, 2 * m_k + 1):
-        i_m = index_iterate(record.path, m)
-        lhs += (-1) ** i_m * critical_module_dim(record, m, i_m)
-    rhs = 2 * m_k * gamma_invariant(record)
     return lhs, rhs, lhs == rhs
 
 
@@ -219,25 +203,57 @@ def jump_census(
     )
 
 
-def morse_type_numbers(dataset: GeodesicDataset, P: int) -> list[int]:
-    """M_0..M_P: critical-module dimensions summed over all records and iterates.
+class MorseCounts(NamedTuple):
+    """sum_{p<=P} (-1)^p M_p, and M_p one degree at a time; (path, 1/ihat, lo,
+    hi) per record."""
 
-    The iteration horizon floor((P - lo)/ihat), lo from ``index_bracket``, is
-    exact: past it i(c^m) >= m*ihat + lo > P.
+    P: int
+    alternating_sum: int
+    brackets: tuple[tuple[PathClass, Exact, int, int], ...]
+
+    def M(self, p: int) -> int:
+        """M_p: only m with floor((p - hi)/ihat) < m <= floor((p - lo)/ihat) can
+        have i(c^m) = p, and c^m carries a critical module iff i(c^m) - i(c) is
+        even."""
+        if not 0 <= p <= self.P:
+            raise IndexError("degree %d outside 0..%d" % (p, self.P))
+        total = 0
+        for path, inv, lo, hi in self.brackets:
+            if (p - path.i1) % 2 == 0:
+                first = max(1, floor_mult(inv * (p - hi), 1) + 1)
+                last = floor_mult(inv * (p - lo), 1)
+                total += sum(1 for m in range(first, last + 1) if index_iterate(path, m) == p)
+        return total
+
+
+def morse_type_numbers(dataset: GeodesicDataset, P: int) -> MorseCounts:
+    """M_0..M_P, critical-module dimensions summed over all records and iterates.
+
+    i(c^m) - i(c) = (m - 1)*rho mod 2 by the precise formula, so c^m carries
+    a critical module iff rho is even or m is odd, and adds (-1)^{i(c)}.  The
+    bracket puts 0 <= i(c^m) <= P for max(1, ceil(-lo/ihat)) <= m <=
+    floor((P + 1 - hi)/ihat), counted in closed form; ``index_iterate``
+    decides the m outside it up to the exact horizon floor((P - lo)/ihat):
+    O((|lo| + 2C)/ihat) iterates per record, whatever P is.
     """
-    M = [0] * (P + 1)
+    alternating, brackets = 0, []
     for rec in dataset.records:
-        lo, _ = index_bracket(rec.path)
-        horizon = floor_mult((P - lo) / mean_index(rec.path), 1)
-        for m in range(1, horizon + 1):
-            i_m = index_iterate(rec.path, m)
-            if 0 <= i_m <= P and (i_m - rec.path.i1) % 2 == 0:
-                M[i_m] += 1
-    return M
-
-
-def alternating_morse_sum(M: Sequence[int], l: int) -> int:
-    return sum((-1) ** p * M[p] for p in range(l + 1))
+        path = rec.path
+        inv = 1 / mean_index(path)
+        lo, hi = index_bracket(path)
+        brackets.append((path, inv, lo, hi))
+        first = max(1, ceil_mult(inv * -lo, 1))
+        last = floor_mult(inv * (P + 1 - hi), 1)
+        horizon = floor_mult(inv * (P - lo), 1)
+        count = 0
+        if first <= last:
+            count = last - first + 1 if path.rho() % 2 == 0 else (last + 1) // 2 - first // 2
+        for m in [*range(1, min(first, horizon + 1)), *range(max(first, last + 1), horizon + 1)]:
+            i_m = index_iterate(path, m)
+            if 0 <= i_m <= P and (i_m - path.i1) % 2 == 0:
+                count += 1
+        alternating += -count if path.i1 % 2 else count
+    return MorseCounts(P, alternating, tuple(brackets))
 
 
 def _check(name: str, lhs, rhs, op: str = "=="):
@@ -356,19 +372,19 @@ def _verify(theorem, dataset, delta, n_bound):
             "non_hyperbolic": non_hyp,
         }
 
-    M = morse_type_numbers(dataset, 2 * t.N + spec.top)
-    alt_m = alternating_morse_sum(M, 2 * t.N + spec.top)
+    morse = morse_type_numbers(dataset, 2 * t.N + spec.top)
     # 2NB + N_+^o - N_+^e; just 2NB without a census
     chain = 2 * t.N * resonance_constant(shape) + (census.plus_o - census.plus_e if census else 0)
     alt_b = alternating_betti_sum(shape, 2 * t.N)
-    tail, extra = spec.conclude(dataset, t, census, opp, non_hyp, M, alt_m, alt_b, chain)
+    alt_m = morse.alternating_sum
+    tail, extra = spec.conclude(dataset, t, census, opp, non_hyp, morse, alt_m, alt_b, chain)
     checks += tail
     details.update(extra, checks=checks, tuple=t.to_json(), resonance=res.to_json())
     passed = details[spec.passed_by] if spec.passed_by else all(c["pass"] for c in checks)
     return Verdict(theorem, passed, details)
 
 
-def _conclude_1_1(dataset, t, census, opp, non_hyp, M, alt_m, alt_b, chain):
+def _conclude_1_1(dataset, t, census, opp, non_hyp, morse, alt_m, alt_b, chain):
     shape = dataset.shape
     quarter = Fraction(shape.d * shape.n * (shape.n + 1), 4)
     return [
@@ -381,7 +397,7 @@ def _conclude_1_1(dataset, t, census, opp, non_hyp, M, alt_m, alt_b, chain):
     ], {}
 
 
-def _conclude_1_5(dataset, t, census, opp, non_hyp, M, alt_m, alt_b, chain):
+def _conclude_1_5(dataset, t, census, opp, non_hyp, morse, alt_m, alt_b, chain):
     shape, two_n = dataset.shape, 2 * t.N
     # records pinned at 2N with an even jump: the M_{2N} >= b_{2N} = 2 pair
     pinned = sorted(
@@ -404,14 +420,14 @@ def _conclude_1_5(dataset, t, census, opp, non_hyp, M, alt_m, alt_b, chain):
             ">=",
         ),
         _check("b_{2N}", betti(shape, two_n), 2),
-        _check("M_{2N} >= b_{2N}", M[two_n], 2, ">="),
+        _check("M_{2N} >= b_{2N}", morse.M(two_n), 2, ">="),
         _check("records pinned at 2N with even jump", len(pinned), 2, ">="),
         _check("even-index classifications", len(even_valued), shape.d + 1, ">="),
         _check("certified non-hyperbolic count", len(non_hyp), shape.d - 1, ">="),
     ], {"pinned_at_2N": pinned, "even_index_records": even_valued}
 
 
-def _conclude_1_8(dataset, t, census, opp, non_hyp, M, alt_m, alt_b, chain):
+def _conclude_1_8(dataset, t, census, opp, non_hyp, morse, alt_m, alt_b, chain):
     shape = dataset.shape
     checks = [
         _check("i(%s^{2m_k}) pinned at 2N" % rec.name, index_iterate(rec.path, 2 * m_k), 2 * t.N)

@@ -72,6 +72,14 @@ class TestBetti:
         assert rows[2] == ["2", "1", "1", "1"]
         assert rows[4] == ["4", "2", "3", "3"]
 
+    def test_long_table_sums_agree(self, capsys):
+        # every row re-derives the partial sum; by periods that stays linear in --l-max
+        code, out, _ = run(
+            capsys, "betti", "--d", "2", "--n", "1", "--l-max", "20000", "--format", "tsv",
+        )
+        assert code == 0
+        assert out.strip().splitlines()[-1].split("\t") == ["20000", "0", "19999", "19999"]
+
     def test_json_has_resonance_constant(self, capsys):
         code, out, _ = run(capsys, "betti", "--d", "2", "--n", "1", "--l-max", "3")
         doc = json.loads(out)
@@ -201,6 +209,10 @@ class TestDatasetLoading:
         list_record["records"] = [[1]]
         list_angle = json.load(open(ds("single_sqrt2")))
         list_angle["records"][0]["blocks"][0]["theta_over_pi"] = [1]
+        null_name = json.load(open(ds("s2_elliptic")))
+        null_name["records"][0]["name"] = None
+        number_name = json.load(open(ds("s2_elliptic")))
+        number_name["records"][1]["name"] = 7
         cases = (
             ('{"version": 99}', "version"),
             ("[1, 2]", "JSON object"),
@@ -214,6 +226,8 @@ class TestDatasetLoading:
             (json.dumps(number_block), "dataset.records[0].blocks[0] is 5, not an object"),
             (json.dumps(list_record), "dataset.records[0] is [1], not an object"),
             (json.dumps(list_angle), "scalar [1] is not an object"),
+            (json.dumps(null_name), "dataset.records[0].name is null, not a string"),
+            (json.dumps(number_name), "dataset.records[1].name is 7, not a string"),
         )
         for text, reason in cases:
             p = tmp_path / "bad.json"

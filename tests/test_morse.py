@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from cijt.scalars import Exact
-from cijt.normal_forms import D, R, SymplecticClass, crossing_sum
-from cijt.iteration import PathClass, index_iterate, mean_index
+from cijt.scalars import Exact, ceil_mult, floor_mult
+from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum
+from cijt.iteration import PathClass, index_bracket, index_iterate, mean_index
 from cijt.cli import load_dataset
 from cijt.engine import NotFoundWithinBound, SelectionProblem, find_tuple, opposite_tuple
 from cijt.loop_homology import CohomologyShape, resonance_constant
@@ -20,9 +20,6 @@ from cijt.morse import (
     HypothesisRejected,
     JumpCensus,
     _open_offsets,
-    alternating_morse_sum,
-    alternating_sum_identity,
-    critical_module_dim,
     gamma_invariant,
     jump_census,
     morse_type_numbers,
@@ -105,6 +102,22 @@ class TestDatasetValidation:
             GeodesicDataset(
                 CohomologyShape(2, 1), (rec("x", 1, R(Exact(Fraction(1, 3)))),)
             )
+
+
+def critical_module_dim(record, m, degree):
+    """dim C_degree(E, c^m) for a non-degenerate iterate: 0 or 1."""
+    i_m = index_iterate(record.path, m)
+    return 1 if degree == i_m and (i_m - record.path.i1) % 2 == 0 else 0
+
+
+def alternating_sum_identity(record, m_k):
+    """sum_{m<=2m_k} (-1)^{i(c^m)} dim C_{i(c^m)} vs 2 m_k gamma; both returned."""
+    lhs = 0
+    for m in range(1, 2 * m_k + 1):
+        i_m = index_iterate(record.path, m)
+        lhs += (-1) ** i_m * critical_module_dim(record, m, i_m)
+    rhs = 2 * m_k * gamma_invariant(record)
+    return lhs, rhs, lhs == rhs
 
 
 class TestCriticalModules:
@@ -341,9 +354,72 @@ class TestJumpCensusOracle:
                         assert index_iterate(r.path, 2 * m_k + m) >= two_n + margin
 
 
+def _morse_by_sweep(dataset, P):
+    """M_0..M_P with every iterate up to the exact horizon evaluated: the oracle."""
+    M = [0] * (P + 1)
+    for r in dataset.records:
+        lo, _ = index_bracket(r.path)
+        horizon = floor_mult((P - lo) / mean_index(r.path), 1)
+        for m in range(1, horizon + 1):
+            i_m = index_iterate(r.path, m)
+            if 0 <= i_m <= P and (i_m - r.path.i1) % 2 == 0:
+                M[i_m] += 1
+    return M
+
+
+def _alternating(M):
+    return sum((-1) ** p * x for p, x in enumerate(M))
+
+
+def _listed(counts):
+    """The per-degree lookup read out as the old list M_0..M_P."""
+    return [counts.M(p) for p in range(counts.P + 1)]
+
+
+MORSE_ANGLES = [T35, PHI_M1, PHI_M1 * Fraction(1, 9), Exact(2) - PHI_M1 * Fraction(1, 9),
+                Exact.surd(-1, 1, 2), Exact(Fraction(1, 3)), Exact(Fraction(2, 5)),
+                Exact(Fraction(1, 12)), Exact(Fraction(11, 6))]
+
+
+def _random_block(rng, room):
+    """An elliptic (irrational or rational angle), hyperbolic, N1 or, with room
+    for it, N2 block."""
+    kind = rng.choice("RRDN2" if room >= 2 else "RRDN")
+    if kind == "R":
+        return R(rng.choice(MORSE_ANGLES))
+    if kind == "D":
+        return D(Exact(rng.choice([2, -2, 3])))
+    if kind == "N":
+        return N1(rng.choice([1, -1]), rng.choice([-1, 0, 1]))
+    return N2(rng.choice(MORSE_ANGLES), rng.random() < 0.5)
+
+
+def _random_morse_datasets(rng, count):
+    """Datasets of 1-3 records over mixed blocks, degenerate iterates allowed,
+    initial indices -2..4: rho of both parities, lo = 0 and lo < 0, mean
+    indices down to about 1/15, so that many iterates lie below the range the
+    bracket settles, and iterates of negative index, which the count must
+    leave out."""
+    while count > 0:
+        shape = CohomologyShape(*rng.choice([(2, 1), (2, 2), (3, 1), (4, 1)]))
+        records = []
+        for j in range(rng.randint(1, 3)):
+            blocks, room = [], shape.dim - 1
+            while room:
+                blocks.append(_random_block(rng, room))
+                room -= blocks[-1].dim // 2
+            records.append(rec("r%d" % j, rng.randint(-2, 4), *blocks))
+        try:
+            ds = GeodesicDataset(shape, tuple(records), bumpy_required=False)
+        except ValueError:  # mean index <= 0
+            continue
+        yield ds
+        count -= 1
+
+
 class TestMorseTypeNumbers:
     def test_exact_horizon_matches_float_horizon(self):
-        """The bracket horizon gives the M_p of the older, looser float horizon
+        """The bracket counts give the M_p of the older, looser float horizon
         ceil((P + 2(dn-1) + |i(c)|)/ihat) + 2."""
         rng = random.Random(5)
         for ds, t in _random_census_cases(rng, 6):
@@ -355,30 +431,83 @@ class TestMorseTypeNumbers:
                     i_m = index_iterate(r.path, m)
                     if 0 <= i_m <= P and (i_m - r.path.i1) % 2 == 0:
                         M[i_m] += 1
-            assert morse_type_numbers(ds, P) == M
+            counts = morse_type_numbers(ds, P)
+            assert _listed(counts) == M
+            assert counts.alternating_sum == _alternating(M)
 
     def test_hyperbolic_support(self):
         ds = GeodesicDataset(CohomologyShape(2, 1),
                              (rec("h", 1, D(Exact(2))), rec("h2", 1, D(Exact(3)))))
-        M = morse_type_numbers(ds, 6)
-        assert M == [0, 2, 0, 2, 0, 2, 0]
+        counts = morse_type_numbers(ds, 6)
+        assert _listed(counts) == [0, 2, 0, 2, 0, 2, 0]
+        assert counts.alternating_sum == _alternating([0, 2, 0, 2, 0, 2, 0])
+
+    def test_negative_index_below_settled_range(self):
+        # C = 0, so i(c^m) = 2m - 3 exactly: c^1 has index -1 although m = 1 is
+        # only one below ceil(-lo/ihat) = 2, and the count must leave it out
+        ds = GeodesicDataset(CohomologyShape(4, 1), (rec("n", -1, N1(1, 1), N1(1, 1), N1(1, 1)),),
+                             bumpy_required=False)
+        counts = morse_type_numbers(ds, 6)
+        assert _listed(counts) == _morse_by_sweep(ds, 6) == [0, 1, 0, 1, 0, 1, 0]
+        assert counts.alternating_sum == -3
 
     def test_below_min_index(self, s2_dataset):
-        assert morse_type_numbers(s2_dataset, 0) == [0]
+        counts = morse_type_numbers(s2_dataset, 0)
+        assert _listed(counts) == [0] and counts.alternating_sum == 0
+        with pytest.raises(IndexError):
+            counts.M(1)
 
     def test_chain_vs_tuple_identity(self, s2_dataset):
         prob = SelectionProblem(s2_dataset.paths, N_multiple_of=2)
         t = find_tuple(prob)
         lhs, rhs, ok = tuple_resonance_identity(s2_dataset, t)
         assert ok
-        M = morse_type_numbers(s2_dataset, 2 * t.N)
+        alt = morse_type_numbers(s2_dataset, 2 * t.N).alternating_sum
+        assert alt == _alternating(_morse_by_sweep(s2_dataset, 2 * t.N))
         # chain: alternating M sum = 2NB + N_+^o - N_+^e
         census = jump_census(s2_dataset, t, 1)
-        assert alternating_morse_sum(M, 2 * t.N) == (
+        assert alt == (
             2 * t.N * resonance_constant(s2_dataset.shape)
             + census.plus_o
             - census.plus_e
         )
+
+
+class TestMorseCountsOracle:
+    def test_counts_match_sweep(self):
+        """Bracket-and-parity counts equal the per-iterate sweep: the
+        alternating sum at every P < 120 and at each P one off, or on, a value
+        where a record's settled range or horizon gains an iterate; M_p for
+        every p <= P at a few of those P."""
+        rng = random.Random(17)
+        seen = set()
+        for ds in _random_morse_datasets(rng, 30):
+            Ps = set(range(120))
+            for r in ds.records:
+                ihat = mean_index(r.path)
+                lo, hi = index_bracket(r.path)
+                seen.add("rho %d" % (r.path.rho() % 2))
+                seen.add("lo < 0" if lo < 0 else "lo = 0")
+                if ceil_mult(-lo / ihat, 1) > 2:
+                    seen.add("iterates below the settled range")
+                if min(index_iterate(r.path, m) for m in range(1, 4)) < 0:
+                    seen.add("negative index")
+                if r.path.monodromy.blocks and all(isinstance(b, D) for b in r.path.monodromy.blocks):
+                    seen.add("hyperbolic")
+                if any(isinstance(b, R) and b.theta.is_rational for b in r.path.monodromy.blocks):
+                    seen.add("rational elliptic")
+                for m in (rng.randint(1, 1 + math.floor(400 / float(ihat))) for _ in range(3)):
+                    for edge in (ceil_mult(ihat, m) + hi - 1, ceil_mult(ihat, m) + lo):
+                        Ps.update(P for P in (edge - 1, edge, edge + 1) if P >= 0)
+            M = _morse_by_sweep(ds, max(Ps))
+            for P in sorted(Ps):
+                counts = morse_type_numbers(ds, P)
+                assert counts.alternating_sum == _alternating(M[: P + 1]), (ds, P)
+            for P in rng.sample(sorted(Ps), 2) + [min(r.path.i1 for r in ds.records) - 1, max(Ps)]:
+                if P >= 0:
+                    assert _listed(morse_type_numbers(ds, P)) == M[: P + 1], (ds, P)
+        assert seen == {"rho 0", "rho 1", "lo < 0", "lo = 0", "iterates below the settled range",
+                        "negative index", "hyperbolic", "rational elliptic"}, seen
 
 
 class TestTheorem11:
@@ -397,6 +526,13 @@ class TestTheorem11:
         v = verify_theorem_1_1(ds, delta=Fraction(1, 5000))
         assert v.passed
         assert v.details["tuple"]["N"] == 35422
+
+    def test_shipped_s2_at_delta_1e12(self):
+        # N ~ 3.1e12: the Morse chain and the Betti sum cost no more than at N = 754
+        ds = load_dataset(os.path.join(DATASETS, "s2_elliptic.json"))
+        v = verify_theorem_1_1(ds, delta=Fraction(1, 10**12), n_bound=10**18)
+        assert v.passed and not failed_checks(v)
+        assert v.details["tuple"]["N"] > 10**12
 
     def test_record_removed_fails(self, s2_dataset):
         partial = GeodesicDataset(s2_dataset.shape, s2_dataset.records[:1])
@@ -424,6 +560,12 @@ class TestTheorem15:
         assert len(v.details["even_index_records"]) >= 4
         assert len(v.details["non_hyperbolic"]) >= 2
         assert digest(v) == GOLDEN["1.5 s3"]
+
+    def test_shipped_s3_at_delta_1e12(self):
+        ds = load_dataset(os.path.join(DATASETS, "s3_elliptic.json"))
+        v = verify_theorem_1_5(ds, delta=Fraction(1, 10**12), n_bound=10**18)
+        assert v.passed and not failed_checks(v)
+        assert v.details["tuple"]["N"] > 10**13
 
     def test_records_removed_fails(self, s3_dataset):
         partial = GeodesicDataset(s3_dataset.shape, s3_dataset.records[:3])
