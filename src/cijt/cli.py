@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -87,6 +88,13 @@ def _string(node, where):
     return node
 
 
+def _morse_index(node, where):
+    index = int(node)
+    if index < 0:
+        raise CliError("invalid dataset: %s is %d, not a Morse index >= 0" % (where, index))
+    return index
+
+
 def load_dataset(path: str) -> GeodesicDataset:
     try:
         with open(path) as fh:
@@ -109,7 +117,7 @@ def load_dataset(path: str) -> GeodesicDataset:
             GeodesicRecord(
                 _string(r["name"], "dataset.records[%d].name" % i),
                 PathClass(
-                    int(r["initial_index"]),
+                    _morse_index(r["initial_index"], "dataset.records[%d].initial_index" % i),
                     SymplecticClass(tuple(
                         block_from_json(b)
                         for b in _objects(r["blocks"], "dataset.records[%d].blocks" % i)
@@ -163,13 +171,21 @@ def _parse_vertex(spec: str, dataset: GeodesicDataset):
 
 
 def _emit(doc, fmt: str, tsv_rows=None, tsv_header=None):
-    if fmt == "tsv" and tsv_rows is not None:
-        if tsv_header:
-            print("\t".join(tsv_header))
-        for row in tsv_rows:
-            print("\t".join(str(x) for x in row))
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+    try:
+        if fmt == "tsv" and tsv_rows is not None:
+            if tsv_header:
+                print("\t".join(tsv_header))
+            for row in tsv_rows:
+                print("\t".join(str(x) for x in row))
+        else:
+            print(json.dumps(doc, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): what is still buffered, and
+        # the flush at shutdown, go to the null device instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_iterate(args) -> int:

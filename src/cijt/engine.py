@@ -288,12 +288,13 @@ def _hit_stepper(theta: Exact, mbar: int, k_cap: int, delta: Fraction):
 
 
 def _chi_proximity_ok(pd: _PathData, N: int, chi: int, eps: Fraction) -> bool:
+    """|{N*u} - chi| < eps, decided by the lattice band test (eps < 1/2)."""
     if pd.u_pinned:
         return True
-    f = frac_mult(pd.u, N)
+    band = is_near_lattice(pd.u, N, eps)
     if chi == 0:
-        return f < eps
-    return f > 1 - eps
+        return band is Lattice.ZERO or band is Lattice.LOW
+    return band is Lattice.HIGH
 
 
 def _try_path(
@@ -355,10 +356,13 @@ def find_tuple(
 ) -> CijtTuple:
     """Smallest admissible N realizing the (demanded or first-found) vertex.
 
-    chi_eps, when given, additionally enforces |{N/(Mbar*ihat_k)} - chi_k| <
-    chi_eps on the non-pinned chi components (needed by the counting
-    pipelines to convert floors into exact multiples of N).
+    chi_eps in (0, 1/2), when given, additionally enforces
+    |{N/(Mbar*ihat_k)} - chi_k| < chi_eps on the non-pinned chi components
+    (needed by the counting pipelines to convert floors into exact multiples
+    of N).
     """
+    if chi_eps is not None and not 0 < chi_eps < Fraction(1, 2):
+        raise ValueError("chi_eps must lie in (0, 1/2)")
     mbar = common_period(problem.paths)
     data = [_PathData(p, mbar) for p in problem.paths]
     delta = problem.delta
@@ -474,7 +478,7 @@ def verify_tuple(t: CijtTuple, problem: SelectionProblem) -> VerificationReport:
                 checks.append(
                     CheckRecord(k, m, "nullity(2m%s m)" % side, path_nullity(path, it), nu_m)
                 )
-                if m < mc:
+                if mc is None or m < mc:
                     checks.append(
                         CheckRecord(
                             k, m, "nullity(2m%s m) = nullity(1)" % side,

@@ -13,10 +13,9 @@ the return time of rational angles) is a pure function of this data.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .scalars import Exact
 
@@ -81,13 +80,14 @@ Block = Union[N1, D, R, N2]
 
 
 def _block_key(b: Block):
+    """Canonical order: block type, then the exact eigenvalue or angle."""
     if isinstance(b, N1):
         return (0, b.lam, b.b_sign)
     if isinstance(b, D):
-        return (1, float(b.lam), hash(b.lam))
+        return (1, b.lam)
     if isinstance(b, R):
-        return (2, float(b.theta), hash(b.theta))
-    return (3, float(b.theta), b.nontrivial, hash(b.theta))
+        return (2, b.theta)
+    return (3, b.theta, b.nontrivial)
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def unit_angles(M: SymplecticClass) -> list[tuple[Exact, SplittingPair]]:
         elif isinstance(b, N2):
             add(b.theta, _block_splitting(b, b.theta))
             add(_conjugate_angle(b.theta), _block_splitting(b, _conjugate_angle(b.theta)))
-    return sorted(acc.items(), key=lambda kv: float(kv[0]))
+    return sorted(acc.items(), key=lambda kv: kv[0])
 
 
 def s_plus_one(M: SymplecticClass) -> int:
@@ -264,8 +264,8 @@ def _return_time(theta: Exact) -> int | None:
     return q if p % 2 == 0 else 2 * q
 
 
-def m_check(M: SymplecticClass) -> int | float:
-    """First iterate returning a rational elliptic angle to 1; +inf if none."""
+def m_check(M: SymplecticClass) -> Optional[int]:
+    """First iterate returning a rational elliptic angle to 1; None if none."""
     times = []
     for b in M.blocks:
         if isinstance(b, N1) and b.lam == -1:
@@ -274,7 +274,7 @@ def m_check(M: SymplecticClass) -> int | float:
             k = _return_time(b.theta)
             if k is not None:
                 times.append(k)
-    return min(times) if times else math.inf
+    return min(times) if times else None
 
 
 def validate_bumpy(M: SymplecticClass) -> bool:

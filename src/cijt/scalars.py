@@ -240,17 +240,28 @@ class Exact:
             return o
         return self.r == o.r and self.terms == o.terms
 
+    def _cmp(self, other) -> int:
+        """Sign of self - other; one integer comparison when both values have
+        the same radicand or none."""
+        o = self._coerce(other)
+        if o is not NotImplemented and len(self.terms) <= 1 and len(o.terms) <= 1:
+            A, B, s, q = self.int_form
+            C, D, t, r = o.int_form
+            if not (B and D) or s == t:
+                return _cmp_single(A * r, B * r - D * q, s or t, C * q)
+        return (self - other).sign()
+
     def __lt__(self, other):
-        return (self - other).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other):
-        return (self - other).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        return (self - other).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other):
-        return (self - other).sign() >= 0
+        return self._cmp(other) >= 0
 
     def __hash__(self):
         if self._hash is None:
@@ -383,15 +394,30 @@ def is_near_lattice(x: Exact, m: int, delta: Fraction) -> Lattice:
     """Classify {m*x} against the open bands (0, delta) and (1-delta, 1).
 
     Boundary hits {m*x} = delta or 1-delta are Interior (strict inequalities).
+    With x = (A + B*sqrt(s))/q, k = [m*x] and delta = p/r, {m*x} < delta is
+    r*m*A + r*m*B*sqrt(s) < (r*k + p)*q and {m*x} > 1 - delta compares with
+    (r*(k + 1) - p)*q: one integer comparison per band.  Values with several
+    radicands have no such form and compare {m*x} itself.
     """
-    delta = Fraction(delta)
-    if not 0 < delta < Fraction(1, 2):
+    if not isinstance(delta, Fraction):
+        delta = Fraction(delta)
+    p, r = delta.numerator, delta.denominator
+    if not 0 < 2 * p < r:
         raise ValueError("delta must lie in (0, 1/2)")
-    f = frac_mult(x, m)
-    if not f:
+    if len(x.terms) > 1:
+        f = frac_mult(x, m)
+        if f < delta:
+            return Lattice.LOW
+        if f > 1 - delta:
+            return Lattice.HIGH
+        return Lattice.INTERIOR
+    A, B, s, q = x.int_form
+    k = floor_mult(x, m)
+    if B == 0 and m * A == k * q:
         return Lattice.ZERO
-    if f < delta:
+    rmA, rmB = r * m * A, r * m * B
+    if _cmp_single(rmA, rmB, s, (r * k + p) * q) < 0:
         return Lattice.LOW
-    if f > 1 - delta:
+    if _cmp_single(rmA, rmB, s, (r * (k + 1) - p) * q) > 0:
         return Lattice.HIGH
     return Lattice.INTERIOR

@@ -1,10 +1,13 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cijt.cli import main
+from cijt.cli import CliError, load_dataset, main
 
 DATASETS = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
 
@@ -84,6 +87,23 @@ class TestBetti:
         code, out, _ = run(capsys, "betti", "--d", "2", "--n", "1", "--l-max", "3")
         doc = json.loads(out)
         assert code == 0 and doc["resonance_constant"] == "-1"
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_is_quiet(self):
+        # about 600 kB of JSON: far more than a pipe holds, so the writer is
+        # still printing when the reader goes away
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cijt.cli", "betti", "--d", "2", "--n", "1", "--l-max", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
 
 class TestResonance:
@@ -213,6 +233,12 @@ class TestDatasetLoading:
         null_name["records"][0]["name"] = None
         number_name = json.load(open(ds("s2_elliptic")))
         number_name["records"][1]["name"] = 7
+        negative_index = json.load(open(ds("s3_elliptic")))
+        a1 = negative_index["records"][0]
+        a1["initial_index"] = -1
+        a1["blocks"][0]["theta_over_pi"] = {"kind": "rational", "num": 19, "den": 10}
+        a1["blocks"][1]["theta_over_pi"] = {"kind": "rational", "num": 9, "den": 5}
+        negative_index["options"] = {"bumpy": False}
         cases = (
             ('{"version": 99}', "version"),
             ("[1, 2]", "JSON object"),
@@ -228,6 +254,10 @@ class TestDatasetLoading:
             (json.dumps(list_angle), "scalar [1] is not an object"),
             (json.dumps(null_name), "dataset.records[0].name is null, not a string"),
             (json.dumps(number_name), "dataset.records[1].name is 7, not a string"),
+            (
+                json.dumps(negative_index),
+                "dataset.records[0].initial_index is -1, not a Morse index >= 0",
+            ),
         )
         for text, reason in cases:
             p = tmp_path / "bad.json"
@@ -242,8 +272,60 @@ class TestDatasetLoading:
         assert code == 2
 
     def test_round_trip_all_shipped(self):
-        from cijt.cli import load_dataset
-
         for name in ("s2_elliptic", "s3_elliptic", "s2_hyperbolic", "single_sqrt2"):
             dataset = load_dataset(ds(name))
             assert dataset.records
+
+
+SHIPPED = ("s2_elliptic", "s3_elliptic", "s2_hyperbolic", "single_sqrt2")
+
+
+def _field_paths(node, here=()):
+    """Every position in a JSON document, the root included."""
+    yield here
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _field_paths(value, here + (key,))
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from _field_paths(value, here + (k,))
+
+
+def _replaced(doc, where, value):
+    if not where:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for step in where[:-1]:
+        node = node[step]
+    node[where[-1]] = value
+    return doc
+
+
+malformed = st.one_of(
+    st.none(),
+    st.sampled_from([0, 1, 2, 7, 10**30, 2.5, -0.5]),
+    st.sampled_from(["", "x", "1", "1/2", "surd", "N1", "zero"]),
+    st.sampled_from([[], [1], [None], [1, 2, 3], ["a", "b"], [{}]]),
+    st.sampled_from([{}, {"kind": "rational"}, {"d": 2}, {"type": "R"}]),
+    st.integers(-(10**20), -1),
+)
+
+
+class TestLoaderFuzz:
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "mutated.json"
+
+    @given(data=st.data(), value=malformed)
+    @settings(max_examples=400, deadline=None)
+    def test_load_returns_or_raises_cli_error(self, scratch, data, value):
+        """One field of a shipped dataset replaced: loading ends in a dataset
+        or a CliError (exit 2, one line), never another exception."""
+        doc = json.load(open(ds(data.draw(st.sampled_from(SHIPPED)))))
+        where = data.draw(st.sampled_from(list(_field_paths(doc))))
+        scratch.write_text(json.dumps(_replaced(doc, where, value)))
+        try:
+            load_dataset(str(scratch))
+        except CliError as exc:
+            assert exc.code == 2 and "\n" not in str(exc)

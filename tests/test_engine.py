@@ -16,6 +16,7 @@ from cijt.engine import (
     SelectionProblem,
     VertexSpec,
     _PathData,
+    _chi_proximity_ok,
     _hit_stepper,
     _next_hit,
     _try_path,
@@ -223,6 +224,44 @@ class TestFindTuple:
         # complementary Low/High pattern on both angles
         assert t.vertex.angle_bits == ((0,), (0,))
         assert opp.vertex.angle_bits == ((1,), (1,))
+
+
+def _chi_proximity_by_frac(pd, N, chi, eps):
+    """The chi test on {N*u} itself: frac_mult, then Exact comparisons."""
+    if pd.u_pinned:
+        return True
+    f = frac_mult(pd.u, N)
+    return f < eps if chi == 0 else f > 1 - eps
+
+
+class TestChiProximity:
+    def test_matches_frac_formula(self):
+        paths = (
+            path(1, R(SQRT2M1)),                               # u in Q(sqrt2)
+            path(2, R(PHI_M1), R(Exact(Fraction(1, 3)))),      # Mbar = 3
+            path(1, R(SQRT2M1), R(T35)),                       # u with two radicands
+            path(1, R(Exact(Fraction(2, 3)))),                 # pinned
+            path(1, D(Exact(2))),                              # pinned
+        )
+        eps_values = (Fraction(1, 3), Fraction(1, 100), Fraction(7, 1000), Fraction(1, 10**30 + 7))
+        Ns = list(range(1, 250)) + [10**15 + j for j in range(5)] + [2**100 + 1, 470832]
+        seen = set()
+        for p in paths:
+            pd = _PathData(p, common_period([p]))
+            for N in Ns:
+                for chi in (0, 1):
+                    for eps in eps_values:
+                        got = _chi_proximity_ok(pd, N, chi, eps)
+                        assert got is _chi_proximity_by_frac(pd, N, chi, eps)
+                        seen.add((pd.u_pinned, chi, got))
+        assert seen == {(False, c, b) for c in (0, 1) for b in (False, True)} | {
+            (True, 0, True), (True, 1, True)
+        }
+
+    def test_chi_eps_range_checked(self, sqrt2_problem):
+        for eps in (Fraction(0), Fraction(1, 2), Fraction(3, 4)):
+            with pytest.raises(ValueError, match="chi_eps"):
+                find_tuple(sqrt2_problem, chi_eps=eps)
 
 
 class TestDeepDelta:

@@ -97,6 +97,25 @@ class TestSign:
         with pytest.raises(PrecisionExhausted):
             x.sign()
 
+    @given(st.data(), surd_bases, fractions, fractions)
+    @settings(max_examples=200, deadline=None)
+    def test_comparisons_match_sign_of_difference(self, data, s, r, c):
+        """Comparisons on the integer forms (one shared radicand or none)
+        agree with the sign of the difference, for every kind of operand."""
+        a = Exact.surd(r, c, s)
+        b = data.draw(st.one_of(
+            st.builds(lambda r2, c2: Exact.surd(r2, c2, s), fractions, fractions),
+            fractions.map(Exact),
+            exacts(),
+            st.just(a),
+            st.integers(-3, 3).map(lambda k: a + Exact.surd(0, Fraction(k, 10**30), s)),
+        ))
+        for x, y in ((a, b), (b, a)):
+            d = (x - y).sign()
+            assert (x < y, x <= y, x > y, x >= y) == (d < 0, d <= 0, d > 0, d >= 0)
+        d = (a - r).sign()
+        assert (a < r, a <= r, a > r, a >= r) == (d < 0, d <= 0, d > 0, d >= 0)
+
     @given(exacts())
     @settings(max_examples=150, deadline=None)
     def test_sign_matches_float_when_clear(self, a):
@@ -151,6 +170,25 @@ class TestFloors:
             assert c == f + 1
 
 
+def _bands_by_exact(x, m, delta):
+    """The band test on {m*x} itself: frac_mult, then Exact comparisons."""
+    f = frac_mult(x, m)
+    if not f:
+        return Lattice.ZERO
+    if f < delta:
+        return Lattice.LOW
+    if f > 1 - delta:
+        return Lattice.HIGH
+    return Lattice.INTERIOR
+
+
+@st.composite
+def deltas(draw):
+    """delta = p/r in (0, 1/2), denominators up to 10**40."""
+    r = draw(st.one_of(st.integers(3, 1000), st.integers(3, 10**40)))
+    return Fraction(draw(st.integers(1, (r - 1) // 2)), r)
+
+
 class TestLattice:
     def test_bands(self):
         d = Fraction(1, 100)
@@ -173,3 +211,62 @@ class TestSerialization:
     @settings(max_examples=100, deadline=None)
     def test_json_round_trip(self, x):
         assert Exact.from_json(x.to_json()) == x
+
+
+class TestLatticeOracle:
+    """is_near_lattice on the integer form against the Exact classification."""
+
+    @given(exacts(max_terms=1), st.one_of(multipliers, st.integers(1, 2**200)), deltas())
+    @example(SQRT2M1, 169, Fraction(1, 100))
+    @example(Exact(Fraction(-7, 3)), 10**15 - 1, Fraction(1, 3))
+    @example(Exact.surd(Fraction(1, 3), Fraction(-5, 7), 3), 2**200, Fraction(1, 2**199 + 1))
+    @settings(max_examples=400, deadline=None)
+    def test_single_radicand(self, x, m, delta):
+        assert is_near_lattice(x, m, delta) is _bands_by_exact(x, m, delta)
+
+    @given(
+        st.integers(1, 2**200),
+        st.integers(-(2**64), 2**64),
+        deltas(),
+        st.sampled_from(["zero", "delta", "one_minus_delta"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rational_boundaries(self, m, k, delta, where):
+        """{m*x} = 0 is ZERO; {m*x} = delta and 1 - delta sit outside the open bands."""
+        f = {"zero": 0, "delta": delta, "one_minus_delta": 1 - delta}[where]
+        x = Exact(Fraction(k + f) / m)
+        want = Lattice.ZERO if where == "zero" else Lattice.INTERIOR
+        assert is_near_lattice(x, m, delta) is want
+        assert _bands_by_exact(x, m, delta) is want
+
+    @given(
+        st.integers(1, 10**12),
+        st.integers(-(10**6), 10**6),
+        deltas(),
+        st.sampled_from([0, 1]),
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(0, 100),
+        st.sampled_from([-1, 1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_surds_next_to_boundaries(self, m, k, delta, side, s, digits, sign):
+        """{m*x} a hair under delta * 10**-digits from delta or 1 - delta, either side."""
+        edge = delta if side == 0 else 1 - delta
+        # 0 < sqrt(s) - 1 < 2: the hair is shorter than delta, so {m*x}
+        # stays within delta of the edge and away from 0 and 1
+        hair = Exact.surd(-1, 1, s) * (sign * delta / (2 * 10**digits))
+        x = (Exact(k + edge) + hair) * Fraction(1, m)
+        got = is_near_lattice(x, m, delta)
+        assert got is _bands_by_exact(x, m, delta)
+        inside = (sign < 0) if side == 0 else (sign > 0)
+        band = Lattice.LOW if side == 0 else Lattice.HIGH
+        assert (got is band) == inside
+
+    @given(exacts(max_terms=3), st.one_of(multipliers, st.integers(1, 2**200)), deltas())
+    @example(Exact.surd(0, 1, 2) + Exact.surd(0, 1, 3), 2**120 + 1, Fraction(1, 1000))
+    @example(
+        Exact.surd(0, 1, 2) + Exact.surd(0, 1, 3) - Exact.surd(0, 1, 5), 10**15, Fraction(1, 7)
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_several_radicands(self, x, m, delta):
+        assert is_near_lattice(x, m, delta) is _bands_by_exact(x, m, delta)
