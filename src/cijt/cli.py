@@ -19,7 +19,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .scalars import PrecisionExhausted
 from .normal_forms import N2, R, SymplecticClass, block_from_json
 from .iteration import PathClass, index_iterate, path_nullity
 from .engine import (
@@ -53,21 +52,37 @@ class CliError(Exception):
         self.code = code
 
 
-def _integers_only(node, where="dataset"):
-    """Every JSON number of a dataset is an integer; true/false only in options.
+_STRING_FIELDS = ("name", "type", "kind", "b_sign")
+_PAIR_FIELDS = ("a", "b", "rational", "coeff")
 
-    Python reads 2.5 and true as numbers that int(), Fraction() and the
-    comparisons downstream would silently round or accept.
+
+def _check_fields(node, where="dataset", key=None):
+    """Every JSON number of a dataset is an integer, true/false appear only in
+    options, strings only in string fields and every pair is two integers.
+
+    Python reads 2.5, true, "1" and [1] as values that int(), Fraction() and
+    the comparisons downstream would silently round or accept.
     """
+    if key in _PAIR_FIELDS and not (
+        isinstance(node, list) and len(node) == 2 and all(isinstance(v, int) for v in node)
+    ):
+        raise CliError(
+            "invalid dataset: %s is %s, not a pair of integers" % (where, json.dumps(node))
+        )
     if isinstance(node, dict):
-        for key, value in node.items():
-            if key != "options":
-                _integers_only(value, "%s.%s" % (where, key))
+        for k, value in node.items():
+            if k != "options":
+                _check_fields(value, "%s.%s" % (where, k), k)
     elif isinstance(node, list):
         for k, value in enumerate(node):
-            _integers_only(value, "%s[%d]" % (where, k))
+            _check_fields(value, "%s[%d]" % (where, k))
     elif isinstance(node, (bool, float)):
         raise CliError("invalid dataset: %s is %s, not an integer" % (where, json.dumps(node)))
+    elif isinstance(node, str) and key not in _STRING_FIELDS:
+        raise CliError(
+            "invalid dataset: %s is %s; strings belong in %s only"
+            % (where, json.dumps(node), ", ".join(_STRING_FIELDS))
+        )
 
 
 def _objects(node, where):
@@ -103,7 +118,7 @@ def load_dataset(path: str) -> GeodesicDataset:
         raise CliError("cannot read dataset %s: %s" % (path, exc))
     if not isinstance(doc, dict):
         raise CliError("dataset must be a JSON object")
-    _integers_only(doc)
+    _check_fields(doc)
     if doc.get("version") != 1:
         raise CliError("unsupported dataset version: %r" % doc.get("version"))
     options = doc.get("options", {})
@@ -134,7 +149,7 @@ def load_dataset(path: str) -> GeodesicDataset:
 def _parse_fraction(s: str) -> Fraction:
     try:
         return Fraction(s)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise CliError("not a rational number: %r" % s)
 
 
@@ -339,7 +354,7 @@ def main(argv=None) -> int:
     except NotFoundWithinBound as exc:
         print("search exhausted: %s" % exc, file=sys.stderr)
         return EXIT_EXHAUSTED
-    except (ValueError, PrecisionExhausted) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_REJECT
     except AssertionError as exc:

@@ -72,7 +72,7 @@ def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Fraction:
                         if cand < best:
                             best = cand
     if best.is_rational:
-        return best.as_fraction()
+        return best.r
     # rational below the surd minimum, denominator <= 10**6: the floor is
     # exact, so (floor - 2)/10**6 < best
     approx = Fraction(floor_mult(best, 10**6) - 2, 10**6)
@@ -117,9 +117,6 @@ class VertexSpec:
 
     chi: tuple[int, ...]
     angle_bits: tuple[tuple[int, ...], ...]
-
-    def flat(self) -> tuple[int, ...]:
-        return self.chi + tuple(b for bits in self.angle_bits for b in bits)
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .scalars import Exact, ceil_mult, floor_mult
-from .normal_forms import (
-    SymplecticClass,
-    R,
-    nullity,
-    s_plus_one,
-    unit_angles,
-    validate_bumpy,
-)
+from .normal_forms import SymplecticClass, nullity, s_plus_one, unit_angles
 
 
 @dataclass(frozen=True)
@@ -73,14 +66,6 @@ def index_iterate_bumpy(i_c: int, r: int, angles: list[Exact], m: int) -> int:
             raise ValueError("bumpy shortcut needs irrational theta/pi")
         total += 2 * floor_mult(t * half, m)
     return total
-
-
-def index_iterate_bumpy_class(p: PathClass, m: int) -> int:
-    """Convenience wrapper reading r and the rotation angles off the class."""
-    if not validate_bumpy(p.monodromy):
-        raise ValueError("class is degenerate at some iterate")
-    angles = [b.theta for b in p.monodromy.blocks if isinstance(b, R)]
-    return index_iterate_bumpy(p.i1, len(angles), angles, m)
 
 
 def path_nullity(p: PathClass, m: int) -> int:

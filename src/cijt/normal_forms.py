@@ -109,9 +109,6 @@ class SymplecticClass:
                 % (total, 2 * self.half_dimension)
             )
 
-    def diamond(self, other: "SymplecticClass") -> "SymplecticClass":
-        return SymplecticClass(self.blocks + other.blocks)
-
 
 @dataclass(frozen=True)
 class SplittingPair:
@@ -242,16 +239,6 @@ def elliptic_height(M: SymplecticClass) -> int:
 
 def is_hyperbolic(M: SymplecticClass) -> bool:
     return elliptic_height(M) == 0
-
-
-def is_elliptic(M: SymplecticClass) -> bool:
-    return elliptic_height(M) == 2 * M.half_dimension
-
-
-def is_irrationally_elliptic(M: SymplecticClass) -> bool:
-    return is_elliptic(M) and all(
-        isinstance(b, (R, N2)) and not b.theta.is_rational for b in M.blocks
-    )
 
 
 def _return_time(theta: Exact) -> int | None:

@@ -8,28 +8,13 @@ are decided by integer arithmetic (never by floating point).
 from __future__ import annotations
 
 import math
-import os
 from enum import Enum
 from fractions import Fraction
 
 
-MAX_PRECISION_BITS_ENV = "CIJT_MAX_PRECISION_BITS"
-
 # Largest radicand ``Exact.from_json`` accepts.  Reducing s to its squarefree
 # part is trial division, about 0.35 s at this size and without end beyond it.
 MAX_RADICAND = 10**12
-
-
-class PrecisionExhausted(ArithmeticError):
-    """Raised when the interval-refinement sign test hits the precision cap.
-
-    Cannot happen for a value that is provably nonzero unless the cap
-    (CIJT_MAX_PRECISION_BITS, default 4096) is set absurdly low.
-    """
-
-
-def _max_bits() -> int:
-    return int(os.environ.get(MAX_PRECISION_BITS_ENV, "4096"))
 
 
 def _squarefree_split(s: int) -> tuple[int, int]:
@@ -52,11 +37,30 @@ def _capped(s):
     return s
 
 
-def _sqrt_bounds(s: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Certified enclosure sqrt(s) in [lo, hi] with hi - lo = 2**-bits."""
-    scale = 1 << bits
-    root = math.isqrt(s * scale * scale)
-    return Fraction(root, scale), Fraction(root + 1, scale)
+def _enclosures(x: Exact, m: int = 1):
+    """Integers (lo, hi, den) with lo < m*x*den < hi, at 64, 128, 256, ... bits.
+
+    For x with radicands, written (A + sum_i B_i*sqrt(s_i))/q in integers:
+    den = q*2**bits, and each B_i*sqrt(s_i)*2**bits lies strictly between
+    two consecutive integers, so hi - lo is the number of radicands.  Square roots of
+    distinct squarefree integers are linearly independent over Q
+    (Besicovitch, J. London Math. Soc. 15 (1940)), so m*x is irrational and
+    the enclosures come to exclude any given integer.
+    """
+    q = math.lcm(x.r.denominator, *(c.denominator for c in x.terms.values()))
+    A = m * x.r.numerator * (q // x.r.denominator)
+    terms = [(m * c.numerator * (q // c.denominator), s) for s, c in x.terms.items()]
+    bits = 64
+    while True:
+        lo = hi = A << bits
+        for B, s in terms:
+            root = math.isqrt(B * B * s << 2 * bits)  # root < |B|*sqrt(s)*2**bits
+            if B > 0:
+                lo, hi = lo + root, hi + root + 1
+            else:
+                lo, hi = lo - root - 1, hi - root
+        yield lo, hi, q << bits
+        bits *= 2
 
 
 class Exact:
@@ -71,10 +75,6 @@ class Exact:
         self._int_form = None
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def rational(num, den=1) -> "Exact":
-        return Exact(Fraction(num, den))
 
     @staticmethod
     def surd(a, b, s: int) -> "Exact":
@@ -110,11 +110,6 @@ class Exact:
                 q,
             )
         return self._int_form
-
-    def as_fraction(self) -> Fraction:
-        if self.terms:
-            raise ValueError("not a rational value: %r" % (self,))
-        return self.r
 
     # -- ring/field operations ---------------------------------------------
 
@@ -185,15 +180,23 @@ class Exact:
             if self.r == 0:
                 raise ZeroDivisionError("division by zero Exact")
             return Exact(1 / self.r)
-        # Peel one radicand: z = u + v*sqrt(s) with u, v free of sqrt(s);
-        # 1/z = (u - v*sqrt(s)) / (u^2 - v^2 s), the denominator having one
-        # radicand fewer.  Recursion terminates.
-        s = max(self.terms)
-        v = Exact(self.terms[s])
-        u = Exact(self.r, {t: c for t, c in self.terms.items() if t != s})
-        conj = u - v * Exact.surd(0, 1, s)
-        denom = u * u - v * v * s
-        return conj * denom._inverse()
+        # Peel a radicand b that every radicand is a multiple of or coprime
+        # to: self = P + Q*sqrt(b) with P and Q free of b's primes, and
+        # 1/self = (P - Q*sqrt(b)) / (P^2 - Q^2*b), a denominator with fewer
+        # primes under its roots.  It is nonzero: flipping the sign of
+        # sqrt(p) for one prime p | b is a field automorphism.
+        b = max(self.terms)
+        for t in self.terms:  # a divisor of b keeps earlier t multiples or coprime
+            g = math.gcd(t, b)
+            if g > 1:
+                b = g
+        P = Exact(self.r, {t: c for t, c in self.terms.items() if t % b})
+        Q = Exact(
+            self.terms.get(b, 0),
+            {t // b: c for t, c in self.terms.items() if t % b == 0 and t != b},
+        )
+        conj = P - Q * Exact(0, {b: 1})
+        return conj * (P * P - Q * Q * b)._inverse()
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -210,29 +213,11 @@ class Exact:
         if len(self.terms) <= 1:
             A, B, s, _ = self.int_form  # q > 0 leaves the sign alone
             return _cmp_single(A, B, s, 0)
-        # Several radicands: sqrt's of distinct squarefree ints are linearly
-        # independent over Q, so the value is nonzero; refine an integer
-        # interval until it excludes 0.
-        bits = 64
-        cap = _max_bits()
-        while bits <= cap:
-            lo = hi = self.r
-            for s, c in self.terms.items():
-                blo, bhi = _sqrt_bounds(s, bits)
-                if c > 0:
-                    lo += c * blo
-                    hi += c * bhi
-                else:
-                    lo += c * bhi
-                    hi += c * blo
+        for lo, hi, _ in _enclosures(self):  # nonzero, so some lo > 0 or hi < 0
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            bits *= 2
-        raise PrecisionExhausted(
-            "sign undecided at %d bits for %r" % (cap, self)
-        )
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -321,10 +306,6 @@ class Exact:
         raise ValueError("unknown scalar kind: %r" % (kind,))
 
 
-ZERO = Exact(0)
-ONE = Exact(1)
-
-
 # -- floors / fractional parts of integer multiples -------------------------
 
 
@@ -349,13 +330,12 @@ def floor_mult(x: Exact, m: int) -> int:
     if m < 1:
         raise ValueError("m must be a positive integer")
     if len(x.terms) > 1:
-        # several radicands: an enclosure of m*x narrower than 1 leaves two
-        # candidates, [lo] and [lo] + 1; one exact comparison picks
-        mx = x * m
-        bits = 64 + math.ceil(sum(abs(c) for c in mx.terms.values())).bit_length()
-        lo = mx.r + sum(c * _sqrt_bounds(s, bits)[c < 0] for s, c in mx.terms.items())
-        k = math.floor(lo)
-        return k + 1 if (mx - (k + 1)).sign() >= 0 else k
+        # several radicands: m*x is irrational, so some enclosure of it lies
+        # strictly between two consecutive integers
+        for lo, hi, den in _enclosures(x, m):
+            k = lo // den
+            if hi < (k + 1) * den:
+                return k
     A, B, s, q = x.int_form
     A, B = m * A, m * B
     # guess from integer sqrt, then certify k <= m*x < k+1

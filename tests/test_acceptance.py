@@ -13,7 +13,7 @@ import pytest
 
 from cijt.scalars import Exact, ceil_mult, floor_mult, frac_mult
 from cijt.normal_forms import D, N2, R, SymplecticClass, crossing_sum
-from cijt.iteration import PathClass, index_iterate, index_iterate_bumpy_class
+from cijt.iteration import PathClass, index_iterate
 from cijt.engine import (
     NotFoundWithinBound,
     SelectionProblem,
@@ -35,6 +35,7 @@ from cijt.morse import (
     verify_theorem_1_1,
     verify_theorem_1_8,
 )
+from test_iteration import index_iterate_bumpy_class
 
 DATASETS = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
 

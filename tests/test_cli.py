@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cijt.cli import CliError, load_dataset, main
+from test_scalars import time_limit
 
 DATASETS = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
 
@@ -57,6 +58,9 @@ class TestIterate:
             (("iterate", ds("s2_hyperbolic"), "--record", "nope"), "unknown record"),
             (("iterate", ds("s2_hyperbolic"), "--record", "h1", "--m-max", "-3"), "--m-max"),
             (("betti", "--d", "2", "--n", "1", "--l-max", "-5"), "--l-max"),
+            (("cijt", ds("single_sqrt2"), "--delta", "1/0"), "not a rational number"),
+            (("verify", ds("s2_elliptic"), "--theorem", "1.1", "--delta", "1/0"),
+             "not a rational number"),
         )
         for argv, reason in cases:
             code, out, err = run(capsys, *argv)
@@ -162,6 +166,27 @@ class TestCijt:
         )
         assert code == 3 and "exhausted" in err
 
+    def test_three_fields(self, capsys, tmp_path):
+        """Angles in Q(sqrt2), Q(sqrt3) and Q(sqrt5): the mean index and the
+        resonance sum divide by values with radicands 2, 3, 5, 6, 10, 15, 30."""
+        angles = ((-1, 2), (-1, 3), (-2, 5))
+        doc = {
+            "version": 1,
+            "shape": {"d": 4, "n": 1},
+            "records": [{"name": "g", "initial_index": 5, "blocks": [
+                {"type": "R",
+                 "theta_over_pi": {"kind": "surd", "a": [a, 1], "b": [1, 1], "s": s}}
+                for a, s in angles
+            ]}],
+        }
+        p = tmp_path / "three_fields.json"
+        p.write_text(json.dumps(doc))
+        with time_limit(20):
+            code, out, _ = run(capsys, "cijt", str(p), "--delta", "1/10")
+            assert code == 0 and json.loads(out)["N"] == 416
+            code, out, _ = run(capsys, "resonance", str(p))
+            assert code == 1 and json.loads(out)["pass"] is False
+
     def test_determinism(self, capsys):
         outs = []
         for _ in range(2):
@@ -239,6 +264,12 @@ class TestDatasetLoading:
         a1["blocks"][0]["theta_over_pi"] = {"kind": "rational", "num": 19, "den": 10}
         a1["blocks"][1]["theta_over_pi"] = {"kind": "rational", "num": 9, "den": 5}
         negative_index["options"] = {"bumpy": False}
+        string_index = json.load(open(ds("single_sqrt2")))
+        string_index["records"][0]["initial_index"] = "1"
+        string_coeff = json.load(open(ds("single_sqrt2")))
+        string_coeff["records"][0]["blocks"][0]["theta_over_pi"]["b"] = "1"
+        short_pair = json.load(open(ds("single_sqrt2")))
+        short_pair["records"][0]["blocks"][0]["theta_over_pi"]["a"] = [-1]
         cases = (
             ('{"version": 99}', "version"),
             ("[1, 2]", "JSON object"),
@@ -258,6 +289,9 @@ class TestDatasetLoading:
                 json.dumps(negative_index),
                 "dataset.records[0].initial_index is -1, not a Morse index >= 0",
             ),
+            (json.dumps(string_index), 'dataset.records[0].initial_index is "1"; strings'),
+            (json.dumps(string_coeff), 'theta_over_pi.b is "1", not a pair of integers'),
+            (json.dumps(short_pair), "theta_over_pi.a is [-1], not a pair of integers"),
         )
         for text, reason in cases:
             p = tmp_path / "bad.json"

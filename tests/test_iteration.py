@@ -6,14 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cijt.scalars import Exact
-from cijt.normal_forms import D, N1, N2, R, SymplecticClass
+from cijt.normal_forms import D, N1, N2, R, SymplecticClass, validate_bumpy
 from cijt.cli import load_dataset
 from cijt.iteration import (
     PathClass,
     index_bracket,
     index_iterate,
     index_iterate_bumpy,
-    index_iterate_bumpy_class,
     mean_index,
     path_nullity,
 )
@@ -24,6 +23,14 @@ T35 = Exact.surd(3, -1, 5)
 
 def path(i1, *blocks):
     return PathClass(i1, SymplecticClass(tuple(blocks)))
+
+
+def index_iterate_bumpy_class(p: PathClass, m: int) -> int:
+    """index_iterate_bumpy with r and the rotation angles read off the class."""
+    if not validate_bumpy(p.monodromy):
+        raise ValueError("class is degenerate at some iterate")
+    angles = [b.theta for b in p.monodromy.blocks if isinstance(b, R)]
+    return index_iterate_bumpy(p.i1, len(angles), angles, m)
 
 
 class TestIndexIterate:
