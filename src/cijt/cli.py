@@ -185,11 +185,11 @@ def _parse_vertex(spec: str, dataset: GeodesicDataset):
     return VertexSpec(chi, tuple(angle_bits))
 
 
-def _emit(doc, fmt: str, tsv_rows=None, tsv_header=None):
+def _emit(doc, fmt: str = "json", tsv_rows=(), tsv_header=()):
+    """Print doc as JSON, or, with fmt "tsv", the header and rows of its table."""
     try:
-        if fmt == "tsv" and tsv_rows is not None:
-            if tsv_header:
-                print("\t".join(tsv_header))
+        if fmt == "tsv":
+            print("\t".join(tsv_header))
             for row in tsv_rows:
                 print("\t".join(str(x) for x in row))
         else:
@@ -256,7 +256,7 @@ def cmd_betti(args) -> int:
 def cmd_resonance(args) -> int:
     ds = load_dataset(args.dataset)
     report = resonance_check(ds)
-    _emit(report.to_json(), args.format)
+    _emit(report.to_json())
     return EXIT_PASS if report.passes else EXIT_FAIL
 
 
@@ -279,7 +279,7 @@ def cmd_cijt(args) -> int:
     doc = t.to_json()
     doc["delta_shrunk"] = problem.delta_shrunk
     doc["records"] = [r.name for r in ds.records]
-    _emit(doc, args.format)
+    _emit(doc)
     return EXIT_PASS if t.report is not None and t.report.ok else EXIT_FAIL
 
 
@@ -292,7 +292,7 @@ def cmd_verify(args) -> int:
     }[args.theorem]
     delta = _parse_fraction(args.delta) if args.delta else None
     verdict = pipeline(ds, delta=delta, n_bound=args.n_bound)
-    _emit(verdict.to_json(), args.format)
+    _emit(verdict.to_json())
     return EXIT_PASS if verdict.passed else EXIT_FAIL
 
 
@@ -300,30 +300,26 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cijt")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True):
-        if dataset:
-            p.add_argument("dataset", help="dataset JSON file")
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-
     p = sub.add_parser("iterate", help="index/nullity table of one record")
-    common(p)
+    p.add_argument("dataset", help="dataset JSON file")
+    p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.add_argument("--record", required=True)
     p.add_argument("--m-max", type=int, default=10)
     p.set_defaults(func=cmd_iterate)
 
     p = sub.add_parser("betti", help="free-loop-space Betti numbers")
-    common(p, dataset=False)
+    p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l-max", type=int, default=50)
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("resonance", help="check the resonance identity")
-    common(p)
+    p.add_argument("dataset", help="dataset JSON file")
     p.set_defaults(func=cmd_resonance)
 
     p = sub.add_parser("cijt", help="search and certify an index-jump tuple")
-    common(p)
+    p.add_argument("dataset", help="dataset JSON file")
     p.add_argument("--delta", default="1/200")
     p.add_argument("--n-bound", type=int, default=10**8)
     p.add_argument("--n-multiple", type=int, default=1)
@@ -333,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cijt)
 
     p = sub.add_parser("verify", help="run a theorem pipeline")
-    common(p)
+    p.add_argument("dataset", help="dataset JSON file")
     p.add_argument("--theorem", choices=("1.1", "1.5", "1.8"), required=True)
     p.add_argument("--delta", default=None)
     p.add_argument("--n-bound", type=int, default=10**8)

@@ -51,7 +51,7 @@ def common_period(paths: Sequence[PathClass]) -> int:
             if isinstance(b, N1) and b.lam == -1:
                 pass  # theta = pi, denominator 1
             elif isinstance(b, (R, N2)) and b.theta.is_rational:
-                mbar = math.lcm(mbar, b.theta.r.denominator)
+                mbar = math.lcm(mbar, b.theta.q)
     return mbar
 
 
@@ -68,7 +68,7 @@ def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Fraction:
                 ht = b.theta * half
                 for h in range(1, m_bar + 1):
                     f = frac_mult(ht, h)
-                    for cand in (f, Exact(1) - f):
+                    for cand in (f, 1 - f):
                         if cand < best:
                             best = cand
     if best.is_rational:
@@ -92,13 +92,16 @@ class SelectionProblem:
     N_multiple_of: int = 1
     delta_shrunk: bool = field(default=False, init=False)
     delta_zero_value: Fraction = field(default=Fraction(1, 2), init=False)
+    # common period Mbar and the per-path search constants, built once
+    period: int = field(default=1, init=False, compare=False)
+    data: tuple[_PathData, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.paths = tuple(self.paths)
         if not self.paths:
             raise ValueError("need at least one path")
         for p in self.paths:
-            if not mean_index(p) > Exact(0):
+            if not mean_index(p) > 0:
                 raise NonPositiveMeanIndex("path %r has mean index <= 0" % (p,))
         self.delta = Fraction(self.delta)
         if not 0 < self.delta < Fraction(1, 2):
@@ -109,6 +112,8 @@ class SelectionProblem:
         if self.delta >= self.delta_zero_value:
             self.delta = self.delta_zero_value / 2
             self.delta_shrunk = True
+        self.period = common_period(self.paths)
+        self.data = tuple(_PathData(p, self.period) for p in self.paths)
 
 
 @dataclass(frozen=True)
@@ -198,7 +203,7 @@ class _PathData:
         # Delta_k + Delta'_k at opposite vertices: S^- weight on irrational angles
         self.C_irrational = sum(w for t, w in self.minus if not t.is_rational)
         # u = 1 / (Mbar * ihat): chi component of the torus vector
-        self.u = Exact(1) / (self.mean * m_bar_period)
+        self.u = 1 / (self.mean * m_bar_period)
         self.u_pinned = self.u.is_rational
         # one representative irrational angle per R/N2 block, in block order:
         # these carry the vertex bits; conjugates follow automatically
@@ -360,9 +365,7 @@ def find_tuple(
     """
     if chi_eps is not None and not 0 < chi_eps < Fraction(1, 2):
         raise ValueError("chi_eps must lie in (0, 1/2)")
-    mbar = common_period(problem.paths)
-    data = [_PathData(p, mbar) for p in problem.paths]
-    delta = problem.delta
+    mbar, data, delta = problem.period, problem.data, problem.delta
     if vertex is not None:
         if len(vertex.chi) != len(data) or any(
             len(bits) != len(pd.bit_angles) for bits, pd in zip(vertex.angle_bits, data)
@@ -455,7 +458,7 @@ def q_correction(path: PathClass, m_k: int, m: int) -> int:
     """Q_k(m): S^- weight of angles with {m_k*theta/pi} = {m*theta/2pi} = 0."""
     return sum(
         w for ht, w in path.spectral[2]
-        if ht.is_rational and (2 * m_k * ht.r) % 1 == 0 and (m * ht.r) % 1 == 0
+        if ht.is_rational and (2 * m_k * ht.A) % ht.q == 0 and (m * ht.A) % ht.q == 0
     )
 
 
@@ -517,8 +520,7 @@ def opposite_tuple(
     Checks that Delta_k + Delta'_k equals the S^- weight on the irrational
     angles of path k (all of C(M_k) when no rational angle carries S^-).
     """
-    mbar = common_period(problem.paths)
-    data = [_PathData(p, mbar) for p in problem.paths]
+    data = problem.data
     chi = tuple(
         t.chi[i] if data[i].u_pinned else 1 - t.chi[i] for i in range(len(data))
     )
@@ -540,7 +542,7 @@ def m_bar_for_geodesics(paths: Sequence[PathClass], d: int, n: int) -> int:
     out = 1
     for p in paths:
         ihat = mean_index(p)
-        if not ihat > Exact(0):
+        if not ihat > 0:
             raise NonPositiveMeanIndex("path %r has mean index <= 0" % (p,))
         target = p.i1 + 2 * (d * n - 1)
         # i(c^m) >= m*ihat + lo >= target from m = stop on

@@ -33,6 +33,15 @@ class PathClass:
         )
         return s_plus_one(self.monodromy), sum(w for _, w in minus), minus
 
+    @cached_property
+    def mean(self) -> Exact:
+        """i-hat = i1 + S^+(1) - C(M) + sum theta/pi * S^-."""
+        sp, c, minus = self.spectral
+        out = Exact(self.i1 + sp - c)
+        for half_theta, w in minus:
+            out = out + half_theta * (2 * w)
+        return out
+
     def rho(self) -> int:
         sp, c, _ = self.spectral
         return self.i1 + sp - c
@@ -73,12 +82,8 @@ def path_nullity(p: PathClass, m: int) -> int:
 
 
 def mean_index(p: PathClass) -> Exact:
-    """i-hat = i1 + S^+(1) - C(M) + sum theta/pi * S^-."""
-    sp, c, minus = p.spectral
-    out = Exact(p.i1 + sp - c)
-    for half_theta, w in minus:
-        out = out + half_theta * (2 * w)
-    return out
+    """i-hat of the path, computed once per PathClass (``PathClass.mean``)."""
+    return p.mean
 
 
 def index_bracket(p: PathClass) -> tuple[int, int]:

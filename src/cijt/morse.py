@@ -23,7 +23,6 @@ from .iteration import PathClass, index_bracket, index_iterate, mean_index
 from .engine import (
     CijtTuple,
     SelectionProblem,
-    common_period,
     find_tuple,
     m_bar_for_geodesics,
     opposite_tuple,
@@ -66,7 +65,7 @@ class GeodesicDataset:
                     "record %s: half-dimension %d, expected dn - 1 = %d"
                     % (r.name, r.path.monodromy.half_dimension, want)
                 )
-            if not mean_index(r.path) > Exact(0):
+            if not mean_index(r.path) > 0:
                 raise ValueError("record %s: mean index must be positive" % r.name)
             if self.bumpy_required and not validate_bumpy(r.path.monodromy):
                 raise ValueError("record %s: degenerate iterate present" % r.name)
@@ -293,8 +292,7 @@ def _default_problem(
     # proximity tight enough that floors become exact multiples of N in the
     # 2 m_k gamma_k resonance identity
     gamma_total = sum(abs(gamma_invariant(r)) for r in dataset.records)
-    mbar_period = common_period(paths)
-    eps = Fraction(1, 1 + 2 * mbar_period * math.ceil(gamma_total))
+    eps = Fraction(1, 1 + 2 * problem.period * math.ceil(gamma_total))
     return problem, min(eps, problem.delta)
 
 

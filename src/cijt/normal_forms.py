@@ -23,9 +23,9 @@ from .scalars import Exact
 def _check_angle(theta: Exact) -> Exact:
     if not isinstance(theta, Exact):
         raise TypeError("theta/pi must be an Exact scalar")
-    if not (Exact(0) < theta < Exact(2)):
+    if not 0 < theta < 2:
         raise ValueError("theta/pi must lie in (0, 2)")
-    if theta == Exact(1):
+    if theta == 1:
         raise ValueError("theta = pi is encoded by N1(-1, b), not by R/N2")
     return theta
 
@@ -47,9 +47,8 @@ class D:
     lam: Exact
 
     def __post_init__(self):
-        zero, one = Exact(0), Exact(1)
         a = self.lam if self.lam.sign() > 0 else -self.lam
-        if a == zero or a == one:
+        if a == 0 or a == 1:
             raise ValueError("D(lam) needs lam real with |lam| not in {0, 1}")
 
     dim = 2
@@ -127,7 +126,7 @@ Omega = Union[int, Exact]
 
 
 def _conjugate_angle(theta: Exact) -> Exact:
-    return Exact(2) - theta
+    return 2 - theta
 
 
 def _block_splitting(b: Block, omega: Omega) -> SplittingPair:
@@ -222,7 +221,7 @@ def nullity(M: SymplecticClass, m: int) -> int:
         elif isinstance(b, (R, N2)):
             # (M^m - I) kernel is nonzero iff m*theta in 2*pi*Z
             t = b.theta
-            if t.is_rational and (m * t.r) % 2 == 0:
+            if t.is_rational and (m * t.A) % (2 * t.q) == 0:
                 total += 2
     return total
 
@@ -245,8 +244,7 @@ def _return_time(theta: Exact) -> int | None:
     """Least k with k*theta in 2*pi*N, for rational theta/pi; None otherwise."""
     if not theta.is_rational:
         return None
-    t = theta.r
-    p, q = t.numerator, t.denominator
+    p, q = theta.A, theta.q
     # k*p/q even: k = q for even p, 2q for odd p (p, q coprime)
     return q if p % 2 == 0 else 2 * q
 

@@ -2,7 +2,9 @@
 
 Rotation numbers theta/pi, mean indices and every derived quantity live in
 this field, so floors, fractional parts and comparisons of integer multiples
-are decided by integer arithmetic (never by floating point).
+are decided by integer arithmetic (never by floating point).  Each value is
+held as integers (A, {s: B_s}, q) with value (A + sum_s B_s*sqrt(s))/q, and
+every operation works on those integers.
 """
 
 from __future__ import annotations
@@ -37,6 +39,15 @@ def _capped(s):
     return s
 
 
+def _rational(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction; floats are refused."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError("expected an int or Fraction, not %s" % type(x).__name__)
+
+
 def _enclosures(x: Exact, m: int = 1):
     """Integers (lo, hi, den) with lo < m*x*den < hi, at 64, 128, 256, ... bits.
 
@@ -47,9 +58,8 @@ def _enclosures(x: Exact, m: int = 1):
     (Besicovitch, J. London Math. Soc. 15 (1940)), so m*x is irrational and
     the enclosures come to exclude any given integer.
     """
-    q = math.lcm(x.r.denominator, *(c.denominator for c in x.terms.values()))
-    A = m * x.r.numerator * (q // x.r.denominator)
-    terms = [(m * c.numerator * (q // c.denominator), s) for s, c in x.terms.items()]
+    A, q = m * x.A, x.q
+    terms = [(m * B, s) for s, B in x.B.items()]
     bits = 64
     while True:
         lo = hi = A << bits
@@ -63,156 +73,185 @@ def _enclosures(x: Exact, m: int = 1):
         bits *= 2
 
 
+def _lowest(A: int, B: dict[int, int], q: int) -> tuple[int, dict[int, int], int]:
+    """(A, B, q) divided by their gcd, with q > 0 and no zero B[s]; q != 0."""
+    if B and not all(B.values()):
+        B = {s: b for s, b in B.items() if b}
+    g = math.gcd(A, q, *B.values())
+    if q < 0:
+        g = -g
+    if g != 1:
+        A, q = A // g, q // g
+        B = {s: b // g for s, b in B.items()}
+    return A, B, q
+
+
+def _exact(A: int, B: dict[int, int], q: int) -> Exact:
+    """The Exact (A + sum_s B[s]*sqrt(s))/q; B is kept, not copied."""
+    x = object.__new__(Exact)
+    x.A, x.B, x.q = _lowest(A, B, q)
+    return x
+
+
+def _parts(x):
+    """(A, B, q) of an Exact, int or Fraction; None for any other type."""
+    if isinstance(x, Exact):
+        return x.A, x.B, x.q
+    if isinstance(x, int):
+        return x, {}, 1
+    if isinstance(x, Fraction):
+        return x.numerator, {}, x.denominator
+    return None
+
+
+def _single(B: dict[int, int]) -> tuple[int, int]:
+    """(s, B_s) of at most one radicand; (0, 0) when there is none."""
+    return next(iter(B.items()), (0, 0))
+
+
 class Exact:
-    """Immutable element of Q adjoined with square roots of squarefree ints."""
+    """Immutable element of Q adjoined with square roots of squarefree ints.
 
-    __slots__ = ("r", "terms", "_hash", "_int_form")
+    Held as integers: the value is (A + sum_s B[s]*sqrt(s))/q with q > 0, no
+    zero B[s], and gcd(A, q, *B.values()) = 1, so equal values hold equal
+    integers.  ``r`` and ``terms`` are rational views of the same value.
+    """
 
-    def __init__(self, r: Fraction | int = 0, terms: dict[int, Fraction] | None = None):
-        self.r = Fraction(r)
-        self.terms = {s: c for s, c in (terms or {}).items() if c != 0}
-        self._hash = None
-        self._int_form = None
+    __slots__ = ("A", "B", "q")
+
+    def __init__(self, r: Fraction | int = 0, terms: dict[int, Fraction | int] | None = None):
+        n, d = _rational(r)
+        x = _exact(n, {}, d)
+        for s, c in (terms or {}).items():  # sqrt(8) is 2*sqrt(2), as in surd
+            x = x + Exact.surd(0, c, s)
+        self.A, self.B, self.q = x.A, x.B, x.q
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def surd(a, b, s: int) -> "Exact":
         """a + b*sqrt(s); s is reduced to its squarefree part."""
-        a, b = Fraction(a), Fraction(b)
+        (an, ad), (bn, bd) = _rational(a), _rational(b)
         f, s0 = _squarefree_split(int(s))
         if s0 == 1:
-            return Exact(a + b * f)
-        return Exact(a, {s0: b * f})
+            return _exact(an * bd + bn * f * ad, {}, ad * bd)
+        return _exact(an * bd, {s0: bn * f * ad}, ad * bd)
 
-    # -- predicates ---------------------------------------------------------
+    # -- predicates and views -----------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return not self.terms
+        return not self.B
 
     @property
-    def int_form(self) -> tuple[int, int, int, int]:
-        """Integers (A, B, s, q) with self = (A + B*sqrt(s))/q and q > 0.
+    def r(self) -> Fraction:
+        """The rational part A/q."""
+        return Fraction(self.A, self.q)
 
-        Defined for at most one radicand (B = s = 0 when rational); computed
-        once per value.
-        """
-        if self._int_form is None:
-            if len(self.terms) > 1:
-                raise ValueError("several radicands: %r" % (self,))
-            s, c = next(iter(self.terms.items()), (0, Fraction(0)))
-            q = math.lcm(self.r.denominator, c.denominator)
-            self._int_form = (
-                self.r.numerator * (q // self.r.denominator),
-                c.numerator * (q // c.denominator),
-                s,
-                q,
-            )
-        return self._int_form
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        """{s: B_s/q}, the coefficient of each sqrt(s)."""
+        return {s: Fraction(b, self.q) for s, b in self.B.items()}
 
     # -- ring/field operations ---------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Exact):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Exact(other)
-        return NotImplemented
+    def _plus(self, other, sign: int):
+        """self + sign*other."""
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        C, D, r = o
+        g = math.gcd(self.q, r)
+        f, h = r // g, sign * (self.q // g)  # self.q*f == r*|h|
+        terms = {s: b * f for s, b in self.B.items()}
+        for s, d in D.items():
+            terms[s] = terms.get(s, 0) + d * h
+        return _exact(self.A * f + C * h, terms, self.q * f)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        terms = dict(self.terms)
-        for s, c in o.terms.items():
-            terms[s] = terms.get(s, Fraction(0)) + c
-        return Exact(self.r + o.r, terms)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Exact(-self.r, {s: -c for s, c in self.terms.items()})
+        return _exact(-self.A, {s: -b for s, b in self.B.items()}, self.q)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        r = self.r * o.r
-        terms: dict[int, Fraction] = {}
-
-        def put(s, c):
-            if s in terms:
-                terms[s] += c
-            else:
-                terms[s] = c
-
-        for s, c in self.terms.items():
-            if o.r:
-                put(s, c * o.r)
-        for s, c in o.terms.items():
-            if self.r:
-                put(s, c * self.r)
-        for s1, c1 in self.terms.items():
-            for s2, c2 in o.terms.items():
-                if s1 == s2:
-                    r += c1 * c2 * s1
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        C, D, r = o
+        A, B = self.A, self.B
+        a = A * C
+        terms: dict[int, int] = {}
+        if C:
+            for s, b in B.items():
+                terms[s] = b * C
+        if A:
+            for s, d in D.items():
+                terms[s] = terms.get(s, 0) + d * A
+        for s, b in B.items():
+            for t, d in D.items():
+                if s == t:
+                    a += b * d * s
                 else:
-                    # sqrt(s1)*sqrt(s2) = g*sqrt((s1/g)(s2/g)), g = gcd;
+                    # sqrt(s)*sqrt(t) = g*sqrt((s/g)(t/g)), g = gcd;
                     # the product of coprime squarefree ints is squarefree.
-                    g = math.gcd(s1, s2)
-                    put((s1 // g) * (s2 // g), c1 * c2 * g)
-        return Exact(r, terms)
+                    g = math.gcd(s, t)
+                    k = (s // g) * (t // g)
+                    terms[k] = terms.get(k, 0) + b * d * g
+        return _exact(a, terms, self.q * r)
 
     __rmul__ = __mul__
 
     def _inverse(self) -> "Exact":
-        if not self.terms:
-            if self.r == 0:
+        A, B, q = self.A, self.B, self.q
+        if not B:
+            if not A:
                 raise ZeroDivisionError("division by zero Exact")
-            return Exact(1 / self.r)
-        # Peel a radicand b that every radicand is a multiple of or coprime
-        # to: self = P + Q*sqrt(b) with P and Q free of b's primes, and
-        # 1/self = (P - Q*sqrt(b)) / (P^2 - Q^2*b), a denominator with fewer
-        # primes under its roots.  It is nonzero: flipping the sign of
-        # sqrt(p) for one prime p | b is a field automorphism.
-        b = max(self.terms)
-        for t in self.terms:  # a divisor of b keeps earlier t multiples or coprime
-            g = math.gcd(t, b)
+            return _exact(q, {}, A)
+        if len(B) == 1:
+            ((s, b),) = B.items()  # q/(A + b*sqrt(s)) = q*(A - b*sqrt(s))/(A^2 - b^2*s)
+            return _exact(q * A, {s: -q * b}, A * A - b * b * s)
+        # Peel a radicand t that every radicand is a multiple of or coprime
+        # to: the numerator is P + Q*sqrt(t) with P and Q free of t's primes,
+        # and 1/(P + Q*sqrt(t)) = (P - Q*sqrt(t)) / (P^2 - Q^2*t), a
+        # denominator with fewer primes under its roots.  It is nonzero:
+        # flipping the sign of sqrt(p) for one prime p | t is a field
+        # automorphism.
+        t = max(B)
+        for u in B:  # a divisor of t keeps earlier u multiples or coprime
+            g = math.gcd(u, t)
             if g > 1:
-                b = g
-        P = Exact(self.r, {t: c for t, c in self.terms.items() if t % b})
-        Q = Exact(
-            self.terms.get(b, 0),
-            {t // b: c for t, c in self.terms.items() if t % b == 0 and t != b},
-        )
-        conj = P - Q * Exact(0, {b: 1})
-        return conj * (P * P - Q * Q * b)._inverse()
+                t = g
+        P = _exact(A, {u: c for u, c in B.items() if u % t}, 1)
+        Q = _exact(B.get(t, 0), {u // t: c for u, c in B.items() if u % t == 0 and u != t}, 1)
+        conj = P - Q * _exact(0, {t: 1}, 1)
+        return conj * (P * P - Q * Q * t)._inverse() * q
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o._inverse()
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return self * _exact(*o)._inverse()
 
     def __rtruediv__(self, other):
-        return Exact(other) * self._inverse()
+        if _parts(other) is None:
+            return NotImplemented
+        return self._inverse() * other
 
     # -- exact sign and comparisons ----------------------------------------
 
     def sign(self) -> int:
-        if len(self.terms) <= 1:
-            A, B, s, _ = self.int_form  # q > 0 leaves the sign alone
-            return _cmp_single(A, B, s, 0)
+        if len(self.B) <= 1:
+            s, b = _single(self.B)  # q > 0 leaves the sign alone
+            return _cmp_single(self.A, b, s, 0)
         for lo, hi, _ in _enclosures(self):  # nonzero, so some lo > 0 or hi < 0
             if lo > 0:
                 return 1
@@ -220,20 +259,22 @@ class Exact:
                 return -1
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.r == o.r and self.terms == o.terms
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return self.A == o[0] and self.q == o[2] and self.B == o[1]
 
     def _cmp(self, other) -> int:
         """Sign of self - other; one integer comparison when both values have
         the same radicand or none."""
-        o = self._coerce(other)
-        if o is not NotImplemented and len(self.terms) <= 1 and len(o.terms) <= 1:
-            A, B, s, q = self.int_form
-            C, D, t, r = o.int_form
-            if not (B and D) or s == t:
-                return _cmp_single(A * r, B * r - D * q, s or t, C * q)
+        o = _parts(other)
+        if o is None:
+            raise TypeError("cannot compare Exact with %s" % type(other).__name__)
+        C, D, r = o
+        if len(self.B) <= 1 and len(D) <= 1:
+            (s, b), (t, d) = _single(self.B), _single(D)
+            if not (b and d) or s == t:
+                return _cmp_single(self.A * r, b * r - d * self.q, s or t, C * self.q)
         return (self - other).sign()
 
     def __lt__(self, other):
@@ -249,41 +290,45 @@ class Exact:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.r, frozenset(self.terms.items())))
-        return self._hash
+        # a rational value hashes as the equal Fraction (and int), so that
+        # Exact(1) and 1 are one dict key
+        if self.B:
+            return hash((self.A, self.q, frozenset(self.B.items())))
+        return hash(Fraction(self.A, self.q))
 
     def __bool__(self):
-        return bool(self.r) or bool(self.terms)
+        return bool(self.A) or bool(self.B)
 
     def __float__(self):
-        return float(self.r) + sum(float(c) * math.sqrt(s) for s, c in self.terms.items())
+        return self.A / self.q + sum(b / self.q * math.sqrt(s) for s, b in self.B.items())
 
     def __repr__(self):
-        parts = [str(self.r)] if self.r or not self.terms else []
-        for s in sorted(self.terms):
-            parts.append("%s*sqrt(%d)" % (self.terms[s], s))
+        r, terms = self.r, self.terms
+        parts = [str(r)] if r or not terms else []
+        for s in sorted(terms):
+            parts.append("%s*sqrt(%d)" % (terms[s], s))
         return "Exact(%s)" % " + ".join(parts)
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
-        if not self.terms:
-            return {"kind": "rational", "num": self.r.numerator, "den": self.r.denominator}
-        if len(self.terms) == 1:
-            ((s, c),) = self.terms.items()
+        r, terms = self.r, self.terms
+        if not terms:
+            return {"kind": "rational", "num": r.numerator, "den": r.denominator}
+        if len(terms) == 1:
+            ((s, c),) = terms.items()
             return {
                 "kind": "surd",
-                "a": [self.r.numerator, self.r.denominator],
+                "a": [r.numerator, r.denominator],
                 "b": [c.numerator, c.denominator],
                 "s": s,
             }
         return {
             "kind": "sum",
-            "rational": [self.r.numerator, self.r.denominator],
+            "rational": [r.numerator, r.denominator],
             "terms": [
                 {"coeff": [c.numerator, c.denominator], "s": s}
-                for s, c in sorted(self.terms.items())
+                for s, c in sorted(terms.items())
             ],
         }
 
@@ -329,15 +374,18 @@ def floor_mult(x: Exact, m: int) -> int:
     """[m*x], exact."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if len(x.terms) > 1:
+    B = x.B
+    if not B:
+        return m * x.A // x.q
+    if len(B) > 1:
         # several radicands: m*x is irrational, so some enclosure of it lies
         # strictly between two consecutive integers
         for lo, hi, den in _enclosures(x, m):
             k = lo // den
             if hi < (k + 1) * den:
                 return k
-    A, B, s, q = x.int_form
-    A, B = m * A, m * B
+    [(s, b)] = B.items()
+    A, B, q = m * x.A, m * b, x.q
     # guess from integer sqrt, then certify k <= m*x < k+1
     if B >= 0:
         k = (A + math.isqrt(B * B * s)) // q
@@ -353,7 +401,7 @@ def floor_mult(x: Exact, m: int) -> int:
 def ceil_mult(x: Exact, m: int) -> int:
     """E(m*x) = min{k in Z | k >= m*x}, exact."""
     f = floor_mult(x, m)
-    if not x.terms and (m * x.r.numerator) % x.r.denominator == 0:
+    if not x.B and (m * x.A) % x.q == 0:
         return f
     return f + 1
 
@@ -379,19 +427,19 @@ def is_near_lattice(x: Exact, m: int, delta: Fraction) -> Lattice:
     (r*(k + 1) - p)*q: one integer comparison per band.  Values with several
     radicands have no such form and compare {m*x} itself.
     """
-    if not isinstance(delta, Fraction):
-        delta = Fraction(delta)
+    if not isinstance(delta, Fraction):  # a float is no exact band
+        raise TypeError("delta must be a Fraction, not %s" % type(delta).__name__)
     p, r = delta.numerator, delta.denominator
     if not 0 < 2 * p < r:
         raise ValueError("delta must lie in (0, 1/2)")
-    if len(x.terms) > 1:
+    if len(x.B) > 1:
         f = frac_mult(x, m)
         if f < delta:
             return Lattice.LOW
         if f > 1 - delta:
             return Lattice.HIGH
         return Lattice.INTERIOR
-    A, B, s, q = x.int_form
+    (s, B), A, q = _single(x.B), x.A, x.q
     k = floor_mult(x, m)
     if B == 0 and m * A == k * q:
         return Lattice.ZERO

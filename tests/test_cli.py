@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cijt import engine, iteration
 from cijt.cli import CliError, load_dataset, main
 from test_scalars import time_limit
 
@@ -219,6 +221,53 @@ class TestVerify:
             capsys, "verify", ds("s2_elliptic"), "--theorem", "1.5"
         )
         assert code == 2 and "rejected" in err
+
+
+class TestFormatFlag:
+    @pytest.mark.parametrize("argv", [
+        ("resonance", ds("s2_elliptic")),
+        ("cijt", ds("single_sqrt2")),
+        ("verify", ds("s2_elliptic"), "--theorem", "1.1"),
+    ])
+    def test_only_tables_take_format(self, capsys, argv):
+        """--format tsv printed the same JSON on these commands, so they refuse it."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "tsv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+
+class TestBuildOnce:
+    """Each path's search constants and mean index are built once per run."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"path_data": 0, "mean": 0}
+        init, mean = engine._PathData.__init__, iteration.PathClass.mean.func
+
+        def counting_init(self, *args):
+            counts["path_data"] += 1
+            init(self, *args)
+
+        def counting_mean(self):
+            counts["mean"] += 1
+            return mean(self)
+
+        prop = functools.cached_property(counting_mean)
+        prop.__set_name__(iteration.PathClass, "mean")
+        monkeypatch.setattr(engine._PathData, "__init__", counting_init)
+        monkeypatch.setattr(iteration.PathClass, "mean", prop)
+        return counts
+
+    def test_theorem_1_5(self, capsys, counts):
+        code, _, _ = run(capsys, "verify", ds("s3_elliptic"), "--theorem", "1.5")
+        assert code == 0
+        assert counts == {"path_data": 5, "mean": 5}  # five records
+
+    def test_opposite_vertex(self, capsys, counts):
+        code, _, _ = run(capsys, "cijt", ds("single_sqrt2"), "--vertex", "opposite")
+        assert code == 0
+        assert counts == {"path_data": 1, "mean": 1}
 
 
 class TestInternalError:

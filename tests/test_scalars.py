@@ -12,6 +12,7 @@ from cijt.scalars import (
     Exact,
     Lattice,
     _enclosures,
+    _squarefree_split,
     ceil_mult,
     floor_mult,
     frac_mult,
@@ -25,6 +26,8 @@ fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
 )
 surd_bases = st.sampled_from([2, 3, 5, 7, 10, 13, 6])
+# radicands whose products share primes: sqrt6*sqrt10 = 2*sqrt15
+shared_primes = st.sampled_from([2, 3, 6, 5, 10, 15, 30, 7])
 # small iterates and ones far beyond float precision (m*x near 2**53 and up)
 multipliers = st.one_of(st.integers(1, 500), st.integers(1, 10**15))
 
@@ -63,11 +66,90 @@ def convergent_below(s, max_den):
 
 
 @st.composite
-def exacts(draw, max_terms=2):
+def exacts(draw, max_terms=2, bases=surd_bases):
     x = Exact(draw(fractions))
     for _ in range(draw(st.integers(0, max_terms))):
-        x = x + Exact.surd(0, draw(fractions), draw(surd_bases))
+        x = x + Exact.surd(0, draw(fractions), draw(bases))
     return x
+
+
+class FractionOracle:
+    """r + sum_s c_s*sqrt(s) with Fraction r and c_s: Exact's arithmetic as it
+    was before Exact held integers, kept to check the integer kernel."""
+
+    def __init__(self, r, terms=None):
+        self.r = Fraction(r)
+        self.terms = {s: c for s, c in (terms or {}).items() if c != 0}
+
+    @staticmethod
+    def of(x: Exact) -> "FractionOracle":
+        return FractionOracle(x.r, x.terms)
+
+    def __eq__(self, other):
+        return self.r == other.r and self.terms == other.terms
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for s, c in other.terms.items():
+            terms[s] = terms.get(s, Fraction(0)) + c
+        return FractionOracle(self.r + other.r, terms)
+
+    def __neg__(self):
+        return FractionOracle(-self.r, {s: -c for s, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        r, terms = self.r * other.r, {}
+        for s, c in self.terms.items():
+            terms[s] = terms.get(s, 0) + c * other.r
+        for s, c in other.terms.items():
+            terms[s] = terms.get(s, 0) + c * self.r
+        for s1, c1 in self.terms.items():
+            for s2, c2 in other.terms.items():
+                if s1 == s2:
+                    r += c1 * c2 * s1
+                else:
+                    g = math.gcd(s1, s2)
+                    k = (s1 // g) * (s2 // g)
+                    terms[k] = terms.get(k, 0) + c1 * c2 * g
+        return FractionOracle(r, terms)
+
+    def inverse(self) -> "FractionOracle":
+        if not self.terms:
+            return FractionOracle(1 / self.r)
+        b = max(self.terms)
+        for t in self.terms:
+            if math.gcd(t, b) > 1:
+                b = math.gcd(t, b)
+        P = FractionOracle(self.r, {t: c for t, c in self.terms.items() if t % b})
+        Q = FractionOracle(
+            self.terms.get(b, 0),
+            {t // b: c for t, c in self.terms.items() if t % b == 0 and t != b},
+        )
+        denominator = P * P - Q * Q * FractionOracle(b)
+        return (P - Q * FractionOracle(0, {b: 1})) * denominator.inverse()
+
+    def sign(self) -> int:
+        """Zero only with every coefficient zero (the roots of distinct
+        squarefree integers are independent over Q); else 400-digit decimals."""
+        if not self.r and not self.terms:
+            return 0
+        with decimal.localcontext(decimal.Context(prec=400)):
+            def dec(f):
+                return decimal.Decimal(f.numerator) / f.denominator
+
+            value = dec(self.r) + sum(dec(c) * decimal.Decimal(s).sqrt()
+                                      for s, c in self.terms.items())
+            assert abs(value) > decimal.Decimal(10) ** -300, "oracle cannot decide"
+            return 1 if value > 0 else -1
+
+
+def assert_normal(x: Exact):
+    """(A + sum B_s*sqrt(s))/q in lowest terms, q > 0, squarefree s > 1."""
+    assert x.q > 0 and math.gcd(x.A, x.q, *x.B.values()) == 1
+    assert all(b != 0 and s > 1 and _squarefree_split(s)[0] == 1 for s, b in x.B.items())
 
 
 class TestConstruction:
@@ -83,6 +165,52 @@ class TestConstruction:
     def test_zero_coefficient_drops_term(self):
         assert Exact.surd(3, 0, 7).is_rational
 
+    def test_integer_form(self):
+        """Held as (A + sum B_s*sqrt(s))/q in lowest terms with q > 0."""
+        x = Exact(Fraction(-2, 4), {2: Fraction(3, -6), 7: Fraction(1, 3)})
+        assert (x.A, x.B, x.q) == (-3, {2: -3, 7: 2}, 6)
+        assert x.r == Fraction(-1, 2) and x.terms == {2: Fraction(-1, 2), 7: Fraction(1, 3)}
+        assert (Exact(6, {2: 4}) / 2).B == {2: 2}
+
+    def test_floats_refused(self):
+        """A float is no exact value: it is refused, not converted."""
+        refused = [
+            lambda: Exact(0.1),
+            lambda: Exact(0, {2: 0.5}),
+            lambda: Exact.surd(0.5, 1, 2),
+            lambda: SQRT2M1 + 0.5,
+            lambda: SQRT2M1 * 0.5,
+            lambda: SQRT2M1 / 0.5,
+            lambda: 0.5 - SQRT2M1,
+            lambda: SQRT2M1 < 0.5,
+            lambda: is_near_lattice(Exact.surd(0, 1, 2), 5, 0.01),
+        ]
+        for make in refused:
+            with pytest.raises(TypeError):
+                make()
+
+    def test_hash_agrees_with_eq(self):
+        """Equal values hash equal, whatever route built them."""
+        sqrt2, sqrt3 = Exact.surd(0, 1, 2), Exact.surd(0, 1, 3)
+        x = Exact.surd(2, -3, 5)
+        pairs = [
+            (Exact(1), 1),
+            (Exact(Fraction(6, 4)), Fraction(3, 2)),
+            (Exact.surd(0, 1, 9), 3),
+            (Exact.surd(0, 1, 8), Exact.surd(0, 2, 2)),
+            (Exact(0, {8: 1}), Exact.surd(0, 2, 2)),
+            (Exact(1, {4: Fraction(1, 2)}), 2),
+            (Exact.surd(0, 1, 12), sqrt3 * 2),
+            (x * x, Exact.surd(49, -12, 5)),
+            (sqrt2 * sqrt3, Exact.surd(0, 1, 6)),
+            (Exact(1) / SQRT2M1, Exact.surd(1, 1, 2)),
+            ((sqrt2 + sqrt3) - sqrt3, sqrt2),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b), (a, b)
+        assert {Exact(1): "v"}.get(1) == "v"
+        assert {Fraction(1, 2): "v"}.get(Exact(Fraction(1, 2))) == "v"
+
 
 class TestArithmetic:
     def test_division_by_conjugation(self):
@@ -97,10 +225,32 @@ class TestArithmetic:
         x = Exact.surd(2, -3, 5)
         assert x * x == Exact.surd(49, -12, 5)
 
-    @given(exacts(), exacts())
-    @settings(max_examples=150, deadline=None)
-    def test_mul_matches_float(self, a, b):
-        assert float(a * b) == pytest.approx(float(a) * float(b), rel=1e-9, abs=1e-9)
+    @given(
+        exacts(max_terms=4, bases=shared_primes),
+        exacts(max_terms=4, bases=shared_primes),
+        multipliers,
+    )
+    @example(Exact.surd(0, 1, 6) - Exact.surd(0, 1, 2),
+             Exact(1) + Exact.surd(0, 1, 2) + Exact.surd(0, 1, 3) + Exact.surd(0, 1, 5), 10**15)
+    @example(Exact.surd(0, 1, 8), Exact.surd(0, 2, 2), 7)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_oracle(self, a, b, m):
+        """+, -, *, /, comparisons and floor_mult equal the Fraction oracle's,
+        on up to four radicands sharing primes (sqrt2*sqrt3 = sqrt6), and every
+        result is in normal form."""
+        oa, ob = FractionOracle.of(a), FractionOracle.of(b)
+        results = [(a + b, oa + ob), (a - b, oa - ob), (a * b, oa * ob)]
+        if b:
+            with time_limit(10):
+                results.append((a / b, oa * ob.inverse()))
+        for got, want in results:
+            assert_normal(got)
+            assert FractionOracle.of(got) == want
+        d = (oa - ob).sign()
+        assert (a < b, a <= b, a == b, a > b, a >= b) == (d < 0, d <= 0, d == 0, d > 0, d >= 0)
+        ma = oa * FractionOracle(m)
+        k = floor_mult(a, m)
+        assert (ma - FractionOracle(k)).sign() >= 0 > (ma - FractionOracle(k + 1)).sign()
 
     @given(exacts(max_terms=4))
     @example(Exact(1) + Exact.surd(0, 1, 2) + Exact.surd(0, 1, 3) + Exact.surd(0, 1, 5))
