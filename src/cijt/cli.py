@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .normal_forms import N2, R, SymplecticClass, block_from_json
+from .normal_forms import SymplecticClass, block_from_json
 from .iteration import PathClass, index_iterate, path_nullity
 from .engine import (
     NotFoundWithinBound,
@@ -126,6 +126,16 @@ def load_dataset(path: str) -> GeodesicDataset:
         raise CliError(
             "invalid dataset: dataset.options is %s, not an object" % json.dumps(options)
         )
+    for key, value in options.items():
+        if key != "bumpy":
+            raise CliError(
+                "invalid dataset: dataset.options has the key %s; bumpy is the only option"
+                % json.dumps(key)
+            )
+        if not isinstance(value, bool):
+            raise CliError(
+                "invalid dataset: dataset.options.bumpy is %s, not true or false" % json.dumps(value)
+            )
     try:
         shape = CohomologyShape(doc["shape"]["d"], doc["shape"]["n"])
         records = tuple(
@@ -163,14 +173,7 @@ def _parse_vertex(spec: str, dataset: GeodesicDataset):
     if not set(bits) <= {"0", "1"}:
         raise CliError("vertex bits must be 0/1")
     q = len(dataset.records)
-    counts = [
-        sum(
-            1
-            for b in r.path.monodromy.blocks
-            if isinstance(b, (R, N2)) and not b.theta.is_rational
-        )
-        for r in dataset.records
-    ]
+    counts = [len(r.path.bit_angles) for r in dataset.records]
     if len(bits) != q + sum(counts):
         raise CliError(
             "vertex needs %d bits (%d chi + %d angle)" % (q + sum(counts), q, sum(counts))

@@ -63,14 +63,13 @@ def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Fraction:
     half = Exact(Fraction(1, 2))
     best: Exact = half
     for p in paths:
-        for b in p.monodromy.blocks:
-            if isinstance(b, (R, N2)) and not b.theta.is_rational:
-                ht = b.theta * half
-                for h in range(1, m_bar + 1):
-                    f = frac_mult(ht, h)
-                    for cand in (f, 1 - f):
-                        if cand < best:
-                            best = cand
+        for t in p.bit_angles:
+            ht = t * half
+            for h in range(1, m_bar + 1):
+                f = frac_mult(ht, h)
+                for cand in (f, 1 - f):
+                    if cand < best:
+                        best = cand
     if best.is_rational:
         return best.r
     # rational below the surd minimum, denominator <= 10**6: the floor is
@@ -205,13 +204,7 @@ class _PathData:
         # u = 1 / (Mbar * ihat): chi component of the torus vector
         self.u = 1 / (self.mean * m_bar_period)
         self.u_pinned = self.u.is_rational
-        # one representative irrational angle per R/N2 block, in block order:
-        # these carry the vertex bits; conjugates follow automatically
-        self.bit_angles = [
-            b.theta
-            for b in path.monodromy.blocks
-            if isinstance(b, (R, N2)) and not b.theta.is_rational
-        ]
+        self.bit_angles = path.bit_angles
 
     def I(self, m: int) -> int:
         """m*rho + sum of E(m*theta/pi) * S^-, i.e. (i(2m) + S^+ + C) / 2."""

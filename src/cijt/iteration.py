@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .scalars import Exact, ceil_mult, floor_mult
-from .normal_forms import SymplecticClass, nullity, s_plus_one, unit_angles
+from .normal_forms import N2, R, SymplecticClass, nullity, s_plus_one, unit_angles
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,17 @@ class PathClass:
         for half_theta, w in minus:
             out = out + half_theta * (2 * w)
         return out
+
+    @cached_property
+    def bit_angles(self) -> tuple[Exact, ...]:
+        """theta/pi of each R or N2 block with irrational theta, in block
+        order: one representative angle per block, carrying a vertex bit of
+        the tuple search (its conjugate follows)."""
+        return tuple(
+            b.theta
+            for b in self.monodromy.blocks
+            if isinstance(b, (R, N2)) and not b.theta.is_rational
+        )
 
     def rho(self) -> int:
         sp, c, _ = self.spectral

@@ -4,7 +4,8 @@ Rotation numbers theta/pi, mean indices and every derived quantity live in
 this field, so floors, fractional parts and comparisons of integer multiples
 are decided by integer arithmetic (never by floating point).  Each value is
 held as integers (A, {s: B_s}, q) with value (A + sum_s B_s*sqrt(s))/q, and
-every operation works on those integers.
+every operation works on those integers.  One integer floor of such a form
+decides every sign, comparison, floor and lattice band.
 """
 
 from __future__ import annotations
@@ -48,29 +49,48 @@ def _rational(x) -> tuple[int, int]:
     raise TypeError("expected an int or Fraction, not %s" % type(x).__name__)
 
 
-def _enclosures(x: Exact, m: int = 1):
-    """Integers (lo, hi, den) with lo < m*x*den < hi, at 64, 128, 256, ... bits.
+def _enclosure(A: int, terms, q: int, m: int, bits: int) -> tuple[int, int, int]:
+    """Integers (lo, hi, den) enclosing m*(A + sum b*sqrt(s))*den/q at `bits`
+    bits, over the pairs (s, b) of `terms`: s squarefree > 1 and b != 0.
 
-    For x with radicands, written (A + sum_i B_i*sqrt(s_i))/q in integers:
-    den = q*2**bits, and each B_i*sqrt(s_i)*2**bits lies strictly between
-    two consecutive integers, so hi - lo is the number of radicands.  Square roots of
-    distinct squarefree integers are linearly independent over Q
-    (Besicovitch, J. London Math. Soc. 15 (1940)), so m*x is irrational and
-    the enclosures come to exclude any given integer.
+    den = q*2**bits, and each m*b*sqrt(s)*2**bits lies strictly between two
+    consecutive integers, so hi - lo is the number of radicands: lo = hi is
+    the value itself when there is none, and otherwise lo < value*den < hi.
     """
-    A, q = m * x.A, x.q
-    terms = [(m * B, s) for s, B in x.B.items()]
-    bits = 64
+    lo = hi = m * A << bits
+    for s, b in terms:
+        root = math.isqrt(b * b * s * m * m << 2 * bits)  # root < |m*b|*sqrt(s)*2**bits
+        if b > 0:
+            lo, hi = lo + root, hi + root + 1
+        else:
+            lo, hi = lo - root - 1, hi - root
+    return lo, hi, q << bits
+
+
+def _floor(A: int, terms, q: int, m: int = 1) -> int:
+    """[m*(A + sum b*sqrt(s))/q], q > 0, from the first enclosure at 0, 64,
+    128, 256, ... bits that lies within one step [k, k + 1).
+
+    A rational value or one radicand ends at 0 bits, where hi - lo is 0 or 1.
+    With several, the value is irrational (square roots of distinct
+    squarefree integers are linearly independent over Q: Besicovitch,
+    J. London Math. Soc. 15 (1940)), so the enclosures come to exclude
+    every integer.
+    """
+    bits = 0
     while True:
-        lo = hi = A << bits
-        for B, s in terms:
-            root = math.isqrt(B * B * s << 2 * bits)  # root < |B|*sqrt(s)*2**bits
-            if B > 0:
-                lo, hi = lo + root, hi + root + 1
-            else:
-                lo, hi = lo - root - 1, hi - root
-        yield lo, hi, q << bits
-        bits *= 2
+        lo, hi, den = _enclosure(A, terms, q, m, bits)
+        k = lo // den
+        if hi <= (k + 1) * den:
+            return k
+        bits = 2 * bits or 64
+
+
+def _sign(A: int, terms) -> int:
+    """Sign of A + sum b*sqrt(s); with radicands the value is not 0."""
+    if not terms:
+        return (A > 0) - (A < 0)
+    return 1 if _floor(A, terms, 1) >= 0 else -1
 
 
 def _lowest(A: int, B: dict[int, int], q: int) -> tuple[int, dict[int, int], int]:
@@ -249,14 +269,7 @@ class Exact:
     # -- exact sign and comparisons ----------------------------------------
 
     def sign(self) -> int:
-        if len(self.B) <= 1:
-            s, b = _single(self.B)  # q > 0 leaves the sign alone
-            return _cmp_single(self.A, b, s, 0)
-        for lo, hi, _ in _enclosures(self):  # nonzero, so some lo > 0 or hi < 0
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
+        return _sign(self.A, self.B.items())  # q > 0 leaves the sign alone
 
     def __eq__(self, other):
         o = _parts(other)
@@ -274,7 +287,8 @@ class Exact:
         if len(self.B) <= 1 and len(D) <= 1:
             (s, b), (t, d) = _single(self.B), _single(D)
             if not (b and d) or s == t:
-                return _cmp_single(self.A * r, b * r - d * self.q, s or t, C * self.q)
+                c = b * r - d * self.q
+                return _sign(self.A * r - C * self.q, ((s or t, c),) if c else ())
         return (self - other).sign()
 
     def __lt__(self, other):
@@ -354,48 +368,11 @@ class Exact:
 # -- floors / fractional parts of integer multiples -------------------------
 
 
-def _cmp_single(A: int, B: int, s: int, t: int) -> int:
-    """Sign of A + B*sqrt(s) - t, all integers."""
-    a = A - t
-    if B == 0:
-        return (a > 0) - (a < 0)
-    if a >= 0 and B > 0:
-        return 1
-    if a <= 0 and B < 0:
-        return -1
-    lhs, rhs = a * a, B * B * s
-    if lhs == rhs:
-        raise AssertionError("surd equals integer")
-    big_rational = lhs > rhs
-    return (1 if big_rational else -1) if a > 0 else (-1 if big_rational else 1)
-
-
 def floor_mult(x: Exact, m: int) -> int:
     """[m*x], exact."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    B = x.B
-    if not B:
-        return m * x.A // x.q
-    if len(B) > 1:
-        # several radicands: m*x is irrational, so some enclosure of it lies
-        # strictly between two consecutive integers
-        for lo, hi, den in _enclosures(x, m):
-            k = lo // den
-            if hi < (k + 1) * den:
-                return k
-    [(s, b)] = B.items()
-    A, B, q = m * x.A, m * b, x.q
-    # guess from integer sqrt, then certify k <= m*x < k+1
-    if B >= 0:
-        k = (A + math.isqrt(B * B * s)) // q
-    else:
-        k = (A - math.isqrt(B * B * s) - 1) // q
-    while _cmp_single(A, B, s, k * q) < 0:
-        k -= 1
-    while _cmp_single(A, B, s, (k + 1) * q) >= 0:
-        k += 1
-    return k
+    return _floor(x.A, x.B.items(), x.q, m)
 
 
 def ceil_mult(x: Exact, m: int) -> int:
@@ -422,30 +399,22 @@ def is_near_lattice(x: Exact, m: int, delta: Fraction) -> Lattice:
     """Classify {m*x} against the open bands (0, delta) and (1-delta, 1).
 
     Boundary hits {m*x} = delta or 1-delta are Interior (strict inequalities).
-    With x = (A + B*sqrt(s))/q, k = [m*x] and delta = p/r, {m*x} < delta is
-    r*m*A + r*m*B*sqrt(s) < (r*k + p)*q and {m*x} > 1 - delta compares with
-    (r*(k + 1) - p)*q: one integer comparison per band.  Values with several
-    radicands have no such form and compare {m*x} itself.
+    With delta = p/r, one floor K = [r*m*x] decides every band: r*m*x =
+    K + phi with phi in [0, 1), so {m*x} = (F + phi)/r for F = K mod r.
+    Then {m*x} < delta is F < p, {m*x} > 1 - delta is F + [phi > 0] > r - p,
+    and {m*x} = 0 is F = 0 with phi = 0, for any number of radicands.
     """
     if not isinstance(delta, Fraction):  # a float is no exact band
         raise TypeError("delta must be a Fraction, not %s" % type(delta).__name__)
     p, r = delta.numerator, delta.denominator
     if not 0 < 2 * p < r:
         raise ValueError("delta must lie in (0, 1/2)")
-    if len(x.B) > 1:
-        f = frac_mult(x, m)
-        if f < delta:
-            return Lattice.LOW
-        if f > 1 - delta:
-            return Lattice.HIGH
-        return Lattice.INTERIOR
-    (s, B), A, q = _single(x.B), x.A, x.q
-    k = floor_mult(x, m)
-    if B == 0 and m * A == k * q:
+    F = _floor(x.A, x.B.items(), x.q, r * m) % r
+    whole = not x.B and r * m * x.A % x.q == 0  # phi = 0
+    if whole and F == 0:
         return Lattice.ZERO
-    rmA, rmB = r * m * A, r * m * B
-    if _cmp_single(rmA, rmB, s, (r * k + p) * q) < 0:
+    if F < p:
         return Lattice.LOW
-    if _cmp_single(rmA, rmB, s, (r * (k + 1) - p) * q) > 0:
+    if F + (not whole) > r - p:
         return Lattice.HIGH
     return Lattice.INTERIOR

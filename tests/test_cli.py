@@ -319,6 +319,12 @@ class TestDatasetLoading:
         string_coeff["records"][0]["blocks"][0]["theta_over_pi"]["b"] = "1"
         short_pair = json.load(open(ds("single_sqrt2")))
         short_pair["records"][0]["blocks"][0]["theta_over_pi"]["a"] = [-1]
+        bumpy = {}
+        for label, value in (("null", None), ("0", 0), ("[]", []), ('"false"', "false")):
+            bumpy[label] = json.load(open(ds("s2_elliptic")))
+            bumpy[label]["options"] = {"bumpy": value}
+        unknown_option = json.load(open(ds("s2_elliptic")))
+        unknown_option["options"] = {"bumpy": True, "strict": False}
         cases = (
             ('{"version": 99}', "version"),
             ("[1, 2]", "JSON object"),
@@ -341,6 +347,11 @@ class TestDatasetLoading:
             (json.dumps(string_index), 'dataset.records[0].initial_index is "1"; strings'),
             (json.dumps(string_coeff), 'theta_over_pi.b is "1", not a pair of integers'),
             (json.dumps(short_pair), "theta_over_pi.a is [-1], not a pair of integers"),
+            *(
+                (json.dumps(doc), "dataset.options.bumpy is %s, not true or false" % label)
+                for label, doc in bumpy.items()
+            ),
+            (json.dumps(unknown_option), 'dataset.options has the key "strict"'),
         )
         for text, reason in cases:
             p = tmp_path / "bad.json"

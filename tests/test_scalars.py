@@ -1,6 +1,5 @@
 import contextlib
 import decimal
-import itertools
 import math
 import signal
 from fractions import Fraction
@@ -11,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from cijt.scalars import (
     Exact,
     Lattice,
-    _enclosures,
+    _enclosure,
     _squarefree_split,
     ceil_mult,
     floor_mult,
@@ -289,6 +288,10 @@ class TestSign:
         )
         assert x.sign() == 1 and (-x).sign() == -1
         assert Exact(0) < x < Exact(Fraction(1, 2**4000))
+        # the same hair above a nonzero integer: the floor must separate it
+        assert Exact(3) < x + 3 < Exact(3) + Fraction(1, 2**4000)
+        assert floor_mult(x + 3, 1) == 3 and ceil_mult(x + 3, 1) == 4
+        assert floor_mult(3 - x, 1) == 2
 
     @given(st.data(), surd_bases, fractions, fractions)
     @settings(max_examples=200, deadline=None)
@@ -312,20 +315,24 @@ class TestSign:
     @given(exacts(max_terms=4), multipliers)
     @settings(max_examples=150, deadline=None)
     def test_enclosures_hold_the_value(self, a, m):
-        """lo < m*a*den < hi at the first three precisions, against 400-digit
-        decimal square roots: each bound is off the value by a fraction of a
-        unit, so a bound rounded the wrong way shows on about half the draws."""
-        if len(a.terms) < 2:
-            return
+        """lo < m*a*den < hi at the first three precisions (0, 64 and 128
+        bits), against 400-digit decimal square roots: each bound is off the
+        value by a fraction of a unit, so a bound rounded the wrong way shows
+        on about half the draws.  One radicand gives hi - lo = 1, which
+        alone decides the floor."""
         with decimal.localcontext(decimal.Context(prec=400)):
             def dec(f):
                 return decimal.Decimal(f.numerator) / f.denominator
 
             value = m * (dec(a.r) + sum(dec(c) * decimal.Decimal(s).sqrt()
                                         for s, c in a.terms.items()))
-            for lo, hi, den in itertools.islice(_enclosures(a, m), 3):
+            for bits in (0, 64, 128):
+                lo, hi, den = _enclosure(a.A, a.B.items(), a.q, m, bits)
                 assert hi - lo == len(a.terms)
-                assert lo < value * den < hi
+                if a.terms:
+                    assert lo < value * den < hi
+                else:  # a rational enclosure is the value itself
+                    assert lo == hi == m * a.r * den
 
     @given(exacts())
     @settings(max_examples=150, deadline=None)
@@ -455,17 +462,21 @@ class TestLatticeOracle:
         st.integers(-(10**6), 10**6),
         deltas(),
         st.sampled_from([0, 1]),
-        st.sampled_from([2, 3, 5, 7]),
+        st.sampled_from(
+            [Exact.surd(-1, 1, s) for s in (2, 3, 5, 7)]
+            + [Exact.surd(-3, 1, 2) + Exact.surd(0, 1, 3)]
+        ),
         st.integers(0, 100),
         st.sampled_from([-1, 1]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_surds_next_to_boundaries(self, m, k, delta, side, s, digits, sign):
-        """{m*x} a hair under delta * 10**-digits from delta or 1 - delta, either side."""
+    def test_surds_next_to_boundaries(self, m, k, delta, side, base, digits, sign):
+        """{m*x} a hair under delta * 10**-digits from delta or 1 - delta, either
+        side; the hair has one radicand or two (sqrt2 + sqrt3 - 3)."""
         edge = delta if side == 0 else 1 - delta
-        # 0 < sqrt(s) - 1 < 2: the hair is shorter than delta, so {m*x}
+        # 0 < base < 2: the hair is shorter than delta, so {m*x}
         # stays within delta of the edge and away from 0 and 1
-        hair = Exact.surd(-1, 1, s) * (sign * delta / (2 * 10**digits))
+        hair = base * (sign * delta / (2 * 10**digits))
         x = (Exact(k + edge) + hair) * Fraction(1, m)
         got = is_near_lattice(x, m, delta)
         assert got is _bands_by_exact(x, m, delta)
