@@ -14,6 +14,7 @@ rejection, 3 search exhaustion, 4 internal error (a failed self-check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,6 +52,8 @@ class CliError(Exception):
         super().__init__(message)
         self.code = code
 
+
+_encode_str = json.encoder.encode_basestring_ascii  # the C function json.dumps uses
 
 _STRING_FIELDS = ("name", "type", "kind", "b_sign")
 _PAIR_FIELDS = ("a", "b", "rational", "coeff")
@@ -188,6 +191,41 @@ def _parse_vertex(spec: str, dataset: GeodesicDataset):
     return VertexSpec(chi, tuple(angle_bits))
 
 
+def _dumps(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), byte for byte, without its
+    pure-Python indenting encoder; a float or a non-str key raises TypeError."""
+    out = []
+    _write(doc, "\n", out.append)
+    return "".join(out)
+
+
+def _write(x, pad, append):
+    """Append the JSON of x; pad is the newline and indent of the line x starts
+    on.  (A closure would hold itself in a cycle and outlive the call.)"""
+    if isinstance(x, str):
+        append(_encode_str(x))
+    elif x is None or isinstance(x, bool):
+        append("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        append(int.__repr__(x))
+    elif isinstance(x, (list, tuple)):
+        inner, sep = pad + "  ", "["
+        for item in x:
+            append(sep + inner)
+            _write(item, inner, append)
+            sep = ","
+        append(pad + "]" if x else "[]")
+    elif isinstance(x, dict):
+        inner, sep = pad + "  ", "{"
+        for key in sorted(x):  # _encode_str refuses a key that is not a str
+            append(sep + inner + _encode_str(key) + ": ")
+            _write(x[key], inner, append)
+            sep = ","
+        append(pad + "}" if x else "{}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
+
+
 def _emit(doc, fmt: str = "json", tsv_rows=(), tsv_header=()):
     """Print doc as JSON, or, with fmt "tsv", the header and rows of its table."""
     try:
@@ -196,7 +234,7 @@ def _emit(doc, fmt: str = "json", tsv_rows=(), tsv_header=()):
             for row in tsv_rows:
                 print("\t".join(str(x) for x in row))
         else:
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            print(_dumps(doc))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe (`| head`): what is still buffered, and
@@ -299,7 +337,9 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if verdict.passed else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call, then reused: parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="cijt")
     sub = ap.add_subparsers(dest="command", required=True)
 

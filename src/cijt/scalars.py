@@ -314,7 +314,15 @@ class Exact:
         return bool(self.A) or bool(self.B)
 
     def __float__(self):
-        return self.A / self.q + sum(b / self.q * math.sqrt(s) for s, b in self.B.items())
+        """K/2**k for the exact floor K of value*2**k, with k raised until |K|
+        has 54 bits: a float sum of the terms can cancel to 0.0."""
+        k = 0
+        while True:
+            K = _floor(self.A, self.B.items(), self.q, 1 << k)
+            bits = abs(K).bit_length()
+            if bits >= 54 or not self:
+                return K / (1 << k)
+            k += 54 - bits if bits > 1 else k or 64
 
     def __repr__(self):
         r, terms = self.r, self.terms

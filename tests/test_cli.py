@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cijt import engine, iteration
+from cijt import cli, engine, iteration
 from cijt.cli import CliError, load_dataset, main
 from test_scalars import time_limit
 
@@ -268,6 +268,53 @@ class TestBuildOnce:
         code, _, _ = run(capsys, "cijt", ds("single_sqrt2"), "--vertex", "opposite")
         assert code == 0
         assert counts == {"path_data": 1, "mean": 1}
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_between_calls(self, capsys):
+        """A rejected argv between two equal calls leaves no trace in the second."""
+        argv = ("verify", ds("s2_elliptic"), "--theorem", "1.1")
+        first = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", ds("s2_elliptic"), "--theorem", "9"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert first[0] == 0 and run(capsys, *argv) == first
+
+    def test_import_builds_no_parser(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        probe = "import cijt.cli as c; print(c.build_parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+        assert out == "0\n"
+
+
+json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\u2028\xe9')))
+json_trees = st.recursive(
+    st.one_of(st.none(), st.booleans(), json_text, st.integers(),
+              st.integers(2**64, 2**200), st.integers(-(2**200), -(2**64))),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_text, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @given(json_trees)
+    @settings(max_examples=400, deadline=None)
+    def test_same_bytes_as_json_dumps(self, doc):
+        assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [1.5, {"x": [0.0]}, {1: 2}, {"a": {3: None}}])
+    def test_float_or_int_key_raises(self, doc):
+        with pytest.raises(TypeError):
+            cli._dumps(doc)
 
 
 class TestInternalError:

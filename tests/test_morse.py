@@ -11,7 +11,7 @@ import pytest
 from cijt.scalars import Exact, ceil_mult, floor_mult
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum
 from cijt.iteration import PathClass, index_bracket, index_iterate, mean_index
-from cijt.cli import load_dataset
+from cijt.cli import _dumps, load_dataset
 from cijt.engine import NotFoundWithinBound, SelectionProblem, find_tuple, opposite_tuple
 from cijt.loop_homology import CohomologyShape, resonance_constant
 from cijt.morse import (
@@ -48,7 +48,9 @@ GOLDEN = {
 
 
 def digest(verdict):
-    text = json.dumps(verdict.to_json(), indent=2, sort_keys=True)
+    doc = verdict.to_json()
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    assert _dumps(doc) == text  # the CLI prints these bytes
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -264,6 +264,14 @@ class TestArithmetic:
             assert a * (Exact(1) / a) == Exact(1)
 
 
+def decimal_value(a):
+    """a as a Decimal, in the current decimal context."""
+    def dec(f):
+        return decimal.Decimal(f.numerator) / f.denominator
+
+    return dec(a.r) + sum(dec(c) * decimal.Decimal(s).sqrt() for s, c in a.terms.items())
+
+
 class TestSign:
     def test_single_surd_sign(self):
         assert SQRT2M1.sign() == 1
@@ -321,11 +329,7 @@ class TestSign:
         on about half the draws.  One radicand gives hi - lo = 1, which
         alone decides the floor."""
         with decimal.localcontext(decimal.Context(prec=400)):
-            def dec(f):
-                return decimal.Decimal(f.numerator) / f.denominator
-
-            value = m * (dec(a.r) + sum(dec(c) * decimal.Decimal(s).sqrt()
-                                        for s, c in a.terms.items()))
+            value = m * decimal_value(a)
             for bits in (0, 64, 128):
                 lo, hi, den = _enclosure(a.A, a.B.items(), a.q, m, bits)
                 assert hi - lo == len(a.terms)
@@ -340,6 +344,35 @@ class TestSign:
         f = float(a)
         if abs(f) > 1e-6:
             assert a.sign() == (1 if f > 0 else -1)
+
+
+# sqrt(s) - p/q for a convergent p/q below it, times a rational: down to 2**-400
+hair_widths = st.builds(
+    lambda s, bits, c: Exact.surd(-convergent_below(s, 2**bits), 1, s) * c,
+    st.sampled_from([2, 3, 5, 7]), st.integers(1, 200), fractions.filter(bool),
+)
+
+
+class TestFloat:
+    def test_convergent_gap(self):
+        """225058681*sqrt2 - 318281039: its terms summed in floats cancel to 0.0."""
+        x = Exact.surd(-318281039, 225058681, 2)
+        with decimal.localcontext(decimal.Context(prec=50)):
+            want = decimal_value(x)
+        assert "%.15g" % float(x) == "%.15g" % want == "1.57093869484321e-09"
+        assert float(-x) < 0
+
+    def test_zero_and_large(self):
+        assert float(Exact(0)) == 0.0
+        assert float(Exact.surd(10**300, 1, 2)) == 1e300
+        assert math.isclose(float(Exact.surd(0, 10**300, 2)), 10**300 * math.sqrt(2), rel_tol=2**-50)
+
+    @given(st.one_of(exacts(max_terms=3), hair_widths, st.tuples(hair_widths, hair_widths).map(sum)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_decimal_oracle(self, a):
+        with decimal.localcontext(decimal.Context(prec=400)):
+            want = decimal_value(a)
+            assert abs(decimal.Decimal(float(a)) - want) <= abs(want) * decimal.Decimal(2) ** -50
 
 
 class TestFloors:
