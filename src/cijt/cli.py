@@ -117,11 +117,13 @@ def load_dataset(path: str) -> GeodesicDataset:
     try:
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise CliError("dataset must be a JSON object")
+        _check_fields(doc)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError("cannot read dataset %s: %s" % (path, exc))
-    if not isinstance(doc, dict):
-        raise CliError("dataset must be a JSON object")
-    _check_fields(doc)
+    except RecursionError:
+        raise CliError("invalid dataset: %s nests lists or objects too deeply" % path)
     if doc.get("version") != 1:
         raise CliError("unsupported dataset version: %r" % doc.get("version"))
     options = doc.get("options", {})

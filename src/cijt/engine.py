@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Exact, Lattice, ceil_mult, floor_mult, frac_mult, is_near_lattice
+from .scalars import Exact, Lattice, floor_mult, frac_mult, is_near_lattice
 from .normal_forms import N1, N2, R, m_check
-from .iteration import PathClass, index_bracket, index_iterate, mean_index, path_nullity
+from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index, path_nullity
 
 
 class NonPositiveMeanIndex(ValueError):
@@ -368,7 +368,6 @@ def find_tuple(
     # generator path: the one with the most lattice conditions (sparsest hits)
     gen = max(range(len(data)), key=lambda i: len(data[i].bit_angles))
     g = data[gen]
-    others = [i for i in range(len(data)) if i != gen]
 
     def accept(N: int):
         if N < max(1, min_N) or N > problem.N_bound or N % problem.N_multiple_of:
@@ -392,43 +391,37 @@ def find_tuple(
 
     best: Optional[CijtTuple] = None
     best_residual = None
+    want_bits = vertex.angle_bits[gen] if vertex is not None else None
 
+    # an accepted tuple has m_gen = ([u*N] + chi) * Mbar with chi in {0, 1}:
+    # step k = m_gen / Mbar over [k_lo, k_cap] from hit to hit of one angle
+    def k_max(N: int) -> int:
+        return floor_mult(g.u, N) + 1 if N >= 1 else 0
+
+    k_lo = max(1, floor_mult(g.u, max(1, min_N)))
+    k_cap = k_max(problem.N_bound)
     if g.bit_angles:
-        want_bits = vertex.angle_bits[gen] if vertex is not None else None
-        # an accepted tuple has m_gen = ([u*N] + chi) * Mbar with chi in {0, 1}:
-        # step k = m_gen / Mbar over [k_lo, k_cap] from hit to hit of one angle
-        def k_max(N: int) -> int:
-            return floor_mult(g.u, N) + 1 if N >= 1 else 0
-
-        k_lo = max(1, floor_mult(g.u, max(1, min_N)))
-        k_cap = k_max(problem.N_bound)
         M, next_hit = _hit_stepper(g.bit_angles[0], mbar, k_cap, delta)
-        h = delta.numerator * M // delta.denominator
-        bit = want_bits[0] if want_bits else None
-        k = next_hit(k_lo, h, bit)
-        while k is not None and k <= k_cap:
-            m = k * mbar
-            bits = g.classify_bits(m, delta)
-            if bits is not None and (want_bits is None or bits == want_bits):
-                d = g.delta_count(m, delta)
-                N = g.I(m) - d
-                cand = accept(N)
-                if cand is not None and (best is None or cand.N < best.N):
-                    if cand.m[gen] == m:
-                        best = cand
-                        # a later m can only help with N <= best.N - 1
-                        k_cap = k_max(N - 1)
-            k = next_hit(k + 1, h, bit)
-        if best is None and k_lo <= k_cap:
-            best_residual = float(_least_residual(g.bit_angles, mbar, k_lo, k_cap, M, next_hit))
-    else:
-        # no lattice conditions on any path beyond rational periodicity
-        start = max(1, min_N)
-        start += (-start) % problem.N_multiple_of
-        for N in range(start, problem.N_bound + 1, problem.N_multiple_of):
-            best = accept(N)
-            if best is not None:
-                break
+    else:  # no lattice condition on any path: every k is a hit
+        M, next_hit = 1, lambda k, h, bit: k
+    h = delta.numerator * M // delta.denominator
+    bit = want_bits[0] if want_bits else None
+    k = next_hit(k_lo, h, bit)
+    while k is not None and k <= k_cap:
+        m = k * mbar
+        bits = g.classify_bits(m, delta)
+        if bits is not None and (want_bits is None or bits == want_bits):
+            d = g.delta_count(m, delta)
+            N = g.I(m) - d
+            cand = accept(N)
+            if cand is not None and (best is None or cand.N < best.N):
+                if cand.m[gen] == m:
+                    best = cand
+                    # a later m can only help with N <= best.N - 1
+                    k_cap = k_max(N - 1)
+        k = next_hit(k + 1, h, bit)
+    if best is None and g.bit_angles and k_lo <= k_cap:
+        best_residual = float(_least_residual(g.bit_angles, mbar, k_lo, k_cap, M, next_hit))
 
     if best is None:
         raise NotFoundWithinBound(
@@ -459,7 +452,7 @@ def verify_tuple(t: CijtTuple, problem: SelectionProblem) -> VerificationReport:
     """Re-derive the index/nullity identities of the jump interval from scratch."""
     checks: list[CheckRecord] = []
     for k, (path, m_k) in enumerate(zip(problem.paths, t.m)):
-        sp, c, _ = path.spectral
+        sp = path.spectral[0]
         mc = m_check(path.monodromy)
         nu1 = path_nullity(path, 1)
         two_n = 2 * t.N
@@ -497,7 +490,7 @@ def verify_tuple(t: CijtTuple, problem: SelectionProblem) -> VerificationReport:
             CheckRecord(
                 k, 0, "index(2m)",
                 index_iterate(path, 2 * m_k),
-                two_n - (sp + c - 2 * t.Delta[k]),
+                jump_index(path, t.N, t.Delta[k]),
             )
         )
     return VerificationReport(tuple(checks))
@@ -534,14 +527,11 @@ def m_bar_for_geodesics(paths: Sequence[PathClass], d: int, n: int) -> int:
     """max over paths of the least m with i(c^m) >= i(c) + 2(dn-1)."""
     out = 1
     for p in paths:
-        ihat = mean_index(p)
-        if not ihat > 0:
+        if not mean_index(p) > 0:
             raise NonPositiveMeanIndex("path %r has mean index <= 0" % (p,))
         target = p.i1 + 2 * (d * n - 1)
-        # i(c^m) >= m*ihat + lo >= target from m = stop on
-        lo, _ = index_bracket(p)
-        stop = ceil_mult((target - lo) / ihat, 1)
-        for m in range(1, stop + 1):
+        may, sure = index_window(p, target)
+        for m in range(may.start, sure.start + 1):
             if index_iterate(p, m) >= target:
                 out = max(out, m)
                 break

@@ -9,6 +9,7 @@ table in normal_forms.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -98,15 +99,33 @@ def mean_index(p: PathClass) -> Exact:
 
 
 def index_bracket(p: PathClass) -> tuple[int, int]:
-    """(lo, hi) with lo <= i(gamma, m) - m*ihat < hi for every m >= 1.
-
-    By the precise formula, i(gamma, m) - m*ihat = -(S^+ + C) plus a sum of
-    2w(E(m*x) - m*x) over the weighted angles x = theta/2pi, and each such
-    term lies in [0, 2w).  So lo = -(S^+ + C) and hi = lo + 2C; with C = 0 the
-    difference is exactly lo, and hi = lo + 1 keeps the bracket half-open.
-    This is the mean-index estimate behind the common index jump theorem
-    (Long-Zhu, Ann. of Math. 155 (2002)).
-    """
+    """(lo, hi) with lo <= i(gamma, m) - m*ihat < hi for every m >= 1, the
+    mean-index estimate of the common index jump theorem (Long-Zhu, Ann. of
+    Math. 155 (2002)): i(gamma, m) - m*ihat is -(S^+ + C) plus 2w(E(m*x) - m*x)
+    in [0, 2w) per weighted angle x, so hi = lo + 2C, or lo + 1 when C = 0."""
     sp, c, _ = p.spectral
     lo = -(sp + c)
     return lo, lo + max(2 * c, 1)
+
+
+def index_window(p: PathClass, a: int | None = None, b: int | None = None) -> tuple[range, range]:
+    """(may, sure): the m >= 1 that may have a <= i(gamma, m) <= b and those
+    that surely do, by ``index_bracket``; None leaves a side open, and an open
+    top ends both ranges at sys.maxsize.  For a <= b, sure lies inside may."""
+    inv = 1 / p.mean
+    lo, hi = index_bracket(p)
+    may_start = sure_start = 1
+    may_stop = sure_stop = sys.maxsize
+    if a is not None:  # i >= a for all m >= (a - lo)/ihat, for no m <= (a - hi)/ihat
+        may_start = max(1, floor_mult(inv * (a - hi), 1) + 1)
+        sure_start = max(1, ceil_mult(inv * (a - lo), 1))
+    if b is not None:  # i <= b for all m <= (b + 1 - hi)/ihat, for no m > (b - lo)/ihat
+        may_stop = floor_mult(inv * (b - lo), 1) + 1
+        sure_stop = floor_mult(inv * (b + 1 - hi), 1) + 1
+    return range(may_start, may_stop), range(sure_start, max(sure_start, sure_stop))
+
+
+def jump_index(p: PathClass, N: int, delta: int) -> int:
+    """The jump identity i(gamma, 2m_k) = 2N - (S^+ + C - 2*Delta_k), delta = Delta_k."""
+    sp, c, _ = p.spectral
+    return 2 * N - (sp + c - 2 * delta)

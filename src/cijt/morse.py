@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .scalars import Exact, ceil_mult, floor_mult
-from .normal_forms import crossing_sum, is_hyperbolic, validate_bumpy
-from .iteration import PathClass, index_bracket, index_iterate, mean_index
+from .scalars import Exact
+from .normal_forms import is_hyperbolic, validate_bumpy
+from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index
 from .engine import (
     CijtTuple,
     SelectionProblem,
@@ -136,21 +136,6 @@ class JumpCensus:
         }
 
 
-def _open_offsets(path: PathClass, two_n: int, m_k: int, margin: int) -> tuple[range, range]:
-    """Offsets m of the window iterates 2m_k - m and 2m_k + m left open by the bracket.
-
-    From lo <= i(c^j) - j*ihat < hi: i(c^j) <= 2N - margin for every
-    j <= floor((2N - margin + 1 - hi)/ihat), and i(c^j) >= 2N + margin for
-    every j >= ceil((2N + margin - lo)/ihat).  Only the iterates in between
-    need ``index_iterate``.
-    """
-    ihat = mean_index(path)
-    lo, hi = index_bracket(path)
-    below = floor_mult((two_n - margin + 1 - hi) / ihat, 1)
-    above = ceil_mult((two_n + margin - lo) / ihat, 1)
-    return range(1, min(2 * m_k, 2 * m_k - below)), range(1, min(2 * m_k + 1, above - 2 * m_k))
-
-
 def jump_census(
     dataset: GeodesicDataset, t: CijtTuple, margin: int = 1
 ) -> JumpCensus:
@@ -159,10 +144,9 @@ def jump_census(
     Counts only records with i(c^{2m_k}) - i(c) even (the ones whose top
     iterate carries a critical module).  The window inequalities around the
     jump, i(c^j) <= 2N - margin for 0 < j < 2m_k and i(c^j) >= 2N + margin for
-    2m_k < j <= 4m_k, are proved for every j: the exact mean-index bracket of
-    ``index_bracket`` settles all but a few j near 2m_k by two exact
-    floor/ceiling comparisons (``_open_offsets``), and ``index_iterate``
-    decides those few.  A violation is an engine bug, not a dataset property.
+    2m_k < j <= 4m_k, are proved for every j: ``index_window`` settles all
+    but a few j near 2m_k, and ``index_iterate`` decides those few.  A
+    violation, or a jump value other than ``jump_index``, is an engine bug.
     """
     two_n = 2 * t.N
     counts = {"+e": 0, "+o": 0, "-e": 0, "-o": 0}
@@ -174,17 +158,18 @@ def jump_census(
                 "record %s: initial index %d < %d" % (rec.name, path.i1, margin)
             )
         i2m = index_iterate(path, 2 * m_k)
-        expect = two_n - crossing_sum(path.monodromy) + 2 * d_k
+        expect = jump_index(path, t.N, d_k)
         if i2m != expect:
             raise AssertionError(
                 "record %s: i(c^{2m_k}) = %d, spectral formula gives %d"
                 % (rec.name, i2m, expect)
             )
-        lower, upper = _open_offsets(path, two_n, m_k, margin)
-        for m in lower:
+        _, below = index_window(path, None, two_n - margin)
+        for m in range(1, min(2 * m_k, 2 * m_k + 1 - below.stop)):
             if index_iterate(path, 2 * m_k - m) > two_n - margin:
                 raise AssertionError("lower window violated at %s, m=%d" % (rec.name, m))
-        for m in upper:
+        _, above = index_window(path, two_n + margin)
+        for m in range(1, min(2 * m_k + 1, above.start - 2 * m_k)):
             if index_iterate(path, 2 * m_k + m) < two_n + margin:
                 raise AssertionError("upper window violated at %s, m=%d" % (rec.name, m))
         bucket = None
@@ -203,25 +188,22 @@ def jump_census(
 
 
 class MorseCounts(NamedTuple):
-    """sum_{p<=P} (-1)^p M_p, and M_p one degree at a time; (path, 1/ihat, lo,
-    hi) per record."""
+    """sum_{p<=P} (-1)^p M_p, and M_p one degree at a time; the record paths."""
 
     P: int
     alternating_sum: int
-    brackets: tuple[tuple[PathClass, Exact, int, int], ...]
+    paths: tuple[PathClass, ...]
 
     def M(self, p: int) -> int:
-        """M_p: only m with floor((p - hi)/ihat) < m <= floor((p - lo)/ihat) can
-        have i(c^m) = p, and c^m carries a critical module iff i(c^m) - i(c) is
-        even."""
+        """M_p: the m ``index_window`` leaves possible for [p, p] with i(c^m) = p,
+        when p - i(c) is even (then c^m carries a critical module)."""
         if not 0 <= p <= self.P:
             raise IndexError("degree %d outside 0..%d" % (p, self.P))
         total = 0
-        for path, inv, lo, hi in self.brackets:
+        for path in self.paths:
             if (p - path.i1) % 2 == 0:
-                first = max(1, floor_mult(inv * (p - hi), 1) + 1)
-                last = floor_mult(inv * (p - lo), 1)
-                total += sum(1 for m in range(first, last + 1) if index_iterate(path, m) == p)
+                may, _ = index_window(path, p, p)
+                total += sum(1 for m in may if index_iterate(path, m) == p)
         return total
 
 
@@ -230,29 +212,22 @@ def morse_type_numbers(dataset: GeodesicDataset, P: int) -> MorseCounts:
 
     i(c^m) - i(c) = (m - 1)*rho mod 2 by the precise formula, so c^m carries
     a critical module iff rho is even or m is odd, and adds (-1)^{i(c)}.  The
-    bracket puts 0 <= i(c^m) <= P for max(1, ceil(-lo/ihat)) <= m <=
-    floor((P + 1 - hi)/ihat), counted in closed form; ``index_iterate``
-    decides the m outside it up to the exact horizon floor((P - lo)/ihat):
+    iterates ``index_window`` puts surely in 0 <= i(c^m) <= P are counted in
+    closed form; ``index_iterate`` decides the others it leaves possible:
     O((|lo| + 2C)/ihat) iterates per record, whatever P is.
     """
-    alternating, brackets = 0, []
+    alternating = 0
     for rec in dataset.records:
         path = rec.path
-        inv = 1 / mean_index(path)
-        lo, hi = index_bracket(path)
-        brackets.append((path, inv, lo, hi))
-        first = max(1, ceil_mult(inv * -lo, 1))
-        last = floor_mult(inv * (P + 1 - hi), 1)
-        horizon = floor_mult(inv * (P - lo), 1)
-        count = 0
-        if first <= last:
-            count = last - first + 1 if path.rho() % 2 == 0 else (last + 1) // 2 - first // 2
-        for m in [*range(1, min(first, horizon + 1)), *range(max(first, last + 1), horizon + 1)]:
+        may, sure = index_window(path, 0, P)
+        # odd m only for odd rho
+        count = sure.stop - sure.start if path.rho() % 2 == 0 else sure.stop // 2 - sure.start // 2
+        for m in [*range(may.start, sure.start), *range(sure.stop, may.stop)]:
             i_m = index_iterate(path, m)
             if 0 <= i_m <= P and (i_m - path.i1) % 2 == 0:
                 count += 1
         alternating += -count if path.i1 % 2 else count
-    return MorseCounts(P, alternating, tuple(brackets))
+    return MorseCounts(P, alternating, dataset.paths)
 
 
 def _check(name: str, lhs, rhs, op: str = "=="):

@@ -222,6 +222,33 @@ class TestVerify:
         )
         assert code == 2 and "rejected" in err
 
+    def test_record_with_s_plus(self, capsys, tmp_path):
+        """A degenerate record N1(1, +1) has S^+(1) = 1.  The census reads the
+        jump identity 2N - (S^+ + C - 2 Delta_k) that verify_tuple certifies,
+        so the verdict fails on its checks (exit 1) and is no internal error."""
+        doc = json.load(open(ds("s2_elliptic")))
+        doc["options"] = {"bumpy": False}
+        doc["records"].append(
+            {"name": "c3", "initial_index": 1,
+             "blocks": [{"type": "N1", "lambda": 1, "b_sign": "positive"}]}
+        )
+        p = tmp_path / "s_plus.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(p), "--theorem", "1.1")
+        assert code == 1 and err == ""
+        verdict = json.loads(out)
+        for side in ("", "opposite_"):
+            records = verdict[side + "census"]["records"]
+            lhs = {
+                c["path"]: c["lhs"]
+                for c in verdict[side + "tuple"]["verification"]["checks"]
+                if c["equation"] == "index(2m)"
+            }
+            assert [records[r["name"]]["index_at_2mk"] for r in doc["records"]] == [
+                lhs[k] for k in range(len(doc["records"]))
+            ]
+        assert verdict["census"]["records"]["c3"]["index_at_2mk"] == 2 * verdict["tuple"]["N"] - 1
+
 
 class TestFormatFlag:
     @pytest.mark.parametrize("argv", [
@@ -407,6 +434,22 @@ class TestDatasetLoading:
                 code, _, err = run(capsys, command, str(p))
                 assert code == 2 and reason in err
                 assert len(err.strip().splitlines()) == 1
+
+    def test_deep_nesting(self, capsys, tmp_path):
+        """Nesting past the interpreter's recursion limit, in the records or in
+        the whole file, exits 2 with one line."""
+        doc = json.load(open(ds("s2_elliptic")))
+        doc["records"] = "@"
+        cases = (
+            json.dumps(doc).replace('"@"', "[" * 995 + "]" * 995),
+            "[" * 100000 + "]" * 100000,
+        )
+        for text in cases:
+            p = tmp_path / "deep.json"
+            p.write_text(text)
+            code, out, err = run(capsys, "resonance", str(p))
+            assert code == 2 and out == "" and "too deeply" in err
+            assert len(err.strip().splitlines()) == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "resonance", "/nonexistent.json")

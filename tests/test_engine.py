@@ -453,9 +453,10 @@ class TestHitSteppingOracle:
     def test_matches_linear_scan(self):
         """Random problems in the style of criterion 3: hit stepping and the
         old linear float scan return the same tuple or the same exception at
-        the auto, opposite and explicit vertices and with min_N > 1."""
+        the auto, opposite and explicit vertices and with min_N > 1, problems
+        without an irrational angle (scanned N by N in the oracle) included."""
         rng = random.Random(5)
-        seen = dict.fromkeys(("mbar>1", "opposite", "explicit", "min_N", "exhausted"), 0)
+        seen = dict.fromkeys(("mbar>1", "opposite", "explicit", "min_N", "exhausted", "no angle"), 0)
         for _ in range(60):
             try:
                 prob = _scan_problem(rng)
@@ -463,6 +464,7 @@ class TestHitSteppingOracle:
                 continue
             mbar = common_period(prob.paths)
             data = [_PathData(p, mbar) for p in prob.paths]
+            seen["no angle"] += not any(pd.bit_angles for pd in data)
             calls = [{}]
             t = _outcome(find_tuple, prob)
             if isinstance(t, CijtTuple):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -9,17 +10,22 @@ from fractions import Fraction
 import pytest
 
 from cijt.scalars import Exact, ceil_mult, floor_mult
-from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum
-from cijt.iteration import PathClass, index_bracket, index_iterate, mean_index
+from cijt.normal_forms import D, N1, N2, R, SymplecticClass
+from cijt.iteration import PathClass, index_bracket, index_iterate, index_window, mean_index
 from cijt.cli import _dumps, load_dataset
-from cijt.engine import NotFoundWithinBound, SelectionProblem, find_tuple, opposite_tuple
+from cijt.engine import (
+    NotFoundWithinBound,
+    SelectionProblem,
+    find_tuple,
+    m_bar_for_geodesics,
+    opposite_tuple,
+)
 from cijt.loop_homology import CohomologyShape, resonance_constant
 from cijt.morse import (
     GeodesicDataset,
     GeodesicRecord,
     HypothesisRejected,
     JumpCensus,
-    _open_offsets,
     gamma_invariant,
     jump_census,
     morse_type_numbers,
@@ -236,7 +242,8 @@ def _census_by_sweep(dataset, t, margin):
                 "record %s: initial index %d < %d" % (r.name, path.i1, margin)
             )
         i2m = index_iterate(path, 2 * m_k)
-        expect = two_n - crossing_sum(path.monodromy) + 2 * d_k
+        sp, c, _ = path.spectral
+        expect = two_n - (sp + c - 2 * d_k)
         if i2m != expect:
             raise AssertionError(
                 "record %s: i(c^{2m_k}) = %d, spectral formula gives %d"
@@ -274,6 +281,17 @@ def _outcome(census, dataset, t, margin):
 CENSUS_SURDS = [T35, PHI_M1, Exact.surd(-1, 1, 2), Exact.surd(Fraction(1, 2), Fraction(1, 7), 3)]
 
 
+def _census_block(rng, base):
+    """R(base), a hyperbolic block, or now and then N1(1, +1), whose S^+(1) = 1
+    puts S^+ into the jump identity."""
+    x = rng.random()
+    if x < 0.6:
+        return R(base)
+    if x < 0.7:
+        return N1(1, 1)
+    return D(Exact(rng.choice([2, -2, 3])))
+
+
 def _random_census_cases(rng, count):
     """(dataset, tuple) pairs in the style of criterion 7, tuples and their
     opposites.  Shape (2,2) puts three blocks on each record; with one angle
@@ -282,13 +300,12 @@ def _random_census_cases(rng, count):
     while count > 0:
         shape = CohomologyShape(2, rng.choice([1, 2]))
         base = rng.choice(CENSUS_SURDS)
-        blocks = lambda: tuple(
-            R(base) if rng.random() < 0.6 else D(Exact(rng.choice([2, -2, 3])))
-            for _ in range(shape.dim - 1)
-        )
+        blocks = lambda: tuple(_census_block(rng, base) for _ in range(shape.dim - 1))
         try:
             ds = GeodesicDataset(
-                shape, tuple(rec("r%d" % j, rng.randint(1, 4), *blocks()) for j in range(rng.randint(1, 3)))
+                shape,
+                tuple(rec("r%d" % j, rng.randint(1, 4), *blocks()) for j in range(rng.randint(1, 3))),
+                bumpy_required=False,
             )
             prob = SelectionProblem(ds.paths, delta=Fraction(1, 50), N_bound=10**5)
             t = find_tuple(prob)
@@ -308,7 +325,8 @@ def _mutated(dataset, t, k, step):
     m[k] += step
     Delta = list(t.Delta)
     path = dataset.records[k].path
-    gap = index_iterate(path, 2 * m[k]) - 2 * t.N + crossing_sum(path.monodromy)
+    sp, c, _ = path.spectral
+    gap = index_iterate(path, 2 * m[k]) - 2 * t.N + sp + c
     if gap % 2 == 0:
         Delta[k] = gap // 2
     return dataclasses.replace(t, m=tuple(m), Delta=tuple(Delta))
@@ -318,10 +336,12 @@ class TestJumpCensusOracle:
     def test_bracket_matches_window_sweep(self):
         """The bracket-settled census equals the full sweep: the same census,
         or the same violation at the same iterate, on certified tuples, under
-        margins 1..3 and on tuples mutated to m_k +- 1."""
+        margins 1..3 and on tuples mutated to m_k +- 1, records with S^+(1) > 0
+        among them."""
         rng = random.Random(41)
-        seen = {"census": 0, "window": 0}
+        seen = {"census": 0, "window": 0, "S+ > 0": 0}
         for ds, t in _random_census_cases(rng, 12):
+            seen["S+ > 0"] += sum(r.path.spectral[0] > 0 for r in ds.records)
             variants = [t] + [
                 _mutated(ds, t, k, step)
                 for k in range(len(t.m))
@@ -336,24 +356,73 @@ class TestJumpCensusOracle:
                         seen["census"] += 1
                     elif "window" in got[1]:
                         seen["window"] += 1
-        assert seen["census"] > 0 and seen["window"] > 0, seen
+        assert min(seen.values()) > 0, seen
 
-    def test_settled_iterates_keep_their_window(self):
-        """Every window iterate the bracket leaves out satisfies its window
-        inequality, with 2N placed anywhere near i(c^{2m_k}) and not only at
-        certified tuples, so that the iterates next to the settled ranges are
-        the ones that break the windows."""
+
+def _inside(path, m, a, b):
+    i_m = index_iterate(path, m)
+    return (a is None or a <= i_m) and (b is None or i_m <= b)
+
+
+def _m_bar_by_scan(paths, d, n):
+    """m_bar_for_geodesics scanning each path from m = 1: the oracle."""
+    target = lambda p: p.i1 + 2 * (d * n - 1)
+    return max(
+        [1] + [next(m for m in itertools.count(1) if index_iterate(p, m) >= target(p)) for p in paths]
+    )
+
+
+class TestIndexWindow:
+    def test_census_windows(self):
+        """The two census windows, i(c^j) <= 2N - margin below 2m_k and
+        i(c^j) >= 2N + margin above it, with 2N placed anywhere near
+        i(c^{2m_k}) and not only at certified tuples: every j the sure range
+        settles keeps its window, and every j outside the possible range
+        breaks it."""
         rng = random.Random(8)
         for ds, _ in _random_census_cases(rng, 6):
             for r in ds.records:
                 for _ in range(20):
                     m_k, margin = rng.randint(1, 60), rng.randint(1, 3)
                     two_n = 2 * ((index_iterate(r.path, 2 * m_k) + rng.randint(-4, 4)) // 2)
-                    lower, upper = _open_offsets(r.path, two_n, m_k, margin)
-                    for m in set(range(1, 2 * m_k)) - set(lower):
-                        assert index_iterate(r.path, 2 * m_k - m) <= two_n - margin
-                    for m in set(range(1, 2 * m_k + 1)) - set(upper):
-                        assert index_iterate(r.path, 2 * m_k + m) >= two_n + margin
+                    for a, b in ((None, two_n - margin), (two_n + margin, None)):
+                        may, sure = index_window(r.path, a, b)
+                        for j in range(1, 4 * m_k + 1):
+                            if j in sure:
+                                assert _inside(r.path, j, a, b), (r, a, b, j)
+                            elif j not in may:
+                                assert not _inside(r.path, j, a, b), (r, a, b, j)
+
+    def test_random_windows(self):
+        """Mixed-block paths (degenerate iterates, negative indices, small mean
+        indices) under random windows, either side open: sure members lie in
+        the window, and no iterate outside the possible range does."""
+        rng = random.Random(29)
+        seen = set()
+        for ds in _random_morse_datasets(rng, 25):
+            for r in ds.records:
+                for _ in range(8):
+                    a = rng.choice([None, rng.randint(-6, 40)])
+                    b = rng.choice([None, (a or 0) + rng.randint(0, 12)])
+                    may, sure = index_window(r.path, a, b)
+                    top = sure.start if b is None else may.stop
+                    seen.add((a is None, b is None, len(sure) > 0))
+                    for m in range(1, top + 20):
+                        if m in sure:
+                            assert _inside(r.path, m, a, b), (r, a, b, m)
+                        elif m not in may:
+                            assert not _inside(r.path, m, a, b), (r, a, b, m)
+        assert {(False, False, True), (True, False, True), (False, True, True), (False, False, False)} <= seen
+
+    def test_m_bar_matches_scan_from_one(self):
+        """m_bar_for_geodesics starts at the first possible iterate, not at 1."""
+        rng = random.Random(31)
+        cases = [ds for ds, _ in _random_census_cases(rng, 4)] + list(_random_morse_datasets(rng, 30))
+        for ds in cases:
+            paths = ds.paths
+            assert m_bar_for_geodesics(paths, ds.shape.d, ds.shape.n) == _m_bar_by_scan(
+                paths, ds.shape.d, ds.shape.n
+            ), ds
 
 
 def _morse_by_sweep(dataset, P):
