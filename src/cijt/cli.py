@@ -49,6 +49,10 @@ EXIT_INTERNAL = 4
 
 class CliError(Exception):
     def __init__(self, message, code=EXIT_REJECT):
+        # one line: a long message loses its middle, where an offending value
+        # is shown, and keeps the head that names the place of the fault
+        if len(message) > 240:
+            message = "%s ... %s" % (message[:170], message[-65:])
         super().__init__(message)
         self.code = code
 

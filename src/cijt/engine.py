@@ -6,7 +6,7 @@ Given symplectic paths gamma_1..gamma_q with positive mean indices, find
     m_k = ([N / (Mbar * ihat_k)] + chi_k) * Mbar,
     {m_k * theta/pi} = 0 for rational angles,
     {m_k * theta/pi} within delta of the lattice for irrational angles,
-    I(k, m_k) = N + Delta_k,
+    i(gamma_k, 2m_k) = 2N - (S^+_k + C_k - 2*Delta_k),
 
 and certify the index identities for the iterates 2m_k +- m.  The search
 steps from lattice hit to lattice hit of one angle of one path: that angle is
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .scalars import Exact, Lattice, floor_mult, frac_mult, is_near_lattice
-from .normal_forms import N1, N2, R, m_check
+from .normal_forms import m_check
 from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index, path_nullity
 
 
@@ -45,14 +45,10 @@ class CertificationError(AssertionError):
 
 def common_period(paths: Sequence[PathClass]) -> int:
     """Least Mbar with Mbar * theta/pi integral for every rational angle."""
-    mbar = 1
-    for p in paths:
-        for b in p.monodromy.blocks:
-            if isinstance(b, N1) and b.lam == -1:
-                pass  # theta = pi, denominator 1
-            elif isinstance(b, (R, N2)) and b.theta.is_rational:
-                mbar = math.lcm(mbar, b.theta.q)
-    return mbar
+    return math.lcm(1, *(
+        b.angle.q for p in paths for b in p.monodromy.blocks
+        if b.angle is not None and b.angle.is_rational
+    ))
 
 
 def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Fraction:
@@ -117,7 +113,7 @@ class SelectionProblem:
 
 @dataclass(frozen=True)
 class VertexSpec:
-    """chi bits per path, then one Low/High bit (0/1) per irrational R/N2 block."""
+    """chi bits per path, then one Low/High bit (0/1) per irrational block angle."""
 
     chi: tuple[int, ...]
     angle_bits: tuple[tuple[int, ...], ...]
@@ -197,18 +193,13 @@ class _PathData:
     def __init__(self, path: PathClass, m_bar_period: int):
         self.path = path
         self.mean = mean_index(path)
-        sp, self.C, self.minus = path.spectral
-        self.s_plus_C = sp + self.C
+        self.minus = path.spectral[2]
         # Delta_k + Delta'_k at opposite vertices: S^- weight on irrational angles
         self.C_irrational = sum(w for t, w in self.minus if not t.is_rational)
         # u = 1 / (Mbar * ihat): chi component of the torus vector
         self.u = 1 / (self.mean * m_bar_period)
         self.u_pinned = self.u.is_rational
         self.bit_angles = path.bit_angles
-
-    def I(self, m: int) -> int:
-        """m*rho + sum of E(m*theta/pi) * S^-, i.e. (i(2m) + S^+ + C) / 2."""
-        return (index_iterate(self.path, 2 * m) + self.s_plus_C) // 2
 
     def delta_count(self, m: int, delta: Fraction) -> int:
         """S^- weight of irrational angles with {m*theta/pi} in the Low band."""
@@ -317,7 +308,7 @@ def _try_path(
         if chi_eps is not None and not _chi_proximity_ok(pd, N, chi, chi_eps):
             continue
         d = pd.delta_count(m, delta)
-        if pd.I(m) != N + d:
+        if index_iterate(pd.path, 2 * m) != jump_index(pd.path, N, d):
             continue
         return m, chi, bits, d
     return None
@@ -412,7 +403,7 @@ def find_tuple(
         bits = g.classify_bits(m, delta)
         if bits is not None and (want_bits is None or bits == want_bits):
             d = g.delta_count(m, delta)
-            N = g.I(m) - d
+            N = (index_iterate(g.path, 2 * m) - jump_index(g.path, 0, d)) // 2
             cand = accept(N)
             if cand is not None and (best is None or cand.N < best.N):
                 if cand.m[gen] == m:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .scalars import Exact, ceil_mult, floor_mult
-from .normal_forms import N2, R, SymplecticClass, nullity, s_plus_one, unit_angles
+from .normal_forms import SymplecticClass, nullity, s_plus_one, unit_angles
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,12 @@ class PathClass:
 
     @cached_property
     def bit_angles(self) -> tuple[Exact, ...]:
-        """theta/pi of each R or N2 block with irrational theta, in block
-        order: one representative angle per block, carrying a vertex bit of
-        the tuple search (its conjugate follows)."""
+        """Each block's irrational angle theta/pi, in block order: one
+        representative per block, carrying a vertex bit of the tuple search
+        (its conjugate follows)."""
         return tuple(
-            b.theta
-            for b in self.monodromy.blocks
-            if isinstance(b, (R, N2)) and not b.theta.is_rational
+            b.angle for b in self.monodromy.blocks
+            if b.angle is not None and not b.angle.is_rational
         )
 
     def rho(self) -> int:

@@ -7,14 +7,16 @@ A conjugacy class is a multiset of 2x2/4x4 blocks:
     R(theta)     rotation, theta/pi in (0,2) \\ {1}
     N2(theta, k) 4x4 spinning block, trivial or nontrivial
 
-Everything downstream (splitting numbers, C(M), nullity, elliptic height,
-the return time of rational angles) is a pure function of this data.
+Each block holds one eigen-angle ``angle`` = theta/pi, set at construction:
+0 for N1(1, .), 1 for N1(-1, .), theta for R and N2, and None for D, whose
+eigenvalues lie off the unit circle.  That angle alone drives the splitting
+table, C(M), nullity, the return time of rational angles, bumpiness and the
+elliptic height.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Union
 
 from .scalars import Exact
@@ -30,6 +32,9 @@ def _check_angle(theta: Exact) -> Exact:
     return theta
 
 
+_ZERO, _ONE = Exact(0), Exact(1)
+
+
 @dataclass(frozen=True)
 class N1:
     lam: int          # +1 or -1
@@ -38,6 +43,7 @@ class N1:
     def __post_init__(self):
         if self.lam not in (1, -1) or self.b_sign not in (-1, 0, 1):
             raise ValueError("bad N1 block")
+        object.__setattr__(self, "angle", _ZERO if self.lam == 1 else _ONE)
 
     dim = 2
 
@@ -52,6 +58,7 @@ class D:
             raise ValueError("D(lam) needs lam real with |lam| not in {0, 1}")
 
     dim = 2
+    angle = None
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,7 @@ class R:
     theta: Exact      # theta/pi
 
     def __post_init__(self):
-        _check_angle(self.theta)
+        object.__setattr__(self, "angle", _check_angle(self.theta))
 
     dim = 2
 
@@ -70,7 +77,7 @@ class N2:
     nontrivial: bool  # sign of (b2-b3)*sin(theta) < 0
 
     def __post_init__(self):
-        _check_angle(self.theta)
+        object.__setattr__(self, "angle", _check_angle(self.theta))
 
     dim = 4
 
@@ -125,44 +132,28 @@ _ZERO_PAIR = SplittingPair(0, 0)
 Omega = Union[int, Exact]
 
 
-def _conjugate_angle(theta: Exact) -> Exact:
-    return 2 - theta
-
-
-def _block_splitting(b: Block, omega: Omega) -> SplittingPair:
-    # The per-block table.  Only the N1(1,b) value at omega=1 is printed in
-    # the iteration-formula sources; the rest is fixed by conjugate symmetry
-    # S^+(w) = S^-(conj w), additivity, and the requirement that the two
-    # iteration formulas (precise and non-degenerate shortcut) agree -- the
-    # cross-check suite gates every entry.
-    if isinstance(b, N1):
-        if omega == b.lam:
-            if b.lam == 1:
-                hit = b.b_sign >= 0
-            else:
-                hit = b.b_sign <= 0
-            return SplittingPair(1, 1) if hit else _ZERO_PAIR
+def _block_splitting(b: Block, w: Exact) -> SplittingPair:
+    # The per-block table at the angle w = theta/pi in [0, 2).  Only the
+    # N1(1,b) value at omega=1 is printed in the iteration-formula sources;
+    # the rest is fixed by conjugate symmetry S^+(w) = S^-(conj w),
+    # additivity, and the requirement that the two iteration formulas
+    # (precise and non-degenerate shortcut) agree -- the cross-check suite
+    # gates every entry.
+    t = b.angle
+    if t is None or (w != t and w + t != 2):
         return _ZERO_PAIR
-    if isinstance(b, D):
-        return _ZERO_PAIR
+    if isinstance(b, N1):  # b >= 0 at omega = 1, b <= 0 at omega = -1
+        return SplittingPair(1, 1) if b.lam * b.b_sign >= 0 else _ZERO_PAIR
     if isinstance(b, R):
-        if isinstance(omega, Exact):
-            if omega == b.theta:
-                return SplittingPair(0, 1)
-            if omega == _conjugate_angle(b.theta):
-                return SplittingPair(1, 0)
-        return _ZERO_PAIR
-    if isinstance(b, N2):
-        if isinstance(omega, Exact) and omega in (b.theta, _conjugate_angle(b.theta)):
-            return SplittingPair(1, 1) if b.nontrivial else _ZERO_PAIR
-        return _ZERO_PAIR
-    raise TypeError("unknown block %r" % (b,))
+        return SplittingPair(0, 1) if w == t else SplittingPair(1, 0)
+    return SplittingPair(1, 1) if b.nontrivial else _ZERO_PAIR
 
 
 def splitting_numbers(M: SymplecticClass, omega: Omega) -> SplittingPair:
     if isinstance(omega, int):
         if omega not in (1, -1):
             raise ValueError("integer omega must be +-1")
+        omega = _ZERO if omega == 1 else _ONE
     elif isinstance(omega, Exact):
         _check_angle(omega)
     else:
@@ -174,28 +165,16 @@ def splitting_numbers(M: SymplecticClass, omega: Omega) -> SplittingPair:
 
 
 def unit_angles(M: SymplecticClass) -> list[tuple[Exact, SplittingPair]]:
-    """Eigenvalue angles theta/pi in (0,2) with their splitting pairs.
-
-    theta = pi (angle 1) appears for N1(-1, .) blocks.  Angles are listed
-    once with aggregated pairs, in sorted order.
-    """
+    """Eigenvalue angles theta/pi in (0,2), sorted, each once with its summed
+    splitting pair; a block adds its angle and the conjugate 2 - theta."""
     acc: dict[Exact, SplittingPair] = {}
-
-    def add(theta, pair):
-        if pair == _ZERO_PAIR:
-            return
-        acc[theta] = acc.get(theta, _ZERO_PAIR) + pair
-
-    one = Exact(1)
     for b in M.blocks:
-        if isinstance(b, N1) and b.lam == -1:
-            add(one, _block_splitting(b, -1))
-        elif isinstance(b, R):
-            add(b.theta, _block_splitting(b, b.theta))
-            add(_conjugate_angle(b.theta), _block_splitting(b, _conjugate_angle(b.theta)))
-        elif isinstance(b, N2):
-            add(b.theta, _block_splitting(b, b.theta))
-            add(_conjugate_angle(b.theta), _block_splitting(b, _conjugate_angle(b.theta)))
+        if not b.angle:  # None (off the circle) or 0 (eigenvalue 1)
+            continue
+        for w in {b.angle, 2 - b.angle}:
+            pair = _block_splitting(b, w)
+            if pair != _ZERO_PAIR:
+                acc[w] = acc.get(w, _ZERO_PAIR) + pair
     return sorted(acc.items(), key=lambda kv: kv[0])
 
 
@@ -210,66 +189,36 @@ def crossing_sum(M: SymplecticClass) -> int:
 
 
 def nullity(M: SymplecticClass, m: int) -> int:
-    """Geometric multiplicity of eigenvalue 1 of the m-th power."""
+    """Geometric multiplicity of eigenvalue 1 of the m-th power: a block counts
+    when m*theta/pi is even, with 1 for N1(., b != 0) and 2 for any other."""
     if m < 1:
         raise ValueError("m must be positive")
     total = 0
     for b in M.blocks:
-        if isinstance(b, N1):
-            if b.lam == 1 or m % 2 == 0:
-                total += 2 if b.b_sign == 0 else 1
-        elif isinstance(b, (R, N2)):
-            # (M^m - I) kernel is nonzero iff m*theta in 2*pi*Z
-            t = b.theta
-            if t.is_rational and (m * t.A) % (2 * t.q) == 0:
-                total += 2
+        t = b.angle
+        if t is not None and t.is_rational and (m * t.A) % (2 * t.q) == 0:
+            total += 1 if isinstance(b, N1) and b.b_sign else 2
     return total
 
 
 def elliptic_height(M: SymplecticClass) -> int:
-    total = 0
-    for b in M.blocks:
-        if isinstance(b, (N1, R)):
-            total += 2
-        elif isinstance(b, N2):
-            total += 4
-    return total
+    return sum(b.dim for b in M.blocks if b.angle is not None)
 
 
 def is_hyperbolic(M: SymplecticClass) -> bool:
     return elliptic_height(M) == 0
 
 
-def _return_time(theta: Exact) -> int | None:
-    """Least k with k*theta in 2*pi*N, for rational theta/pi; None otherwise."""
-    if not theta.is_rational:
-        return None
-    p, q = theta.A, theta.q
-    # k*p/q even: k = q for even p, 2q for odd p (p, q coprime)
-    return q if p % 2 == 0 else 2 * q
-
-
 def m_check(M: SymplecticClass) -> Optional[int]:
-    """First iterate returning a rational elliptic angle to 1; None if none."""
-    times = []
-    for b in M.blocks:
-        if isinstance(b, N1) and b.lam == -1:
-            times.append(2)
-        elif isinstance(b, (R, N2)):
-            k = _return_time(b.theta)
-            if k is not None:
-                times.append(k)
-    return min(times) if times else None
+    """First iterate returning a rational angle p/q in (0, 2) to 1: k*p/q is
+    first even at k = q for even p, 2q for odd p; None if there is none."""
+    times = [(1 + t.A % 2) * t.q for t in (b.angle for b in M.blocks) if t and t.is_rational]
+    return min(times, default=None)
 
 
 def validate_bumpy(M: SymplecticClass) -> bool:
-    """True iff nullity vanishes for every iterate: no N1, no rational angles."""
-    for b in M.blocks:
-        if isinstance(b, N1):
-            return False
-        if isinstance(b, (R, N2)) and b.theta.is_rational:
-            return False
-    return True
+    """True iff nullity vanishes for every iterate: no rational angle."""
+    return not any(b.angle is not None and b.angle.is_rational for b in M.blocks)
 
 
 # -- serialization -----------------------------------------------------------

@@ -451,6 +451,28 @@ class TestDatasetLoading:
             assert code == 2 and out == "" and "too deeply" in err
             assert len(err.strip().splitlines()) == 1
 
+    def test_oversized_values(self, capsys, tmp_path):
+        """A huge offending value is cut from the message: one line under 300
+        bytes that still begins with where the fault is."""
+        edits = (
+            (("records",), [[1] * 200000], "dataset.records[0] is [1, 1"),
+            (("records", 0, "name"), list(range(100000)), "dataset.records[0].name is [0, 1"),
+            (("records", 0, "blocks", 0), "x" * 300000, "dataset.records[0].blocks[0] is"),
+            (("records", 0, "blocks", 0, "theta_over_pi"), [1] * 100000, "scalar [1, 1"),
+            (("records", 0, "blocks", 0, "type"), "Q" * 100000, "unknown block type: 'QQ"),
+            (("records", 0, "blocks", 0, "theta_over_pi", "kind"), "k" * 100000,
+             "unknown scalar kind: 'kk"),
+        )
+        doc = json.load(open(ds("s2_elliptic")))
+        for where, value, head in edits:
+            p = tmp_path / "big.json"
+            p.write_text(json.dumps(_replaced(doc, where, value)))
+            for command in ("resonance", "cijt"):
+                code, out, err = run(capsys, command, str(p))
+                assert code == 2 and out == ""
+                assert err.startswith("error: invalid dataset: " + head)
+                assert len(err.encode()) < 300 and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "resonance", "/nonexistent.json")
         assert code == 2

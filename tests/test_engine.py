@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cijt.scalars import Exact, Lattice, floor_mult, frac_mult, is_near_lattice
-from cijt.normal_forms import D, N2, R, SymplecticClass, crossing_sum
+from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum
 from cijt.iteration import PathClass, index_iterate, mean_index
 from cijt.engine import (
     CertificationError,
@@ -27,6 +27,7 @@ from cijt.engine import (
     opposite_tuple,
     verify_tuple,
 )
+from test_normal_forms import classes
 
 SQRT2M1 = Exact.surd(-1, 1, 2)
 T35 = Exact.surd(3, -1, 5)
@@ -57,6 +58,19 @@ class TestCommonPeriod:
 
     def test_single(self):
         assert common_period([path(1, R(Exact(Fraction(3, 5))))]) == 5
+
+    @given(st.lists(classes, min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_least_common_period(self, monodromies):
+        # theta/pi of every rational eigen-angle: 0 and 1 for N1(+-1, .)
+        angles = [
+            Fraction(1 - b.lam, 2) if isinstance(b, N1) else b.theta.r
+            for M in monodromies
+            for b in M.blocks
+            if isinstance(b, N1) or (isinstance(b, (R, N2)) and b.theta.is_rational)
+        ]
+        brute = next(k for k in range(1, 61) if all((k * t).denominator == 1 for t in angles))
+        assert common_period([PathClass(1, M) for M in monodromies]) == brute
 
 
 class TestDeltaZero:
@@ -359,6 +373,10 @@ def _find_tuple_by_scan(problem, vertex=None, chi_eps=None, min_N=1):
         raise ValueError("vertex spec shape does not match the problem")
     gen = max(range(len(data)), key=lambda i: len(data[i].bit_angles))
     g = data[gen]
+    sp, C, _ = g.path.spectral
+
+    def I(m):  # m*rho + sum of E(m*theta/pi) * S^-
+        return (index_iterate(g.path, 2 * m) + sp + C) // 2
 
     def accept(N):
         if N < max(1, min_N) or N > problem.N_bound or N % problem.N_multiple_of:
@@ -379,7 +397,7 @@ def _find_tuple_by_scan(problem, vertex=None, chi_eps=None, min_N=1):
         want = vertex.angle_bits[gen] if vertex is not None else None
         df, ihat = float(delta), float(g.mean)
         floats = [float(t) for t in g.bit_angles]
-        m_cap = int((problem.N_bound + 2 * g.C + 4) / ihat) + 2 * mbar
+        m_cap = int((problem.N_bound + 2 * C + 4) / ihat) + 2 * mbar
         m = max(mbar, (int(min_N / ihat) // mbar) * mbar)
         while m <= m_cap:
             if all(
@@ -388,11 +406,11 @@ def _find_tuple_by_scan(problem, vertex=None, chi_eps=None, min_N=1):
             ):
                 bits = g.classify_bits(m, delta)
                 if bits is not None and (want is None or bits == want):
-                    cand = accept(g.I(m) - g.delta_count(m, delta))
+                    cand = accept(I(m) - g.delta_count(m, delta))
                     if cand is not None and (best is None or cand.N < best.N):
                         if cand.m[gen] == m:
                             best = cand
-                            m_cap = min(m_cap, int((best.N + 2 * g.C + 4) / ihat) + 2 * mbar)
+                            m_cap = min(m_cap, int((best.N + 2 * C + 4) / ihat) + 2 * mbar)
             m += mbar
     else:
         start = max(1, min_N)

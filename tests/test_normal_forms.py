@@ -200,6 +200,57 @@ class TestNullityRankOracle:
         assert nullity(cls(block), m) == dim - rank
 
 
+def _rank_nullity(blocks, m):
+    """dim ker(M^m - I) of the block-diagonal realization: the kernel of a
+    block-diagonal map is the sum of its blocks' kernels, and one rank per
+    block keeps a hyperbolic lambda^m out of the other blocks' tolerance."""
+    total = 0
+    for b in blocks:
+        mat = _block_matrix(b, m)
+        dim = mat.shape[0]
+        total += dim - np.linalg.matrix_rank(mat - np.eye(dim), tol=1e-8)
+    return total
+
+
+def _dense(M):
+    dim = 2 * M.half_dimension
+    out = np.zeros((dim, dim))
+    at = 0
+    for b in M.blocks:
+        out[at : at + b.dim, at : at + b.dim] = _block_matrix(b)
+        at += b.dim
+    return out
+
+
+class TestDenseOracle:
+    """Every block fact against a dense realization of the whole class."""
+
+    @given(classes)
+    @settings(max_examples=80, deadline=None)
+    def test_elliptic_height_counts_unit_eigenvalues(self, M):
+        eig = np.linalg.eigvals(_dense(M))
+        assert elliptic_height(M) == int(np.sum(np.abs(np.abs(eig) - 1) < 1e-6))
+
+    @given(classes, st.integers(1, 24))
+    @settings(max_examples=120, deadline=None)
+    def test_nullity_of_several_blocks(self, M, m):
+        assert nullity(M, m) == _rank_nullity(M.blocks, m)
+
+    @given(classes)
+    @settings(max_examples=60, deadline=None)
+    def test_validate_bumpy(self, M):
+        assert validate_bumpy(M) == all(
+            _rank_nullity(M.blocks, m) == 0 for m in range(1, 121)
+        )
+
+    @given(classes)
+    @settings(max_examples=60, deadline=None)
+    def test_m_check_is_first_return(self, M):
+        rest = [b for b in M.blocks if not (isinstance(b, N1) and b.lam == 1)]
+        first = next((m for m in range(1, 121) if _rank_nullity(rest, m) > 0), None)
+        assert m_check(M) == first
+
+
 class TestPredicates:
     def test_elliptic_height(self):
         assert elliptic_height(cls(D(Exact(2)))) == 0
