@@ -78,8 +78,9 @@ def _check_fields(node, where="dataset", key=None):
         )
     if isinstance(node, dict):
         for k, value in node.items():
-            if k != "options":
-                _check_fields(value, "%s.%s" % (where, k), k)
+            if k != "options":  # a non-identifier key is escaped: no line break splits the error
+                place = "%s.%s" % (where, k if k.isidentifier() else _encode_str(k))
+                _check_fields(value, place, k)
     elif isinstance(node, list):
         for k, value in enumerate(node):
             _check_fields(value, "%s[%d]" % (where, k))

@@ -20,13 +20,13 @@ reported tuple is the smallest admissible N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .scalars import Exact, Lattice, floor_mult, frac_mult, is_near_lattice
 from .normal_forms import m_check
 from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index, path_nullity
+from .record import FrozenRecord, Record
 
 
 class NonPositiveMeanIndex(ValueError):
@@ -78,63 +78,62 @@ def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Fraction:
     return approx
 
 
-@dataclass
-class SelectionProblem:
-    paths: tuple[PathClass, ...]
-    delta: Fraction = Fraction(1, 200)
-    m_bar: int = 1
-    N_bound: int = 10**8
-    N_multiple_of: int = 1
-    delta_shrunk: bool = field(default=False, init=False)
-    delta_zero_value: Fraction = field(default=Fraction(1, 2), init=False)
-    # common period Mbar and the per-path search constants, built once
-    period: int = field(default=1, init=False, compare=False)
-    data: tuple[_PathData, ...] = field(default=(), init=False, repr=False, compare=False)
+class SelectionProblem(Record):
+    """A search: the paths, delta (delta_0/2 in place of a delta >= delta_0,
+    which sets delta_shrunk) and the bounds.  The common period Mbar and the
+    per-path search constants ``data`` are built once and stay out of == and
+    the repr."""
 
-    def __post_init__(self):
-        self.paths = tuple(self.paths)
-        if not self.paths:
+    _fields = ("paths", "delta", "m_bar", "N_bound", "N_multiple_of", "delta_shrunk",
+               "delta_zero_value")
+
+    def __init__(self, paths: Sequence[PathClass], delta: Fraction = Fraction(1, 200),
+                 m_bar: int = 1, N_bound: int = 10**8, N_multiple_of: int = 1):
+        self.paths = paths = tuple(paths)
+        if not paths:
             raise ValueError("need at least one path")
-        for p in self.paths:
+        for p in paths:
             if not mean_index(p) > 0:
                 raise NonPositiveMeanIndex("path %r has mean index <= 0" % (p,))
-        self.delta = Fraction(self.delta)
+        self.delta = Fraction(delta)
         if not 0 < self.delta < Fraction(1, 2):
             raise ValueError("delta must lie in (0, 1/2)")
-        if self.m_bar < 1 or self.N_bound < 1 or self.N_multiple_of < 1:
+        if m_bar < 1 or N_bound < 1 or N_multiple_of < 1:
             raise ValueError("m_bar, N_bound, N_multiple_of must be positive")
-        self.delta_zero_value = delta_zero(self.paths, self.m_bar)
-        if self.delta >= self.delta_zero_value:
+        self.m_bar, self.N_bound, self.N_multiple_of = m_bar, N_bound, N_multiple_of
+        self.delta_zero_value = delta_zero(paths, m_bar)
+        self.delta_shrunk = self.delta >= self.delta_zero_value
+        if self.delta_shrunk:
             self.delta = self.delta_zero_value / 2
-            self.delta_shrunk = True
-        self.period = common_period(self.paths)
-        self.data = tuple(_PathData(p, self.period) for p in self.paths)
+        self.period = common_period(paths)
+        self.data = tuple(_PathData(p, self.period) for p in paths)
 
 
-@dataclass(frozen=True)
-class VertexSpec:
+class VertexSpec(FrozenRecord):
     """chi bits per path, then one Low/High bit (0/1) per irrational block angle."""
 
-    chi: tuple[int, ...]
-    angle_bits: tuple[tuple[int, ...], ...]
+    _fields = ("chi", "angle_bits")
+
+    def __init__(self, chi: tuple[int, ...], angle_bits: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(chi=chi, angle_bits=angle_bits)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    k: int
-    m: int
-    equation: str
-    lhs: int
-    rhs: int
+class CheckRecord(FrozenRecord):
+    _fields = ("k", "m", "equation", "lhs", "rhs")
+
+    def __init__(self, k: int, m: int, equation: str, lhs: int, rhs: int):
+        self.__dict__.update(k=k, m=m, equation=equation, lhs=lhs, rhs=rhs)
 
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckRecord, ...]
+class VerificationReport(FrozenRecord):
+    _fields = ("checks",)
+
+    def __init__(self, checks: tuple[CheckRecord, ...]):
+        self.__dict__["checks"] = checks
 
     @property
     def ok(self) -> bool:
@@ -145,16 +144,14 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-@dataclass(frozen=True)
-class CijtTuple:
-    N: int
-    m: tuple[int, ...]
-    chi: tuple[int, ...]
-    Delta: tuple[int, ...]
-    M_bar: int
-    vertex: VertexSpec
-    delta: Fraction
-    report: Optional[VerificationReport] = None
+class CijtTuple(FrozenRecord):
+    _fields = ("N", "m", "chi", "Delta", "M_bar", "vertex", "delta", "report")
+
+    def __init__(self, N: int, m: tuple[int, ...], chi: tuple[int, ...], Delta: tuple[int, ...],
+                 M_bar: int, vertex: VertexSpec, delta: Fraction,
+                 report: Optional[VerificationReport] = None):
+        self.__dict__.update(N=N, m=m, chi=chi, Delta=Delta, M_bar=M_bar, vertex=vertex,
+                             delta=delta, report=report)
 
     def to_json(self):
         return {

@@ -10,20 +10,21 @@ table in normal_forms.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .scalars import Exact, ceil_mult, floor_mult
 from .normal_forms import SymplecticClass, nullity, s_plus_one, unit_angles
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class PathClass:
+class PathClass(FrozenRecord):
     """A symplectic path up to homotopy: initial index plus end-matrix class."""
 
-    i1: int
-    monodromy: SymplecticClass
+    _fields = ("i1", "monodromy")
+
+    def __init__(self, i1: int, monodromy: SymplecticClass):
+        self.__dict__.update(i1=i1, monodromy=monodromy)
 
     @cached_property
     def spectral(self) -> tuple[int, int, tuple[tuple[Exact, int], ...]]:

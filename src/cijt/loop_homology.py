@@ -19,20 +19,20 @@ on the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .record import FrozenRecord
 
-@dataclass(frozen=True)
-class CohomologyShape:
-    d: int
-    n: int
 
-    def __post_init__(self):
-        if self.d < 2 or self.n < 1:
+class CohomologyShape(FrozenRecord):
+    _fields = ("d", "n")
+
+    def __init__(self, d: int, n: int):
+        if d < 2 or n < 1:
             raise ValueError("need d >= 2 and n >= 1")
-        if self.d % 2 and self.n != 1:
+        if d % 2 and n != 1:
             raise ValueError("odd d forces n = 1 (x^2 = 0)")
+        self.__dict__.update(d=d, n=n)
 
     @property
     def dim(self) -> int:

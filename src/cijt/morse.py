@@ -13,7 +13,6 @@ can be computed: both sides of every (in)equality appear in the emitted report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -33,32 +32,32 @@ from .loop_homology import (
     betti,
     resonance_constant,
 )
+from .record import FrozenRecord, Record
 
 
 class HypothesisRejected(ValueError):
     """Dataset violates a theorem hypothesis; a diagnostic, not a verdict."""
 
 
-@dataclass(frozen=True)
-class GeodesicRecord:
-    name: str
-    path: PathClass
+class GeodesicRecord(FrozenRecord):
+    _fields = ("name", "path")
+
+    def __init__(self, name: str, path: PathClass):
+        self.__dict__.update(name=name, path=path)
 
 
-@dataclass
-class GeodesicDataset:
-    shape: CohomologyShape
-    records: tuple[GeodesicRecord, ...]
-    bumpy_required: bool = True
+class GeodesicDataset(Record):
+    _fields = ("shape", "records", "bumpy_required")
 
-    def __post_init__(self):
-        self.records = tuple(self.records)
+    def __init__(self, shape: CohomologyShape, records: tuple[GeodesicRecord, ...],
+                 bumpy_required: bool = True):
+        self.shape, self.records, self.bumpy_required = shape, tuple(records), bumpy_required
         if not self.records:
             raise ValueError("dataset needs at least one record")
         names = [r.name for r in self.records]
         if len(set(names)) != len(names):
             raise ValueError("duplicate record names")
-        want = self.shape.dim - 1
+        want = shape.dim - 1
         for r in self.records:
             if r.path.monodromy.half_dimension != want:
                 raise ValueError(
@@ -83,11 +82,11 @@ def gamma_invariant(record: GeodesicRecord) -> Fraction:
     return mag if i1 % 2 == 0 else -mag
 
 
-@dataclass(frozen=True)
-class ResonanceReport:
-    lhs: Exact
-    rhs: Fraction
-    passes: bool
+class ResonanceReport(FrozenRecord):
+    _fields = ("lhs", "rhs", "passes")
+
+    def __init__(self, lhs: Exact, rhs: Fraction, passes: bool):
+        self.__dict__.update(lhs=lhs, rhs=rhs, passes=passes)
 
     def to_json(self):
         return {
@@ -112,15 +111,14 @@ def tuple_resonance_identity(dataset: GeodesicDataset, t: CijtTuple):
     return lhs, rhs, lhs == rhs
 
 
-@dataclass(frozen=True)
-class JumpCensus:
-    plus_e: int
-    plus_o: int
-    minus_e: int
-    minus_o: int
-    margin: int
-    # name -> (i(c^{2m_k}), bucket in {"+e","+o","-e","-o",None})
-    classification: dict[str, tuple[int, Optional[str]]]
+class JumpCensus(FrozenRecord):
+    _fields = ("plus_e", "plus_o", "minus_e", "minus_o", "margin", "classification")
+
+    def __init__(self, plus_e: int, plus_o: int, minus_e: int, minus_o: int, margin: int,
+                 classification: dict[str, tuple[int, Optional[str]]]):
+        # classification: name -> (i(c^{2m_k}), bucket in {"+e","+o","-e","-o",None})
+        self.__dict__.update(plus_e=plus_e, plus_o=plus_o, minus_e=minus_e, minus_o=minus_o,
+                             margin=margin, classification=classification)
 
     def to_json(self):
         return {
@@ -241,11 +239,11 @@ def _check(name: str, lhs, rhs, op: str = "=="):
     }
 
 
-@dataclass(frozen=True)
-class Verdict:
-    theorem: str
-    passed: bool
-    details: dict
+class Verdict(FrozenRecord):
+    _fields = ("theorem", "passed", "details")
+
+    def __init__(self, theorem: str, passed: bool, details: dict):
+        self.__dict__.update(theorem=theorem, passed=passed, details=details)
 
     def to_json(self):
         return {"theorem": self.theorem, "pass": self.passed, **self.details}

@@ -16,10 +16,10 @@ elliptic height.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .scalars import Exact
+from .record import FrozenRecord
 
 
 def _check_angle(theta: Exact) -> Exact:
@@ -35,49 +35,45 @@ def _check_angle(theta: Exact) -> Exact:
 _ZERO, _ONE = Exact(0), Exact(1)
 
 
-@dataclass(frozen=True)
-class N1:
-    lam: int          # +1 or -1
-    b_sign: int       # -1, 0, +1
+class N1(FrozenRecord):
+    _fields = ("lam", "b_sign")
 
-    def __post_init__(self):
-        if self.lam not in (1, -1) or self.b_sign not in (-1, 0, 1):
+    def __init__(self, lam: int, b_sign: int):  # lam = +-1, b_sign in {-1, 0, 1}
+        if lam not in (1, -1) or b_sign not in (-1, 0, 1):
             raise ValueError("bad N1 block")
-        object.__setattr__(self, "angle", _ZERO if self.lam == 1 else _ONE)
+        self.__dict__.update(lam=lam, b_sign=b_sign, angle=_ZERO if lam == 1 else _ONE)
 
     dim = 2
 
 
-@dataclass(frozen=True)
-class D:
-    lam: Exact
+class D(FrozenRecord):
+    _fields = ("lam",)
 
-    def __post_init__(self):
-        a = self.lam if self.lam.sign() > 0 else -self.lam
+    def __init__(self, lam: Exact):
+        a = lam if lam.sign() > 0 else -lam
         if a == 0 or a == 1:
             raise ValueError("D(lam) needs lam real with |lam| not in {0, 1}")
+        self.__dict__["lam"] = lam
 
     dim = 2
     angle = None
 
 
-@dataclass(frozen=True)
-class R:
-    theta: Exact      # theta/pi
+class R(FrozenRecord):
+    _fields = ("theta",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "angle", _check_angle(self.theta))
+    def __init__(self, theta: Exact):  # theta/pi
+        self.__dict__.update(theta=theta, angle=_check_angle(theta))
 
     dim = 2
 
 
-@dataclass(frozen=True)
-class N2:
-    theta: Exact      # theta/pi
-    nontrivial: bool  # sign of (b2-b3)*sin(theta) < 0
+class N2(FrozenRecord):
+    _fields = ("theta", "nontrivial")
 
-    def __post_init__(self):
-        object.__setattr__(self, "angle", _check_angle(self.theta))
+    def __init__(self, theta: Exact, nontrivial: bool):
+        # theta/pi; nontrivial: sign of (b2-b3)*sin(theta) < 0
+        self.__dict__.update(theta=theta, nontrivial=nontrivial, angle=_check_angle(theta))
 
     dim = 4
 
@@ -96,30 +92,28 @@ def _block_key(b: Block):
     return (3, b.theta, b.nontrivial)
 
 
-@dataclass(frozen=True)
-class SymplecticClass:
-    """Multiset of blocks in canonical order; total dimension 2*half_dimension."""
+class SymplecticClass(FrozenRecord):
+    """Multiset of blocks in canonical order; total dimension 2*half_dimension
+    (0 reads it off the blocks)."""
 
-    blocks: tuple[Block, ...]
-    half_dimension: int = field(default=0)
+    _fields = ("blocks", "half_dimension")
 
-    def __post_init__(self):
-        blocks = tuple(sorted(self.blocks, key=_block_key))
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, blocks: tuple[Block, ...], half_dimension: int = 0):
+        blocks = tuple(sorted(blocks, key=_block_key))
         total = sum(b.dim for b in blocks)
-        if self.half_dimension == 0:
-            object.__setattr__(self, "half_dimension", total // 2)
-        if 2 * self.half_dimension != total:
+        half_dimension = half_dimension or total // 2
+        if 2 * half_dimension != total:
             raise ValueError(
-                "blocks span dimension %d, expected 2n = %d"
-                % (total, 2 * self.half_dimension)
+                "blocks span dimension %d, expected 2n = %d" % (total, 2 * half_dimension)
             )
+        self.__dict__.update(blocks=blocks, half_dimension=half_dimension)
 
 
-@dataclass(frozen=True)
-class SplittingPair:
-    plus: int
-    minus: int
+class SplittingPair(FrozenRecord):
+    _fields = ("plus", "minus")
+
+    def __init__(self, plus: int, minus: int):
+        self.__dict__.update(plus=plus, minus=minus)
 
     def __add__(self, other):
         return SplittingPair(self.plus + other.plus, self.minus + other.minus)

@@ -473,6 +473,23 @@ class TestDatasetLoading:
                 assert err.startswith("error: invalid dataset: " + head)
                 assert len(err.encode()) < 300 and err.count("\n") == 1
 
+    def test_line_break_in_key(self, capsys, tmp_path):
+        """An object key is named escaped in the error, which stays one line."""
+        doc = json.load(open(ds("s2_elliptic")))
+        keys = (("na\nme", r'"na\nme"'), ("a\rb", r'"a\rb"'), ("x\u2028y", r'"x\u2028y"'))
+        for key, shown in keys:
+            bad = json.loads(json.dumps(doc))
+            bad["records"][0][key] = 2.5
+            p = tmp_path / "key.json"
+            p.write_text(json.dumps(bad))
+            for command in ("resonance", "cijt"):
+                code, out, err = run(capsys, command, str(p))
+                assert code == 2 and out == ""
+                assert err == (
+                    "error: invalid dataset: dataset.records[0].%s is 2.5, not an integer\n" % shown
+                )
+                assert len(err.splitlines()) == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "resonance", "/nonexistent.json")
         assert code == 2

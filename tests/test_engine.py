@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -424,7 +423,9 @@ def _find_tuple_by_scan(problem, vertex=None, chi_eps=None, min_N=1):
     report = verify_tuple(best, problem)
     if not report.ok:
         raise CertificationError("uncertifiable tuple")
-    return dataclasses.replace(best, report=report)
+    return CijtTuple(
+        best.N, best.m, best.chi, best.Delta, best.M_bar, best.vertex, best.delta, report
+    )
 
 
 SCAN_BASES = [
@@ -503,7 +504,9 @@ class TestHitSteppingOracle:
             calls.append({"vertex": explicit})
             if isinstance(t, CijtTuple) and t.N > 1:
                 # the search range ends exactly at the last admissible m
-                tight = dataclasses.replace(prob, N_bound=t.N)
+                tight = SelectionProblem(
+                    prob.paths, prob.delta, prob.m_bar, t.N, prob.N_multiple_of
+                )
                 assert find_tuple(tight) == t
                 calls.append({"min_N": t.N - 1})
             for kw in calls:

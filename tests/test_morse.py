@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,6 +13,7 @@ from cijt.normal_forms import D, N1, N2, R, SymplecticClass
 from cijt.iteration import PathClass, index_bracket, index_iterate, index_window, mean_index
 from cijt.cli import _dumps, load_dataset
 from cijt.engine import (
+    CijtTuple,
     NotFoundWithinBound,
     SelectionProblem,
     find_tuple,
@@ -329,7 +329,7 @@ def _mutated(dataset, t, k, step):
     gap = index_iterate(path, 2 * m[k]) - 2 * t.N + sp + c
     if gap % 2 == 0:
         Delta[k] = gap // 2
-    return dataclasses.replace(t, m=tuple(m), Delta=tuple(Delta))
+    return CijtTuple(t.N, tuple(m), t.chi, tuple(Delta), t.M_bar, t.vertex, t.delta, t.report)
 
 
 class TestJumpCensusOracle:
