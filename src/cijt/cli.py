@@ -34,6 +34,7 @@ from .morse import (
     GeodesicDataset,
     GeodesicRecord,
     HypothesisRejected,
+    _shown,
     resonance_check,
     verify_theorem_1_1,
     verify_theorem_1_5,
@@ -79,7 +80,7 @@ def _check_fields(node, where="dataset", key=None):
     if isinstance(node, dict):
         for k, value in node.items():
             if k != "options":  # a non-identifier key is escaped: no line break splits the error
-                place = "%s.%s" % (where, k if k.isidentifier() else _encode_str(k))
+                place = "%s.%s" % (where, _shown(k))
                 _check_fields(value, place, k)
     elif isinstance(node, list):
         for k, value in enumerate(node):

@@ -14,7 +14,9 @@ held as a 2^-K fixed-point integer whose error over the whole search range is
 folded into the window, and each next hit comes from a Euclid-like recursion
 in O(K) integer steps (the three-distance structure of {k*alpha}).  Every hit
 is then certified in exact arithmetic; no float decides anything, and the
-reported tuple is the smallest admissible N.
+reported tuple is the smallest admissible N.  The opposite-vertex search starts
+at the N of the auto-vertex tuple, the least over every vertex, so no range is
+searched twice; delta_0 comes from integer floors alone.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .scalars import Exact, Lattice, floor_mult, frac_mult, is_near_lattice
 from .normal_forms import m_check
 from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index, path_nullity
 from .record import FrozenRecord, Record
+
+_HALF = Exact(Fraction(1, 2))
 
 
 class NonPositiveMeanIndex(ValueError):
@@ -52,30 +56,29 @@ def common_period(paths: Sequence[PathClass]) -> int:
 
 
 def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Fraction:
-    """Rational lower bound just below min over irrational angles, h <= m_bar,
-    of min({h*theta/2pi}, 1 - {h*theta/2pi}), capped at 1/2."""
+    """Rational lower bound just below the least lattice distance
+    min({h*theta/2pi}, 1 - {h*theta/2pi}) over irrational angles and h <= m_bar,
+    capped at 1/2.  It is read off integer floors: with F = [D*h*theta/2pi]
+    mod D, the floor of D times that minimum is the least F or D - 1 - F.  At
+    D = 10**6 a floor k > 2 gives (k - 2)/10**6; else 1/2**j for the least
+    j >= 1 whose floor of 2**j times the minimum is at least 1."""
     if m_bar < 1:
         raise ValueError("m_bar must be positive")
-    half = Exact(Fraction(1, 2))
-    best: Exact = half
-    for p in paths:
-        for t in p.bit_angles:
-            ht = t * half
-            for h in range(1, m_bar + 1):
-                f = frac_mult(ht, h)
-                for cand in (f, 1 - f):
-                    if cand < best:
-                        best = cand
-    if best.is_rational:
-        return best.r
-    # rational below the surd minimum, denominator <= 10**6: the floor is
-    # exact, so (floor - 2)/10**6 < best
-    approx = Fraction(floor_mult(best, 10**6) - 2, 10**6)
-    if approx <= 0:
-        approx = Fraction(1, 2)
-        while not Exact(approx) < best:
-            approx /= 2
-    return approx
+    halves = [t * _HALF for p in paths for t in p.bit_angles]
+    if not halves:
+        return Fraction(1, 2)
+
+    def floor_min(D: int) -> int:
+        fs = [floor_mult(x, h * D) % D for x in halves for h in range(1, m_bar + 1)]
+        return min(min(f, D - 1 - f) for f in fs)
+
+    k = floor_min(10**6)
+    if k > 2:
+        return Fraction(k - 2, 10**6)
+    j = 1
+    while floor_min(1 << j) < 1:
+        j += 1
+    return Fraction(1, 1 << j)
 
 
 class SelectionProblem(Record):
@@ -445,33 +448,23 @@ def verify_tuple(t: CijtTuple, problem: SelectionProblem) -> VerificationReport:
         nu1 = path_nullity(path, 1)
         two_n = 2 * t.N
         for m in range(1, problem.m_bar + 1):
-            nu_m = path_nullity(path, m)
+            nu_m, i_m = path_nullity(path, m), index_iterate(path, m)
             for side, it in (("+", 2 * m_k + m), ("-", 2 * m_k - m)):
                 if it < 1:
                     continue
-                checks.append(
-                    CheckRecord(k, m, "nullity(2m%s m)" % side, path_nullity(path, it), nu_m)
-                )
+                nu_it, eq = path_nullity(path, it), "nullity(2m%s m)" % side
+                checks.append(CheckRecord(k, m, eq, nu_it, nu_m))
                 if mc is None or m < mc:
-                    checks.append(
-                        CheckRecord(
-                            k, m, "nullity(2m%s m) = nullity(1)" % side,
-                            path_nullity(path, it), nu1,
-                        )
-                    )
+                    checks.append(CheckRecord(k, m, eq + " = nullity(1)", nu_it, nu1))
             checks.append(
-                CheckRecord(
-                    k, m, "index(2m+m)",
-                    index_iterate(path, 2 * m_k + m),
-                    two_n + index_iterate(path, m),
-                )
+                CheckRecord(k, m, "index(2m+m)", index_iterate(path, 2 * m_k + m), two_n + i_m)
             )
             if 2 * m_k - m >= 1:
                 checks.append(
                     CheckRecord(
                         k, m, "index(2m-m)",
                         index_iterate(path, 2 * m_k - m),
-                        two_n - index_iterate(path, m) - 2 * (sp + q_correction(path, m_k, m)),
+                        two_n - i_m - 2 * (sp + q_correction(path, m_k, m)),
                     )
                 )
         checks.append(
@@ -491,8 +484,12 @@ def opposite_tuple(
 ) -> CijtTuple:
     """Tuple at the opposite cube vertex; pinned chi components stay free.
 
-    Checks that Delta_k + Delta'_k equals the S^- weight on the irrational
-    angles of path k (all of C(M_k) when no rational angle carries S^-).
+    t must come from find_tuple at the auto vertex (vertex None, min_N 1)
+    with chi_eps None or no smaller than this one: that N is the least over
+    every vertex, so this search starts at min_N = t.N and finds what a
+    search from N = 1 would.  Checks that Delta_k + Delta'_k equals the S^-
+    weight on the irrational angles of path k (all of C(M_k) when no
+    rational angle carries S^-).
     """
     data = problem.data
     chi = tuple(
@@ -501,7 +498,7 @@ def opposite_tuple(
     bits = tuple(tuple(1 - b for b in path_bits) for path_bits in t.vertex.angle_bits)
     if chi_eps is None:
         chi_eps = problem.delta
-    opp = find_tuple(problem, vertex=VertexSpec(chi, bits), chi_eps=chi_eps)
+    opp = find_tuple(problem, vertex=VertexSpec(chi, bits), chi_eps=chi_eps, min_N=t.N)
     for k, pd in enumerate(data):
         if t.Delta[k] + opp.Delta[k] != pd.C_irrational:
             raise CertificationError(

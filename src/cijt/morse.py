@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
 from .scalars import Exact
@@ -39,6 +40,12 @@ class HypothesisRejected(ValueError):
     """Dataset violates a theorem hypothesis; a diagnostic, not a verdict."""
 
 
+def _shown(name: str) -> str:
+    """A record name or JSON key as a one-line message shows it: as is when it
+    is an identifier, else escaped and quoted, so no line break splits it."""
+    return name if name.isidentifier() else encode_basestring_ascii(name)
+
+
 class GeodesicRecord(FrozenRecord):
     _fields = ("name", "path")
 
@@ -62,12 +69,12 @@ class GeodesicDataset(Record):
             if r.path.monodromy.half_dimension != want:
                 raise ValueError(
                     "record %s: half-dimension %d, expected dn - 1 = %d"
-                    % (r.name, r.path.monodromy.half_dimension, want)
+                    % (_shown(r.name), r.path.monodromy.half_dimension, want)
                 )
             if not mean_index(r.path) > 0:
-                raise ValueError("record %s: mean index must be positive" % r.name)
+                raise ValueError("record %s: mean index must be positive" % _shown(r.name))
             if self.bumpy_required and not validate_bumpy(r.path.monodromy):
-                raise ValueError("record %s: degenerate iterate present" % r.name)
+                raise ValueError("record %s: degenerate iterate present" % _shown(r.name))
 
     @property
     def paths(self) -> tuple[PathClass, ...]:
@@ -153,23 +160,23 @@ def jump_census(
         path = rec.path
         if path.i1 < margin:
             raise HypothesisRejected(
-                "record %s: initial index %d < %d" % (rec.name, path.i1, margin)
+                "record %s: initial index %d < %d" % (_shown(rec.name), path.i1, margin)
             )
         i2m = index_iterate(path, 2 * m_k)
         expect = jump_index(path, t.N, d_k)
         if i2m != expect:
             raise AssertionError(
                 "record %s: i(c^{2m_k}) = %d, spectral formula gives %d"
-                % (rec.name, i2m, expect)
+                % (_shown(rec.name), i2m, expect)
             )
         _, below = index_window(path, None, two_n - margin)
         for m in range(1, min(2 * m_k, 2 * m_k + 1 - below.stop)):
             if index_iterate(path, 2 * m_k - m) > two_n - margin:
-                raise AssertionError("lower window violated at %s, m=%d" % (rec.name, m))
+                raise AssertionError("lower window violated at %s, m=%d" % (_shown(rec.name), m))
         _, above = index_window(path, two_n + margin)
         for m in range(1, min(2 * m_k + 1, above.start - 2 * m_k)):
             if index_iterate(path, 2 * m_k + m) < two_n + margin:
-                raise AssertionError("upper window violated at %s, m=%d" % (rec.name, m))
+                raise AssertionError("upper window violated at %s, m=%d" % (_shown(rec.name), m))
         bucket = None
         if (i2m - path.i1) % 2 == 0:
             parity = "e" if path.i1 % 2 == 0 else "o"
@@ -320,7 +327,7 @@ def _verify(theorem, dataset, delta, n_bound):
         raise HypothesisRejected(spec.shape_msg)
     for r in dataset.records:
         if not spec.record_ok(r.path):
-            raise HypothesisRejected(spec.record_msg % r.name)
+            raise HypothesisRejected(spec.record_msg % _shown(r.name))
     res = resonance_check(dataset)
     problem, chi_eps = _default_problem(dataset, spec.n_multiple(shape), delta, n_bound)
     t = find_tuple(problem, chi_eps=chi_eps)

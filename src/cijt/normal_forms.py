@@ -9,9 +9,10 @@ A conjugacy class is a multiset of 2x2/4x4 blocks:
 
 Each block holds one eigen-angle ``angle`` = theta/pi, set at construction:
 0 for N1(1, .), 1 for N1(-1, .), theta for R and N2, and None for D, whose
-eigenvalues lie off the unit circle.  That angle alone drives the splitting
-table, C(M), nullity, the return time of rational angles, bumpiness and the
-elliptic height.
+eigenvalues lie off the unit circle.  Beside it the block sets ``pairs``, its
+nonzero splitting pairs (S^+, S^-) by unit-circle angle; splitting numbers
+and C(M) sum them.  The angle drives nullity, the return time of rational
+angles, bumpiness and the elliptic height.
 """
 
 from __future__ import annotations
@@ -35,13 +36,36 @@ def _check_angle(theta: Exact) -> Exact:
 _ZERO, _ONE = Exact(0), Exact(1)
 
 
+class SplittingPair(FrozenRecord):
+    _fields = ("plus", "minus")
+
+    def __init__(self, plus: int, minus: int):
+        self.__dict__.update(plus=plus, minus=minus)
+
+    def __add__(self, other):
+        return SplittingPair(self.plus + other.plus, self.minus + other.minus)
+
+
+# The per-block splitting table, set as ``pairs`` = ((theta/pi, pair), ...)
+# with its zero pairs left out.  Only the N1(1,b) value at omega=1 is printed
+# in the iteration-formula sources; the rest is fixed by conjugate symmetry
+# S^+(w) = S^-(conj w), additivity, and the requirement that the two iteration
+# formulas (precise and non-degenerate shortcut) agree -- the cross-check
+# suite gates every entry.
+_ZERO_PAIR, _PAIR_01, _PAIR_10, _PAIR_11 = (
+    SplittingPair(0, 0), SplittingPair(0, 1), SplittingPair(1, 0), SplittingPair(1, 1)
+)
+
+
 class N1(FrozenRecord):
     _fields = ("lam", "b_sign")
 
     def __init__(self, lam: int, b_sign: int):  # lam = +-1, b_sign in {-1, 0, 1}
         if lam not in (1, -1) or b_sign not in (-1, 0, 1):
             raise ValueError("bad N1 block")
-        self.__dict__.update(lam=lam, b_sign=b_sign, angle=_ZERO if lam == 1 else _ONE)
+        angle = _ZERO if lam == 1 else _ONE  # b >= 0 at omega = 1, b <= 0 at omega = -1
+        pairs = ((angle, _PAIR_11),) if lam * b_sign >= 0 else ()
+        self.__dict__.update(lam=lam, b_sign=b_sign, angle=angle, pairs=pairs)
 
     dim = 2
 
@@ -56,14 +80,15 @@ class D(FrozenRecord):
         self.__dict__["lam"] = lam
 
     dim = 2
-    angle = None
+    angle, pairs = None, ()
 
 
 class R(FrozenRecord):
     _fields = ("theta",)
 
     def __init__(self, theta: Exact):  # theta/pi
-        self.__dict__.update(theta=theta, angle=_check_angle(theta))
+        pairs = ((_check_angle(theta), _PAIR_01), (2 - theta, _PAIR_10))
+        self.__dict__.update(theta=theta, angle=theta, pairs=pairs)
 
     dim = 2
 
@@ -73,7 +98,9 @@ class N2(FrozenRecord):
 
     def __init__(self, theta: Exact, nontrivial: bool):
         # theta/pi; nontrivial: sign of (b2-b3)*sin(theta) < 0
-        self.__dict__.update(theta=theta, nontrivial=nontrivial, angle=_check_angle(theta))
+        _check_angle(theta)
+        pairs = ((theta, _PAIR_11), (2 - theta, _PAIR_11)) if nontrivial else ()
+        self.__dict__.update(theta=theta, nontrivial=nontrivial, angle=theta, pairs=pairs)
 
     dim = 4
 
@@ -109,38 +136,9 @@ class SymplecticClass(FrozenRecord):
         self.__dict__.update(blocks=blocks, half_dimension=half_dimension)
 
 
-class SplittingPair(FrozenRecord):
-    _fields = ("plus", "minus")
-
-    def __init__(self, plus: int, minus: int):
-        self.__dict__.update(plus=plus, minus=minus)
-
-    def __add__(self, other):
-        return SplittingPair(self.plus + other.plus, self.minus + other.minus)
-
-
-_ZERO_PAIR = SplittingPair(0, 0)
-
 # Unit-circle eigenvalue encoding: the integer 1 or -1, or an Exact theta/pi
 # in (0,2)\{1} for e^{i*theta}.
 Omega = Union[int, Exact]
-
-
-def _block_splitting(b: Block, w: Exact) -> SplittingPair:
-    # The per-block table at the angle w = theta/pi in [0, 2).  Only the
-    # N1(1,b) value at omega=1 is printed in the iteration-formula sources;
-    # the rest is fixed by conjugate symmetry S^+(w) = S^-(conj w),
-    # additivity, and the requirement that the two iteration formulas
-    # (precise and non-degenerate shortcut) agree -- the cross-check suite
-    # gates every entry.
-    t = b.angle
-    if t is None or (w != t and w + t != 2):
-        return _ZERO_PAIR
-    if isinstance(b, N1):  # b >= 0 at omega = 1, b <= 0 at omega = -1
-        return SplittingPair(1, 1) if b.lam * b.b_sign >= 0 else _ZERO_PAIR
-    if isinstance(b, R):
-        return SplittingPair(0, 1) if w == t else SplittingPair(1, 0)
-    return SplittingPair(1, 1) if b.nontrivial else _ZERO_PAIR
 
 
 def splitting_numbers(M: SymplecticClass, omega: Omega) -> SplittingPair:
@@ -154,7 +152,9 @@ def splitting_numbers(M: SymplecticClass, omega: Omega) -> SplittingPair:
         raise TypeError("omega must be +-1 or an Exact angle")
     out = _ZERO_PAIR
     for b in M.blocks:
-        out = out + _block_splitting(b, omega)
+        for w, pair in b.pairs:
+            if w == omega:
+                out = out + pair
     return out
 
 
@@ -163,11 +163,8 @@ def unit_angles(M: SymplecticClass) -> list[tuple[Exact, SplittingPair]]:
     splitting pair; a block adds its angle and the conjugate 2 - theta."""
     acc: dict[Exact, SplittingPair] = {}
     for b in M.blocks:
-        if not b.angle:  # None (off the circle) or 0 (eigenvalue 1)
-            continue
-        for w in {b.angle, 2 - b.angle}:
-            pair = _block_splitting(b, w)
-            if pair != _ZERO_PAIR:
+        for w, pair in b.pairs:
+            if w:  # not 0 (eigenvalue 1)
                 acc[w] = acc.get(w, _ZERO_PAIR) + pair
     return sorted(acc.items(), key=lambda kv: kv[0])
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import io
 import json
 import os
@@ -145,6 +146,17 @@ class TestCijt:
         )
         doc = json.loads(out)
         assert code == 0 and (doc["N"], doc["m"]) == (70, [169])
+
+    def test_sqrt2_opposite_at_delta_1e12(self, capsys):
+        # the opposite search at N ~ 6e11, pinned by the sha256 of its stdout
+        code, out, _ = run(
+            capsys, "cijt", ds("single_sqrt2"), "--vertex", "opposite",
+            "--delta", "1/1000000000000", "--n-bound", "1000000000000000000",
+        )
+        assert code == 0 and json.loads(out)["N"] == 627013566048
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8f4729001cb79d8029051282fdb8a914c179938b39e0f105d7b5a52657993724"
+        )
 
     def test_bits_vertex(self, capsys):
         # chi bit 0, angle bit 1 (High band) reproduces the auto result
@@ -489,6 +501,20 @@ class TestDatasetLoading:
                     "error: invalid dataset: dataset.records[0].%s is 2.5, not an integer\n" % shown
                 )
                 assert len(err.splitlines()) == 1
+
+    def test_line_break_in_record_name(self, capsys, tmp_path):
+        """A record name is shown escaped in the error, which stays one line."""
+        doc = json.load(open(ds("s2_elliptic")))
+        doc["records"][0]["name"] = "c\n1"
+        doc["records"][0]["blocks"] *= 2
+        p = tmp_path / "name.json"
+        p.write_text(json.dumps(doc))
+        for argv in (("resonance",), ("verify", "--theorem", "1.1")):
+            code, out, err = run(capsys, *argv, str(p))
+            assert (code, out) == (2, "")
+            assert err == (
+                'error: invalid dataset: record "c\\n1": half-dimension 2, expected dn - 1 = 1\n'
+            )
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "resonance", "/nonexistent.json")

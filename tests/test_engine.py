@@ -1,18 +1,21 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cijt.scalars import Exact, Lattice, floor_mult, frac_mult, is_near_lattice
-from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum
-from cijt.iteration import PathClass, index_iterate, mean_index
+from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum, m_check
+from cijt.iteration import PathClass, index_iterate, jump_index, mean_index, path_nullity
 from cijt.engine import (
     CertificationError,
+    CheckRecord,
     CijtTuple,
     NonPositiveMeanIndex,
     NotFoundWithinBound,
     SelectionProblem,
+    VerificationReport,
     VertexSpec,
     _PathData,
     _chi_proximity_ok,
@@ -24,6 +27,7 @@ from cijt.engine import (
     find_tuple,
     m_bar_for_geodesics,
     opposite_tuple,
+    q_correction,
     verify_tuple,
 )
 from test_normal_forms import classes
@@ -86,6 +90,76 @@ class TestDeltaZero:
     def test_mbar_3_same_band(self):
         assert abs(delta_zero([path(1, R(SQRT2M1))], 3) - delta_zero([path(1, R(SQRT2M1))], 1)) \
             < Fraction(1, 100000)
+
+
+def _delta_zero_exact(paths, m_bar):
+    """delta_0 as it was computed before the integer rule, kept as an oracle:
+    each {h*theta/2pi} by frac_mult, the least lattice distance by Exact
+    comparisons, then (floor - 2)/10**6 or halving from 1/2."""
+    half = Exact(Fraction(1, 2))
+    best = half
+    for p in paths:
+        for t in p.bit_angles:
+            for h in range(1, m_bar + 1):
+                f = frac_mult(t * half, h)
+                for cand in (f, 1 - f):
+                    if cand < best:
+                        best = cand
+    if best.is_rational:
+        return best.r
+    approx = Fraction(floor_mult(best, 10**6) - 2, 10**6)
+    if approx <= 0:
+        approx = Fraction(1, 2)
+        while not Exact(approx) < best:
+            approx /= 2
+    return approx
+
+
+@st.composite
+def _d0_angle(draw):
+    """An irrational theta/pi in (0, 2): a random surd, or p/q plus a tiny
+    surd, where h*theta/2pi comes within 1e-16 of an integer for some h."""
+    s = draw(st.sampled_from([2, 3, 5, 7]))
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 6))
+        tiny = Fraction(draw(st.integers(-99, 99).filter(bool)), 10 ** draw(st.integers(3, 16)))
+        theta = Exact(Fraction(draw(st.integers(0, 2 * q)), q)) + Exact.surd(0, tiny, s)
+    else:
+        theta = Exact.surd(
+            Fraction(draw(st.integers(-20, 20)), draw(st.integers(1, 9))),
+            Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9))),
+            s,
+        )
+    assume(Exact(0) < theta < Exact(2))
+    return theta
+
+
+@st.composite
+def _d0_path(draw):
+    blocks = [R(t) if draw(st.booleans()) else N2(t, draw(st.booleans()))
+              for t in draw(st.lists(_d0_angle(), max_size=2))]
+    if draw(st.booleans()) or not blocks:
+        blocks.append(draw(st.sampled_from([R(Exact(Fraction(1, 3))), D(Exact(2)), N1(1, 1)])))
+    return path(1, *blocks)
+
+
+class TestDeltaZeroOracle:
+    @given(st.lists(_d0_path(), min_size=1, max_size=3), st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_minimum(self, paths, m_bar):
+        assert delta_zero(paths, m_bar) == _delta_zero_exact(paths, m_bar)
+
+    @pytest.mark.parametrize("p, q, m_bar", [(1, 2, 4), (2, 3, 3), (1, 1, 2), (0, 1, 1), (5, 3, 6)])
+    def test_power_of_two_branch(self, p, q, m_bar):
+        """theta/pi = p/q + 1e-12*sqrt(2): h*theta/2pi is within 1e-11 of an
+        integer at h = 2q/gcd(p, 2q) <= m_bar, below 3/10**6, so delta_0 is
+        the largest 1/2**j under it."""
+        theta = Exact(Fraction(p, q)) + Exact.surd(0, Fraction(1, 10**12), 2)
+        paths = [path(1, R(theta)), path(2, R(T35))]
+        d0 = delta_zero(paths, m_bar)
+        assert d0 == _delta_zero_exact(paths, m_bar)
+        assert d0.numerator == 1 and d0.denominator & (d0.denominator - 1) == 0
+        assert d0 < Fraction(3, 10**6)
 
 
 class TestSelectionProblem:
@@ -461,9 +535,9 @@ def _scan_problem(rng):
     )
 
 
-def _outcome(search, problem, **kw):
+def _outcome(search, *args, **kw):
     try:
-        return search(problem, **kw)
+        return search(*args, **kw)
     except (NotFoundWithinBound, ValueError, CertificationError) as exc:
         return type(exc)
 
@@ -533,6 +607,145 @@ class TestHitSteppingOracle:
             assert fast == _outcome(_find_tuple_by_scan, prob)
             after = {"min_N": fast.N + 1}
             assert _outcome(find_tuple, prob, **after) == _outcome(_find_tuple_by_scan, prob, **after)
+
+
+def _opposite_from_one(t, problem, chi_eps=None):
+    """opposite_tuple as it was before it started at the primary N, kept as
+    an oracle: the opposite vertex searched over every N from 1."""
+    data = problem.data
+    chi = tuple(c if pd.u_pinned else 1 - c for c, pd in zip(t.chi, data))
+    bits = tuple(tuple(1 - b for b in path_bits) for path_bits in t.vertex.angle_bits)
+    opp = find_tuple(
+        problem, vertex=VertexSpec(chi, bits), chi_eps=problem.delta if chi_eps is None else chi_eps
+    )
+    if any(t.Delta[k] + opp.Delta[k] != pd.C_irrational for k, pd in enumerate(data)):
+        raise CertificationError("Delta + Delta' is not the irrational S^- weight")
+    return opp
+
+
+def _opposite_problem(rng):
+    """One to three paths, each irrationally elliptic (one surd angle, with a
+    rational one beside it at times), rationally elliptic or hyperbolic."""
+    paths = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.random()
+        if kind < 0.55:
+            base = rng.choice(SCAN_BASES)
+            blocks = [R(base) if rng.random() < 0.7 else N2(base, rng.random() < 0.5)]
+            if rng.random() < 0.3:
+                blocks.append(R(Exact(rng.choice(SCAN_RATIONALS))))
+            paths.append(path(rng.randint(1, 3), *blocks))
+        elif kind < 0.8:
+            paths.append(path(rng.randint(1, 3), R(Exact(rng.choice(SCAN_RATIONALS)))))
+        else:
+            paths.append(path(rng.randint(1, 4), D(Exact(rng.choice([2, -2, 3])))))
+    return SelectionProblem(
+        paths,
+        delta=rng.choice([Fraction(1, 20), Fraction(1, 50), Fraction(1, 120)]),
+        m_bar=rng.randint(1, 3),
+        N_bound=rng.choice([300, 2000, 10000, 50000]),
+        N_multiple_of=rng.choice([1, 2, 3]),
+    )
+
+
+class TestOppositeFromPrimaryN:
+    def test_matches_search_from_one(self):
+        """The opposite search starts at the primary N; the search over every
+        N from 1 finds the same tuple or raises the same exception, with
+        chi_eps None and delta at both searches.  An exhausted opposite search
+        reports the least residual over k >= [u*N] of the primary tuple."""
+        rng = random.Random(15)
+        seen = Counter()
+        while seen["problems"] < 220:
+            try:
+                prob = _opposite_problem(rng)
+            except NonPositiveMeanIndex:
+                continue
+            seen["problems"] += 1
+            g = max(prob.data, key=lambda pd: len(pd.bit_angles))  # the generator path
+            for chi_eps in (None, prob.delta):
+                t = _outcome(find_tuple, prob, chi_eps=chi_eps)
+                if not isinstance(t, CijtTuple):
+                    continue
+                try:
+                    fast = opposite_tuple(t, prob, chi_eps=chi_eps)
+                except NotFoundWithinBound as exc:
+                    fast, residual = NotFoundWithinBound, exc.best_residual
+                except (ValueError, CertificationError) as exc:
+                    fast = type(exc)
+                assert fast == _outcome(_opposite_from_one, t, prob, chi_eps=chi_eps), (prob, chi_eps)
+                seen["mbar>1"] += prob.period > 1
+                seen["N multiple>1"] += prob.N_multiple_of > 1
+                seen["irrational paths>1"] += sum(bool(pd.bit_angles) for pd in prob.data) > 1
+                if isinstance(fast, CijtTuple):
+                    seen["found"] += 1
+                    seen["found above primary N"] += fast.N > t.N
+                    continue
+                seen["exhausted"] += fast is NotFoundWithinBound
+                k_lo = max(1, floor_mult(g.u, t.N))
+                k_cap = floor_mult(g.u, prob.N_bound) + 1
+                if fast is NotFoundWithinBound and g.bit_angles and k_cap - k_lo < 4000:
+                    fracs = ([frac_mult(a, k * prob.period) for a in g.bit_angles]
+                             for k in range(k_lo, k_cap + 1))
+                    brute = min(max(min(f, 1 - f) for f in fs) for fs in fracs)
+                    assert residual == float(brute), (prob, chi_eps)
+                    seen["residual checked"] += 1
+        assert len(seen) == 8 and min(seen.values()) >= 3, seen
+
+
+def _verify_tuple_by_definition(t, problem):
+    """verify_tuple as it was before each value was evaluated once, kept as
+    an oracle: every check evaluates both of its sides afresh."""
+    checks = []
+    for k, (p, m_k) in enumerate(zip(problem.paths, t.m)):
+        sp, mc, two_n = p.spectral[0], m_check(p.monodromy), 2 * t.N
+        for m in range(1, problem.m_bar + 1):
+            for side, it in (("+", 2 * m_k + m), ("-", 2 * m_k - m)):
+                if it < 1:
+                    continue
+                eq = "nullity(2m%s m)" % side
+                checks.append(CheckRecord(k, m, eq, path_nullity(p, it), path_nullity(p, m)))
+                if mc is None or m < mc:
+                    checks.append(
+                        CheckRecord(k, m, eq + " = nullity(1)", path_nullity(p, it), path_nullity(p, 1))
+                    )
+            checks.append(CheckRecord(
+                k, m, "index(2m+m)", index_iterate(p, 2 * m_k + m), two_n + index_iterate(p, m)
+            ))
+            if 2 * m_k - m >= 1:
+                rhs = two_n - index_iterate(p, m) - 2 * (sp + q_correction(p, m_k, m))
+                checks.append(CheckRecord(k, m, "index(2m-m)", index_iterate(p, 2 * m_k - m), rhs))
+        checks.append(
+            CheckRecord(k, 0, "index(2m)", index_iterate(p, 2 * m_k), jump_index(p, t.N, t.Delta[k]))
+        )
+    return VerificationReport(tuple(checks))
+
+
+class TestVerifyTupleOracle:
+    def test_matches_checks_by_definition(self):
+        """The same CheckRecords in the same order as a report that evaluates
+        every side afresh, at found tuples (rational paths carry nullity) and
+        at tuples whose N or m_k is moved, so that checks fail too."""
+        rng = random.Random(16)
+        seen = Counter()
+        while seen["tuples"] < 60:
+            try:
+                prob = _opposite_problem(rng)
+            except NonPositiveMeanIndex:
+                continue
+            t = _outcome(find_tuple, prob)
+            if not isinstance(t, CijtTuple):
+                continue
+            seen["tuples"] += 1
+            moved_m = tuple(m + 1 for m in t.m)  # off the multiples of Mbar
+            for u in (t, CijtTuple(t.N + 1, t.m, t.chi, t.Delta, t.M_bar, t.vertex, t.delta),
+                      CijtTuple(t.N, moved_m, t.chi, t.Delta, t.M_bar, t.vertex, t.delta)):
+                report = verify_tuple(u, prob)
+                assert report == _verify_tuple_by_definition(u, prob), (prob, u)
+                seen["failing"] += not report.ok
+                seen["nullity"] += any(c.lhs for c in report.checks if "nullity" in c.equation)
+                seen["nullity fails"] += any(not c.ok for c in report.checks if "nullity" in c.equation)
+        assert min(seen.values()) >= 3, seen
 
 
 class TestVerifyTuple:

@@ -50,6 +50,10 @@ GOLDEN = {
     "1.5 s3[:3]": "618f9b55c39059a0e0c6c17bdacadb9ad18a2828ac87772b408f5f951d0e7ee4",
     "1.8 hyp": "4f338ebbd2e379a768826bd8a1dd6a3ed02a11d465c465f1d1000f767c399f7a",
     "1.8 hyp[:1]": "6c596bbbb445bc92cf035bedd8e2707db77ca0087ecaf96295d56b9475ba2a66",
+    # the shipped datasets at delta = 1e-12, n_bound 1e18: both tuple searches
+    # run at N ~ 1e12..1e14, far past the default delta
+    "1.1 s2 1e-12": "d2552174dbe79564fab9f00199a77602cd205b2226db2848bb17ef9e8d3f6fc6",
+    "1.5 s3 1e-12": "ff4a03dda4f650b179584b20fdf437a6b04d40a6c22e330c10850e8c4e96a2e4",
 }
 
 
@@ -110,6 +114,32 @@ class TestDatasetValidation:
             GeodesicDataset(
                 CohomologyShape(2, 1), (rec("x", 1, R(Exact(Fraction(1, 3)))),)
             )
+
+    def test_record_names_escaped(self):
+        """Every message that names a record shows a name that is not an
+        identifier escaped and quoted, so a line break cannot split it; an
+        identifier is shown as it is."""
+        s2 = CohomologyShape(2, 1)
+        positive_at_zero = R(Exact(3) - Exact.surd(0, 1, 2))  # i(c) = 0, ihat = 2 - sqrt2
+        for name, shown in (("c\n1", r'"c\n1"'), ("c\u2028 1", r'"c\u2028 1"'), ("c1", "c1")):
+            cases = [
+                (lambda: GeodesicDataset(s2, (rec(name, 1, R(T35), R(PHI_M1)),)),
+                 "record %s: half-dimension 2, expected dn - 1 = 1"),
+                (lambda: GeodesicDataset(s2, (rec(name, 0, R(PHI_M1)),)),
+                 "record %s: mean index must be positive"),
+                (lambda: GeodesicDataset(s2, (rec(name, 1, R(Exact(Fraction(1, 3)))),)),
+                 "record %s: degenerate iterate present"),
+                (lambda: verify_theorem_1_1(GeodesicDataset(
+                    s2, (rec("z", 1, R(T35)), rec(name, 0, positive_at_zero)))),
+                 "record %s has zero Morse index"),
+            ]
+            ds = GeodesicDataset(s2, (rec(name, 1, R(T35)), rec("c2", 2, R(PHI_M1))))
+            t = find_tuple(SelectionProblem(ds.paths, N_multiple_of=2))
+            cases.append((lambda: jump_census(ds, t, 2), "record %s: initial index 1 < 2"))
+            for build, message in cases:
+                with pytest.raises(ValueError) as exc:
+                    build()
+                assert str(exc.value) == message % shown
 
 
 def critical_module_dim(record, m, degree):
@@ -604,6 +634,7 @@ class TestTheorem11:
         v = verify_theorem_1_1(ds, delta=Fraction(1, 10**12), n_bound=10**18)
         assert v.passed and not failed_checks(v)
         assert v.details["tuple"]["N"] > 10**12
+        assert digest(v) == GOLDEN["1.1 s2 1e-12"]
 
     def test_record_removed_fails(self, s2_dataset):
         partial = GeodesicDataset(s2_dataset.shape, s2_dataset.records[:1])
@@ -637,6 +668,7 @@ class TestTheorem15:
         v = verify_theorem_1_5(ds, delta=Fraction(1, 10**12), n_bound=10**18)
         assert v.passed and not failed_checks(v)
         assert v.details["tuple"]["N"] > 10**13
+        assert digest(v) == GOLDEN["1.5 s3 1e-12"]
 
     def test_records_removed_fails(self, s3_dataset):
         partial = GeodesicDataset(s3_dataset.shape, s3_dataset.records[:3])

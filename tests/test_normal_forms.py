@@ -131,6 +131,57 @@ class TestSplittingNumbers:
             assert (a.plus, a.minus) == (b.minus, b.plus)
 
 
+def _block_splitting(b, w):
+    """One block's splitting pair at w = theta/pi, worked out per query as it
+    was before each block set its pairs; kept as an oracle."""
+    t = b.angle
+    if t is None or (w != t and w + t != 2):
+        return SplittingPair(0, 0)
+    if isinstance(b, N1):
+        return SplittingPair(1, 1) if b.lam * b.b_sign >= 0 else SplittingPair(0, 0)
+    if isinstance(b, R):
+        return SplittingPair(0, 1) if w == t else SplittingPair(1, 0)
+    return SplittingPair(1, 1) if b.nontrivial else SplittingPair(0, 0)
+
+
+def _unit_angles_by_query(M):
+    acc = {}
+    for b in M.blocks:
+        if not b.angle:
+            continue
+        for w in {b.angle, 2 - b.angle}:
+            pair = _block_splitting(b, w)
+            if pair != SplittingPair(0, 0):
+                acc[w] = acc.get(w, SplittingPair(0, 0)) + pair
+    return sorted(acc.items(), key=lambda kv: kv[0])
+
+
+@st.composite
+def _blocks_or_conjugates(draw):
+    """A block, or an R/N2 block at the conjugate angle 2 - theta, so that a
+    multiset can hold an angle and its conjugate."""
+    b = draw(blocks())
+    if isinstance(b, (R, N2)) and draw(st.booleans()):
+        return R(2 - b.theta) if isinstance(b, R) else N2(2 - b.theta, b.nontrivial)
+    return b
+
+
+class TestSplittingTableOracle:
+    @given(st.lists(_blocks_or_conjugates(), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_query_table(self, bs):
+        """splitting_numbers at each block angle, its conjugate, omega = +-1
+        and an unrelated angle, and unit_angles, against the per-query table."""
+        M = cls(*bs)
+        assert unit_angles(M) == _unit_angles_by_query(M)
+        omegas = [1, -1, Exact.surd(0, Fraction(1, 3), 7)]
+        omegas += [w for b in M.blocks if b.angle and b.angle != 1 for w in (b.angle, 2 - b.angle)]
+        for omega in omegas:
+            w = Exact(0) if omega == 1 else Exact(1) if omega == -1 else omega
+            want = sum((_block_splitting(b, w) for b in M.blocks), SplittingPair(0, 0))
+            assert splitting_numbers(M, omega) == want
+
+
 class TestExactOrder:
     def test_angles_closer_than_a_float_sort_by_value(self):
         # a and b differ by ~1e-30: one float, two exact values
