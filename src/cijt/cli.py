@@ -203,33 +203,66 @@ def _dumps(doc) -> str:
     """json.dumps(doc, indent=2, sort_keys=True), byte for byte, without its
     pure-Python indenting encoder; a float or a non-str key raises TypeError."""
     out = []
-    _write(doc, "\n", out.append)
+    _write(doc, "\n", out.append, {})
     return "".join(out)
 
 
-def _write(x, pad, append):
+# the JSON of a str, int, bool or None, by exact type, so bool never takes the
+# int branch; a subclass of str or int goes through _write's isinstance tests
+_LEAVES = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda x: "null",
+}
+
+
+def _write(x, pad, append, shapes):
     """Append the JSON of x; pad is the newline and indent of the line x starts
-    on.  (A closure would hold itself in a cycle and outlive the call.)"""
-    if isinstance(x, str):
+    on, and shapes maps each dict shape (keys in insertion order, pad) met in
+    this call to its sorted keys and their lead texts.  (A closure would hold
+    itself in a cycle and outlive the call.)"""
+    inner = pad + "  "
+    if isinstance(x, dict):
+        if not x:
+            append("{}")
+            return
+        shape = (tuple(x), pad)
+        leads = shapes.get(shape)
+        if leads is None:  # _encode_str refuses a key that is not a str
+            leads = shapes[shape] = [
+                (key, ("," if i else "{") + inner + _encode_str(key) + ": ")
+                for i, key in enumerate(sorted(x))
+            ]
+        for key, lead in leads:
+            value = x[key]
+            write = _LEAVES.get(type(value))
+            if write is not None:
+                append(lead + write(value))
+            else:
+                append(lead)
+                _write(value, inner, append, shapes)
+        append(pad + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            append("[]")
+            return
+        lead = "[" + inner
+        for value in x:
+            write = _LEAVES.get(type(value))
+            if write is not None:
+                append(lead + write(value))
+            else:
+                append(lead)
+                _write(value, inner, append, shapes)
+            lead = "," + inner
+        append(pad + "]")
+    elif isinstance(x, str):
         append(_encode_str(x))
     elif x is None or isinstance(x, bool):
         append("null" if x is None else "true" if x else "false")
     elif isinstance(x, int):
         append(int.__repr__(x))
-    elif isinstance(x, (list, tuple)):
-        inner, sep = pad + "  ", "["
-        for item in x:
-            append(sep + inner)
-            _write(item, inner, append)
-            sep = ","
-        append(pad + "]" if x else "[]")
-    elif isinstance(x, dict):
-        inner, sep = pad + "  ", "{"
-        for key in sorted(x):  # _encode_str refuses a key that is not a str
-            append(sep + inner + _encode_str(key) + ": ")
-            _write(x[key], inner, append)
-            sep = ","
-        append(pad + "}" if x else "{}")
     else:
         raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
 
@@ -345,10 +378,19 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if verdict.passed else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """One-line errors, as every other rejection; add_subparsers' parser_class
+    builds the subparsers from this class too."""
+
+    def error(self, message):
+        message = "\\n".join(message.splitlines())  # a raw argument may hold a line break
+        self.exit(EXIT_REJECT, "error: %s: %s\n" % (self.prog, message))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built on the first call, then reused: parse_args leaves it unchanged."""
-    ap = argparse.ArgumentParser(prog="cijt")
+    ap = _Parser(prog="cijt")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("iterate", help="index/nullity table of one record")

@@ -45,6 +45,11 @@ class PathClass(FrozenRecord):
         return out
 
     @cached_property
+    def inverse_mean(self) -> Exact:
+        """1/i-hat, which every ``index_window`` bound is a multiple of."""
+        return 1 / self.mean
+
+    @cached_property
     def bit_angles(self) -> tuple[Exact, ...]:
         """Each block's irrational angle theta/pi, in block order: one
         representative per block, carrying a vertex bit of the tuple search
@@ -108,20 +113,27 @@ def index_bracket(p: PathClass) -> tuple[int, int]:
     return lo, lo + max(2 * c, 1)
 
 
+def _over_mean(inv: Exact, c: int) -> int:
+    """[c/ihat] from inv = 1/ihat, for an integer c of either sign."""
+    if c > 0:
+        return floor_mult(inv, c)
+    return -ceil_mult(inv, -c) if c else 0
+
+
 def index_window(p: PathClass, a: int | None = None, b: int | None = None) -> tuple[range, range]:
     """(may, sure): the m >= 1 that may have a <= i(gamma, m) <= b and those
     that surely do, by ``index_bracket``; None leaves a side open, and an open
     top ends both ranges at sys.maxsize.  For a <= b, sure lies inside may."""
-    inv = 1 / p.mean
+    inv = p.inverse_mean
     lo, hi = index_bracket(p)
     may_start = sure_start = 1
     may_stop = sure_stop = sys.maxsize
     if a is not None:  # i >= a for all m >= (a - lo)/ihat, for no m <= (a - hi)/ihat
-        may_start = max(1, floor_mult(inv * (a - hi), 1) + 1)
-        sure_start = max(1, ceil_mult(inv * (a - lo), 1))
+        may_start = max(1, _over_mean(inv, a - hi) + 1)
+        sure_start = max(1, -_over_mean(inv, lo - a))
     if b is not None:  # i <= b for all m <= (b + 1 - hi)/ihat, for no m > (b - lo)/ihat
-        may_stop = floor_mult(inv * (b - lo), 1) + 1
-        sure_stop = floor_mult(inv * (b + 1 - hi), 1) + 1
+        may_stop = _over_mean(inv, b - lo) + 1
+        sure_stop = _over_mean(inv, b + 1 - hi) + 1
     return range(may_start, may_stop), range(sure_start, max(sure_start, sure_stop))
 
 

@@ -71,12 +71,17 @@ def _floor(A: int, terms, q: int, m: int = 1) -> int:
     """[m*(A + sum b*sqrt(s))/q], q > 0, from the first enclosure at 0, 64,
     128, 256, ... bits that lies within one step [k, k + 1).
 
-    A rational value or one radicand ends at 0 bits, where hi - lo is 0 or 1.
-    With several, the value is irrational (square roots of distinct
-    squarefree integers are linearly independent over Q: Besicovitch,
-    J. London Math. Soc. 15 (1940)), so the enclosures come to exclude
-    every integer.
+    A rational value or one radicand ends at 0 bits, where hi - lo is 0 or 1,
+    so that enclosure is taken directly: one isqrt and no loop.  With several,
+    the value is irrational (square roots of distinct squarefree integers are
+    linearly independent over Q: Besicovitch, J. London Math. Soc. 15
+    (1940)), so the enclosures come to exclude every integer.
     """
+    if len(terms) <= 1:
+        for s, b in terms:
+            root = math.isqrt(b * b * s * m * m)  # [m*|b|*sqrt(s)], never an integer
+            return (m * A + (root if b > 0 else -root - 1)) // q
+        return m * A // q
     bits = 0
     while True:
         lo, hi, den = _enclosure(A, terms, q, m, bits)

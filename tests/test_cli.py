@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -354,6 +355,90 @@ class TestJsonWriter:
     def test_float_or_int_key_raises(self, doc):
         with pytest.raises(TypeError):
             cli._dumps(doc)
+
+
+# dicts drawn from a few keys, so one dict shape (its keys in insertion order)
+# comes back within a document, at one depth or several
+shaped_trees = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.sampled_from(["", "x", "\n"])),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.sampled_from(["a", "b", "kind", "\u00e9"]), children, max_size=3),
+    ),
+    max_leaves=40,
+)
+
+
+class Color(IntEnum):
+    RED = 1
+
+
+class Tag(str):
+    pass
+
+
+class TestJsonWriterShapes:
+    """_dumps sorts and encodes each dict shape's keys once per call; a shape
+    seen again must print exactly as json.dumps prints it."""
+
+    @given(st.lists(shaped_trees, min_size=2, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_repeated_shapes(self, doc):
+        assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 3, "b": 4}],  # one key set, two orders
+        {"a": {"a": {"a": 1, "b": 2}, "b": 2}, "b": {"a": 1, "b": 2}},  # one shape, three depths
+        [{"a": 1}, {"a": [1, {"a": None}]}, {"a": {"a": "x"}}, {"a": []}, {"a": {}}],
+        [{"a": True}, {"a": 1}, {"a": False}, {"a": 0}, [True, 1, False, 0, None]],
+        [{"a": Color.RED}, {"a": Tag("\n")}, Color.RED, Tag("t"), {Tag("a"): Color.RED}],
+        Color.RED, Tag("x"), None, True, "", [], {},
+    ])
+    def test_cases(self, doc):
+        assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [
+        [{"a": 1}, {"a": 1.5}],  # a float under a repeated shape
+        [{"a": {"b": 1}}, {"a": {"b": [0.5]}}],
+        [{"a": 1, "b": 2}, {"a": 1, 2: 2}],  # an int key in the second dict
+        [{"a": 1}, {"a": 1}, {1: 1}],
+    ])
+    def test_float_or_int_key_in_repeated_shape_raises(self, doc):
+        with pytest.raises(TypeError):
+            cli._dumps(doc)
+
+
+class TestOneLineArgparseErrors:
+    """argparse's own rejections end in exit 2 with one stderr line, as the
+    dataset and flag checks do; -h still prints the whole help."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("cijt", ds("single_sqrt2"), "--delta", "-1/3"),
+         "error: cijt cijt: argument --delta: expected one argument\n"),
+        (("verify", ds("s2_elliptic"), "--theorem", "2.0"),
+         "error: cijt verify: argument --theorem: invalid choice: '2.0'"
+         " (choose from '1.1', '1.5', '1.8')\n"),
+        (("bogus",), "error: cijt: argument command: invalid choice: 'bogus'"
+         " (choose from 'iterate', 'betti', 'resonance', 'cijt', 'verify')\n"),
+        (("cijt", ds("single_sqrt2"), "--n-bound", "x"),
+         "error: cijt cijt: argument --n-bound: invalid int value: 'x'\n"),
+        ((), "error: cijt: the following arguments are required: command\n"),
+        (("resonance", ds("s2_elliptic"), "a\nb"), "error: cijt: unrecognized arguments: a\\nb\n"),
+    ])
+    def test_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
+
+    @pytest.mark.parametrize("argv", [("-h",), ("verify", "-h")])
+    def test_help_is_whole(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: cijt") and out.count("\n") > 5
 
 
 class TestInternalError:

@@ -1,11 +1,12 @@
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cijt.scalars import Exact
+from cijt.scalars import Exact, ceil_mult, floor_mult
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass, validate_bumpy
 from cijt.cli import load_dataset
 from cijt.iteration import (
@@ -13,6 +14,7 @@ from cijt.iteration import (
     index_bracket,
     index_iterate,
     index_iterate_bumpy,
+    index_window,
     mean_index,
     path_nullity,
 )
@@ -107,6 +109,69 @@ class TestIndexBracket:
         # S^+ = 0, one rotation angle (C = 1): [-1, 1); hyperbolic: exactly 0
         assert index_bracket(path(1, R(SQRT2M1))) == (-1, 1)
         assert index_bracket(path(1, D(Exact(2)))) == (0, 1)
+
+
+def _index_window_by_exact(p, a=None, b=None):
+    """index_window as it first read the bracket: 1/ihat built per call and
+    each bound an Exact product, floored or ceiled once."""
+    inv = 1 / p.mean
+    lo, hi = index_bracket(p)
+    may_start = sure_start = 1
+    may_stop = sure_stop = sys.maxsize
+    if a is not None:
+        may_start = max(1, floor_mult(inv * (a - hi), 1) + 1)
+        sure_start = max(1, ceil_mult(inv * (a - lo), 1))
+    if b is not None:
+        may_stop = floor_mult(inv * (b - lo), 1) + 1
+        sure_stop = floor_mult(inv * (b + 1 - hi), 1) + 1
+    return range(may_start, may_stop), range(sure_start, max(sure_start, sure_stop))
+
+
+class TestIndexWindowOracle:
+    """index_window reads each bound as [c/ihat] off the path's 1/ihat; the
+    Exact products of _index_window_by_exact give the same ranges."""
+
+    ANGLES = [
+        Exact(Fraction(1, 3)), Exact(Fraction(7, 5)),  # rational
+        SQRT2M1, T35, Exact.surd(Fraction(1, 2), Fraction(1, 7), 3),  # Q(sqrt2), Q(sqrt5), Q(sqrt3)
+        Exact.surd(Fraction(3, 2), Fraction(-1, 9), 13),
+    ]
+
+    def _random_path(self, rng):
+        blocks = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randint(0, 3)
+            if kind == 0:
+                blocks.append(D(Exact(rng.choice([2, -2, 3, -5]))))
+            elif kind == 1:
+                blocks.append(R(rng.choice(self.ANGLES)))
+            elif kind == 2:
+                blocks.append(N2(rng.choice(self.ANGLES), rng.random() < 0.5))
+            else:
+                blocks.append(N1(rng.choice([1, -1]), rng.choice([-1, 0, 1])))
+        return PathClass(rng.randint(0, 6), SymplecticClass(tuple(blocks)))
+
+    def test_matches_exact_products(self):
+        rng = random.Random(16)
+        kinds = set()
+        tried = 0
+        while tried < 150:
+            p = self._random_path(rng)
+            if not p.mean:
+                continue
+            tried += 1
+            kinds.add(len(p.mean.B))
+            top = 3 * (abs(p.mean.A) // p.mean.q + 2) + 50
+            bounds = [None, 0, -1, 1, -rng.randint(2, top), rng.randint(2, top), rng.randint(2, 10**15)]
+            for a in bounds:
+                for b in bounds:
+                    assert index_window(p, a, b) == _index_window_by_exact(p, a, b), (p, a, b)
+        assert kinds == {0, 1, 2}  # rational, one-radicand and two-radicand means
+
+    def test_inverse_mean(self):
+        p = path(1, R(SQRT2M1), D(Exact(2)))
+        assert p.inverse_mean == 1 / p.mean == Exact.surd(1, 1, 2)
+        assert p.inverse_mean is p.inverse_mean  # built once per path
 
 
 class TestCrossCheckGate:

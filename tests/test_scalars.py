@@ -11,6 +11,7 @@ from cijt.scalars import (
     Exact,
     Lattice,
     _enclosure,
+    _floor,
     _squarefree_split,
     ceil_mult,
     floor_mult,
@@ -351,6 +352,44 @@ hair_widths = st.builds(
     lambda s, bits, c: Exact.surd(-convergent_below(s, 2**bits), 1, s) * c,
     st.sampled_from([2, 3, 5, 7]), st.integers(1, 200), fractions.filter(bool),
 )
+
+
+def _floor_by_enclosure(A, terms, q, m=1):
+    """The floor by the enclosure loop alone, from 0 bits: the first
+    enclosure at 0, 64, 128, ... bits that lies within one step."""
+    bits = 0
+    while True:
+        lo, hi, den = _enclosure(A, terms, q, m, bits)
+        k = lo // den
+        if hi <= (k + 1) * den:
+            return k
+        bits = 2 * bits or 64
+
+
+class TestFloorOracle:
+    """_floor takes the 0-bit enclosure directly for at most one radicand
+    (one isqrt) and loops only for several; the loop from 0 bits agrees."""
+
+    @given(
+        st.one_of(st.integers(-(10**6), 10**6), st.integers(-(2**200), 2**200)),
+        st.one_of(st.just(0), st.integers(-(10**6), 10**6), st.integers(-(2**100), 2**100)),
+        st.sampled_from([2, 3, 5, 6, 7, 10, 13, 9999991]),
+        st.one_of(st.integers(1, 1000), st.integers(1, 2**120)),
+        st.one_of(multipliers, st.integers(1, 2**200)),
+    )
+    @example(-1, 1, 2, 1, 70)  # [70*(sqrt2 - 1)] = 28
+    @example(0, -1, 2, 1, 2**200)
+    @example(-7, 0, 2, 3, 10**15 - 1)
+    @settings(max_examples=400, deadline=None)
+    def test_one_radicand_or_none(self, A, b, s, q, m):
+        terms = ((s, b),) if b else ()
+        assert _floor(A, terms, q, m) == _floor_by_enclosure(A, terms, q, m)
+        assert _floor(A, dict(terms).items(), q, m) == _floor_by_enclosure(A, terms, q, m)
+
+    @given(exacts(max_terms=3), st.one_of(multipliers, st.integers(1, 2**200)))
+    @settings(max_examples=100, deadline=None)
+    def test_any_exact(self, x, m):
+        assert _floor(x.A, x.B.items(), x.q, m) == _floor_by_enclosure(x.A, x.B.items(), x.q, m)
 
 
 class TestFloat:
