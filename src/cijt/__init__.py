@@ -12,9 +12,8 @@ from .normal_forms import (
     m_check,
     nullity,
     splitting_numbers,
-    unit_angles,
 )
-from .iteration import PathClass, index_iterate, index_iterate_bumpy, mean_index, path_nullity
+from .iteration import PathClass, index_iterate, mean_index, path_nullity
 from .engine import (
     CijtTuple,
     NotFoundWithinBound,

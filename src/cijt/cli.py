@@ -8,7 +8,7 @@ documents (schema version 1):
      "records": [{"name": "c1", "initial_index": 1, "blocks": [...]}]}
 
 Exit codes: 0 success/verdict pass, 1 verdict fail, 2 hypothesis or input
-rejection, 3 search exhaustion, 4 internal error (a failed self-check).
+rejection, 3 search exhaustion, 4 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -448,6 +448,10 @@ def main(argv=None) -> int:
         return EXIT_REJECT
     except AssertionError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a fault of cijt's own: one line, not exit 1 (fail)
+        message = "\\n".join(str(exc).splitlines())
+        print("internal error: %s: %s" % (type(exc).__name__, message), file=sys.stderr)
         return EXIT_INTERNAL
 
 

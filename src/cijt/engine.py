@@ -9,14 +9,14 @@ Given symplectic paths gamma_1..gamma_q with positive mean indices, find
     i(gamma_k, 2m_k) = 2N - (S^+_k + C_k - 2*Delta_k),
 
 and certify the index identities for the iterates 2m_k +- m.  The search
-steps from lattice hit to lattice hit of one angle of one path: that angle is
-held as a 2^-K fixed-point integer whose error over the whole search range is
-folded into the window, and each next hit comes from a Euclid-like recursion
-in O(K) integer steps (the three-distance structure of {k*alpha}).  Every hit
-is then certified in exact arithmetic; no float decides anything, and the
-reported tuple is the smallest admissible N.  The opposite-vertex search starts
-at the N of the auto-vertex tuple, the least over every vertex, so no range is
-searched twice; delta_0 comes from integer floors alone.
+steps from lattice hit to lattice hit of one angle of one path in 2^-K fixed
+point (``scalars._hit_stepper``), and each path answers a candidate from its
+kernel: every irrational angle held as [2^K*theta] decides the floor and the
+band of m*theta, and one exact floor settles the rare m whose error interval
+meets an edge.  No float decides anything, and the reported tuple is the
+smallest admissible N.  The opposite-vertex search starts at the N of the
+auto-vertex tuple, the least over every vertex, so no range is searched twice;
+delta_0 comes from integer floors alone.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Exact, Lattice, floor_mult, frac_mult, is_near_lattice
+from .scalars import Exact, _edges, _floor, _hit_stepper, _locate, floor_mult, frac_mult
 from .normal_forms import m_check
 from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index, path_nullity
 from .record import FrozenRecord, Record
-
-_HALF = Exact(Fraction(1, 2))
 
 
 class NonPositiveMeanIndex(ValueError):
@@ -64,12 +62,12 @@ def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Fraction:
     j >= 1 whose floor of 2**j times the minimum is at least 1."""
     if m_bar < 1:
         raise ValueError("m_bar must be positive")
-    halves = [t * _HALF for p in paths for t in p.bit_angles]
+    halves = [(t.A, t.B.items(), 2 * t.q) for p in paths for t in p.bit_angles]
     if not halves:
         return Fraction(1, 2)
 
     def floor_min(D: int) -> int:
-        fs = [floor_mult(x, h * D) % D for x in halves for h in range(1, m_bar + 1)]
+        fs = [_floor(*x, h * D) % D for x in halves for h in range(1, m_bar + 1)]
         return min(min(f, D - 1 - f) for f in fs)
 
     k = floor_min(10**6)
@@ -136,11 +134,8 @@ class VerificationReport(FrozenRecord):
     _fields = ("checks",)
 
     def __init__(self, checks: tuple[CheckRecord, ...]):
-        self.__dict__["checks"] = checks
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        # ok is decided once and stays out of _fields: ==, hash and repr skip it
+        self.__dict__.update(checks=checks, ok=all(c.lhs == c.rhs for c in checks))
 
     @property
     def mismatches(self) -> tuple[CheckRecord, ...]:
@@ -168,149 +163,88 @@ class CijtTuple(FrozenRecord):
                 "angle_bits": [list(b) for b in self.vertex.angle_bits],
             },
             "delta": [self.delta.numerator, self.delta.denominator],
-            "verification": None
-            if self.report is None
-            else {
+            "verification": None if self.report is None else {
                 "ok": self.report.ok,
-                "checks": [
-                    {
-                        "path": c.k,
-                        "m": c.m,
-                        "equation": c.equation,
-                        "lhs": c.lhs,
-                        "rhs": c.rhs,
-                        "ok": c.ok,
-                    }
-                    for c in self.report.checks
-                ],
+                "checks": [{"path": c.k, "m": c.m, "equation": c.equation, "lhs": c.lhs,
+                            "rhs": c.rhs, "ok": c.lhs == c.rhs} for c in self.report.checks],
             },
         }
 
 
 class _PathData:
-    """Per-path constants and condition lists for the search."""
+    """Per-path search constants, built once per problem; ``fix`` sets the
+    fixed-point kernel of one search, which ``probe`` and ``chi`` read."""
 
     def __init__(self, path: PathClass, m_bar_period: int):
         self.path = path
         self.mean = mean_index(path)
-        self.minus = path.spectral[2]
+        sp, c, minus = path.spectral
+        self.spc, self.two_rho = sp + c, 2 * (path.i1 + sp - c)
+        # each irrational block angle theta/pi as (A, terms, q, S^- weight at
+        # theta, at 2 - theta); R and N2 list theta's pair first
+        self.blocks = tuple(
+            (b.angle.A, tuple(b.angle.B.items()), b.angle.q,
+             *([pair.minus for _, pair in b.pairs] or (0, 0)))
+            for b in path.monodromy.blocks if b.angle is not None and b.angle.B
+        )
+        # rational S^- angles as spectral holds them: -theta/2pi = A/q
+        self.rational = tuple((A, q, w) for A, terms, q, w in minus if not terms)
         # Delta_k + Delta'_k at opposite vertices: S^- weight on irrational angles
-        self.C_irrational = sum(w for t, w in self.minus if not t.is_rational)
+        self.C_irrational = sum(e[3] + e[4] for e in self.blocks)
         # u = 1 / (Mbar * ihat): chi component of the torus vector
         self.u = 1 / (self.mean * m_bar_period)
         self.u_pinned = self.u.is_rational
         self.bit_angles = path.bit_angles
 
-    def delta_count(self, m: int, delta: Fraction) -> int:
-        """S^- weight of irrational angles with {m*theta/pi} in the Low band."""
-        return sum(
-            w for ht, w in self.minus
-            if not ht.is_rational and is_near_lattice(ht, 2 * m, delta) is Lattice.LOW
-        )
+    def fix(self, K: int, delta: Fraction, eps: Optional[Fraction]) -> None:
+        """The kernel at M = 2^K: a = [M*theta/pi] per irrational block angle,
+        [M*u], and the band edges of delta and eps (none for eps None)."""
+        M, u = 1 << K, self.u
+        self.a = [_floor(A, terms, q, M) for A, terms, q, _, _ in self.blocks]
+        self.ua = _floor(u.A, u.B.items(), u.q, M)
+        self.kernel = _edges(K, delta)
+        self.chi_kernel = _edges(K, eps or Fraction(0))  # band 0/0: [N*u] only
 
-    def classify_bits(self, m: int, delta: Fraction) -> Optional[tuple[int, ...]]:
-        """Low/High bits of the representative angles, or None if any is Interior/Zero."""
-        bits = []
-        for t in self.bit_angles:
-            cls = is_near_lattice(t, m, delta)
-            if cls is Lattice.LOW:
-                bits.append(0)
-            elif cls is Lattice.HIGH:
-                bits.append(1)
-            else:
+    def probe(self, m: int):
+        """(bits, Delta, i(c^{2m})), or None if an angle lies in neither band:
+        bit 0 Low, 1 High; Delta is the S^- weight at theta if Low, at 2 - theta
+        if High; E(m*theta) = [m*theta] + 1, E(m*(2 - theta)) = 2m - [m*theta]."""
+        bits, dl, index = [], 0, m * self.two_rho - self.spc
+        for (A, terms, q, wl, wh), a in zip(self.blocks, self.a):
+            fl, hi = _locate(a, m, self.kernel, A, terms, q)
+            if hi is None:
                 return None
-        return tuple(bits)
+            bits.append(hi)
+            dl += wh if hi else wl
+            index += 2 * (wl * (fl + 1) + wh * (2 * m - fl))
+        for A, q, w in self.rational:
+            index -= 2 * w * (2 * m * A // q)
+        return tuple(bits), dl, index
+
+    def chi(self, N: int):
+        """([N*u], band of {N*u} against eps); a pinned u has no band."""
+        u = self.u
+        if self.u_pinned:
+            return N * u.A // u.q, None
+        return _locate(self.ua, N, self.chi_kernel, u.A, u.B.items(), u.q)
 
 
-def _next_hit(a: int, b: int, M: int, lo: int, hi: int) -> Optional[int]:
-    """Least j >= 0 with (a*j + b) mod M in the circular window {lo..hi} mod M
-    (integers lo <= hi), or None if the orbit never enters it.
-
-    After a shift this asks for the least x with l <= a*x mod m <= r.  Either
-    a multiple of a lies in [l, r] (x = ceil(l/a)), or [l, r] is shorter than
-    a and the least x comes with the least y of a*x - m*y in [l, r], which
-    is the same question for (m mod a, a): Euclid's steps, O(log M) of them.
-    """
-    l = (lo - b) % M
-    r = l + hi - lo
-    if r >= M:
-        return 0  # the window wraps through b itself
-    m, a = M, a % M
-    frames = []
-    x = 0
-    while l:
-        if a == 0:
-            return None
-        x = -(-l // a)
-        if a * x <= r:
-            break
-        frames.append((m, a, l))
-        m, a, l, r = a, m % a, (-r) % a, (-l) % a
-    for m, a, l in reversed(frames):
-        x = -(-(m * x + l) // a)
-    return x
-
-
-def _hit_stepper(theta: Exact, mbar: int, k_cap: int, delta: Fraction):
-    """Fixed-point stepping through {k*mbar*theta} for 1 <= k <= k_cap.
-
-    Returns (M, next_hit) with M = 2^K.  With a = [M*mbar*theta] mod M, the
-    residue k*a mod M lags {k*mbar*theta}*M by less than k <= k_cap units, so
-    windows widened by k_cap + 1 units lose no hit.  next_hit(k, h, bit) is
-    the least k' >= k whose {k'*mbar*theta}*M might lie below h + 1 (bit 0,
-    Low), above M - h - 1 (bit 1, High) or either (bit None); None if none
-    ever does.  Every k' it returns still has to be classified exactly.
-    """
-    M = 1 << (k_cap.bit_length() + delta.denominator.bit_length() + 16)
-    a = floor_mult(theta, mbar * M) % M
-
-    def next_hit(k: int, h: int, bit: Optional[int]) -> Optional[int]:
-        lo = -k_cap - 1 if bit == 0 else -h - 1 - k_cap
-        hi = -1 if bit == 1 else h
-        j = _next_hit(a, a * k % M, M, lo, hi)
-        return None if j is None else k + j
-
-    return M, next_hit
-
-
-def _chi_proximity_ok(pd: _PathData, N: int, chi: int, eps: Fraction) -> bool:
-    """|{N*u} - chi| < eps, decided by the lattice band test (eps < 1/2)."""
-    if pd.u_pinned:
-        return True
-    band = is_near_lattice(pd.u, N, eps)
-    if chi == 0:
-        return band is Lattice.ZERO or band is Lattice.LOW
-    return band is Lattice.HIGH
-
-
-def _try_path(
-    pd: _PathData,
-    N: int,
-    mbar: int,
-    delta: Fraction,
-    want_chi: Optional[int],
-    want_bits: Optional[tuple[int, ...]],
-    chi_eps: Optional[Fraction],
-):
-    """Check one path at candidate N; returns (m, chi, bits, Delta) or None."""
-    base = floor_mult(pd.u, N)
+def _try_path(pd: _PathData, N: int, mbar: int, want_chi: Optional[int],
+              want_bits: Optional[tuple[int, ...]], chi_eps: Optional[Fraction], seen):
+    """Check one path at candidate N; returns (m, chi, bits, Delta) or None.
+    seen = (m, probe at m) of the generator hit, which is not probed again."""
+    base, band = pd.chi(N)
     chis = (want_chi,) if want_chi is not None and not pd.u_pinned else (0, 1)
     for chi in chis:
         m = (base + chi) * mbar
-        if m < 1:
+        if m < 1 or (chi_eps is not None and not pd.u_pinned and band != chi):
+            continue  # |{N*u} - chi| < chi_eps fails
+        got = seen[1] if m == seen[0] else pd.probe(m)
+        if got is None or (want_bits is not None and got[0] != want_bits):
             continue
-        bits = pd.classify_bits(m, delta)
-        if bits is None and pd.bit_angles:
-            continue
-        bits = bits or ()
-        if want_bits is not None and bits != want_bits:
-            continue
-        if chi_eps is not None and not _chi_proximity_ok(pd, N, chi, chi_eps):
-            continue
-        d = pd.delta_count(m, delta)
-        if index_iterate(pd.path, 2 * m) != jump_index(pd.path, N, d):
-            continue
-        return m, chi, bits, d
+        bits, d, index = got
+        if index == 2 * N - pd.spc + 2 * d:  # i(c^{2m}) = jump_index(path, N, d)
+            return m, chi, bits, d
     return None
 
 
@@ -359,26 +293,26 @@ def find_tuple(
     # generator path: the one with the most lattice conditions (sparsest hits)
     gen = max(range(len(data)), key=lambda i: len(data[i].bit_angles))
     g = data[gen]
+    # K as _hit_stepper picks it: a path's m and N caps and the band
+    # denominators, so that an exact floor is rarely needed
+    slack = max(delta.denominator, chi_eps.denominator if chi_eps else 1).bit_length() + 16
+    for pd in data:
+        m_cap = (floor_mult(pd.u, problem.N_bound) + 1) * mbar
+        pd.fix(max(m_cap, problem.N_bound).bit_length() + slack, delta, chi_eps)
 
-    def accept(N: int):
+    def accept(N: int, seen):
         if N < max(1, min_N) or N > problem.N_bound or N % problem.N_multiple_of:
             return None
-        ms, chis, all_bits, deltas = [], [], [], []
+        rows = []
         for i, pd in enumerate(data):
             want_chi = vertex.chi[i] if vertex is not None else None
             want_bits = vertex.angle_bits[i] if vertex is not None else None
-            got = _try_path(pd, N, mbar, delta, want_chi, want_bits, chi_eps)
+            got = _try_path(pd, N, mbar, want_chi, want_bits, chi_eps, seen if i == gen else (0, None))
             if got is None:
                 return None
-            m, chi, bits, d = got
-            ms.append(m)
-            chis.append(chi)
-            all_bits.append(bits)
-            deltas.append(d)
-        realized = VertexSpec(tuple(chis), tuple(all_bits))
-        return CijtTuple(
-            N, tuple(ms), tuple(chis), tuple(deltas), mbar, realized, delta
-        )
+            rows.append(got)
+        ms, chis, all_bits, deltas = zip(*rows)
+        return CijtTuple(N, ms, chis, deltas, mbar, VertexSpec(chis, all_bits), delta)
 
     best: Optional[CijtTuple] = None
     best_residual = None
@@ -400,11 +334,10 @@ def find_tuple(
     k = next_hit(k_lo, h, bit)
     while k is not None and k <= k_cap:
         m = k * mbar
-        bits = g.classify_bits(m, delta)
-        if bits is not None and (want_bits is None or bits == want_bits):
-            d = g.delta_count(m, delta)
-            N = (index_iterate(g.path, 2 * m) - jump_index(g.path, 0, d)) // 2
-            cand = accept(N)
+        got = g.probe(m)
+        if got is not None and (want_bits is None or got[0] == want_bits):
+            N = (got[2] + g.spc - 2 * got[1]) // 2  # i(c^{2m}) = jump_index(N)
+            cand = accept(N, (m, got))
             if cand is not None and (best is None or cand.N < best.N):
                 if cand.m[gen] == m:
                     best = cand
@@ -434,8 +367,8 @@ def find_tuple(
 def q_correction(path: PathClass, m_k: int, m: int) -> int:
     """Q_k(m): S^- weight of angles with {m_k*theta/pi} = {m*theta/2pi} = 0."""
     return sum(
-        w for ht, w in path.spectral[2]
-        if ht.is_rational and (2 * m_k * ht.A) % ht.q == 0 and (m * ht.A) % ht.q == 0
+        w for A, terms, q, w in path.spectral[2]
+        if not terms and (2 * m_k * A) % q == 0 and (m * A) % q == 0
     )
 
 

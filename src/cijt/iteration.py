@@ -1,20 +1,21 @@
 """Index iteration: i(gamma, m), nu(gamma, m) and the mean index.
 
 The precise formula sums ceilings of m*theta/(2*pi) over the unit-circle
-spectrum, weighted by minus-splitting numbers; the non-degenerate shortcut
-uses floors over rotation angles only.  Both are implemented and must agree
-on non-degenerate classes -- that agreement is the gate for the splitting
-table in normal_forms.
+spectrum, weighted by minus-splitting numbers.  Each path reads that spectrum
+off its blocks' pairs once, as integers, and every ceiling is one exact
+floor.  The tests hold the non-degenerate shortcut, floors over rotation
+angles only; the two agree on non-degenerate classes, which gates the
+splitting table in normal_forms.
 """
 
 from __future__ import annotations
 
+import math
 import sys
-from fractions import Fraction
 from functools import cached_property
 
-from .scalars import Exact, ceil_mult, floor_mult
-from .normal_forms import SymplecticClass, nullity, s_plus_one, unit_angles
+from .scalars import Exact, _exact, _floor, ceil_mult, floor_mult
+from .normal_forms import SymplecticClass, nullity
 from .record import FrozenRecord
 
 
@@ -27,22 +28,34 @@ class PathClass(FrozenRecord):
         self.__dict__.update(i1=i1, monodromy=monodromy)
 
     @cached_property
-    def spectral(self) -> tuple[int, int, tuple[tuple[Exact, int], ...]]:
-        """(S^+(1), C(M), ((theta/2pi, S^- weight), ...)) over weighted angles."""
-        half = Exact(Fraction(1, 2))
-        minus = tuple(
-            (t * half, pair.minus) for t, pair in unit_angles(self.monodromy) if pair.minus
-        )
-        return s_plus_one(self.monodromy), sum(w for _, w in minus), minus
+    def spectral(self) -> tuple[int, int, tuple[tuple[int, tuple, int, int], ...]]:
+        """(S^+(1), C(M), minus), read off the blocks' pairs: minus holds each
+        pair at a unit angle theta/pi != 0 with S^- weight w > 0 as integers
+        (A, terms, q, w), (A + sum b*sqrt(s))/q = -theta/2pi over the pairs
+        (s, b) of terms, so that E(m*theta/2pi) = -[m*(A + ...)/q]."""
+        sp, minus = 0, []
+        for b in self.monodromy.blocks:
+            for t, pair in b.pairs:
+                if not (t.A or t.B):
+                    sp += pair.plus
+                elif pair.minus:
+                    terms = tuple((s, -c) for s, c in t.B.items())
+                    minus.append((-t.A, terms, 2 * t.q, pair.minus))
+        return sp, sum(e[3] for e in minus), tuple(minus)
 
     @cached_property
     def mean(self) -> Exact:
-        """i-hat = i1 + S^+(1) - C(M) + sum theta/pi * S^-."""
+        """i-hat = i1 + S^+(1) - C(M) + sum theta/pi * S^-, summed as integers
+        over the common denominator of the angles."""
         sp, c, minus = self.spectral
-        out = Exact(self.i1 + sp - c)
-        for half_theta, w in minus:
-            out = out + half_theta * (2 * w)
-        return out
+        L = math.lcm(1, *(e[2] for e in minus))
+        A, B = (self.i1 + sp - c) * L, {}
+        for a, terms, q, w in minus:
+            f = 2 * w * (L // q)
+            A -= f * a
+            for s, b in terms:
+                B[s] = B.get(s, 0) - f * b
+        return _exact(A, B, L)
 
     @cached_property
     def inverse_mean(self) -> Exact:
@@ -70,27 +83,8 @@ def index_iterate(p: PathClass, m: int) -> int:
         raise ValueError("m must be positive")
     sp, c, minus = p.spectral
     total = m * (p.i1 + sp - c) - (sp + c)
-    for half_theta, w in minus:
-        total += 2 * ceil_mult(half_theta, m) * w
-    return total
-
-
-def index_iterate_bumpy(i_c: int, r: int, angles: list[Exact], m: int) -> int:
-    """i(c^m) = m*(i(c)-r) + 2*sum_j [m*theta_j/(2pi)] + r, rotation angles only.
-
-    Valid for non-degenerate classes; rational angles are rejected because the
-    shortcut is only claimed there.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if len(angles) != r:
-        raise ValueError("expected %d rotation angles" % r)
-    half = Exact(Fraction(1, 2))
-    total = m * (i_c - r) + r
-    for t in angles:
-        if t.is_rational:
-            raise ValueError("bumpy shortcut needs irrational theta/pi")
-        total += 2 * floor_mult(t * half, m)
+    for A, terms, q, w in minus:
+        total -= 2 * w * _floor(A, terms, q, m)
     return total
 
 

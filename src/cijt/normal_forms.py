@@ -19,18 +19,27 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .scalars import Exact
+from .scalars import Exact, _exact, _floor
 from .record import FrozenRecord
 
 
-def _check_angle(theta: Exact) -> Exact:
+def _check_angle(theta: Exact) -> tuple[int, dict[int, int], int]:
+    """theta's integers (A, B, q), once one floor shows 0 < theta/pi < 2, != 1."""
     if not isinstance(theta, Exact):
         raise TypeError("theta/pi must be an Exact scalar")
-    if not 0 < theta < 2:
-        raise ValueError("theta/pi must lie in (0, 2)")
-    if theta == 1:
+    A, B, q = theta.A, theta.B, theta.q
+    whole = not B and q == 1  # lowest terms: theta/pi is an integer
+    if whole and A == 1:
         raise ValueError("theta = pi is encoded by N1(-1, b), not by R/N2")
-    return theta
+    if whole or _floor(A, B.items(), q) not in (0, 1):
+        raise ValueError("theta/pi must lie in (0, 2)")
+    return A, B, q
+
+
+def _conjugate(theta: Exact) -> Exact:
+    """2 - theta/pi, built from theta's checked integers."""
+    A, B, q = _check_angle(theta)
+    return _exact(2 * q - A, {s: -b for s, b in B.items()}, q)
 
 
 _ZERO, _ONE = Exact(0), Exact(1)
@@ -87,7 +96,7 @@ class R(FrozenRecord):
     _fields = ("theta",)
 
     def __init__(self, theta: Exact):  # theta/pi
-        pairs = ((_check_angle(theta), _PAIR_01), (2 - theta, _PAIR_10))
+        pairs = ((theta, _PAIR_01), (_conjugate(theta), _PAIR_10))
         self.__dict__.update(theta=theta, angle=theta, pairs=pairs)
 
     dim = 2
@@ -98,8 +107,8 @@ class N2(FrozenRecord):
 
     def __init__(self, theta: Exact, nontrivial: bool):
         # theta/pi; nontrivial: sign of (b2-b3)*sin(theta) < 0
-        _check_angle(theta)
-        pairs = ((theta, _PAIR_11), (2 - theta, _PAIR_11)) if nontrivial else ()
+        conj = _conjugate(theta)
+        pairs = ((theta, _PAIR_11), (conj, _PAIR_11)) if nontrivial else ()
         self.__dict__.update(theta=theta, nontrivial=nontrivial, angle=theta, pairs=pairs)
 
     dim = 4
@@ -158,25 +167,9 @@ def splitting_numbers(M: SymplecticClass, omega: Omega) -> SplittingPair:
     return out
 
 
-def unit_angles(M: SymplecticClass) -> list[tuple[Exact, SplittingPair]]:
-    """Eigenvalue angles theta/pi in (0,2), sorted, each once with its summed
-    splitting pair; a block adds its angle and the conjugate 2 - theta."""
-    acc: dict[Exact, SplittingPair] = {}
-    for b in M.blocks:
-        for w, pair in b.pairs:
-            if w:  # not 0 (eigenvalue 1)
-                acc[w] = acc.get(w, _ZERO_PAIR) + pair
-    return sorted(acc.items(), key=lambda kv: kv[0])
-
-
-def s_plus_one(M: SymplecticClass) -> int:
-    """S^+_M(1)."""
-    return splitting_numbers(M, 1).plus
-
-
 def crossing_sum(M: SymplecticClass) -> int:
     """C(M) = sum over theta in (0, 2pi) of S^-_M(e^{i theta})."""
-    return sum(pair.minus for _, pair in unit_angles(M))
+    return sum(pair.minus for b in M.blocks for t, pair in b.pairs if t)
 
 
 def nullity(M: SymplecticClass, m: int) -> int:

@@ -401,6 +401,85 @@ def frac_mult(x: Exact, m: int) -> Exact:
     return x * m - floor_mult(x, m)
 
 
+# -- fixed point: x held as the integer a = [2^K*x] --------------------------
+
+
+def _edges(K: int, x: Fraction) -> tuple[int, ...]:
+    """(K, 2^K - 1, [2^K*x], [2^K*(1 - x)], p, d): the bands of x = p/d at
+    fixed point 2^-K, as ``_locate`` reads them."""
+    p, d = x.numerator, x.denominator
+    return K, (1 << K) - 1, (p << K) // d, ((d - p) << K) // d, p, d
+
+
+def _locate(a: int, n: int, kernel, A: int, terms, q: int):
+    """([n*x], band) of irrational x = (A + sum b*sqrt(s))/q, a = [2^K*x]: band
+    0 if {n*x} < p/d, 1 if {n*x} > 1 - p/d, else None.  2^K*n*x lies strictly
+    between v = n*a and v + n, which decides unless that interval meets a
+    multiple of 2^K or a band edge; then one exact floor [d*n*x] does."""
+    K, mask, lo, hi, p, d = kernel
+    v = n * a
+    r = v & mask
+    if r + n <= lo:
+        return v >> K, 0
+    if lo < r and r + n <= hi:
+        return v >> K, None
+    if hi < r and r + n <= mask + 1:
+        return v >> K, 1
+    F, f = divmod(_floor(A, terms, q, d * n), d)
+    return F, 0 if f < p else 1 if f >= d - p else None
+
+
+def _next_hit(a: int, b: int, M: int, lo: int, hi: int) -> int | None:
+    """Least j >= 0 with (a*j + b) mod M in the circular window {lo..hi} mod M
+    (integers lo <= hi), or None if the orbit never enters it.
+
+    After a shift this asks for the least x with l <= a*x mod m <= r.  Either
+    a multiple of a lies in [l, r] (x = ceil(l/a)), or [l, r] is shorter than
+    a and the least x comes with the least y of a*x - m*y in [l, r], which
+    is the same question for (m mod a, a): Euclid's steps, O(log M) of them.
+    """
+    l = (lo - b) % M
+    r = l + hi - lo
+    if r >= M:
+        return 0  # the window wraps through b itself
+    m, a = M, a % M
+    frames = []
+    x = 0
+    while l:
+        if a == 0:
+            return None
+        x = -(-l // a)
+        if a * x <= r:
+            break
+        frames.append((m, a, l))
+        m, a, l, r = a, m % a, (-r) % a, (-l) % a
+    for m, a, l in reversed(frames):
+        x = -(-(m * x + l) // a)
+    return x
+
+
+def _hit_stepper(theta: Exact, mbar: int, k_cap: int, delta: Fraction):
+    """Fixed-point stepping through {k*mbar*theta} for 1 <= k <= k_cap.
+
+    Returns (M, next_hit) with M = 2^K.  With a = [M*mbar*theta] mod M, the
+    residue k*a mod M lags {k*mbar*theta}*M by less than k <= k_cap units, so
+    windows widened by k_cap + 1 units lose no hit.  next_hit(k, h, bit) is
+    the least k' >= k whose {k'*mbar*theta}*M might lie below h + 1 (bit 0,
+    Low), above M - h - 1 (bit 1, High) or either (bit None); None if none
+    ever does.  Every k' it returns still has to be classified exactly.
+    """
+    M = 1 << (k_cap.bit_length() + delta.denominator.bit_length() + 16)
+    a = floor_mult(theta, mbar * M) % M
+
+    def next_hit(k: int, h: int, bit: int | None) -> int | None:
+        lo = -k_cap - 1 if bit == 0 else -h - 1 - k_cap
+        hi = -1 if bit == 1 else h
+        j = _next_hit(a, a * k % M, M, lo, hi)
+        return None if j is None else k + j
+
+    return M, next_hit
+
+
 class Lattice(Enum):
     ZERO = "zero"
     LOW = "low"

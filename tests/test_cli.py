@@ -451,6 +451,25 @@ class TestInternalError:
         assert code == 4 and out == ""
         assert err == "internal error: lower window violated at c1, m=3\n"
 
+    @pytest.mark.parametrize("exc, line", [
+        (KeyError("c1"), "internal error: KeyError: 'c1'\n"),
+        (ZeroDivisionError("bad\nbreak"), "internal error: ZeroDivisionError: bad\\nbreak\n"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "internal error: RecursionError: maximum recursion depth exceeded\n"),
+        (TypeError(), "internal error: TypeError: \n"),
+    ], ids=["KeyError", "line-break", "RecursionError", "no-message"])
+    def test_any_other_exception_exits_4(self, capsys, monkeypatch, exc, line):
+        """An exception no branch names is a fault of cijt's own: one line
+        that names its type, and exit 4, never 1 (a failed verdict)."""
+        def broken(*args, **kwargs):
+            raise exc
+
+        for command in (("resonance", ds("s2_elliptic")), ("cijt", ds("single_sqrt2"))):
+            monkeypatch.setattr("cijt.cli.resonance_check", broken)
+            monkeypatch.setattr("cijt.cli.find_tuple", broken)
+            code, out, err = run(capsys, *command)
+            assert (code, out, err) == (4, "", line)
+
 
 class TestDatasetLoading:
     def test_bad_version(self, capsys, tmp_path):

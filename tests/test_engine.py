@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cijt.scalars import Exact, Lattice, floor_mult, frac_mult, is_near_lattice
+from cijt.scalars import Exact, Lattice, _hit_stepper, _next_hit, floor_mult, frac_mult, is_near_lattice
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum, m_check
 from cijt.iteration import PathClass, index_iterate, jump_index, mean_index, path_nullity
 from cijt.engine import (
@@ -18,10 +18,6 @@ from cijt.engine import (
     VerificationReport,
     VertexSpec,
     _PathData,
-    _chi_proximity_ok,
-    _hit_stepper,
-    _next_hit,
-    _try_path,
     common_period,
     delta_zero,
     find_tuple,
@@ -31,6 +27,7 @@ from cijt.engine import (
     verify_tuple,
 )
 from test_normal_forms import classes
+from test_iteration import _index_iterate_by_unit_angles, _spectral_by_unit_angles
 
 SQRT2M1 = Exact.surd(-1, 1, 2)
 T35 = Exact.surd(3, -1, 5)
@@ -313,6 +310,62 @@ class TestFindTuple:
         assert opp.vertex.angle_bits == ((1,), (1,))
 
 
+def _bands_by_exact(pd, m, delta):
+    """Low/High bits (0/1) of the path's bit angles at iterate m, or None if
+    any is Interior or Zero: one is_near_lattice per angle.  The search's
+    classify_bits as it was before the fixed-point probe, kept as an oracle."""
+    bits = []
+    for t in pd.bit_angles:
+        cls = is_near_lattice(t, m, delta)
+        if cls is Lattice.LOW:
+            bits.append(0)
+        elif cls is Lattice.HIGH:
+            bits.append(1)
+        else:
+            return None
+    return tuple(bits)
+
+
+def _delta_by_exact(pd, m, delta):
+    """Delta: S^- weight of irrational angles theta with {m*theta/pi} in the
+    Low band, over the merged unit angles (the old delta_count)."""
+    return sum(
+        w for ht, w in _spectral_by_unit_angles(pd.path)[2]
+        if not ht.is_rational and is_near_lattice(ht, 2 * m, delta) is Lattice.LOW
+    )
+
+
+def _chi_proximity_by_exact(pd, N, chi, eps):
+    """|{N*u} - chi| < eps by the lattice band test (the old _chi_proximity_ok)."""
+    if pd.u_pinned:
+        return True
+    band = is_near_lattice(pd.u, N, eps)
+    if chi == 0:
+        return band is Lattice.ZERO or band is Lattice.LOW
+    return band is Lattice.HIGH
+
+
+def _try_path_by_exact(pd, N, mbar, delta, want_chi, want_bits, chi_eps):
+    """One path at candidate N by the oracles above: (m, chi, bits, Delta) or
+    None, as _try_path decided it before the fixed-point probe."""
+    base = floor_mult(pd.u, N)
+    chis = (want_chi,) if want_chi is not None and not pd.u_pinned else (0, 1)
+    for chi in chis:
+        m = (base + chi) * mbar
+        if m < 1:
+            continue
+        bits = _bands_by_exact(pd, m, delta)
+        if bits is None or (want_bits is not None and bits != want_bits):
+            continue
+        if chi_eps is not None and not _chi_proximity_by_exact(pd, N, chi, chi_eps):
+            continue
+        d = _delta_by_exact(pd, m, delta)
+        if _index_iterate_by_unit_angles(pd.path, 2 * m) != jump_index(pd.path, N, d):
+            continue
+        return m, chi, bits, d
+    return None
+
+
 def _chi_proximity_by_frac(pd, N, chi, eps):
     """The chi test on {N*u} itself: frac_mult, then Exact comparisons."""
     if pd.u_pinned:
@@ -338,7 +391,7 @@ class TestChiProximity:
             for N in Ns:
                 for chi in (0, 1):
                     for eps in eps_values:
-                        got = _chi_proximity_ok(pd, N, chi, eps)
+                        got = _chi_proximity_by_exact(pd, N, chi, eps)
                         assert got is _chi_proximity_by_frac(pd, N, chi, eps)
                         seen.add((pd.u_pinned, chi, got))
         assert seen == {(False, c, b) for c in (0, 1) for b in (False, True)} | {
@@ -349,6 +402,134 @@ class TestChiProximity:
         for eps in (Fraction(0), Fraction(1, 2), Fraction(3, 4)):
             with pytest.raises(ValueError, match="chi_eps"):
                 find_tuple(sqrt2_problem, chi_eps=eps)
+
+
+def _probe_by_exact(pd, m, delta):
+    """(bits, Delta, i(c^{2m})) from the exact oracles, or None."""
+    bits = _bands_by_exact(pd, m, delta)
+    if bits is None:
+        return None
+    return bits, _delta_by_exact(pd, m, delta), _index_iterate_by_unit_angles(pd.path, 2 * m)
+
+
+PROBE_ANGLES = [SQRT2M1, T35, PHI_M1, Exact(2) - T35, SQRT2M1 * Fraction(1, 2) + T35 * Fraction(1, 7)]
+PROBE_RATIONALS = [Fraction(1, 3), Fraction(2, 3), Fraction(3, 5), Fraction(5, 4)]
+PROBE_DELTAS = [Fraction(1, 3), Fraction(1, 7), Fraction(3, 100), Fraction(1, 1000), Fraction(5, 1024)]
+
+
+def _probe_path(rng, theta=None):
+    """A path of one to three blocks, R or N2 at theta first when given:
+    one- and two-radicand surds, rational R and N2, D and N1; mean > 0."""
+    while True:
+        out = [] if theta is None else [R(theta) if rng.random() < 0.6 else N2(theta, rng.random() < 0.5)]
+        for _ in range(rng.randint(0 if out else 1, 2)):
+            kind, t = rng.randrange(5), rng.choice(PROBE_ANGLES)
+            if kind == 0:
+                out.append(R(t))
+            elif kind == 1:
+                out.append(N2(t, rng.random() < 0.5))
+            elif kind == 2:
+                r = Exact(rng.choice(PROBE_RATIONALS))
+                out.append(R(r) if rng.random() < 0.5 else N2(r, rng.random() < 0.5))
+            elif kind == 3:
+                out.append(D(Exact(rng.choice([2, -3]))))
+            else:
+                out.append(N1(rng.choice([1, -1]), rng.choice([-1, 0, 1])))
+        p = path(rng.randint(1, 4), *out)
+        if p.mean > 0:
+            return p
+
+
+def _near_edge(rng, m0, K, delta):
+    """An irrational theta/pi in (0, 2) whose {m0*theta} lies within m0/2^K
+    of 0, delta, 1 - delta or 1 (at times within a fraction of 1/2^K), on a
+    random side; None if that leaves (0, 1)."""
+    off = SQRT2M1 * Fraction(rng.randint(1, 2 * m0), 1 << (K + rng.choice([0, 0, 2, 6])))
+    edge, sign = rng.choice([(0, 1), (delta, 1), (delta, -1), (1 - delta, 1), (1 - delta, -1), (1, -1)])
+    target = off * sign + edge
+    if not Exact(0) < target < Exact(1):
+        return None
+    return (target + rng.randrange(2 * m0)) * Fraction(1, m0)
+
+
+@pytest.fixture
+def floors(monkeypatch):
+    """Counts the exact floors that the fixed-point kernel falls back to."""
+    import cijt.scalars as scalars
+
+    calls, floor = [0], scalars._floor
+
+    def counting(*args):
+        calls[0] += 1
+        return floor(*args)
+
+    monkeypatch.setattr(scalars, "_floor", counting)
+    return calls
+
+
+class TestProbeOracle:
+    """_PathData.probe and chi against the exact oracles, at fixed points
+    2^-K small enough that the exact fallback runs often."""
+
+    def _agree(self, pd, m, delta, floors, seen):
+        before = floors[0]
+        got = pd.probe(m)
+        seen["fallback" if floors[0] > before else "fixed point"] += 1
+        seen["none" if got is None else "bits"] += 1
+        assert got == _probe_by_exact(pd, m, delta), (pd.path, m, delta, pd.kernel)
+
+    def test_random_iterates(self, floors):
+        rng = random.Random(23)
+        seen = Counter()
+        for _ in range(250):
+            pd = _PathData(_probe_path(rng), 1)
+            delta = rng.choice(PROBE_DELTAS)
+            K = rng.choice([rng.randint(4, 16), rng.randint(40, 120)])
+            pd.fix(K, delta, None)
+            for m in (rng.randint(1, 50), rng.randint(1, 1 << K), rng.randint(1, 10**12)):
+                self._agree(pd, m, delta, floors, seen)
+        assert min(seen.values()) >= 20, seen
+
+    def test_near_band_edges(self, floors):
+        """{m0*theta} within m0/2^K of 0, delta, 1 - delta or 1: the interval
+        of the fixed point meets the edge, or ends a unit away from it."""
+        rng = random.Random(29)
+        seen = Counter()
+        while seen["cases"] < 1500:
+            m0 = rng.choice([rng.randint(1, 4), rng.randint(1, 60)])
+            K, delta = rng.randint(6, 20), rng.choice(PROBE_DELTAS)
+            theta = _near_edge(rng, m0, K, delta)
+            if theta is None:
+                continue
+            seen["cases"] += 1
+            pd = _PathData(_probe_path(rng, theta), 1)
+            pd.fix(K, delta, None)
+            self._agree(pd, m0, delta, floors, seen)
+        assert min(seen.values()) >= 50, seen
+
+    def test_chi(self, floors):
+        """[N*u] and the band of {N*u} against chi_eps, pinned u included."""
+        rng = random.Random(31)
+        seen = Counter()
+        for _ in range(150):
+            p = _probe_path(rng)
+            pd = _PathData(p, common_period([p]))
+            delta = rng.choice(PROBE_DELTAS)
+            for eps in (None, delta, Fraction(1, 3)):
+                pd.fix(rng.choice([rng.randint(4, 16), rng.randint(40, 90)]), delta, eps)
+                for N in (rng.randint(1, 100), rng.randint(1, 10**6), rng.randint(1, 10**15)):
+                    before = floors[0]
+                    base, band = pd.chi(N)
+                    seen["fallback" if floors[0] > before else "fixed point"] += not pd.u_pinned
+                    assert base == floor_mult(pd.u, N), (p, N)
+                    assert band is None or not pd.u_pinned  # a pinned u has no band
+                    if pd.u_pinned or eps is None:
+                        seen["pinned" if pd.u_pinned else "no eps"] += 1
+                        continue
+                    for chi in (0, 1):
+                        assert (band == chi) == _chi_proximity_by_exact(pd, N, chi, eps), (p, N, eps)
+                    seen[band] += 1
+        assert min(seen.values()) >= 10 and len(seen) == 7, seen
 
 
 class TestDeepDelta:
@@ -449,7 +630,7 @@ def _find_tuple_by_scan(problem, vertex=None, chi_eps=None, min_N=1):
     sp, C, _ = g.path.spectral
 
     def I(m):  # m*rho + sum of E(m*theta/pi) * S^-
-        return (index_iterate(g.path, 2 * m) + sp + C) // 2
+        return (_index_iterate_by_unit_angles(g.path, 2 * m) + sp + C) // 2
 
     def accept(N):
         if N < max(1, min_N) or N > problem.N_bound or N % problem.N_multiple_of:
@@ -458,7 +639,7 @@ def _find_tuple_by_scan(problem, vertex=None, chi_eps=None, min_N=1):
         for i, pd in enumerate(data):
             want_chi = vertex.chi[i] if vertex is not None else None
             want_bits = vertex.angle_bits[i] if vertex is not None else None
-            one = _try_path(pd, N, mbar, delta, want_chi, want_bits, chi_eps)
+            one = _try_path_by_exact(pd, N, mbar, delta, want_chi, want_bits, chi_eps)
             if one is None:
                 return None
             got.append(one)
@@ -477,9 +658,9 @@ def _find_tuple_by_scan(problem, vertex=None, chi_eps=None, min_N=1):
                 _float_band_ok((m * tf) % 1.0, df, want[j] if want else None)
                 for j, tf in enumerate(floats)
             ):
-                bits = g.classify_bits(m, delta)
+                bits = _bands_by_exact(g, m, delta)
                 if bits is not None and (want is None or bits == want):
-                    cand = accept(I(m) - g.delta_count(m, delta))
+                    cand = accept(I(m) - _delta_by_exact(g, m, delta))
                     if cand is not None and (best is None or cand.N < best.N):
                         if cand.m[gen] == m:
                             best = cand

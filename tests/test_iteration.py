@@ -13,11 +13,11 @@ from cijt.iteration import (
     PathClass,
     index_bracket,
     index_iterate,
-    index_iterate_bumpy,
     index_window,
     mean_index,
     path_nullity,
 )
+from test_normal_forms import blocks, s_plus_one, unit_angles
 
 SQRT2M1 = Exact.surd(-1, 1, 2)
 T35 = Exact.surd(3, -1, 5)
@@ -25,6 +25,24 @@ T35 = Exact.surd(3, -1, 5)
 
 def path(i1, *blocks):
     return PathClass(i1, SymplecticClass(tuple(blocks)))
+
+
+def index_iterate_bumpy(i_c: int, r: int, angles: list[Exact], m: int) -> int:
+    """i(c^m) = m*(i(c)-r) + 2*sum_j [m*theta_j/(2pi)] + r, rotation angles
+    only: the non-degenerate shortcut, kept as the oracle that gates the
+    splitting table.  Rational angles are rejected because the shortcut is
+    only claimed for irrational ones."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    if len(angles) != r:
+        raise ValueError("expected %d rotation angles" % r)
+    half = Exact(Fraction(1, 2))
+    total = m * (i_c - r) + r
+    for t in angles:
+        if t.is_rational:
+            raise ValueError("bumpy shortcut needs irrational theta/pi")
+        total += 2 * floor_mult(t * half, m)
+    return total
 
 
 def index_iterate_bumpy_class(p: PathClass, m: int) -> int:
@@ -89,6 +107,95 @@ SHIPPED = [
         os.path.join(os.path.dirname(__file__), os.pardir, "datasets", name + ".json")
     ).records
 ]
+
+
+def _spectral_by_unit_angles(p):
+    """PathClass.spectral as it was first built, kept as an oracle: S^+(1),
+    C and ((theta/2pi, S^- weight), ...) over the merged, sorted unit angles,
+    each an Exact product."""
+    half = Exact(Fraction(1, 2))
+    minus = tuple((t * half, pair.minus) for t, pair in unit_angles(p.monodromy) if pair.minus)
+    return s_plus_one(p.monodromy), sum(w for _, w in minus), minus
+
+
+def _mean_by_unit_angles(p):
+    sp, c, minus = _spectral_by_unit_angles(p)
+    out = Exact(p.i1 + sp - c)
+    for half_theta, w in minus:
+        out = out + half_theta * (2 * w)
+    return out
+
+
+def _index_iterate_by_unit_angles(p, m):
+    """index_iterate as it was: one ceil_mult of each Exact theta/2pi."""
+    sp, c, minus = _spectral_by_unit_angles(p)
+    total = m * (p.i1 + sp - c) - (sp + c)
+    for half_theta, w in minus:
+        total += 2 * ceil_mult(half_theta, m) * w
+    return total
+
+
+def _merged_minus(p):
+    """spectral's integer entries as {theta/2pi: summed S^- weight}."""
+    acc = {}
+    for A, terms, q, w in p.spectral[2]:
+        x = -Exact(Fraction(A, q), {s: Fraction(b, q) for s, b in terms})
+        acc[x] = acc.get(x, 0) + w
+    return acc
+
+
+@st.composite
+def _block_mixes(draw):
+    """Up to four blocks of every kind, an R or N2 at times at the conjugate
+    2 - theta (so that two blocks share a unit angle), and an angle with two
+    radicands."""
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        b = draw(blocks())
+        if isinstance(b, (R, N2)) and draw(st.booleans()):
+            t = draw(st.sampled_from([2 - b.theta, SQRT2M1 + T35 * Fraction(1, 3)]))
+            b = R(t) if isinstance(b, R) else N2(t, b.nontrivial)
+        out.append(b)
+    return path(draw(st.integers(0, 5)), *out)
+
+
+class TestSpectralOracle:
+    @given(_block_mixes(), st.lists(st.one_of(st.integers(1, 60), st.integers(1, 10**15)),
+                                    min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unit_angles(self, p, ms):
+        """S^+(1), C, the weighted angles, the mean index and i(c^m) equal
+        those of the construction over unit_angles."""
+        sp, c, minus = _spectral_by_unit_angles(p)
+        assert p.spectral[:2] == (sp, c)
+        assert _merged_minus(p) == dict(minus)
+        assert p.mean == _mean_by_unit_angles(p)
+        for m in ms:
+            assert index_iterate(p, m) == _index_iterate_by_unit_angles(p, m), (p, m)
+
+    def test_seeded_mixes(self):
+        """Seeded mixes of rational, one- and two-radicand angles, with
+        iterates up to 2^80."""
+        rng = random.Random(17)
+        angles = [SQRT2M1, T35, 2 - SQRT2M1, Exact(Fraction(1, 3)), Exact(Fraction(5, 4)),
+                  SQRT2M1 * Fraction(1, 2) + T35 * Fraction(1, 7)]
+        for _ in range(150):
+            bs = []
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    bs.append(N1(rng.choice([1, -1]), rng.choice([-1, 0, 1])))
+                elif kind == 1:
+                    bs.append(D(Exact(rng.choice([2, -3]))))
+                elif kind == 2:
+                    bs.append(R(rng.choice(angles)))
+                else:
+                    bs.append(N2(rng.choice(angles), rng.random() < 0.5))
+            p = path(rng.randint(0, 4), *bs)
+            assert p.spectral[:2] == _spectral_by_unit_angles(p)[:2]
+            assert p.mean == _mean_by_unit_angles(p)
+            for m in [rng.randint(1, 200), rng.randint(1, 2**80)]:
+                assert index_iterate(p, m) == _index_iterate_by_unit_angles(p, m), (p, m)
 
 
 class TestIndexBracket:

@@ -20,14 +20,30 @@ from cijt.normal_forms import (
     is_hyperbolic,
     m_check,
     nullity,
-    s_plus_one,
     splitting_numbers,
-    unit_angles,
     validate_bumpy,
 )
 
 SQRT2M1 = Exact.surd(-1, 1, 2)
 T35 = Exact.surd(3, -1, 5)
+
+
+def unit_angles(M):
+    """Eigenvalue angles theta/pi in (0,2), sorted, each once with its summed
+    splitting pair; a block adds its angle and the conjugate 2 - theta.  Kept
+    as the oracle of the integer spectral data that PathClass reads off the
+    blocks' pairs."""
+    acc = {}
+    for b in M.blocks:
+        for w, pair in b.pairs:
+            if w:  # not 0 (eigenvalue 1)
+                acc[w] = acc.get(w, SplittingPair(0, 0)) + pair
+    return sorted(acc.items(), key=lambda kv: kv[0])
+
+
+def s_plus_one(M):
+    """S^+_M(1)."""
+    return splitting_numbers(M, 1).plus
 
 
 def cls(*blocks):
@@ -83,6 +99,26 @@ class TestBlockValidation:
             R(Exact(2))
         with pytest.raises(ValueError):
             D(Exact(1))
+
+    def test_one_floor_matches_comparisons(self):
+        """R and N2 accept theta/pi exactly when 0 < theta/pi < 2 and
+        theta/pi != 1 by Exact comparison, and their conjugate pair angle is
+        Exact(2) - theta."""
+        tiny = SQRT2M1 * Fraction(1, 10**30)
+        bases = [Exact(0), Exact(1), Exact(2), Exact(-1), Exact(3), Exact(Fraction(1, 3)),
+                 Exact(Fraction(5, 3)), Exact(Fraction(7, 3)), SQRT2M1, T35, -SQRT2M1]
+        thetas = [b + e for b in bases for e in (0, tiny, -tiny, tiny + T35 * Fraction(1, 10**31))]
+        for theta in thetas:
+            ok = Exact(0) < theta < Exact(2) and theta != Exact(1)
+            for build in (R, lambda t: N2(t, True), lambda t: N2(t, False)):
+                if not ok:
+                    with pytest.raises(ValueError):
+                        build(theta)
+                    continue
+                b = build(theta)
+                conj = R(theta).pairs[1][0]
+                assert conj == Exact(2) - theta  # equal values hold equal integers
+                assert all(w in (theta, conj) for w, _ in b.pairs)
 
     def test_half_dimension(self):
         assert cls(R(SQRT2M1), N2(T35, True)).half_dimension == 3
