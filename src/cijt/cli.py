@@ -126,8 +126,9 @@ def load_dataset(path: str) -> GeodesicDataset:
         if not isinstance(doc, dict):
             raise CliError("dataset must be a JSON object")
         _check_fields(doc)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError("cannot read dataset %s: %s" % (path, exc))
+    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, a too long integer
+        # without the interpreter's advice on its digit limit: none to a dataset's author
+        raise CliError("cannot read dataset %s: %s" % (path, str(exc).partition("; use sys.")[0]))
     except RecursionError:
         raise CliError("invalid dataset: %s nests lists or objects too deeply" % path)
     if doc.get("version") != 1:

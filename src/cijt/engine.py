@@ -10,7 +10,7 @@ Given symplectic paths gamma_1..gamma_q with positive mean indices, find
 
 and certify the index identities for the iterates 2m_k +- m.  The search
 steps from lattice hit to lattice hit of one angle of one path in 2^-K fixed
-point (``scalars._hit_stepper``), and each path answers a candidate from its
+point on that path's kernel, and each path answers a candidate from its
 kernel: every irrational angle held as [2^K*theta] decides the floor and the
 band of m*theta, and one exact floor settles the rare m whose error interval
 meets an edge.  No float decides anything, and the reported tuple is the
@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Exact, _edges, _floor, _hit_stepper, _locate, floor_mult, frac_mult
+from .scalars import Exact, _edges, _floor, _locate, _next_hit, floor_mult, frac_mult
 from .normal_forms import m_check
 from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index, path_nullity
 from .record import FrozenRecord, Record
@@ -173,10 +173,10 @@ class CijtTuple(FrozenRecord):
 
 class _PathData:
     """Per-path search constants, built once per problem; ``fix`` sets the
-    fixed-point kernel of one search, which ``probe`` and ``chi`` read."""
+    fixed-point kernel of one search, which every other method reads."""
 
     def __init__(self, path: PathClass, m_bar_period: int):
-        self.path = path
+        self.path, self.m_bar = path, m_bar_period
         self.mean = mean_index(path)
         sp, c, minus = path.spectral
         self.spc, self.two_rho = sp + c, 2 * (path.i1 + sp - c)
@@ -205,6 +205,20 @@ class _PathData:
         self.kernel = _edges(K, delta)
         self.chi_kernel = _edges(K, eps or Fraction(0))  # band 0/0: [N*u] only
 
+    def next_hit(self, k: int, k_cap: int, h: int, bit: Optional[int]) -> Optional[int]:
+        """Least k' >= k whose 2^K*{k'*Mbar*theta}, theta the first bit angle,
+        might lie below h + 1 (bit 0), above 2^K - h - 1 (bit 1) or either
+        (None); None if none ever does, k if the path has no bit angle."""
+        if not self.a:
+            return k
+        M, mbar = 1 << self.kernel[0], self.m_bar
+        step = self.a[0] * mbar % M
+        # k*step lags 2^K*k*Mbar*theta mod 2^K by k*Mbar*(2^K*theta - a) < k_cap*Mbar
+        # units for k <= k_cap, so windows widened by k_cap*Mbar + 1 lose no hit
+        w = k_cap * mbar + 1
+        j = _next_hit(step, step * k % M, M, -w if bit == 0 else -h - w, -1 if bit == 1 else h)
+        return None if j is None else k + j
+
     def probe(self, m: int):
         """(bits, Delta, i(c^{2m})), or None if an angle lies in neither band:
         bit 0 Low, 1 High; Delta is the S^- weight at theta if Low, at 2 - theta
@@ -229,14 +243,14 @@ class _PathData:
         return _locate(self.ua, N, self.chi_kernel, u.A, u.B.items(), u.q)
 
 
-def _try_path(pd: _PathData, N: int, mbar: int, want_chi: Optional[int],
+def _try_path(pd: _PathData, N: int, want_chi: Optional[int],
               want_bits: Optional[tuple[int, ...]], chi_eps: Optional[Fraction], seen):
     """Check one path at candidate N; returns (m, chi, bits, Delta) or None.
     seen = (m, probe at m) of the generator hit, which is not probed again."""
     base, band = pd.chi(N)
     chis = (want_chi,) if want_chi is not None and not pd.u_pinned else (0, 1)
     for chi in chis:
-        m = (base + chi) * mbar
+        m = (base + chi) * pd.m_bar
         if m < 1 or (chi_eps is not None and not pd.u_pinned and band != chi):
             continue  # |{N*u} - chi| < chi_eps fails
         got = seen[1] if m == seen[0] else pd.probe(m)
@@ -248,21 +262,21 @@ def _try_path(pd: _PathData, N: int, mbar: int, want_chi: Optional[int],
     return None
 
 
-def _least_residual(angles, mbar: int, k_lo: int, k_cap: int, M: int, next_hit) -> Exact:
+def _least_residual(g: _PathData, k_lo: int, k_cap: int) -> Exact:
     """min over k_lo <= k <= k_cap of the largest lattice distance
-    min({m*theta}, 1 - {m*theta}) over the angles, m = k*mbar.
+    min({m*theta}, 1 - {m*theta}) over the path's bit angles, m = k*Mbar.
 
     A ratchet: only k whose first angle lies nearer the lattice than the best
     so far can improve on it, and those are the hits of a window shrunk to it.
     """
 
     def residual(k):
-        fracs = [frac_mult(t, k * mbar) for t in angles]
+        fracs = [frac_mult(t, k * g.m_bar) for t in g.bit_angles]
         return max(min(f, 1 - f) for f in fracs)
 
     best, k = residual(k_lo), k_lo
     while True:
-        k = next_hit(k + 1, floor_mult(best, M), None)
+        k = g.next_hit(k + 1, k_cap, floor_mult(best, 1 << g.kernel[0]), None)
         if k is None or k > k_cap:
             return best
         best = min(best, residual(k))
@@ -293,8 +307,8 @@ def find_tuple(
     # generator path: the one with the most lattice conditions (sparsest hits)
     gen = max(range(len(data)), key=lambda i: len(data[i].bit_angles))
     g = data[gen]
-    # K as _hit_stepper picks it: a path's m and N caps and the band
-    # denominators, so that an exact floor is rarely needed
+    # K from a path's m and N caps and the band denominators, so that an exact
+    # floor is rarely needed and a widened window is a sliver of its band
     slack = max(delta.denominator, chi_eps.denominator if chi_eps else 1).bit_length() + 16
     for pd in data:
         m_cap = (floor_mult(pd.u, problem.N_bound) + 1) * mbar
@@ -307,7 +321,7 @@ def find_tuple(
         for i, pd in enumerate(data):
             want_chi = vertex.chi[i] if vertex is not None else None
             want_bits = vertex.angle_bits[i] if vertex is not None else None
-            got = _try_path(pd, N, mbar, want_chi, want_bits, chi_eps, seen if i == gen else (0, None))
+            got = _try_path(pd, N, want_chi, want_bits, chi_eps, seen if i == gen else (0, None))
             if got is None:
                 return None
             rows.append(got)
@@ -325,13 +339,9 @@ def find_tuple(
 
     k_lo = max(1, floor_mult(g.u, max(1, min_N)))
     k_cap = k_max(problem.N_bound)
-    if g.bit_angles:
-        M, next_hit = _hit_stepper(g.bit_angles[0], mbar, k_cap, delta)
-    else:  # no lattice condition on any path: every k is a hit
-        M, next_hit = 1, lambda k, h, bit: k
-    h = delta.numerator * M // delta.denominator
+    h = g.kernel[2]  # [2^K*delta], the Low edge
     bit = want_bits[0] if want_bits else None
-    k = next_hit(k_lo, h, bit)
+    k = g.next_hit(k_lo, k_cap, h, bit)
     while k is not None and k <= k_cap:
         m = k * mbar
         got = g.probe(m)
@@ -343,9 +353,9 @@ def find_tuple(
                     best = cand
                     # a later m can only help with N <= best.N - 1
                     k_cap = k_max(N - 1)
-        k = next_hit(k + 1, h, bit)
+        k = g.next_hit(k + 1, k_cap, h, bit)
     if best is None and g.bit_angles and k_lo <= k_cap:
-        best_residual = float(_least_residual(g.bit_angles, mbar, k_lo, k_cap, M, next_hit))
+        best_residual = float(_least_residual(g, k_lo, k_cap))
 
     if best is None:
         raise NotFoundWithinBound(

@@ -23,8 +23,8 @@ from .scalars import Exact, _exact, _floor
 from .record import FrozenRecord
 
 
-def _check_angle(theta: Exact) -> tuple[int, dict[int, int], int]:
-    """theta's integers (A, B, q), once one floor shows 0 < theta/pi < 2, != 1."""
+def _conjugate(theta: Exact) -> Exact:
+    """2 - theta/pi, once one floor shows 0 < theta/pi < 2 and theta/pi != 1."""
     if not isinstance(theta, Exact):
         raise TypeError("theta/pi must be an Exact scalar")
     A, B, q = theta.A, theta.B, theta.q
@@ -33,12 +33,6 @@ def _check_angle(theta: Exact) -> tuple[int, dict[int, int], int]:
         raise ValueError("theta = pi is encoded by N1(-1, b), not by R/N2")
     if whole or _floor(A, B.items(), q) not in (0, 1):
         raise ValueError("theta/pi must lie in (0, 2)")
-    return A, B, q
-
-
-def _conjugate(theta: Exact) -> Exact:
-    """2 - theta/pi, built from theta's checked integers."""
-    A, B, q = _check_angle(theta)
     return _exact(2 * q - A, {s: -b for s, b in B.items()}, q)
 
 
@@ -51,9 +45,6 @@ class SplittingPair(FrozenRecord):
     def __init__(self, plus: int, minus: int):
         self.__dict__.update(plus=plus, minus=minus)
 
-    def __add__(self, other):
-        return SplittingPair(self.plus + other.plus, self.minus + other.minus)
-
 
 # The per-block splitting table, set as ``pairs`` = ((theta/pi, pair), ...)
 # with its zero pairs left out.  Only the N1(1,b) value at omega=1 is printed
@@ -61,9 +52,7 @@ class SplittingPair(FrozenRecord):
 # S^+(w) = S^-(conj w), additivity, and the requirement that the two iteration
 # formulas (precise and non-degenerate shortcut) agree -- the cross-check
 # suite gates every entry.
-_ZERO_PAIR, _PAIR_01, _PAIR_10, _PAIR_11 = (
-    SplittingPair(0, 0), SplittingPair(0, 1), SplittingPair(1, 0), SplittingPair(1, 1)
-)
+_PAIR_01, _PAIR_10, _PAIR_11 = SplittingPair(0, 1), SplittingPair(1, 0), SplittingPair(1, 1)
 
 
 class N1(FrozenRecord):
@@ -145,28 +134,6 @@ class SymplecticClass(FrozenRecord):
         self.__dict__.update(blocks=blocks, half_dimension=half_dimension)
 
 
-# Unit-circle eigenvalue encoding: the integer 1 or -1, or an Exact theta/pi
-# in (0,2)\{1} for e^{i*theta}.
-Omega = Union[int, Exact]
-
-
-def splitting_numbers(M: SymplecticClass, omega: Omega) -> SplittingPair:
-    if isinstance(omega, int):
-        if omega not in (1, -1):
-            raise ValueError("integer omega must be +-1")
-        omega = _ZERO if omega == 1 else _ONE
-    elif isinstance(omega, Exact):
-        _check_angle(omega)
-    else:
-        raise TypeError("omega must be +-1 or an Exact angle")
-    out = _ZERO_PAIR
-    for b in M.blocks:
-        for w, pair in b.pairs:
-            if w == omega:
-                out = out + pair
-    return out
-
-
 def crossing_sum(M: SymplecticClass) -> int:
     """C(M) = sum over theta in (0, 2pi) of S^-_M(e^{i theta})."""
     return sum(pair.minus for b in M.blocks for t, pair in b.pairs if t)
@@ -223,15 +190,23 @@ def block_to_json(b: Block):
     }
 
 
+def _named(obj, field: str, table: dict):
+    """table[obj[field]] for a string naming one of table's keys."""
+    value = obj[field]
+    if isinstance(value, str) and value in table:
+        return table[value]
+    raise ValueError("%s %s is %r, not one of %s" % (obj["type"], field, value, ", ".join(table)))
+
+
 def block_from_json(obj) -> Block:
     t = obj.get("type")
     if t == "N1":
-        sign = {"positive": 1, "zero": 0, "negative": -1}[obj["b_sign"]]
-        return N1(obj["lambda"], sign)
+        return N1(obj["lambda"], _named(obj, "b_sign", {"positive": 1, "zero": 0, "negative": -1}))
     if t == "D":
         return D(Exact.from_json(obj["lambda"]))
     if t == "R":
         return R(Exact.from_json(obj["theta_over_pi"]))
     if t == "N2":
-        return N2(Exact.from_json(obj["theta_over_pi"]), obj["kind"] == "nontrivial")
+        kind = _named(obj, "kind", {"trivial": False, "nontrivial": True})
+        return N2(Exact.from_json(obj["theta_over_pi"]), kind)
     raise ValueError("unknown block type: %r" % (t,))

@@ -11,7 +11,6 @@ decides every sign, comparison, floor and lattice band.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 
 
@@ -139,17 +138,14 @@ class Exact:
 
     Held as integers: the value is (A + sum_s B[s]*sqrt(s))/q with q > 0, no
     zero B[s], and gcd(A, q, *B.values()) = 1, so equal values hold equal
-    integers.  ``r`` and ``terms`` are rational views of the same value.
+    integers.
     """
 
     __slots__ = ("A", "B", "q")
 
-    def __init__(self, r: Fraction | int = 0, terms: dict[int, Fraction | int] | None = None):
+    def __init__(self, r: Fraction | int = 0):
         n, d = _rational(r)
-        x = _exact(n, {}, d)
-        for s, c in (terms or {}).items():  # sqrt(8) is 2*sqrt(2), as in surd
-            x = x + Exact.surd(0, c, s)
-        self.A, self.B, self.q = x.A, x.B, x.q
+        self.A, self.B, self.q = _lowest(n, {}, d)
 
     # -- constructors -------------------------------------------------------
 
@@ -162,21 +158,9 @@ class Exact:
             return _exact(an * bd + bn * f * ad, {}, ad * bd)
         return _exact(an * bd, {s0: bn * f * ad}, ad * bd)
 
-    # -- predicates and views -----------------------------------------------
-
     @property
     def is_rational(self) -> bool:
         return not self.B
-
-    @property
-    def r(self) -> Fraction:
-        """The rational part A/q."""
-        return Fraction(self.A, self.q)
-
-    @property
-    def terms(self) -> dict[int, Fraction]:
-        """{s: B_s/q}, the coefficient of each sqrt(s)."""
-        return {s: Fraction(b, self.q) for s, b in self.B.items()}
 
     # -- ring/field operations ---------------------------------------------
 
@@ -330,34 +314,21 @@ class Exact:
             k += 54 - bits if bits > 1 else k or 64
 
     def __repr__(self):
-        r, terms = self.r, self.terms
-        parts = [str(r)] if r or not terms else []
-        for s in sorted(terms):
-            parts.append("%s*sqrt(%d)" % (terms[s], s))
+        parts = [str(Fraction(self.A, self.q))] if self.A or not self.B else []
+        parts += ["%s*sqrt(%d)" % (Fraction(b, self.q), s) for s, b in sorted(self.B.items())]
         return "Exact(%s)" % " + ".join(parts)
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
-        r, terms = self.r, self.terms
-        if not terms:
-            return {"kind": "rational", "num": r.numerator, "den": r.denominator}
-        if len(terms) == 1:
-            ((s, c),) = terms.items()
-            return {
-                "kind": "surd",
-                "a": [r.numerator, r.denominator],
-                "b": [c.numerator, c.denominator],
-                "s": s,
-            }
-        return {
-            "kind": "sum",
-            "rational": [r.numerator, r.denominator],
-            "terms": [
-                {"coeff": [c.numerator, c.denominator], "s": s}
-                for s, c in sorted(terms.items())
-            ],
-        }
+        A, B, q = self.A, self.B, self.q
+        if not B:
+            return {"kind": "rational", "num": A, "den": q}
+        a = list(Fraction(A, q).as_integer_ratio())
+        terms = [{"coeff": list(Fraction(b, q).as_integer_ratio()), "s": s} for s, b in sorted(B.items())]
+        if len(B) == 1:
+            return {"kind": "surd", "a": a, "b": terms[0]["coeff"], "s": terms[0]["s"]}
+        return {"kind": "sum", "rational": a, "terms": terms}
 
     @staticmethod
     def from_json(obj) -> "Exact":
@@ -456,57 +427,3 @@ def _next_hit(a: int, b: int, M: int, lo: int, hi: int) -> int | None:
     for m, a, l in reversed(frames):
         x = -(-(m * x + l) // a)
     return x
-
-
-def _hit_stepper(theta: Exact, mbar: int, k_cap: int, delta: Fraction):
-    """Fixed-point stepping through {k*mbar*theta} for 1 <= k <= k_cap.
-
-    Returns (M, next_hit) with M = 2^K.  With a = [M*mbar*theta] mod M, the
-    residue k*a mod M lags {k*mbar*theta}*M by less than k <= k_cap units, so
-    windows widened by k_cap + 1 units lose no hit.  next_hit(k, h, bit) is
-    the least k' >= k whose {k'*mbar*theta}*M might lie below h + 1 (bit 0,
-    Low), above M - h - 1 (bit 1, High) or either (bit None); None if none
-    ever does.  Every k' it returns still has to be classified exactly.
-    """
-    M = 1 << (k_cap.bit_length() + delta.denominator.bit_length() + 16)
-    a = floor_mult(theta, mbar * M) % M
-
-    def next_hit(k: int, h: int, bit: int | None) -> int | None:
-        lo = -k_cap - 1 if bit == 0 else -h - 1 - k_cap
-        hi = -1 if bit == 1 else h
-        j = _next_hit(a, a * k % M, M, lo, hi)
-        return None if j is None else k + j
-
-    return M, next_hit
-
-
-class Lattice(Enum):
-    ZERO = "zero"
-    LOW = "low"
-    HIGH = "high"
-    INTERIOR = "interior"
-
-
-def is_near_lattice(x: Exact, m: int, delta: Fraction) -> Lattice:
-    """Classify {m*x} against the open bands (0, delta) and (1-delta, 1).
-
-    Boundary hits {m*x} = delta or 1-delta are Interior (strict inequalities).
-    With delta = p/r, one floor K = [r*m*x] decides every band: r*m*x =
-    K + phi with phi in [0, 1), so {m*x} = (F + phi)/r for F = K mod r.
-    Then {m*x} < delta is F < p, {m*x} > 1 - delta is F + [phi > 0] > r - p,
-    and {m*x} = 0 is F = 0 with phi = 0, for any number of radicands.
-    """
-    if not isinstance(delta, Fraction):  # a float is no exact band
-        raise TypeError("delta must be a Fraction, not %s" % type(delta).__name__)
-    p, r = delta.numerator, delta.denominator
-    if not 0 < 2 * p < r:
-        raise ValueError("delta must lie in (0, 1/2)")
-    F = _floor(x.A, x.B.items(), x.q, r * m) % r
-    whole = not x.B and r * m * x.A % x.q == 0  # phi = 0
-    if whole and F == 0:
-        return Lattice.ZERO
-    if F < p:
-        return Lattice.LOW
-    if F + (not whole) > r - p:
-        return Lattice.HIGH
-    return Lattice.INTERIOR

@@ -515,6 +515,8 @@ class TestDatasetLoading:
             bumpy[label]["options"] = {"bumpy": value}
         unknown_option = json.load(open(ds("s2_elliptic")))
         unknown_option["options"] = {"bumpy": True, "strict": False}
+        odd_sign = json.load(open(ds("s3_elliptic")))
+        odd_sign["records"][2]["blocks"][0] = {"type": "N1", "lambda": 1, "b_sign": "odd"}
         cases = (
             ('{"version": 99}', "version"),
             ("[1, 2]", "JSON object"),
@@ -542,6 +544,7 @@ class TestDatasetLoading:
                 for label, doc in bumpy.items()
             ),
             (json.dumps(unknown_option), 'dataset.options has the key "strict"'),
+            (json.dumps(odd_sign), "N1 b_sign is 'odd', not one of positive, zero, negative"),
         )
         for text, reason in cases:
             p = tmp_path / "bad.json"
@@ -619,6 +622,36 @@ class TestDatasetLoading:
             assert err == (
                 'error: invalid dataset: record "c\\n1": half-dimension 2, expected dn - 1 = 1\n'
             )
+
+    def test_n2_kind_is_checked(self, capsys, tmp_path):
+        """An N2 kind other than trivial or nontrivial exits 2 with a line that
+        names the field and its values; it is not read as trivial."""
+        n2 = {"type": "N2", "theta_over_pi": {"kind": "surd", "a": [0, 1], "b": [1, 2], "s": 2}}
+        doc = {"version": 1, "shape": {"d": 3, "n": 1},
+               "records": [{"name": "c", "initial_index": 2, "blocks": [n2]}]}
+        p = tmp_path / "kind.json"
+        for kind, want in (("trivial", [0]), ("nontrivial", [1]), ("nontrvial", "'nontrvial'"),
+                           (None, "None"), (7, "7")):
+            n2["kind"] = kind
+            p.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "cijt", str(p))
+            if code == 0:
+                assert json.loads(out)["Delta"] == want
+            else:
+                assert (code, out, err) == (2, "", "error: invalid dataset: N2 kind is %s, "
+                                            "not one of trivial, nontrivial\n" % want)
+
+    def test_unreadable_file_is_named(self, capsys, tmp_path):
+        """Bytes that are not UTF-8 and an integer past the interpreter's digit
+        limit are read errors: one line that names the file."""
+        p = tmp_path / "unreadable.json"
+        for data, reason in ((b'{"version": 1, "name": "\xff"}', "can't decode byte 0xff"),
+                             (b'{"version": ' + b"9" * 5000 + b"}", "Exceeds the limit")):
+            p.write_bytes(data)
+            for command in ("resonance", "cijt"):
+                code, out, err = run(capsys, command, str(p))
+                assert (code, out, err.count("\n")) == (2, "", 1) and reason in err
+                assert err.startswith("error: cannot read dataset %s: " % p) and "set_int" not in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "resonance", "/nonexistent.json")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cijt.scalars import Exact, Lattice, _hit_stepper, _next_hit, floor_mult, frac_mult, is_near_lattice
+from cijt.scalars import Exact, _next_hit, floor_mult, frac_mult
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum, m_check
 from cijt.iteration import PathClass, index_iterate, jump_index, mean_index, path_nullity
 from cijt.engine import (
@@ -28,6 +29,7 @@ from cijt.engine import (
 )
 from test_normal_forms import classes
 from test_iteration import _index_iterate_by_unit_angles, _spectral_by_unit_angles
+from test_scalars import Lattice, is_near_lattice
 
 SQRT2M1 = Exact.surd(-1, 1, 2)
 T35 = Exact.surd(3, -1, 5)
@@ -64,7 +66,7 @@ class TestCommonPeriod:
     def test_least_common_period(self, monodromies):
         # theta/pi of every rational eigen-angle: 0 and 1 for N1(+-1, .)
         angles = [
-            Fraction(1 - b.lam, 2) if isinstance(b, N1) else b.theta.r
+            Fraction(1 - b.lam, 2) if isinstance(b, N1) else Fraction(b.theta.A, b.theta.q)
             for M in monodromies
             for b in M.blocks
             if isinstance(b, N1) or (isinstance(b, (R, N2)) and b.theta.is_rational)
@@ -103,7 +105,7 @@ def _delta_zero_exact(paths, m_bar):
                     if cand < best:
                         best = cand
     if best.is_rational:
-        return best.r
+        return Fraction(best.A, best.q)
     approx = Fraction(floor_mult(best, 10**6) - 2, 10**6)
     if approx <= 0:
         approx = Fraction(1, 2)
@@ -583,8 +585,9 @@ class TestHitStepper:
     @given(st.data())
     def test_every_band_hit_is_in_its_window(self, data):
         """theta is built so that {k0*mbar*theta} sits about 1e-30 away from
-        0, delta, 1 - delta or 1, where the fixed-point residue k*a mod M
-        lags across a window edge: k0 must still be a hit."""
+        0, delta, 1 - delta or 1, where the residue k*a*mbar mod 2^K of the
+        path's kernel a = [2^K*theta] lags across a window edge: k0 must still
+        be a hit."""
         mbar = data.draw(st.integers(1, 6))
         k0 = data.draw(st.integers(1, 60))
         k_cap = k0 + data.draw(st.integers(0, 10**6))
@@ -598,12 +601,28 @@ class TestHitStepper:
         ]))
         j = data.draw(st.integers(0, k0 * mbar - 1))
         theta = (target + j) * Fraction(1, k0 * mbar)
-        M, next_hit = _hit_stepper(theta, mbar, k_cap, delta)
+        # the least K find_tuple picks for m <= k_cap*mbar and this delta
+        g = _PathData(path(1, R(theta)), mbar)
+        g.fix((k_cap * mbar).bit_length() + delta.denominator.bit_length() + 16, delta, None)
         cls = is_near_lattice(theta, k0 * mbar, delta)
         assert cls in (Lattice.LOW, Lattice.HIGH)
-        h = delta.numerator * M // delta.denominator
         for bit in (None, 0 if cls is Lattice.LOW else 1):
-            assert next_hit(k0, h, bit) == k0
+            assert g.next_hit(k0, k_cap, g.kernel[2], bit) == k0
+
+    def test_window_widens_by_k_cap_times_mbar(self):
+        """{k_cap*mbar*theta} a hair above 0, where k*a*mbar mod 2^K lags by up
+        to k_cap*mbar units: k_cap is a hit, and some cases lag by more than
+        k_cap + 1 units."""
+        delta, k_cap, lags_past = Fraction(1, 1000), 50, set()
+        for mbar, j in itertools.product(range(2, 7), range(50)):
+            theta = (Exact.surd(0, Fraction(1, 10**30), 2) + j) * Fraction(1, k_cap * mbar)
+            g = _PathData(path(1, R(theta)), mbar)
+            g.fix((k_cap * mbar).bit_length() + delta.denominator.bit_length() + 16, delta, None)
+            lag = floor_mult(theta, k_cap * mbar << g.kernel[0]) - k_cap * mbar * g.a[0]
+            lags_past.add(lag > k_cap + 1)
+            for bit in (None, 0):
+                assert g.next_hit(k_cap, k_cap, g.kernel[2], bit) == k_cap
+        assert lags_past == {False, True}
 
 
 _FLOAT_GUARD = 1e-6

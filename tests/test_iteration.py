@@ -139,7 +139,7 @@ def _merged_minus(p):
     """spectral's integer entries as {theta/2pi: summed S^- weight}."""
     acc = {}
     for A, terms, q, w in p.spectral[2]:
-        x = -Exact(Fraction(A, q), {s: Fraction(b, q) for s, b in terms})
+        x = -sum((Exact.surd(0, Fraction(b, q), s) for s, b in terms), Exact(Fraction(A, q)))
         acc[x] = acc.get(x, 0) + w
     return acc
 

@@ -1,0 +1,55 @@
+"""The package holds no code that only the tests call."""
+
+import ast
+import glob
+import os
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _names_in(node):
+    """Loaded names, attributes, imported names, and "module.name" strings
+    used as an index (the bench tracer calls its originals that way)."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, (ast.Attribute, ast.alias)):
+            yield n.attr if isinstance(n, ast.Attribute) else n.name
+        elif isinstance(n, ast.Subscript) and isinstance(getattr(n.slice, "value", None), str):
+            yield n.slice.value.rpartition(".")[2]
+
+
+def _defined(node):
+    """The names a top-level def, class or assignment binds ([] for others)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_every_public_name_has_a_caller():
+    """Every public top-level name of src/cijt is reached from scripts/,
+    bench/ or a module's top-level code, through the definitions that reach
+    it: one that only an unreached definition names is not.  cijt/__init__
+    holds its docstring and __version__, and re-exports nothing."""
+    reached, definitions = set(), {}
+    for pattern in ("scripts/*.py", "bench/*.py", "src/cijt/*.py"):
+        for path in glob.glob(os.path.join(ROOT, pattern)):
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            if path.endswith("__init__.py"):
+                init = [_defined(node) for node in tree.body]
+            elif pattern.startswith("src"):
+                for node in tree.body:
+                    for name in _defined(node):
+                        definitions.setdefault(name, []).append(node)
+                    reached.update(() if _defined(node) else _names_in(node))
+            else:
+                reached.update(_names_in(tree))
+    todo = list(reached)
+    while todo:
+        for node in definitions.get(todo.pop(), ()):
+            todo += set(_names_in(node)) - reached
+            reached.update(todo)
+    assert sorted(n for n in definitions if n not in reached and not n.startswith("_")) == []
+    assert init == [[], ["__version__"]]

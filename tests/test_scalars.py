@@ -2,6 +2,7 @@ import contextlib
 import decimal
 import math
 import signal
+from enum import Enum
 from fractions import Fraction
 
 import pytest
@@ -9,17 +10,37 @@ from hypothesis import example, given, settings, strategies as st
 
 from cijt.scalars import (
     Exact,
-    Lattice,
     _enclosure,
     _floor,
     _squarefree_split,
     ceil_mult,
     floor_mult,
     frac_mult,
-    is_near_lattice,
 )
 
 SQRT2M1 = Exact.surd(-1, 1, 2)
+
+
+Lattice = Enum("Lattice", "ZERO LOW HIGH INTERIOR")
+
+
+def is_near_lattice(x: Exact, m: int, delta: Fraction) -> Lattice:
+    """{m*x} against the open bands (0, delta) and (1 - delta, 1), from one
+    floor: the search's band test before its fixed-point kernels."""
+    if not isinstance(delta, Fraction):  # a float is no exact band
+        raise TypeError("delta must be a Fraction, not %s" % type(delta).__name__)
+    p, r = delta.numerator, delta.denominator
+    if not 0 < 2 * p < r:
+        raise ValueError("delta must lie in (0, 1/2)")
+    F = _floor(x.A, x.B.items(), x.q, r * m) % r
+    whole = not x.B and r * m * x.A % x.q == 0  # r*m*x is an integer
+    if whole and F == 0:
+        return Lattice.ZERO
+    if F < p:
+        return Lattice.LOW
+    if F + (not whole) > r - p:
+        return Lattice.HIGH
+    return Lattice.INTERIOR
 
 
 fractions = st.fractions(
@@ -83,7 +104,7 @@ class FractionOracle:
 
     @staticmethod
     def of(x: Exact) -> "FractionOracle":
-        return FractionOracle(x.r, x.terms)
+        return FractionOracle(Fraction(x.A, x.q), {s: Fraction(b, x.q) for s, b in x.B.items()})
 
     def __eq__(self, other):
         return self.r == other.r and self.terms == other.terms
@@ -160,23 +181,25 @@ class TestConstruction:
 
     def test_perfect_square_collapses_to_rational(self):
         assert Exact.surd(1, 2, 16).is_rational
-        assert Exact.surd(1, 2, 16).r == 9
+        assert (Exact.surd(1, 2, 16).A, Exact.surd(1, 2, 16).q) == (9, 1)
 
     def test_zero_coefficient_drops_term(self):
         assert Exact.surd(3, 0, 7).is_rational
 
     def test_integer_form(self):
         """Held as (A + sum B_s*sqrt(s))/q in lowest terms with q > 0."""
-        x = Exact(Fraction(-2, 4), {2: Fraction(3, -6), 7: Fraction(1, 3)})
+        x = Exact.surd(Fraction(-2, 4), Fraction(3, -6), 2) + Exact.surd(0, Fraction(1, 3), 7)
         assert (x.A, x.B, x.q) == (-3, {2: -3, 7: 2}, 6)
-        assert x.r == Fraction(-1, 2) and x.terms == {2: Fraction(-1, 2), 7: Fraction(1, 3)}
-        assert (Exact(6, {2: 4}) / 2).B == {2: 2}
+        assert x.to_json() == {"kind": "sum", "rational": [-1, 2], "terms": [
+            {"coeff": [-1, 2], "s": 2}, {"coeff": [1, 3], "s": 7}]}
+        assert repr(x) == "Exact(-1/2 + -1/2*sqrt(2) + 1/3*sqrt(7))"
+        assert (Exact.surd(6, 4, 2) / 2).B == {2: 2}
 
     def test_floats_refused(self):
         """A float is no exact value: it is refused, not converted."""
         refused = [
             lambda: Exact(0.1),
-            lambda: Exact(0, {2: 0.5}),
+            lambda: Exact.surd(0, 0.5, 2),
             lambda: Exact.surd(0.5, 1, 2),
             lambda: SQRT2M1 + 0.5,
             lambda: SQRT2M1 * 0.5,
@@ -198,8 +221,8 @@ class TestConstruction:
             (Exact(Fraction(6, 4)), Fraction(3, 2)),
             (Exact.surd(0, 1, 9), 3),
             (Exact.surd(0, 1, 8), Exact.surd(0, 2, 2)),
-            (Exact(0, {8: 1}), Exact.surd(0, 2, 2)),
-            (Exact(1, {4: Fraction(1, 2)}), 2),
+            (Exact(0) + Exact.surd(0, 1, 8), Exact.surd(0, 2, 2)),
+            (Exact(1) + Exact.surd(0, Fraction(1, 2), 4), 2),
             (Exact.surd(0, 1, 12), sqrt3 * 2),
             (x * x, Exact.surd(49, -12, 5)),
             (sqrt2 * sqrt3, Exact.surd(0, 1, 6)),
@@ -267,10 +290,7 @@ class TestArithmetic:
 
 def decimal_value(a):
     """a as a Decimal, in the current decimal context."""
-    def dec(f):
-        return decimal.Decimal(f.numerator) / f.denominator
-
-    return dec(a.r) + sum(dec(c) * decimal.Decimal(s).sqrt() for s, c in a.terms.items())
+    return (decimal.Decimal(a.A) + sum(b * decimal.Decimal(s).sqrt() for s, b in a.B.items())) / a.q
 
 
 class TestSign:
@@ -333,11 +353,11 @@ class TestSign:
             value = m * decimal_value(a)
             for bits in (0, 64, 128):
                 lo, hi, den = _enclosure(a.A, a.B.items(), a.q, m, bits)
-                assert hi - lo == len(a.terms)
-                if a.terms:
+                assert hi - lo == len(a.B)
+                if a.B:
                     assert lo < value * den < hi
                 else:  # a rational enclosure is the value itself
-                    assert lo == hi == m * a.r * den
+                    assert lo == hi == m * Fraction(a.A, a.q) * den
 
     @given(exacts())
     @settings(max_examples=150, deadline=None)
@@ -454,7 +474,7 @@ class TestFloors:
     def test_ceil_vs_floor(self, x, m):
         c, f = ceil_mult(x, m), floor_mult(x, m)
         mx = x * m
-        if mx.is_rational and mx.r.denominator == 1:
+        if mx.is_rational and mx.q == 1:
             assert c == f
         else:
             assert c == f + 1
