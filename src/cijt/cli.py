@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Subcommands: iterate, betti, resonance, cijt, verify.  Datasets are JSON
-documents (schema version 1):
+Subcommands: iterate, betti, resonance, cijt, verify.  parse_args reads argv
+from one table (_COMMANDS) as argparse would, without importing it: each
+command's function, positional and options with their types, defaults and
+choices.  Datasets are JSON documents (schema version 1):
 
     {"version": 1,
      "shape": {"d": 2, "n": 1},
@@ -13,14 +15,15 @@ rejection, 3 search exhaustion, 4 internal error (any other exception).
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .normal_forms import SymplecticClass, block_from_json
+from .record import dumps
 from .iteration import PathClass, index_iterate, path_nullity
 from .engine import (
     NotFoundWithinBound,
@@ -58,64 +61,75 @@ class CliError(Exception):
         self.code = code
 
 
-_encode_str = json.encoder.encode_basestring_ascii  # the C function json.dumps uses
-
 _STRING_FIELDS = ("name", "type", "kind", "b_sign")
 _PAIR_FIELDS = ("a", "b", "rational", "coeff")
 
 
-def _check_fields(node, where="dataset", key=None):
+def _check_fields(node, where=None, key=None):
     """Every JSON number of a dataset is an integer, true/false appear only in
     options, strings only in string fields and every pair is two integers.
 
     Python reads 2.5, true, "1" and [1] as values that int(), Fraction() and
-    the comparisons downstream would silently round or accept.
+    the comparisons downstream would silently round or accept.  where is the
+    (parent, key or index) chain down to node, spelled out only on an error.
     """
     if key in _PAIR_FIELDS and not (
         isinstance(node, list) and len(node) == 2 and all(isinstance(v, int) for v in node)
     ):
         raise CliError(
-            "invalid dataset: %s is %s, not a pair of integers" % (where, json.dumps(node))
+            "invalid dataset: %s is %s, not a pair of integers" % (_place(where), json.dumps(node))
         )
     if isinstance(node, dict):
         for k, value in node.items():
-            if k != "options":  # a non-identifier key is escaped: no line break splits the error
-                place = "%s.%s" % (where, _shown(k))
-                _check_fields(value, place, k)
+            if k != "options" and (type(value) is not int or k in _PAIR_FIELDS):
+                _check_fields(value, (where, k), k)
     elif isinstance(node, list):
         for k, value in enumerate(node):
-            _check_fields(value, "%s[%d]" % (where, k))
+            if type(value) is not int:  # a plain int passes every check
+                _check_fields(value, (where, k))
     elif isinstance(node, (bool, float)):
-        raise CliError("invalid dataset: %s is %s, not an integer" % (where, json.dumps(node)))
+        raise CliError(
+            "invalid dataset: %s is %s, not an integer" % (_place(where), json.dumps(node))
+        )
     elif isinstance(node, str) and key not in _STRING_FIELDS:
         raise CliError(
             "invalid dataset: %s is %s; strings belong in %s only"
-            % (where, json.dumps(node), ", ".join(_STRING_FIELDS))
+            % (_place(where), json.dumps(node), ", ".join(_STRING_FIELDS))
         )
+
+
+def _place(where):
+    """dataset.records[0].name of a chain; a key that is no identifier is
+    escaped, so no line break splits the error."""
+    steps = []
+    while where:
+        where, step = where
+        steps.append("[%d]" % step if type(step) is int else "." + _shown(step))
+    return "dataset" + "".join(reversed(steps))
 
 
 def _objects(node, where):
     """The items of a JSON list that must hold objects only."""
     if not isinstance(node, list):
-        raise CliError("invalid dataset: %s is %s, not a list" % (where, json.dumps(node)))
+        raise CliError("invalid dataset: %s is %s, not a list" % (_place(where), json.dumps(node)))
     for k, item in enumerate(node):
         if not isinstance(item, dict):
             raise CliError(
-                "invalid dataset: %s[%d] is %s, not an object" % (where, k, json.dumps(item))
+                "invalid dataset: %s is %s, not an object" % (_place((where, k)), json.dumps(item))
             )
     return node
 
 
 def _string(node, where):
     if not isinstance(node, str):
-        raise CliError("invalid dataset: %s is %s, not a string" % (where, json.dumps(node)))
+        raise CliError("invalid dataset: %s is %s, not a string" % (_place(where), json.dumps(node)))
     return node
 
 
 def _morse_index(node, where):
     index = int(node)
     if index < 0:
-        raise CliError("invalid dataset: %s is %d, not a Morse index >= 0" % (where, index))
+        raise CliError("invalid dataset: %s is %d, not a Morse index >= 0" % (_place(where), index))
     return index
 
 
@@ -150,18 +164,18 @@ def load_dataset(path: str) -> GeodesicDataset:
             )
     try:
         shape = CohomologyShape(doc["shape"]["d"], doc["shape"]["n"])
+        at = (None, "records")
         records = tuple(
             GeodesicRecord(
-                _string(r["name"], "dataset.records[%d].name" % i),
+                _string(r["name"], ((at, i), "name")),
                 PathClass(
-                    _morse_index(r["initial_index"], "dataset.records[%d].initial_index" % i),
+                    _morse_index(r["initial_index"], ((at, i), "initial_index")),
                     SymplecticClass(tuple(
-                        block_from_json(b)
-                        for b in _objects(r["blocks"], "dataset.records[%d].blocks" % i)
+                        map(block_from_json, _objects(r["blocks"], ((at, i), "blocks")))
                     )),
                 ),
             )
-            for i, r in enumerate(_objects(doc["records"], "dataset.records"))
+            for i, r in enumerate(_objects(doc["records"], at))
         )
         return GeodesicDataset(shape, records, options.get("bumpy", True))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -200,74 +214,6 @@ def _parse_vertex(spec: str, dataset: GeodesicDataset):
     return VertexSpec(chi, tuple(angle_bits))
 
 
-def _dumps(doc) -> str:
-    """json.dumps(doc, indent=2, sort_keys=True), byte for byte, without its
-    pure-Python indenting encoder; a float or a non-str key raises TypeError."""
-    out = []
-    _write(doc, "\n", out.append, {})
-    return "".join(out)
-
-
-# the JSON of a str, int, bool or None, by exact type, so bool never takes the
-# int branch; a subclass of str or int goes through _write's isinstance tests
-_LEAVES = {
-    str: _encode_str,
-    int: int.__repr__,
-    bool: ("false", "true").__getitem__,
-    type(None): lambda x: "null",
-}
-
-
-def _write(x, pad, append, shapes):
-    """Append the JSON of x; pad is the newline and indent of the line x starts
-    on, and shapes maps each dict shape (keys in insertion order, pad) met in
-    this call to its sorted keys and their lead texts.  (A closure would hold
-    itself in a cycle and outlive the call.)"""
-    inner = pad + "  "
-    if isinstance(x, dict):
-        if not x:
-            append("{}")
-            return
-        shape = (tuple(x), pad)
-        leads = shapes.get(shape)
-        if leads is None:  # _encode_str refuses a key that is not a str
-            leads = shapes[shape] = [
-                (key, ("," if i else "{") + inner + _encode_str(key) + ": ")
-                for i, key in enumerate(sorted(x))
-            ]
-        for key, lead in leads:
-            value = x[key]
-            write = _LEAVES.get(type(value))
-            if write is not None:
-                append(lead + write(value))
-            else:
-                append(lead)
-                _write(value, inner, append, shapes)
-        append(pad + "}")
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            append("[]")
-            return
-        lead = "[" + inner
-        for value in x:
-            write = _LEAVES.get(type(value))
-            if write is not None:
-                append(lead + write(value))
-            else:
-                append(lead)
-                _write(value, inner, append, shapes)
-            lead = "," + inner
-        append(pad + "]")
-    elif isinstance(x, str):
-        append(_encode_str(x))
-    elif x is None or isinstance(x, bool):
-        append("null" if x is None else "true" if x else "false")
-    elif isinstance(x, int):
-        append(int.__repr__(x))
-    else:
-        raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
-
-
 def _emit(doc, fmt: str = "json", tsv_rows=(), tsv_header=()):
     """Print doc as JSON, or, with fmt "tsv", the header and rows of its table."""
     try:
@@ -276,7 +222,7 @@ def _emit(doc, fmt: str = "json", tsv_rows=(), tsv_header=()):
             for row in tsv_rows:
                 print("\t".join(str(x) for x in row))
         else:
-            print(_dumps(doc))
+            print(dumps(doc))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe (`| head`): what is still buffered, and
@@ -379,60 +325,168 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if verdict.passed else EXIT_FAIL
 
 
-class _Parser(argparse.ArgumentParser):
-    """One-line errors, as every other rejection; add_subparsers' parser_class
-    builds the subparsers from this class too."""
+_REQUIRED = object()  # the default of an option that must be given
+_HELP = ("help", None, None, None, "show this help message and exit")
+_HELP_FLAGS = {"-h": _HELP, "--help": _HELP}
+_FORMAT = ("format", str, "json", ("json", "tsv"), None)
+_N_BOUND = ("n_bound", int, 10**8, None, None)
 
-    def error(self, message):
-        message = "\\n".join(message.splitlines())  # a raw argument may hold a line break
-        self.exit(EXIT_REJECT, "error: %s: %s\n" % (self.prog, message))
+# The command line: each command's function, help line, positional (or None)
+# and options, flag -> (dest, type, default, choices, help), in usage order.
+_COMMANDS = {
+    "iterate": (cmd_iterate, "index/nullity table of one record", "dataset", {
+        "--format": _FORMAT,
+        "--record": ("record", str, _REQUIRED, None, None),
+        "--m-max": ("m_max", int, 10, None, None),
+    }),
+    "betti": (cmd_betti, "free-loop-space Betti numbers", None, {
+        "--format": _FORMAT,
+        "--d": ("d", int, _REQUIRED, None, None),
+        "--n": ("n", int, _REQUIRED, None, None),
+        "--l-max": ("l_max", int, 50, None, None),
+    }),
+    "resonance": (cmd_resonance, "check the resonance identity", "dataset", {}),
+    "cijt": (cmd_cijt, "search and certify an index-jump tuple", "dataset", {
+        "--delta": ("delta", str, "1/200", None, None),
+        "--n-bound": _N_BOUND,
+        "--n-multiple": ("n_multiple", int, 1, None, None),
+        "--m-bar": ("m_bar", int, 1, None, None),
+        "--vertex": ("vertex", str, "auto", None, "auto, opposite, or bits:<chi bits><angle bits>"),
+    }),
+    "verify": (cmd_verify, "run a theorem pipeline", "dataset", {
+        "--theorem": ("theorem", str, _REQUIRED, ("1.1", "1.5", "1.8"), None),
+        "--delta": ("delta", str, None, None, None),
+        "--n-bound": _N_BOUND,
+    }),
+}
+_FLAGS = {name: {**_HELP_FLAGS, **row[3]} for name, row in _COMMANDS.items()}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match  # a value, not a flag
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """Built on the first call, then reused: parse_args leaves it unchanged."""
-    ap = _Parser(prog="cijt")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _fail(prog, message):
+    """Exit 2 with one line, as every other rejection does."""
+    message = "\\n".join(message.splitlines())  # a raw argument may hold a line break
+    sys.stderr.write("error: %s: %s\n" % (prog, message))
+    sys.exit(EXIT_REJECT)
 
-    p = sub.add_parser("iterate", help="index/nullity table of one record")
-    p.add_argument("dataset", help="dataset JSON file")
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
-    p.add_argument("--record", required=True)
-    p.add_argument("--m-max", type=int, default=10)
-    p.set_defaults(func=cmd_iterate)
 
-    p = sub.add_parser("betti", help="free-loop-space Betti numbers")
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l-max", type=int, default=50)
-    p.set_defaults(func=cmd_betti)
+def _choose(prog, argument, value, choices):
+    if value not in choices:
+        _fail(prog, "argument %s: invalid choice: %r (choose from %s)"
+              % (argument, value, ", ".join(map(repr, choices))))
 
-    p = sub.add_parser("resonance", help="check the resonance identity")
-    p.add_argument("dataset", help="dataset JSON file")
-    p.set_defaults(func=cmd_resonance)
 
-    p = sub.add_parser("cijt", help="search and certify an index-jump tuple")
-    p.add_argument("dataset", help="dataset JSON file")
-    p.add_argument("--delta", default="1/200")
-    p.add_argument("--n-bound", type=int, default=10**8)
-    p.add_argument("--n-multiple", type=int, default=1)
-    p.add_argument("--m-bar", type=int, default=1)
-    p.add_argument("--vertex", default="auto",
-                   help="auto, opposite, or bits:<chi bits><angle bits>")
-    p.set_defaults(func=cmd_cijt)
+def _option(token, flags, prog):
+    """One token as argparse read it: None for a value, else (row, flag,
+    text), row None for an unknown flag and text the value glued to the flag
+    (after "=" or a one-letter flag) or None.  A unique prefix of a long flag
+    names it."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in flags:
+        return flags[token], token, None
+    flag, eq, text = token.partition("=")
+    if eq and flag in flags:
+        return flags[flag], flag, text
+    if token[1] == "-":
+        hits = [(f, text if eq else None) for f in flags if f.startswith(flag)]
+    else:
+        hits = [(f, token[2:]) for f in flags if f == token[:2]]
+    if len(hits) > 1:
+        _fail(prog, "ambiguous option: %s could match %s" % (token, ", ".join(f for f, _ in hits)))
+    if hits:
+        flag, text = hits[0]
+        return flags[flag], flag, text
+    return None if _NEGATIVE_NUMBER(token) or " " in token else (None, token, None)
 
-    p = sub.add_parser("verify", help="run a theorem pipeline")
-    p.add_argument("dataset", help="dataset JSON file")
-    p.add_argument("--theorem", choices=("1.1", "1.5", "1.8"), required=True)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--n-bound", type=int, default=10**8)
-    p.set_defaults(func=cmd_verify)
-    return ap
+
+def _help(prog, flag, glued, name):
+    """Print the help of cijt (name None) or of one command and exit 0; -hh
+    is -h twice, and other text glued to the flag is refused."""
+    if glued is not None:
+        rest = glued.lstrip("h") if flag == "-h" else glued
+        if rest or not glued:
+            _fail(prog, "argument -h/--help: ignored explicit argument %r" % rest)
+    if name is None:
+        usage = "[-h] {%s} ..." % ",".join(_COMMANDS)
+        rows = [(c, row[1]) for c, row in _COMMANDS.items()]
+    else:
+        _, _, positional, options = _COMMANDS[name]
+        usage, rows = "[-h]", [(positional, "dataset JSON file")] if positional else []
+        for f, (dest, _, default, choices, about) in options.items():
+            shown = "%s %s" % (f, "{%s}" % ",".join(choices) if choices else dest.upper())
+            usage += " " + (shown if default is _REQUIRED else "[%s]" % shown)
+            rows.append((shown, about or ""))
+        usage += " " + positional if positional else ""
+    rows.append(("-h, --help", _HELP[4]))
+    sys.stdout.write("usage: %s %s\n\n" % (prog, usage)
+                     + "".join(("  %-20s  %s" % row).rstrip() + "\n" for row in rows))
+    sys.exit(EXIT_PASS)
+
+
+def parse_args(argv):
+    """The fields of argv, read as argparse read them: flags, unique prefixes
+    and --flag=value in any order, values only after "--", the last of a
+    repeated flag kept; a bad argv exits 2 with one line."""
+    argv, extras, i = list(argv), [], 0
+    while i < len(argv) and argv[i] != "--":  # flags before the command
+        got = _option(argv[i], _HELP_FLAGS, "cijt")
+        if got is None:
+            break
+        if got[0]:
+            _help("cijt", got[1], got[2], None)
+        extras.append(argv[i])
+        i += 1
+    if argv[i:] in ([], ["--"]):
+        _fail("cijt", "the following arguments are required: command")
+    _choose("cijt", "command", argv[i], _COMMANDS)
+    name, tokens = argv[i], argv[i + 1:]
+    func, _, pending, options = _COMMANDS[name]
+    prog, n = "cijt " + name, len(tokens)
+    # every token is read before any value, so an ambiguous flag anywhere
+    # fails first; after the first "--", every token is a value.  kinds[n],
+    # one past the last token, is "--" or None: no value for a flag there
+    cut = tokens.index("--") if "--" in tokens else n
+    kinds = [_option(t, _FLAGS[name], prog) for t in tokens[:cut]]
+    kinds += ["--"] + [None] * (n - cut)
+    fields, i = {row[0]: row[2] for row in options.values()}, 0
+    while i < n:
+        kind = kinds[i]
+        if kind is None and pending:  # the positional, with a "--" right after it
+            fields[pending], pending = tokens[i], None
+            i += kinds[i + 1] == "--"
+        elif kind == "--" and pending and i + 1 < n:
+            pass  # a "--" right before the positional goes with it
+        elif kind is None or kind == "--" or kind[0] is None:  # unrecognized
+            extras.append(tokens[i])
+        else:
+            row, flag, text = kind
+            if row is _HELP:
+                _help(prog, flag, text, name)
+            if text is None:
+                i += 1
+                if kinds[i] is not None:
+                    _fail(prog, "argument %s: expected one argument" % flag)
+                text = tokens[i]
+            dest, typ, _, choices, _ = row
+            try:
+                fields[dest] = value = typ(text)
+            except ValueError:
+                _fail(prog, "argument %s: invalid %s value: %r" % (flag, typ.__name__, text))
+            if choices:
+                _choose(prog, flag, value, choices)
+        i += 1
+    missing = [pending] if pending else []
+    missing += [f for f, row in options.items() if fields[row[0]] is _REQUIRED]
+    if missing:
+        _fail(prog, "the following arguments are required: %s" % ", ".join(missing))
+    if extras:
+        _fail("cijt", "unrecognized arguments: %s" % " ".join(extras))
+    return SimpleNamespace(command=name, func=func, **fields)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Exact, _edges, _floor, _locate, _next_hit, floor_mult, frac_mult
+from .scalars import Exact, _edges, _floor, _locate, _next_hit, _rational, floor_mult, frac_mult
 from .normal_forms import m_check
 from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index, path_nullity
 from .record import FrozenRecord, Record
@@ -96,7 +96,7 @@ class SelectionProblem(Record):
         for p in paths:
             if not mean_index(p) > 0:
                 raise NonPositiveMeanIndex("path %r has mean index <= 0" % (p,))
-        self.delta = Fraction(delta)
+        self.delta = Fraction(*_rational(delta))  # a float is refused, as Exact refuses it
         if not 0 < self.delta < Fraction(1, 2):
             raise ValueError("delta must lie in (0, 1/2)")
         if m_bar < 1 or N_bound < 1 or N_multiple_of < 1:
@@ -295,7 +295,7 @@ def find_tuple(
     (needed by the counting pipelines to convert floors into exact multiples
     of N).
     """
-    if chi_eps is not None and not 0 < chi_eps < Fraction(1, 2):
+    if chi_eps is not None and not 0 < Fraction(*_rational(chi_eps)) < Fraction(1, 2):
         raise ValueError("chi_eps must lie in (0, 1/2)")
     mbar, data, delta = problem.period, problem.data, problem.delta
     if vertex is not None:

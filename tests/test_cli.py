@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import functools
 import hashlib
 import io
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from cijt import cli, engine, iteration
 from cijt.cli import CliError, load_dataset, main
+from cijt.record import dumps
 from test_scalars import time_limit
 
 DATASETS = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
@@ -311,9 +314,6 @@ class TestBuildOnce:
 
 
 class TestParser:
-    def test_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
-
     def test_no_state_between_calls(self, capsys):
         """A rejected argv between two equal calls leaves no trace in the second."""
         argv = ("verify", ds("s2_elliptic"), "--theorem", "1.1")
@@ -325,11 +325,132 @@ class TestParser:
         assert first[0] == 0 and run(capsys, *argv) == first
 
     def test_import_builds_no_parser(self):
+        """The command line is read from one table: importing cijt.cli loads
+        neither argparse nor the gettext it imports."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        probe = "import cijt.cli as c; print(c.build_parser.cache_info().currsize)"
+        probe = "import sys, cijt.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), check=True).stdout
-        assert out == "0\n"
+        assert out == "[]\n"
+
+
+class _OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        message = "\\n".join(message.splitlines())
+        self.exit(2, "error: %s: %s\n" % (self.prog, message))
+
+
+@functools.cache
+def oracle_parser():
+    """The argparse tree that cli.parse_args replaced, kept as its oracle."""
+    ap = _OracleParser(prog="cijt")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("iterate", help="index/nullity table of one record")
+    p.add_argument("dataset", help="dataset JSON file")
+    p.add_argument("--format", choices=("json", "tsv"), default="json")
+    p.add_argument("--record", required=True)
+    p.add_argument("--m-max", type=int, default=10)
+    p.set_defaults(func=cli.cmd_iterate)
+
+    p = sub.add_parser("betti", help="free-loop-space Betti numbers")
+    p.add_argument("--format", choices=("json", "tsv"), default="json")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--l-max", type=int, default=50)
+    p.set_defaults(func=cli.cmd_betti)
+
+    p = sub.add_parser("resonance", help="check the resonance identity")
+    p.add_argument("dataset", help="dataset JSON file")
+    p.set_defaults(func=cli.cmd_resonance)
+
+    p = sub.add_parser("cijt", help="search and certify an index-jump tuple")
+    p.add_argument("dataset", help="dataset JSON file")
+    p.add_argument("--delta", default="1/200")
+    p.add_argument("--n-bound", type=int, default=10**8)
+    p.add_argument("--n-multiple", type=int, default=1)
+    p.add_argument("--m-bar", type=int, default=1)
+    p.add_argument("--vertex", default="auto",
+                   help="auto, opposite, or bits:<chi bits><angle bits>")
+    p.set_defaults(func=cli.cmd_cijt)
+
+    p = sub.add_parser("verify", help="run a theorem pipeline")
+    p.add_argument("dataset", help="dataset JSON file")
+    p.add_argument("--theorem", choices=("1.1", "1.5", "1.8"), required=True)
+    p.add_argument("--delta", default=None)
+    p.add_argument("--n-bound", type=int, default=10**8)
+    p.set_defaults(func=cli.cmd_verify)
+    return ap
+
+
+COMMANDS = ("iterate", "betti", "resonance", "cijt", "verify", "bogus")
+ARGV_TOKENS = (
+    *COMMANDS, ds("single_sqrt2"),
+    "--format", "--record", "--m-max", "--d", "--n", "--l-max", "--delta", "--n-bound",
+    "--n-multiple", "--m-bar", "--vertex", "--theorem", "-h", "--help",
+    "--f", "--rec", "--m", "--m-", "--l", "--de", "--n-", "--n-b", "--n-m", "--v", "--t", "--h",
+    "--delta=-1/3", "--de=1/3", "--n-bound=5", "--n=5", "--d=x", "--theorem=1.5", "--format=tsv",
+    "--help=x", "-hh", "-hx", "--bogus",
+    "5", "-5", "x", "1/3", "-1/3", "--", "a\nb", "-x y", "json", "tsv", "1.1", "opposite",
+)
+FLAGS = tuple(t for t in ARGV_TOKENS if t.startswith("--") and "=" not in t and t != "--")
+VALUES = ("5", "-5", "x", "1/3", "-1/3", "json", "tsv", "1.1", "opposite", "a\nb")
+argvs = st.one_of(
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=8),
+    st.builds(lambda c, rest: [c, *rest], st.sampled_from(COMMANDS),
+              st.lists(st.sampled_from(ARGV_TOKENS), max_size=8)),
+    # flag and value pairs after a dataset: most of these are accepted
+    st.builds(lambda c, pairs: [c, ds("single_sqrt2"), *(t for pair in pairs for t in pair)],
+              st.sampled_from(COMMANDS[:5]),
+              st.lists(st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)), max_size=4)),
+)
+
+
+def _parsed(parse, argv):
+    """(fields or None, exit code or None, stderr) of one parse."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv)), None, err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, err.getvalue()
+
+
+class TestParserAgainstArgparse:
+    @given(argvs)
+    @settings(max_examples=1500, deadline=None)
+    def test_same_reading_as_argparse(self, argv):
+        """Accepted argv: the fields of the oracle's Namespace.  Rejected: its
+        exit code and its one stderr line.  -h: its exit 0."""
+        want = _parsed(oracle_parser().parse_args, list(argv))
+        assert _parsed(cli.parse_args, list(argv)) == want
+        assert want[2].count("\n") == (want[1] == 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["cijt", ds("single_sqrt2"), "--n-b", "100", "--d", "1/3"],
+        ["cijt", ds("single_sqrt2"), "--n", "5"],
+        ["cijt", "--delta=-1/3", "--", ds("single_sqrt2")],
+        ["cijt", ds("single_sqrt2"), "--m-bar", "-5", "--m-bar", "2"],
+        ["betti", "--d", " 2 ", "--n", "1_0"],
+        ["resonance", ds("s2_elliptic"), "--format", "json"],
+        ["--", "cijt", ds("single_sqrt2")],
+        ["cijt", "-hhx"], ["cijt", "-hh", "--delta"], ["-h", "bogus"],
+        ["verify", "--the", "1.5", ds("s2_elliptic")], ["iterate", ds("s2_elliptic")],
+    ])
+    def test_cases(self, argv):
+        assert _parsed(cli.parse_args, argv) == _parsed(oracle_parser().parse_args, argv)
+
+    def test_flag_value_of_two_dashes(self, capsys):
+        """--flag=-- gives the flag the value "--"; argparse gave it [], and
+        the command then failed with exit 4."""
+        assert cli.parse_args(["cijt", ds("single_sqrt2"), "--delta=--"]).delta == "--"
+        code, out, err = run(capsys, "cijt", ds("single_sqrt2"), "--delta=--")
+        assert (code, out, err) == (2, "", "error: not a rational number: '--'\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["cijt", ds("single_sqrt2"), "--n-bound=--"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: cijt cijt: argument --n-bound: invalid int value: '--'\n")
 
 
 json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\u2028\xe9')))
@@ -349,12 +470,12 @@ class TestJsonWriter:
     @given(json_trees)
     @settings(max_examples=400, deadline=None)
     def test_same_bytes_as_json_dumps(self, doc):
-        assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("doc", [1.5, {"x": [0.0]}, {1: 2}, {"a": {3: None}}])
     def test_float_or_int_key_raises(self, doc):
         with pytest.raises(TypeError):
-            cli._dumps(doc)
+            dumps(doc)
 
 
 # dicts drawn from a few keys, so one dict shape (its keys in insertion order)
@@ -378,13 +499,13 @@ class Tag(str):
 
 
 class TestJsonWriterShapes:
-    """_dumps sorts and encodes each dict shape's keys once per call; a shape
+    """dumps sorts and encodes each dict shape's keys once per call; a shape
     seen again must print exactly as json.dumps prints it."""
 
     @given(st.lists(shaped_trees, min_size=2, max_size=6))
     @settings(max_examples=300, deadline=None)
     def test_repeated_shapes(self, doc):
-        assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("doc", [
         [{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 3, "b": 4}],  # one key set, two orders
@@ -395,7 +516,7 @@ class TestJsonWriterShapes:
         Color.RED, Tag("x"), None, True, "", [], {},
     ])
     def test_cases(self, doc):
-        assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("doc", [
         [{"a": 1}, {"a": 1.5}],  # a float under a repeated shape
@@ -405,7 +526,7 @@ class TestJsonWriterShapes:
     ])
     def test_float_or_int_key_in_repeated_shape_raises(self, doc):
         with pytest.raises(TypeError):
-            cli._dumps(doc)
+            dumps(doc)
 
 
 class TestOneLineArgparseErrors:
@@ -608,6 +729,18 @@ class TestDatasetLoading:
                     "error: invalid dataset: dataset.records[0].%s is 2.5, not an integer\n" % shown
                 )
                 assert len(err.splitlines()) == 1
+
+    def test_escaped_key_deep_in_the_tree(self, capsys, tmp_path):
+        """A key that is no identifier, between the root and the fault, is
+        named escaped in the place."""
+        doc = json.load(open(ds("single_sqrt2")))
+        doc["records"][0]["blocks"][0]["theta_over_pi"]["x\ny"] = [{"a b": [1, 2.5]}]
+        p = tmp_path / "deep_key.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "cijt", str(p))
+        assert (code, out) == (2, "")
+        assert err == ('error: invalid dataset: dataset.records[0].blocks[0].theta_over_pi'
+                       '."x\\ny"[0]."a b"[1] is 2.5, not an integer\n')
 
     def test_line_break_in_record_name(self, capsys, tmp_path):
         """A record name is shown escaped in the error, which stays one line."""

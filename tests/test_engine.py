@@ -176,6 +176,11 @@ class TestSelectionProblem:
         prob = SelectionProblem((path(1, R(SQRT2M1)),), delta=Fraction(1, 100))
         assert not prob.delta_shrunk
 
+    def test_float_delta_refused(self):
+        """0.01 is not 1/100 but its binary value: refused, as Exact(0.5) is."""
+        with pytest.raises(TypeError, match="float"):
+            SelectionProblem((path(1, R(SQRT2M1)),), delta=0.01)
+
 
 class TestFindTuple:
     def test_sqrt2_auto(self, sqrt2_tuple):
@@ -404,6 +409,10 @@ class TestChiProximity:
         for eps in (Fraction(0), Fraction(1, 2), Fraction(3, 4)):
             with pytest.raises(ValueError, match="chi_eps"):
                 find_tuple(sqrt2_problem, chi_eps=eps)
+
+    def test_float_chi_eps_refused(self, sqrt2_problem):
+        with pytest.raises(TypeError, match="float"):
+            find_tuple(sqrt2_problem, chi_eps=0.1)
 
 
 def _probe_by_exact(pd, m, delta):

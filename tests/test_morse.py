@@ -11,7 +11,8 @@ import pytest
 from cijt.scalars import Exact, ceil_mult, floor_mult
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass
 from cijt.iteration import PathClass, index_bracket, index_iterate, index_window, mean_index
-from cijt.cli import _dumps, load_dataset
+from cijt.cli import load_dataset
+from cijt.record import dumps
 from cijt.engine import (
     CijtTuple,
     NotFoundWithinBound,
@@ -60,7 +61,7 @@ GOLDEN = {
 def digest(verdict):
     doc = verdict.to_json()
     text = json.dumps(doc, indent=2, sort_keys=True)
-    assert _dumps(doc) == text  # the CLI prints these bytes
+    assert dumps(doc) == text  # the CLI prints these bytes
     return hashlib.sha256(text.encode()).hexdigest()
 
 
