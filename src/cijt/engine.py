@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from .scalars import Exact, _edges, _floor, _locate, _next_hit, _rational, floor_mult, frac_mult
 from .normal_forms import m_check
 from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index, path_nullity
-from .record import FrozenRecord, Record
+from .record import CheckRecord, FrozenRecord, Record, VerificationReport
 
 
 class NonPositiveMeanIndex(ValueError):
@@ -119,29 +119,6 @@ class VertexSpec(FrozenRecord):
         self.__dict__.update(chi=chi, angle_bits=angle_bits)
 
 
-class CheckRecord(FrozenRecord):
-    _fields = ("k", "m", "equation", "lhs", "rhs")
-
-    def __init__(self, k: int, m: int, equation: str, lhs: int, rhs: int):
-        self.__dict__.update(k=k, m=m, equation=equation, lhs=lhs, rhs=rhs)
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-
-class VerificationReport(FrozenRecord):
-    _fields = ("checks",)
-
-    def __init__(self, checks: tuple[CheckRecord, ...]):
-        # ok is decided once and stays out of _fields: ==, hash and repr skip it
-        self.__dict__.update(checks=checks, ok=all(c.lhs == c.rhs for c in checks))
-
-    @property
-    def mismatches(self) -> tuple[CheckRecord, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
-
 class CijtTuple(FrozenRecord):
     _fields = ("N", "m", "chi", "Delta", "M_bar", "vertex", "delta", "report")
 
@@ -164,9 +141,7 @@ class CijtTuple(FrozenRecord):
             },
             "delta": [self.delta.numerator, self.delta.denominator],
             "verification": None if self.report is None else {
-                "ok": self.report.ok,
-                "checks": [{"path": c.k, "m": c.m, "equation": c.equation, "lhs": c.lhs,
-                            "rhs": c.rhs, "ok": c.lhs == c.rhs} for c in self.report.checks],
+                "ok": self.report.ok, "checks": self.report,  # dumps writes its rows
             },
         }
 
@@ -366,8 +341,10 @@ def find_tuple(
         )
     report = verify_tuple(best, problem)
     if not report.ok:
+        bad = report.mismatches
         raise CertificationError(
-            "search produced an uncertifiable tuple: %r" % (report.mismatches,)
+            "search produced an uncertifiable tuple: %d of %d checks fail, the first %r"
+            % (len(bad), len(report.checks), bad[:3])
         )
     return CijtTuple(
         best.N, best.m, best.chi, best.Delta, best.M_bar, best.vertex, best.delta, report

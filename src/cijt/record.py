@@ -4,11 +4,12 @@ per-class ``_fields`` tuple.
 Each record class names its compared fields in ``_fields`` and fills
 ``self.__dict__`` in its own ``__init__``, so no code is generated at import
 and building an instance costs one dict update.  Two records are equal when
-they are of the very same class with equal fields.  ``dumps`` writes the JSON
-text of their documents, as the command line prints them.
+they are of the very same class with equal fields; a verification check is
+a plain row instead.  ``dumps`` writes the JSON text of their documents.
 """
 
 from json.encoder import encode_basestring_ascii as _encode_str  # the C function json.dumps uses
+from typing import NamedTuple
 
 
 class Record:
@@ -43,11 +44,45 @@ class FrozenRecord(Record):
         raise AttributeError("cannot delete field %r" % name)
 
 
+class CheckRecord(NamedTuple):
+    """One identity of a verification: its two sides at path k and iterate m."""
+
+    k: int
+    m: int
+    equation: str
+    lhs: int
+    rhs: int
+
+    @property
+    def ok(self) -> bool:
+        return self.lhs == self.rhs
+
+
+class VerificationReport(FrozenRecord):
+    """One tuple's check rows; ``dumps`` writes them as ``to_json`` lists them."""
+
+    _fields = ("checks",)
+
+    def __init__(self, checks: tuple[CheckRecord, ...]):
+        # ok is decided once and stays out of _fields: ==, hash and repr skip it
+        self.__dict__.update(checks=checks, ok=all(c.lhs == c.rhs for c in checks))
+
+    @property
+    def mismatches(self) -> tuple[CheckRecord, ...]:
+        return tuple(c for c in self.checks if not c.ok)
+
+    def to_json(self):
+        """The check objects that ``dumps`` writes for this report."""
+        return [{"path": k, "m": m, "equation": eq, "lhs": lhs, "rhs": rhs, "ok": lhs == rhs}
+                for k, m, eq, lhs, rhs in self.checks]
+
+
 def dumps(doc) -> str:
-    """json.dumps(doc, indent=2, sort_keys=True), byte for byte, without its
-    pure-Python indenting encoder; a float or a non-str key raises TypeError."""
+    """json.dumps(doc, indent=2, sort_keys=True, default=lambda o: o.to_json()),
+    byte for byte, without its pure-Python indenting encoder; a float, a non-str
+    key or an object other than a VerificationReport raises TypeError."""
     out = []
-    _write(doc, "\n", out.append, {})
+    _write(doc, "\n", out.append)
     return "".join(out)
 
 
@@ -59,33 +94,29 @@ _LEAVES = {
     bool: ("false", "true").__getitem__,
     type(None): lambda x: "null",
 }
+# a check object's keys in sorted order, each with the % code of its value
+_ROW = ('"equation": %s', '"lhs": %d', '"m": %d', '"ok": %s', '"path": %d', '"rhs": %d')
 
 
-def _write(x, pad, append, shapes):
-    """Append the JSON of x; pad is the newline and indent of the line x starts
-    on, and shapes maps each dict shape (keys in insertion order, pad) met in
-    this call to its sorted keys and their lead texts.  (A closure would hold
-    itself in a cycle and outlive the call.)"""
+def _write(x, pad, append):
+    """Append the JSON of x; pad is the newline and indent of the line x
+    starts on."""
     inner = pad + "  "
     if isinstance(x, dict):
         if not x:
             append("{}")
             return
-        shape = (tuple(x), pad)
-        leads = shapes.get(shape)
-        if leads is None:  # _encode_str refuses a key that is not a str
-            leads = shapes[shape] = [
-                (key, ("," if i else "{") + inner + _encode_str(key) + ": ")
-                for i, key in enumerate(sorted(x))
-            ]
-        for key, lead in leads:
+        lead = "{" + inner
+        for key in sorted(x):
             value = x[key]
+            lead += _encode_str(key) + ": "  # refuses a key that is not a str
             write = _LEAVES.get(type(value))
             if write is not None:
                 append(lead + write(value))
             else:
                 append(lead)
-                _write(value, inner, append, shapes)
+                _write(value, inner, append)
+            lead = "," + inner
         append(pad + "}")
     elif isinstance(x, (list, tuple)):
         if not x:
@@ -98,7 +129,7 @@ def _write(x, pad, append, shapes):
                 append(lead + write(value))
             else:
                 append(lead)
-                _write(value, inner, append, shapes)
+                _write(value, inner, append)
             lead = "," + inner
         append(pad + "]")
     elif isinstance(x, str):
@@ -107,5 +138,17 @@ def _write(x, pad, append, shapes):
         append("null" if x is None else "true" if x else "false")
     elif isinstance(x, int):
         append(int.__repr__(x))
+    elif type(x) is VerificationReport:  # rows through one template for this indent
+        if not x.checks:
+            append("[]")
+            return
+        row = "{" + ",".join(inner + "  " + field for field in _ROW) + inner + "}"
+        codes = {eq: _encode_str(eq) for eq in {c[2] for c in x.checks}}
+        ok = ("false", "true")
+        append("[" + inner)  # the rows alone: adding the brackets to them would copy them
+        append(("," + inner).join([
+            row % (codes[eq], lhs, m, ok[lhs == rhs], k, rhs) for k, m, eq, lhs, rhs in x.checks
+        ]))
+        append(pad + "]")
     else:
         raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from cijt import cli, engine, iteration
 from cijt.cli import CliError, load_dataset, main
-from cijt.record import dumps
+from cijt.record import CheckRecord, VerificationReport, dumps
 from test_scalars import time_limit
 
 DATASETS = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
@@ -466,6 +466,62 @@ json_trees = st.recursive(
 )
 
 
+def _to_json(o):
+    return o.to_json()
+
+
+equations = st.text(st.one_of(st.characters(), st.sampled_from('"\\%\n\xe9\u2028\U0001f600')), max_size=12)
+check_sides = st.integers(-(2**200), 2**200)
+
+
+@st.composite
+def check_rows(draw):
+    """A check row whose sides are equal or, as often, apart."""
+    lhs = draw(check_sides)
+    rhs = draw(st.one_of(st.just(lhs), check_sides))
+    k, m = (draw(st.one_of(st.just(0), st.integers(0, 10**6))) for _ in range(2))
+    return CheckRecord(k, m, draw(equations), lhs, rhs)
+
+
+reports = st.lists(check_rows(), max_size=5).map(lambda rows: VerificationReport(tuple(rows)))
+report_trees = st.recursive(
+    st.one_of(reports, st.none(), st.booleans(), json_text, st.integers()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(json_text, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+class TestJsonWriterReports:
+    """dumps writes a VerificationReport's rows through one template per
+    indent; the bytes are those of json.dumps with each report replaced by
+    its to_json(), at any depth."""
+
+    @given(report_trees)
+    @settings(max_examples=400, deadline=None)
+    def test_same_bytes_as_json_dumps(self, doc):
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True, default=_to_json)
+
+    @pytest.mark.parametrize("doc", [
+        VerificationReport(()),
+        VerificationReport((CheckRecord(0, 0, "", 0, 0),)),
+        {"checks": VerificationReport((CheckRecord(0, 0, 'a"%d\\\n\xe9', -(2**200), 2**200),) * 2)},
+        [[{"ok": True, "checks": VerificationReport((CheckRecord(1, 2, "index(2m)", 3, 3),))}]],
+    ])
+    def test_cases(self, doc):
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True, default=_to_json)
+
+    def test_other_objects_raise(self):
+        """Only a report is written from an object: one with a to_json()
+        of its own is refused like any other."""
+        tuple_doc = {"tuple": engine.CijtTuple(1, (1,), (0,), (0,), 1, None, None)}
+        for doc in ({"checks": [CheckRecord(0, 0, "", 0, 0), object()]}, tuple_doc):
+            with pytest.raises(TypeError):
+                dumps(doc)
+
+
 class TestJsonWriter:
     @given(json_trees)
     @settings(max_examples=400, deadline=None)
@@ -499,8 +555,8 @@ class Tag(str):
 
 
 class TestJsonWriterShapes:
-    """dumps sorts and encodes each dict shape's keys once per call; a shape
-    seen again must print exactly as json.dumps prints it."""
+    """Dicts that share their keys, at one depth or several, each print
+    exactly as json.dumps prints them."""
 
     @given(st.lists(shaped_trees, min_size=2, max_size=6))
     @settings(max_examples=300, deadline=None)
@@ -590,6 +646,19 @@ class TestInternalError:
             monkeypatch.setattr("cijt.cli.find_tuple", broken)
             code, out, err = run(capsys, *command)
             assert (code, out, err) == (4, "", line)
+
+    def test_uncertifiable_tuple_is_one_short_line(self, capsys, monkeypatch):
+        """A tuple that fails 10^4 checks names their count and the first
+        three rows, not all of them."""
+        rows = tuple(CheckRecord(0, m, "index(2m+m)", m, m + 1) for m in range(10**4))
+        monkeypatch.setattr(engine, "verify_tuple", lambda t, problem: VerificationReport(rows))
+        code, out, err = run(capsys, "cijt", ds("single_sqrt2"))
+        assert (code, out) == (4, "")
+        assert err == (
+            "internal error: search produced an uncertifiable tuple: 10000 of 10000 checks fail,"
+            " the first %r\n" % (rows[:3],)
+        )
+        assert len(err) < 400
 
 
 class TestDatasetLoading:

@@ -1010,3 +1010,11 @@ class TestSerialization:
         doc = sqrt2_tuple.to_json()
         assert doc["N"] == 29 and doc["m"] == [70]
         assert doc["verification"]["ok"] is True
+        report = doc["verification"]["checks"]
+        assert report is sqrt2_tuple.report  # dumps writes its rows
+        assert report.to_json()[0] == {
+            "path": 0, "m": 1, "equation": "nullity(2m+ m)", "lhs": 0, "rhs": 0, "ok": True,
+        }
+        assert [(c["path"], c["m"], c["equation"], c["lhs"], c["rhs"], c["ok"]) for c in report.to_json()] == [
+            (*c, c.ok) for c in report.checks
+        ]

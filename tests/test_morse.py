@@ -60,7 +60,7 @@ GOLDEN = {
 
 def digest(verdict):
     doc = verdict.to_json()
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, default=lambda o: o.to_json())
     assert dumps(doc) == text  # the CLI prints these bytes
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -53,3 +53,13 @@ def test_every_public_name_has_a_caller():
             reached.update(todo)
     assert sorted(n for n in definitions if n not in reached and not n.startswith("_")) == []
     assert init == [[], ["__version__"]]
+
+
+MODULE_CAP = 20314  # bytes: engine.py before its fixed-point helpers moved to scalars
+
+
+def test_modules_stay_under_the_size_cap():
+    """With no bytecode cache, compiling the largest module sets a cijt
+    process's peak memory, so no module grows past the cap (see README)."""
+    sizes = {os.path.basename(p): os.path.getsize(p) for p in glob.glob(os.path.join(ROOT, "src/cijt/*.py"))}
+    assert len(sizes) > 5 and {name: n for name, n in sizes.items() if n > MODULE_CAP} == {}

@@ -102,7 +102,7 @@ class TestHash:
 class TestFrozen:
     def test_fields_cannot_be_assigned_or_deleted(self):
         for rec in _frozen_records():
-            name = next(iter(vars(rec)))
+            name = rec._fields[0]
             with pytest.raises(AttributeError):
                 setattr(rec, name, 0)
             with pytest.raises(AttributeError):
