@@ -1,9 +1,7 @@
 """Command-line interface.
 
-Subcommands: iterate, betti, resonance, cijt, verify.  parse_args reads argv
-from one table (_COMMANDS) as argparse would, without importing it: each
-command's function, positional and options with their types, defaults and
-choices.  Datasets are JSON documents (schema version 1):
+Subcommands: iterate, betti, resonance, cijt, verify, the rows of _COMMANDS.
+Datasets are JSON documents (schema version 1):
 
     {"version": 1,
      "shape": {"d": 2, "n": 1},
@@ -319,15 +317,13 @@ def cmd_verify(args) -> int:
         "1.5": verify_theorem_1_5,
         "1.8": verify_theorem_1_8,
     }[args.theorem]
-    delta = _parse_fraction(args.delta) if args.delta else None
+    delta = None if args.delta is None else _parse_fraction(args.delta)
     verdict = pipeline(ds, delta=delta, n_bound=args.n_bound)
     _emit(verdict.to_json())
     return EXIT_PASS if verdict.passed else EXIT_FAIL
 
 
 _REQUIRED = object()  # the default of an option that must be given
-_HELP = ("help", None, None, None, "show this help message and exit")
-_HELP_FLAGS = {"-h": _HELP, "--help": _HELP}
 _FORMAT = ("format", str, "json", ("json", "tsv"), None)
 _N_BOUND = ("n_bound", int, 10**8, None, None)
 
@@ -359,8 +355,6 @@ _COMMANDS = {
         "--n-bound": _N_BOUND,
     }),
 }
-_FLAGS = {name: {**_HELP_FLAGS, **row[3]} for name, row in _COMMANDS.items()}
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match  # a value, not a flag
 
 
 def _fail(prog, message):
@@ -370,118 +364,76 @@ def _fail(prog, message):
     sys.exit(EXIT_REJECT)
 
 
-def _choose(prog, argument, value, choices):
-    if value not in choices:
+def _value(prog, flag, row, text):
+    """text read as the value of flag, or exit 2 with argparse's message."""
+    _, typ, _, choices, _ = row
+    try:
+        value = typ(text)
+    except ValueError:
+        _fail(prog, "argument %s: invalid %s value: %r" % (flag, typ.__name__, text))
+    if choices and value not in choices:
         _fail(prog, "argument %s: invalid choice: %r (choose from %s)"
-              % (argument, value, ", ".join(map(repr, choices))))
+              % (flag, value, ", ".join(map(repr, choices))))
+    return value
 
 
-def _option(token, flags, prog):
-    """One token as argparse read it: None for a value, else (row, flag,
-    text), row None for an unknown flag and text the value glued to the flag
-    (after "=" or a one-letter flag) or None.  A unique prefix of a long flag
-    names it."""
-    if token[:1] != "-" or token == "-":
-        return None
-    if token in flags:
-        return flags[token], token, None
-    flag, eq, text = token.partition("=")
-    if eq and flag in flags:
-        return flags[flag], flag, text
-    if token[1] == "-":
-        hits = [(f, text if eq else None) for f in flags if f.startswith(flag)]
-    else:
-        hits = [(f, token[2:]) for f in flags if f == token[:2]]
-    if len(hits) > 1:
-        _fail(prog, "ambiguous option: %s could match %s" % (token, ", ".join(f for f, _ in hits)))
-    if hits:
-        flag, text = hits[0]
-        return flags[flag], flag, text
-    return None if _NEGATIVE_NUMBER(token) or " " in token else (None, token, None)
+def _argparse(argv):
+    """argv as argparse reads it, in a tree built from _COMMANDS."""
+    import argparse
 
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            _fail(self.prog, message)
 
-def _help(prog, flag, glued, name):
-    """Print the help of cijt (name None) or of one command and exit 0; -hh
-    is -h twice, and other text glued to the flag is refused."""
-    if glued is not None:
-        rest = glued.lstrip("h") if flag == "-h" else glued
-        if rest or not glued:
-            _fail(prog, "argument -h/--help: ignored explicit argument %r" % rest)
-    if name is None:
-        usage = "[-h] {%s} ..." % ",".join(_COMMANDS)
-        rows = [(c, row[1]) for c, row in _COMMANDS.items()]
-    else:
-        _, _, positional, options = _COMMANDS[name]
-        usage, rows = "[-h]", [(positional, "dataset JSON file")] if positional else []
-        for f, (dest, _, default, choices, about) in options.items():
-            shown = "%s %s" % (f, "{%s}" % ",".join(choices) if choices else dest.upper())
-            usage += " " + (shown if default is _REQUIRED else "[%s]" % shown)
-            rows.append((shown, about or ""))
-        usage += " " + positional if positional else ""
-    rows.append(("-h, --help", _HELP[4]))
-    sys.stdout.write("usage: %s %s\n\n" % (prog, usage)
-                     + "".join(("  %-20s  %s" % row).rstrip() + "\n" for row in rows))
-    sys.exit(EXIT_PASS)
+    parser = Parser(prog="cijt")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, about, positional, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        if positional:
+            p.add_argument(positional, help="dataset JSON file")
+        for flag, (dest, typ, default, choices, about) in options.items():
+            p.add_argument(flag, dest=dest, type=typ, default=default, choices=choices,
+                           required=default is _REQUIRED, help=about)
+        p.set_defaults(func=func)
+    args = parser.parse_args(argv)
+    # argparse reads --flag=-- as []; the value is "--", as in the table form
+    for flag, row in _COMMANDS[args.command][3].items():
+        if getattr(args, row[0]) == []:
+            setattr(args, row[0], _value("cijt " + args.command, flag, row, "--"))
+    return args
 
 
 def parse_args(argv):
-    """The fields of argv, read as argparse read them: flags, unique prefixes
-    and --flag=value in any order, values only after "--", the last of a
-    repeated flag kept; a bad argv exits 2 with one line."""
-    argv, extras, i = list(argv), [], 0
-    while i < len(argv) and argv[i] != "--":  # flags before the command
-        got = _option(argv[i], _HELP_FLAGS, "cijt")
-        if got is None:
-            break
-        if got[0]:
-            _help("cijt", got[1], got[2], None)
-        extras.append(argv[i])
+    """The fields of argv; a bad argv exits 2 with one line.  The table form,
+    <command> [<dataset>] and then whole flags as --flag value or --flag=value
+    with all required ones given, is read here; argparse reads any other."""
+    argv = list(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        return _argparse(argv)
+    name, i = argv[0], 1
+    func, _, positional, options = _COMMANDS[name]
+    fields, pairs = {row[0]: row[2] for row in options.values()}, []
+    if positional:
+        if len(argv) < 2 or argv[1][:1] == "-":
+            return _argparse(argv)
+        fields[positional], i = argv[1], 2
+    while i < len(argv):
+        flag, eq, text = argv[i].partition("=")
+        if not eq:
+            i += 1
+            if flag not in options or i == len(argv) or argv[i][:1] == "-":
+                return _argparse(argv)
+            text = argv[i]
+        elif flag not in options:
+            return _argparse(argv)
+        pairs.append((flag, text))
         i += 1
-    if argv[i:] in ([], ["--"]):
-        _fail("cijt", "the following arguments are required: command")
-    _choose("cijt", "command", argv[i], _COMMANDS)
-    name, tokens = argv[i], argv[i + 1:]
-    func, _, pending, options = _COMMANDS[name]
-    prog, n = "cijt " + name, len(tokens)
-    # every token is read before any value, so an ambiguous flag anywhere
-    # fails first; after the first "--", every token is a value.  kinds[n],
-    # one past the last token, is "--" or None: no value for a flag there
-    cut = tokens.index("--") if "--" in tokens else n
-    kinds = [_option(t, _FLAGS[name], prog) for t in tokens[:cut]]
-    kinds += ["--"] + [None] * (n - cut)
-    fields, i = {row[0]: row[2] for row in options.values()}, 0
-    while i < n:
-        kind = kinds[i]
-        if kind is None and pending:  # the positional, with a "--" right after it
-            fields[pending], pending = tokens[i], None
-            i += kinds[i + 1] == "--"
-        elif kind == "--" and pending and i + 1 < n:
-            pass  # a "--" right before the positional goes with it
-        elif kind is None or kind == "--" or kind[0] is None:  # unrecognized
-            extras.append(tokens[i])
-        else:
-            row, flag, text = kind
-            if row is _HELP:
-                _help(prog, flag, text, name)
-            if text is None:
-                i += 1
-                if kinds[i] is not None:
-                    _fail(prog, "argument %s: expected one argument" % flag)
-                text = tokens[i]
-            dest, typ, _, choices, _ = row
-            try:
-                fields[dest] = value = typ(text)
-            except ValueError:
-                _fail(prog, "argument %s: invalid %s value: %r" % (flag, typ.__name__, text))
-            if choices:
-                _choose(prog, flag, value, choices)
-        i += 1
-    missing = [pending] if pending else []
-    missing += [f for f, row in options.items() if fields[row[0]] is _REQUIRED]
-    if missing:
-        _fail(prog, "the following arguments are required: %s" % ", ".join(missing))
-    if extras:
-        _fail("cijt", "unrecognized arguments: %s" % " ".join(extras))
+    # every token is a whole flag or its value: argparse reads the values
+    # left to right, so the first bad one is the one it names
+    for flag, text in pairs:
+        fields[options[flag][0]] = _value("cijt " + name, flag, options[flag], text)
+    if _REQUIRED in fields.values():
+        return _argparse(argv)
     return SimpleNamespace(command=name, func=func, **fields)
 
 

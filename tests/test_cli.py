@@ -238,6 +238,13 @@ class TestVerify:
         )
         assert code == 2 and "rejected" in err
 
+    def test_empty_delta_is_rejected(self, capsys):
+        """An empty --delta is no rational number, as in cijt: it exits 2
+        rather than run at the default delta."""
+        for command in (("verify", ds("s2_elliptic"), "--theorem", "1.1"), ("cijt", ds("single_sqrt2"))):
+            code, out, err = run(capsys, *command, "--delta", "")
+            assert (code, out, err) == (2, "", "error: not a rational number: ''\n")
+
     def test_record_with_s_plus(self, capsys, tmp_path):
         """A degenerate record N1(1, +1) has S^+(1) = 1.  The census reads the
         jump identity 2N - (S^+ + C - 2 Delta_k) that verify_tuple certifies,
@@ -399,10 +406,14 @@ argvs = st.one_of(
     st.lists(st.sampled_from(ARGV_TOKENS), max_size=8),
     st.builds(lambda c, rest: [c, *rest], st.sampled_from(COMMANDS),
               st.lists(st.sampled_from(ARGV_TOKENS), max_size=8)),
-    # flag and value pairs after a dataset: most of these are accepted
+    # flag and value pairs after a dataset, as two tokens or as --flag=value:
+    # most of these are accepted
     st.builds(lambda c, pairs: [c, ds("single_sqrt2"), *(t for pair in pairs for t in pair)],
               st.sampled_from(COMMANDS[:5]),
-              st.lists(st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)), max_size=4)),
+              st.lists(st.one_of(
+                  st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+                  st.builds(lambda f, v: (f + "=" + v,), st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+              ), max_size=4)),
 )
 
 
@@ -451,6 +462,53 @@ class TestParserAgainstArgparse:
         assert exc.value.code == 2
         assert capsys.readouterr().err == (
             "error: cijt cijt: argument --n-bound: invalid int value: '--'\n")
+
+    def test_flag_value_of_two_dashes_after_a_prefix(self, capsys):
+        """argparse reads this argv, for its prefix, and gives --delta=-- the
+        value []: it is read again as "--", so the command exits 2, not 4."""
+        argv = ("cijt", ds("single_sqrt2"), "--de", "1", "--delta=--")
+        assert run(capsys, *argv) == (2, "", "error: not a rational number: '--'\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", ds("s2_elliptic"), "--t", "1.1", "--theorem=--"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: cijt verify: argument --theorem: invalid choice: '--'"
+            " (choose from '1.1', '1.5', '1.8')\n")
+
+
+# The argv forms of the bench, CI and README: the table reads each of them
+CALLER_ARGVS = (
+    ("verify", ds("s2_elliptic"), "--theorem", "1.1", "--delta", "1/700"),
+    ("cijt", ds("single_sqrt2"), "--delta", "1/1000", "--m-bar", "3", "--vertex", "opposite"),
+    ("betti", "--d", "2", "--n", "1", "--l-max", "20", "--format", "tsv"),
+    ("iterate", ds("s2_elliptic"), "--record", "c1", "--m-max", "10"),
+)
+
+
+class TestCallerForms:
+    @pytest.mark.parametrize("argv", CALLER_ARGVS)
+    def test_same_reading_as_argparse(self, argv):
+        assert _parsed(cli.parse_args, argv) == _parsed(oracle_parser().parse_args, list(argv))
+
+    def test_run_without_argparse(self):
+        """A whole run of each form imports neither argparse nor gettext."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        probe = (
+            "import contextlib, io, json, sys, cijt.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cijt.cli.main(list(argv)) for argv in json.loads(sys.argv[1])]\n"
+            "print(codes, sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        )
+        out = subprocess.run([sys.executable, "-c", probe, json.dumps(CALLER_ARGVS)],
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+        assert out == "[0, 0, 0, 0] []\n"
+
+    def test_prefix_reads_as_the_whole_flag(self):
+        """--de goes to argparse, and reads as --delta does in the table."""
+        whole = ["cijt", ds("single_sqrt2"), "--delta", "1/100"]
+        prefix = ["cijt", ds("single_sqrt2"), "--de", "1/100"]
+        assert vars(cli.parse_args(prefix)) == vars(cli.parse_args(whole))
 
 
 json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\u2028\xe9')))

@@ -711,3 +711,61 @@ class TestTheorem18:
     def test_odd_d_rejected(self, s3_dataset):
         with pytest.raises(HypothesisRejected):
             verify_theorem_1_8(s3_dataset)
+
+
+def _katok_pair(alpha):
+    """Katok's metric on S^2: two closed geodesics whose rotation angles are
+    read off alpha, the irrational parameter of the metric."""
+    return GeodesicDataset(CohomologyShape(2, 1), (
+        rec("c_minus", 1, R(2 / (1 + alpha))),
+        rec("c_plus", 3, R(2 / (1 - alpha) - 2)),
+    ))
+
+
+class TestKatokPair:
+    """The pair attains the sharp bound: dn(n+1)/2 = 2 non-hyperbolic closed
+    geodesics, and no fewer records satisfy the resonance identity."""
+
+    @pytest.mark.parametrize("alpha, N", [
+        (Exact.surd(-1, 1, 2), 816),
+        (Exact.surd(-2, 1, 5), 610),
+    ], ids=["sqrt2-1", "sqrt5-2"])
+    def test_attains_the_bound(self, alpha, N):
+        ds = _katok_pair(alpha)
+        assert resonance_check(ds).passes
+        v = verify_theorem_1_1(ds)
+        assert v.passed and not failed_checks(v)
+        assert v.details["non_hyperbolic"] == ["c_minus", "c_plus"]
+        d, n = ds.shape.d, ds.shape.n
+        assert len(v.details["non_hyperbolic"]) == d * n * (n + 1) // 2
+        assert v.details["tuple"]["N"] == N
+        for kept in ds.records:
+            assert not resonance_check(GeodesicDataset(ds.shape, (kept,))).passes
+
+
+def _outcome_by_name(verdict, dataset):
+    """What a verdict decides, with each m_k keyed by its record's name."""
+    t = verdict.details["tuple"]
+    return (verdict.passed, t["N"], verdict.details.get("non_hyperbolic"),
+            dict(zip((r.name for r in dataset.records), t["m"])))
+
+
+class TestRecordOrder:
+    """Permuting a dataset's records changes no verdict: not pass, N,
+    non_hyperbolic, nor m of any record."""
+
+    @pytest.mark.parametrize("name, pipeline, orders", [
+        ("s3_elliptic", verify_theorem_1_5, 4),
+        ("s2_elliptic", verify_theorem_1_1, 1),
+        ("s2_hyperbolic", verify_theorem_1_8, 1),
+    ])
+    def test_permuted_records(self, name, pipeline, orders):
+        ds = load_dataset(os.path.join(DATASETS, name + ".json"))
+        want = _outcome_by_name(pipeline(ds), ds)
+        rng = random.Random(7)
+        for _ in range(orders):
+            records = list(ds.records)
+            while records == list(ds.records):
+                rng.shuffle(records)
+            permuted = GeodesicDataset(ds.shape, records, ds.bumpy_required)
+            assert _outcome_by_name(pipeline(permuted), permuted) == want
