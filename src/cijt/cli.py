@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -51,8 +50,10 @@ EXIT_INTERNAL = 4
 
 class CliError(Exception):
     def __init__(self, message, code=EXIT_REJECT):
-        # one line: a long message loses its middle, where an offending value
-        # is shown, and keeps the head that names the place of the fault
+        # one line: a line break is escaped (a path may hold one), and a long
+        # message loses its middle, where an offending value is shown, and
+        # keeps the head that names the place of the fault
+        message = "\\n".join(message.splitlines())
         if len(message) > 240:
             message = "%s ... %s" % (message[:170], message[-65:])
         super().__init__(message)
@@ -264,7 +265,7 @@ def cmd_betti(args) -> int:
         closed = ""
         if p >= lo:
             closed, direct = betti_partial_sum(shape, p)
-            if direct != running:
+            if not closed == direct == running:
                 raise AssertionError("partial-sum drift at p=%d" % p)
         rows.append((p, b, running, closed))
     _emit(

@@ -192,47 +192,33 @@ def jump_census(
     )
 
 
-class MorseCounts(NamedTuple):
-    """sum_{p<=P} (-1)^p M_p, and M_p one degree at a time; the record paths."""
-
-    P: int
-    alternating_sum: int
-    paths: tuple[PathClass, ...]
-
-    def M(self, p: int) -> int:
-        """M_p: the m ``index_window`` leaves possible for [p, p] with i(c^m) = p,
-        when p - i(c) is even (then c^m carries a critical module)."""
-        if not 0 <= p <= self.P:
-            raise IndexError("degree %d outside 0..%d" % (p, self.P))
-        total = 0
-        for path in self.paths:
-            if (p - path.i1) % 2 == 0:
-                may, _ = index_window(path, p, p)
-                total += sum(1 for m in may if index_iterate(path, m) == p)
-        return total
+def _critical(path: PathClass, a: int, b: int) -> int:
+    """The m with a <= i(c^m) <= b whose iterate carries a critical module:
+    i(c^m) - i(c) = (m - 1)*rho mod 2, so every m for even rho, odd m for odd
+    rho.  The m ``index_window`` puts surely in [a, b] are counted in closed
+    form; ``index_iterate`` decides the others it leaves possible:
+    O((|lo| + 2C)/ihat) of them, whatever b - a is."""
+    may, sure = index_window(path, a, b)
+    start = min(max(sure.start, may.start), may.stop)
+    stop = max(start, min(sure.stop, may.stop))
+    count = stop - start if path.rho() % 2 == 0 else stop // 2 - start // 2
+    for m in [*range(may.start, start), *range(stop, may.stop)]:
+        i_m = index_iterate(path, m)
+        if a <= i_m <= b and (i_m - path.i1) % 2 == 0:
+            count += 1
+    return count
 
 
-def morse_type_numbers(dataset: GeodesicDataset, P: int) -> MorseCounts:
-    """M_0..M_P, critical-module dimensions summed over all records and iterates.
+def morse_type_numbers(dataset: GeodesicDataset, P: int) -> int:
+    """sum_{p<=P} (-1)^p M_p: each critical iterate adds (-1)^{i(c)}."""
+    return sum((-1) ** (r.path.i1 % 2) * _critical(r.path, 0, P) for r in dataset.records)
 
-    i(c^m) - i(c) = (m - 1)*rho mod 2 by the precise formula, so c^m carries
-    a critical module iff rho is even or m is odd, and adds (-1)^{i(c)}.  The
-    iterates ``index_window`` puts surely in 0 <= i(c^m) <= P are counted in
-    closed form; ``index_iterate`` decides the others it leaves possible:
-    O((|lo| + 2C)/ihat) iterates per record, whatever P is.
-    """
-    alternating = 0
-    for rec in dataset.records:
-        path = rec.path
-        may, sure = index_window(path, 0, P)
-        # odd m only for odd rho
-        count = sure.stop - sure.start if path.rho() % 2 == 0 else sure.stop // 2 - sure.start // 2
-        for m in [*range(may.start, sure.start), *range(sure.stop, may.stop)]:
-            i_m = index_iterate(path, m)
-            if 0 <= i_m <= P and (i_m - path.i1) % 2 == 0:
-                count += 1
-        alternating += -count if path.i1 % 2 else count
-    return MorseCounts(P, alternating, dataset.paths)
+
+def morse_type_number(dataset: GeodesicDataset, p: int) -> int:
+    """M_p, summed over all records and iterates; none when p - i(c) is odd."""
+    if p < 0:
+        raise ValueError("degree must be non-negative")
+    return sum(_critical(r.path, p, p) for r in dataset.records if (p - r.path.i1) % 2 == 0)
 
 
 def _check(name: str, lhs, rhs, op: str = "=="):
@@ -350,19 +336,18 @@ def _verify(theorem, dataset, delta, n_bound):
             "non_hyperbolic": non_hyp,
         }
 
-    morse = morse_type_numbers(dataset, 2 * t.N + spec.top)
+    alt_m = morse_type_numbers(dataset, 2 * t.N + spec.top)
     # 2NB + N_+^o - N_+^e; just 2NB without a census
     chain = 2 * t.N * resonance_constant(shape) + (census.plus_o - census.plus_e if census else 0)
     alt_b = alternating_betti_sum(shape, 2 * t.N)
-    alt_m = morse.alternating_sum
-    tail, extra = spec.conclude(dataset, t, census, opp, non_hyp, morse, alt_m, alt_b, chain)
+    tail, extra = spec.conclude(dataset, t, census, opp, non_hyp, alt_m, alt_b, chain)
     checks += tail
     details.update(extra, checks=checks, tuple=t.to_json(), resonance=res.to_json())
     passed = details[spec.passed_by] if spec.passed_by else all(c["pass"] for c in checks)
     return Verdict(theorem, passed, details)
 
 
-def _conclude_1_1(dataset, t, census, opp, non_hyp, morse, alt_m, alt_b, chain):
+def _conclude_1_1(dataset, t, census, opp, non_hyp, alt_m, alt_b, chain):
     shape = dataset.shape
     quarter = Fraction(shape.d * shape.n * (shape.n + 1), 4)
     return [
@@ -375,7 +360,7 @@ def _conclude_1_1(dataset, t, census, opp, non_hyp, morse, alt_m, alt_b, chain):
     ], {}
 
 
-def _conclude_1_5(dataset, t, census, opp, non_hyp, morse, alt_m, alt_b, chain):
+def _conclude_1_5(dataset, t, census, opp, non_hyp, alt_m, alt_b, chain):
     shape, two_n = dataset.shape, 2 * t.N
     # records pinned at 2N with an even jump: the M_{2N} >= b_{2N} = 2 pair
     pinned = sorted(
@@ -398,14 +383,14 @@ def _conclude_1_5(dataset, t, census, opp, non_hyp, morse, alt_m, alt_b, chain):
             ">=",
         ),
         _check("b_{2N}", betti(shape, two_n), 2),
-        _check("M_{2N} >= b_{2N}", morse.M(two_n), 2, ">="),
+        _check("M_{2N} >= b_{2N}", morse_type_number(dataset, two_n), 2, ">="),
         _check("records pinned at 2N with even jump", len(pinned), 2, ">="),
         _check("even-index classifications", len(even_valued), shape.d + 1, ">="),
         _check("certified non-hyperbolic count", len(non_hyp), shape.d - 1, ">="),
     ], {"pinned_at_2N": pinned, "even_index_records": even_valued}
 
 
-def _conclude_1_8(dataset, t, census, opp, non_hyp, morse, alt_m, alt_b, chain):
+def _conclude_1_8(dataset, t, census, opp, non_hyp, alt_m, alt_b, chain):
     shape = dataset.shape
     checks = [
         _check("i(%s^{2m_k}) pinned at 2N" % rec.name, index_iterate(rec.path, 2 * m_k), 2 * t.N)

@@ -118,20 +118,14 @@ def _block_key(b: Block):
 
 
 class SymplecticClass(FrozenRecord):
-    """Multiset of blocks in canonical order; total dimension 2*half_dimension
-    (0 reads it off the blocks)."""
+    """Multiset of blocks in canonical order; half_dimension is half their
+    total dimension."""
 
     _fields = ("blocks", "half_dimension")
 
-    def __init__(self, blocks: tuple[Block, ...], half_dimension: int = 0):
+    def __init__(self, blocks: tuple[Block, ...]):
         blocks = tuple(sorted(blocks, key=_block_key))
-        total = sum(b.dim for b in blocks)
-        half_dimension = half_dimension or total // 2
-        if 2 * half_dimension != total:
-            raise ValueError(
-                "blocks span dimension %d, expected 2n = %d" % (total, 2 * half_dimension)
-            )
-        self.__dict__.update(blocks=blocks, half_dimension=half_dimension)
+        self.__dict__.update(blocks=blocks, half_dimension=sum(b.dim for b in blocks) // 2)
 
 
 def crossing_sum(M: SymplecticClass) -> int:

@@ -94,6 +94,15 @@ class TestBetti:
         assert code == 0
         assert out.strip().splitlines()[-1].split("\t") == ["20000", "0", "19999", "19999"]
 
+    def test_closed_form_is_checked(self, capsys, monkeypatch):
+        """A closed-form partial sum off by one is an internal error, not a row."""
+        partial = cli.betti_partial_sum
+        monkeypatch.setattr(cli, "betti_partial_sum",
+                            lambda shape, l: (partial(shape, l)[0] + 1, partial(shape, l)[1]))
+        code, out, err = run(capsys, "betti", "--d", "2", "--n", "1", "--l-max", "3",
+                             "--format", "tsv")
+        assert (code, out, err) == (4, "", "internal error: partial-sum drift at p=1\n")
+
     def test_json_has_resonance_constant(self, capsys):
         code, out, _ = run(capsys, "betti", "--d", "2", "--n", "1", "--l-max", "3")
         doc = json.loads(out)
@@ -916,6 +925,23 @@ class TestDatasetLoading:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "resonance", "/nonexistent.json")
         assert code == 2
+
+    def test_line_break_in_missing_path(self, capsys, tmp_path):
+        """A missing dataset's path is shown with its line break escaped, so
+        the error stays one line."""
+        p = tmp_path / "no\nsuch.json"
+        code, out, err = run(capsys, "resonance", str(p))
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith("error: cannot read dataset %s: " % str(p).replace("\n", "\\n"))
+
+    def test_line_break_in_deep_path(self, capsys, tmp_path):
+        """So is the path of a dataset that nests too deeply."""
+        p = tmp_path / "no\nsuch.json"
+        p.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "resonance", str(p))
+        assert (code, out) == (2, "")
+        assert err == ("error: invalid dataset: %s nests lists or objects too deeply\n"
+                       % str(p).replace("\n", "\\n"))
 
     def test_round_trip_all_shipped(self):
         for name in ("s2_elliptic", "s3_elliptic", "s2_hyperbolic", "single_sqrt2"):

@@ -29,6 +29,7 @@ from cijt.morse import (
     JumpCensus,
     gamma_invariant,
     jump_census,
+    morse_type_number,
     morse_type_numbers,
     resonance_check,
     tuple_resonance_identity,
@@ -473,9 +474,9 @@ def _alternating(M):
     return sum((-1) ** p * x for p, x in enumerate(M))
 
 
-def _listed(counts):
-    """The per-degree lookup read out as the old list M_0..M_P."""
-    return [counts.M(p) for p in range(counts.P + 1)]
+def _listed(dataset, P):
+    """M_0..M_P, one degree at a time."""
+    return [morse_type_number(dataset, p) for p in range(P + 1)]
 
 
 MORSE_ANGLES = [T35, PHI_M1, PHI_M1 * Fraction(1, 9), Exact(2) - PHI_M1 * Fraction(1, 9),
@@ -533,38 +534,34 @@ class TestMorseTypeNumbers:
                     i_m = index_iterate(r.path, m)
                     if 0 <= i_m <= P and (i_m - r.path.i1) % 2 == 0:
                         M[i_m] += 1
-            counts = morse_type_numbers(ds, P)
-            assert _listed(counts) == M
-            assert counts.alternating_sum == _alternating(M)
+            assert _listed(ds, P) == M
+            assert morse_type_numbers(ds, P) == _alternating(M)
 
     def test_hyperbolic_support(self):
         ds = GeodesicDataset(CohomologyShape(2, 1),
                              (rec("h", 1, D(Exact(2))), rec("h2", 1, D(Exact(3)))))
-        counts = morse_type_numbers(ds, 6)
-        assert _listed(counts) == [0, 2, 0, 2, 0, 2, 0]
-        assert counts.alternating_sum == _alternating([0, 2, 0, 2, 0, 2, 0])
+        assert _listed(ds, 6) == [0, 2, 0, 2, 0, 2, 0]
+        assert morse_type_numbers(ds, 6) == _alternating([0, 2, 0, 2, 0, 2, 0])
 
     def test_negative_index_below_settled_range(self):
         # C = 0, so i(c^m) = 2m - 3 exactly: c^1 has index -1 although m = 1 is
         # only one below ceil(-lo/ihat) = 2, and the count must leave it out
         ds = GeodesicDataset(CohomologyShape(4, 1), (rec("n", -1, N1(1, 1), N1(1, 1), N1(1, 1)),),
                              bumpy_required=False)
-        counts = morse_type_numbers(ds, 6)
-        assert _listed(counts) == _morse_by_sweep(ds, 6) == [0, 1, 0, 1, 0, 1, 0]
-        assert counts.alternating_sum == -3
+        assert _listed(ds, 6) == _morse_by_sweep(ds, 6) == [0, 1, 0, 1, 0, 1, 0]
+        assert morse_type_numbers(ds, 6) == -3
 
     def test_below_min_index(self, s2_dataset):
-        counts = morse_type_numbers(s2_dataset, 0)
-        assert _listed(counts) == [0] and counts.alternating_sum == 0
-        with pytest.raises(IndexError):
-            counts.M(1)
+        assert _listed(s2_dataset, 0) == [0] and morse_type_numbers(s2_dataset, 0) == 0
+        with pytest.raises(ValueError):
+            morse_type_number(s2_dataset, -1)
 
     def test_chain_vs_tuple_identity(self, s2_dataset):
         prob = SelectionProblem(s2_dataset.paths, N_multiple_of=2)
         t = find_tuple(prob)
         lhs, rhs, ok = tuple_resonance_identity(s2_dataset, t)
         assert ok
-        alt = morse_type_numbers(s2_dataset, 2 * t.N).alternating_sum
+        alt = morse_type_numbers(s2_dataset, 2 * t.N)
         assert alt == _alternating(_morse_by_sweep(s2_dataset, 2 * t.N))
         # chain: alternating M sum = 2NB + N_+^o - N_+^e
         census = jump_census(s2_dataset, t, 1)
@@ -603,11 +600,10 @@ class TestMorseCountsOracle:
                         Ps.update(P for P in (edge - 1, edge, edge + 1) if P >= 0)
             M = _morse_by_sweep(ds, max(Ps))
             for P in sorted(Ps):
-                counts = morse_type_numbers(ds, P)
-                assert counts.alternating_sum == _alternating(M[: P + 1]), (ds, P)
+                assert morse_type_numbers(ds, P) == _alternating(M[: P + 1]), (ds, P)
             for P in rng.sample(sorted(Ps), 2) + [min(r.path.i1 for r in ds.records) - 1, max(Ps)]:
                 if P >= 0:
-                    assert _listed(morse_type_numbers(ds, P)) == M[: P + 1], (ds, P)
+                    assert _listed(ds, P) == M[: P + 1], (ds, P)
         assert seen == {"rho 0", "rho 1", "lo < 0", "lo = 0", "iterates below the settled range",
                         "negative index", "hyperbolic", "rational elliptic"}, seen
 

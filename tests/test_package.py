@@ -55,6 +55,25 @@ def test_every_public_name_has_a_caller():
     assert init == [[], ["__version__"]]
 
 
+def test_every_import_is_used():
+    """Every top-level import of a src/cijt module binds a name the module
+    loads; a __future__ import binds none."""
+    unused = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src/cijt/*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in loaded:
+                        unused.append("%s: %s" % (os.path.basename(path), name))
+    assert unused == []
+
+
 MODULE_CAP = 20314  # bytes: engine.py before its fixed-point helpers moved to scalars
 
 

@@ -45,7 +45,7 @@ def _frozen_records():
     vertex = VertexSpec((0,), ((1,),))
     return [
         N1(-1, 1), D(Exact(3)), R(SQRT2M1), N2(Exact(Fraction(1, 3)), True),
-        SymplecticClass((R(SQRT2M1), N1(1, 0)), 2), SplittingPair(1, 0), p,
+        SymplecticClass((R(SQRT2M1), N1(1, 0))), SplittingPair(1, 0), p,
         vertex, check, VerificationReport((check,)),
         CijtTuple(5, (6,), (0,), (1,), 1, vertex, Fraction(1, 100), VerificationReport((check,))),
         CohomologyShape(2, 1), GeodesicRecord("c1", p),
