@@ -66,7 +66,8 @@ _PAIR_FIELDS = ("a", "b", "rational", "coeff")
 
 def _check_fields(node, where=None, key=None):
     """Every JSON number of a dataset is an integer, true/false appear only in
-    options, strings only in string fields and every pair is two integers.
+    options, strings only in string fields, every pair is two integers and no
+    denominator (a pair's second entry, a den) is zero.
 
     Python reads 2.5, true, "1" and [1] as values that int(), Fraction() and
     the comparisons downstream would silently round or accept.  where is the
@@ -75,26 +76,30 @@ def _check_fields(node, where=None, key=None):
     if key in _PAIR_FIELDS and not (
         isinstance(node, list) and len(node) == 2 and all(isinstance(v, int) for v in node)
     ):
-        raise CliError(
-            "invalid dataset: %s is %s, not a pair of integers" % (_place(where), json.dumps(node))
-        )
+        raise _invalid(where, node, ", not a pair of integers")
+    zero = node[1] if key in _PAIR_FIELDS else node if key == "den" else None
+    if type(zero) is int and not zero:
+        raise _invalid(where, node, ", a zero denominator")
     if isinstance(node, dict):
         for k, value in node.items():
-            if k != "options" and (type(value) is not int or k in _PAIR_FIELDS):
+            # a plain int passes every check but a zero den
+            if k != "options" and (
+                type(value) is not int or k in _PAIR_FIELDS or k == "den" and not value
+            ):
                 _check_fields(value, (where, k), k)
     elif isinstance(node, list):
         for k, value in enumerate(node):
             if type(value) is not int:  # a plain int passes every check
                 _check_fields(value, (where, k))
     elif isinstance(node, (bool, float)):
-        raise CliError(
-            "invalid dataset: %s is %s, not an integer" % (_place(where), json.dumps(node))
-        )
+        raise _invalid(where, node, ", not an integer")
     elif isinstance(node, str) and key not in _STRING_FIELDS:
-        raise CliError(
-            "invalid dataset: %s is %s; strings belong in %s only"
-            % (_place(where), json.dumps(node), ", ".join(_STRING_FIELDS))
-        )
+        raise _invalid(where, node, "; strings belong in %s only" % ", ".join(_STRING_FIELDS))
+
+
+def _invalid(where, node, why: str) -> CliError:
+    """The error for a bad node: its place, its JSON and why it is refused."""
+    return CliError("invalid dataset: %s is %s%s" % (_place(where), json.dumps(node), why))
 
 
 def _place(where):
@@ -110,25 +115,23 @@ def _place(where):
 def _objects(node, where):
     """The items of a JSON list that must hold objects only."""
     if not isinstance(node, list):
-        raise CliError("invalid dataset: %s is %s, not a list" % (_place(where), json.dumps(node)))
+        raise _invalid(where, node, ", not a list")
     for k, item in enumerate(node):
         if not isinstance(item, dict):
-            raise CliError(
-                "invalid dataset: %s is %s, not an object" % (_place((where, k)), json.dumps(item))
-            )
+            raise _invalid((where, k), item, ", not an object")
     return node
 
 
 def _string(node, where):
     if not isinstance(node, str):
-        raise CliError("invalid dataset: %s is %s, not a string" % (_place(where), json.dumps(node)))
+        raise _invalid(where, node, ", not a string")
     return node
 
 
 def _morse_index(node, where):
     index = int(node)
     if index < 0:
-        raise CliError("invalid dataset: %s is %d, not a Morse index >= 0" % (_place(where), index))
+        raise _invalid(where, index, ", not a Morse index >= 0")
     return index
 
 
@@ -148,9 +151,7 @@ def load_dataset(path: str) -> GeodesicDataset:
         raise CliError("unsupported dataset version: %r" % doc.get("version"))
     options = doc.get("options", {})
     if not isinstance(options, dict):
-        raise CliError(
-            "invalid dataset: dataset.options is %s, not an object" % json.dumps(options)
-        )
+        raise _invalid((None, "options"), options, ", not an object")
     for key, value in options.items():
         if key != "bumpy":
             raise CliError(
@@ -158,9 +159,7 @@ def load_dataset(path: str) -> GeodesicDataset:
                 % json.dumps(key)
             )
         if not isinstance(value, bool):
-            raise CliError(
-                "invalid dataset: dataset.options.bumpy is %s, not true or false" % json.dumps(value)
-            )
+            raise _invalid(((None, "options"), key), value, ", not true or false")
     try:
         shape = CohomologyShape(doc["shape"]["d"], doc["shape"]["n"])
         at = (None, "records")

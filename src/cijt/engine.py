@@ -25,10 +25,10 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Exact, _edges, _floor, _locate, _next_hit, _rational, floor_mult, frac_mult
-from .normal_forms import m_check
-from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index, path_nullity
-from .record import CheckRecord, FrozenRecord, Record, VerificationReport
+from .scalars import Exact, _below_half, _edges, _floor, _locate, _next_hit, floor_mult, frac_mult
+from .normal_forms import nullity
+from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index
+from .record import CheckRecord, FrozenRecord, Record, VerificationReport, _check
 
 
 class NonPositiveMeanIndex(ValueError):
@@ -47,10 +47,7 @@ class CertificationError(AssertionError):
 
 def common_period(paths: Sequence[PathClass]) -> int:
     """Least Mbar with Mbar * theta/pi integral for every rational angle."""
-    return math.lcm(1, *(
-        b.angle.q for p in paths for b in p.monodromy.blocks
-        if b.angle is not None and b.angle.is_rational
-    ))
+    return math.lcm(1, *(q2 // 2 for p in paths for _, q2, _ in p.monodromy.rows))
 
 
 def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Fraction:
@@ -96,9 +93,7 @@ class SelectionProblem(Record):
         for p in paths:
             if not mean_index(p) > 0:
                 raise NonPositiveMeanIndex("path %r has mean index <= 0" % (p,))
-        self.delta = Fraction(*_rational(delta))  # a float is refused, as Exact refuses it
-        if not 0 < self.delta < Fraction(1, 2):
-            raise ValueError("delta must lie in (0, 1/2)")
+        self.delta = _below_half(delta, "delta")
         if m_bar < 1 or N_bound < 1 or N_multiple_of < 1:
             raise ValueError("m_bar, N_bound, N_multiple_of must be positive")
         self.m_bar, self.N_bound, self.N_multiple_of = m_bar, N_bound, N_multiple_of
@@ -270,8 +265,8 @@ def find_tuple(
     (needed by the counting pipelines to convert floors into exact multiples
     of N).
     """
-    if chi_eps is not None and not 0 < Fraction(*_rational(chi_eps)) < Fraction(1, 2):
-        raise ValueError("chi_eps must lie in (0, 1/2)")
+    if chi_eps is not None:
+        _below_half(chi_eps, "chi_eps")
     mbar, data, delta = problem.period, problem.data, problem.delta
     if vertex is not None:
         if len(vertex.chi) != len(data) or any(
@@ -351,49 +346,40 @@ def find_tuple(
     )
 
 
-def q_correction(path: PathClass, m_k: int, m: int) -> int:
-    """Q_k(m): S^- weight of angles with {m_k*theta/pi} = {m*theta/2pi} = 0."""
-    return sum(
-        w for A, terms, q, w in path.spectral[2]
-        if not terms and (2 * m_k * A) % q == 0 and (m * A) % q == 0
-    )
-
-
 def verify_tuple(t: CijtTuple, problem: SelectionProblem) -> VerificationReport:
-    """Re-derive the index/nullity identities of the jump interval from scratch."""
+    """Re-derive the index/nullity identities of the jump interval from scratch:
+    nullities by ``nullity``, read off the class's rational rows, Q_k(m)
+    (the S^- weight of rational angles with {m_k*theta/pi} = {m*theta/2pi}
+    = 0) off the path's rational S^- angles, indices by ``index_iterate``."""
     checks: list[CheckRecord] = []
+    row = checks.append
+    two_n = 2 * t.N
     for k, (path, m_k) in enumerate(zip(problem.paths, t.m)):
-        sp = path.spectral[0]
-        mc = m_check(path.monodromy)
-        nu1 = path_nullity(path, 1)
-        two_n = 2 * t.N
+        sp, _, minus = path.spectral
+        M, mc = path.monodromy, path.monodromy.m_check
+        pinned = [(A, q, w) for A, terms, q, w in minus if not terms and 2 * m_k * A % q == 0]
+        nu1 = nullity(M, 1)
+        nu_m = nu_up = nu_down = q_k = 0
         for m in range(1, problem.m_bar + 1):
-            nu_m, i_m = path_nullity(path, m), index_iterate(path, m)
-            for side, it in (("+", 2 * m_k + m), ("-", 2 * m_k - m)):
-                if it < 1:
-                    continue
-                nu_it, eq = path_nullity(path, it), "nullity(2m%s m)" % side
-                checks.append(CheckRecord(k, m, eq, nu_it, nu_m))
-                if mc is None or m < mc:
-                    checks.append(CheckRecord(k, m, eq + " = nullity(1)", nu_it, nu1))
-            checks.append(
-                CheckRecord(k, m, "index(2m+m)", index_iterate(path, 2 * m_k + m), two_n + i_m)
-            )
-            if 2 * m_k - m >= 1:
-                checks.append(
-                    CheckRecord(
-                        k, m, "index(2m-m)",
-                        index_iterate(path, 2 * m_k - m),
-                        two_n - i_m - 2 * (sp + q_correction(path, m_k, m)),
-                    )
-                )
-        checks.append(
-            CheckRecord(
-                k, 0, "index(2m)",
-                index_iterate(path, 2 * m_k),
-                jump_index(path, t.N, t.Delta[k]),
-            )
-        )
+            up, down, i_m = 2 * m_k + m, 2 * m_k - m, index_iterate(path, m)
+            if M.rows:  # else every nullity and Q_k is 0
+                nu_m, nu_up = nullity(M, m), nullity(M, up)
+                nu_down = nullity(M, down) if down >= 1 else 0
+                q_k = sum([w for A, q, w in pinned if m * A % q == 0])
+            first = mc is None or m < mc
+            row(_check((k, m, "nullity(2m+ m)", nu_up, nu_m)))
+            if first:
+                row(_check((k, m, "nullity(2m+ m) = nullity(1)", nu_up, nu1)))
+            if down >= 1:
+                row(_check((k, m, "nullity(2m- m)", nu_down, nu_m)))
+                if first:
+                    row(_check((k, m, "nullity(2m- m) = nullity(1)", nu_down, nu1)))
+            row(_check((k, m, "index(2m+m)", index_iterate(path, up), two_n + i_m)))
+            if down >= 1:
+                rhs = two_n - i_m - 2 * (sp + q_k)
+                row(_check((k, m, "index(2m-m)", index_iterate(path, down), rhs)))
+        rhs = jump_index(path, t.N, t.Delta[k])
+        row(_check((k, 0, "index(2m)", index_iterate(path, 2 * m_k), rhs)))
     return VerificationReport(tuple(checks))
 
 

@@ -72,6 +72,13 @@ class PathClass(FrozenRecord):
             if b.angle is not None and not b.angle.is_rational
         )
 
+    @cached_property
+    def two_gamma(self) -> int:
+        """2*gamma_c, the gamma invariant doubled to an integer: sign
+        (-1)^{i(c)}, magnitude 2 when i(c^2) - i(c) is even, else 1."""
+        mag = 2 - (index_iterate(self, 2) - self.i1) % 2
+        return -mag if self.i1 % 2 else mag
+
     def rho(self) -> int:
         sp, c, _ = self.spectral
         return self.i1 + sp - c

@@ -80,47 +80,42 @@ def betti(shape: CohomologyShape, p: int) -> int:
 
 
 def epsilon_correction(shape: CohomologyShape, l: int) -> Fraction:
-    """The rational defect of the linear closed form for sum_{p<=l} b_p, even d."""
+    """The rational defect of the linear closed form for sum_{p<=l} b_p, even d:
+    with r = (l - (d-1)) mod D, it is {r/dn} - (2n + d - 2)*r/(dnD) - n*{r/2}
+    - {r/d}, summed as integers over the common denominator 2dnD."""
     if shape.d % 2:
         raise ValueError("defined for even d only")
     d, n, D = shape.d, shape.n, shape.D
-
-    def frac(x: Fraction) -> Fraction:
-        return x - (x.numerator // x.denominator)
-
-    x = frac(Fraction(l - (d - 1), D))
-    return (
-        frac(Fraction(D, d * n) * x)
-        - (Fraction(2, d) + Fraction(d - 2, d * n)) * x
-        - n * frac(Fraction(D, 2) * x)
-        - frac(Fraction(D, d) * x)
+    r = (l - (d - 1)) % D
+    return Fraction(
+        2 * D * (r % (d * n)) - 2 * (2 * n + d - 2) * r - d * n * n * D * (r % 2)
+        - 2 * n * D * (r % d),
+        2 * d * n * D,
     )
 
 
 def betti_partial_sum(shape: CohomologyShape, l: int) -> tuple[int, int]:
     """(closed form, direct sum) of sum_{p<=l} b_p; callers assert equality."""
-    d, n = shape.d, shape.n
+    d, n, D = shape.d, shape.n, shape.D
     if d % 2:
         if l < d - 1:
             raise ValueError("closed form needs l >= d - 1")
-        closed_f = Fraction(l // (d - 1) + l // 2) - Fraction(d - 1, 2)
+        closed = l // (d - 1) + l // 2 - (d - 1) // 2  # d - 1 is even
         # from 2(d-1) on, b_p depends on p mod d-1 (even) alone
         p0, period = 2 * (d - 1), d - 1
     else:
         if l < d * n - 1:
             raise ValueError("closed form needs l >= dn - 1")
-        closed_f = (
-            Fraction(n * (n + 1) * d, 2 * shape.D) * (l - (d - 1))
-            - Fraction(n * (n - 1) * d, 4)
-            + 1
-            + epsilon_correction(shape, l)
-        )
+        # n(n+1)d/2D * (l - (d-1)) - n(n-1)d/4 + 1 over 4D, plus epsilon
+        linear = 2 * n * (n + 1) * d * (l - (d - 1)) - n * (n - 1) * d * D + 4 * D
+        closed_f = epsilon_correction(shape, l) + Fraction(linear, 4 * D)
+        if closed_f.denominator != 1:
+            raise AssertionError("closed form is not an integer: %s" % closed_f)
+        closed = closed_f.numerator
         # from (d-1) + (n-1)d on, b_p is 0, n or n+1; D further on, every j
         # passes the r - j*d >= D test of Omega, so b_p depends on p mod D
         # (even, so parity too) alone
-        p0, period = (d - 1) + (n - 1) * d + shape.D, shape.D
-    if closed_f.denominator != 1:
-        raise AssertionError("closed form is not an integer: %s" % closed_f)
+        p0, period = (d - 1) + (n - 1) * d + D, D
     # the direct sum reads betti() alone: head, whole periods, remainder
     periods, rest = divmod(max(0, l + 1 - p0), period)
     direct = (
@@ -128,7 +123,7 @@ def betti_partial_sum(shape: CohomologyShape, l: int) -> tuple[int, int]:
         + periods * sum(betti(shape, p) for p in range(p0, p0 + period))
         + sum(betti(shape, p) for p in range(p0, p0 + rest))
     )
-    return int(closed_f), direct
+    return closed, direct
 
 
 def alternating_betti_sum(shape: CohomologyShape, l: int) -> int:

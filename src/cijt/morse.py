@@ -12,7 +12,6 @@ can be computed: both sides of every (in)equality appear in the emitted report.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
@@ -81,14 +80,6 @@ class GeodesicDataset(Record):
         return tuple(r.path for r in self.records)
 
 
-def gamma_invariant(record: GeodesicRecord) -> Fraction:
-    """gamma_c: sign from parity of i(c), magnitude 1/2 unless i(c^2)-i(c) even."""
-    i1 = record.path.i1
-    diff = index_iterate(record.path, 2) - i1
-    mag = Fraction(1) if diff % 2 == 0 else Fraction(1, 2)
-    return mag if i1 % 2 == 0 else -mag
-
-
 class ResonanceReport(FrozenRecord):
     _fields = ("lhs", "rhs", "passes")
 
@@ -104,16 +95,16 @@ class ResonanceReport(FrozenRecord):
 
 
 def resonance_check(dataset: GeodesicDataset) -> ResonanceReport:
-    lhs = Exact(0)
-    for r in dataset.records:
-        lhs = lhs + Exact(gamma_invariant(r)) / mean_index(r.path)
+    """sum gamma_c / ihat(c) = B(d, n), summed as sum 2*gamma_c * (1/ihat(c)), halved."""
+    lhs = sum([r.path.inverse_mean * r.path.two_gamma for r in dataset.records], Exact(0)) / 2
     rhs = resonance_constant(dataset.shape)
-    return ResonanceReport(lhs, rhs, lhs == Exact(rhs))
+    return ResonanceReport(lhs, rhs, lhs == rhs)
 
 
 def tuple_resonance_identity(dataset: GeodesicDataset, t: CijtTuple):
-    """Integer identity sum_k 2 m_k gamma_k = 2 N B(d,n); both sides exact."""
-    lhs = sum(2 * mk * gamma_invariant(r) for r, mk in zip(dataset.records, t.m))
+    """Integer identity sum_k 2 m_k gamma_k = 2 N B(d,n): the integer left side
+    and the exact right side."""
+    lhs = sum([mk * r.path.two_gamma for r, mk in zip(dataset.records, t.m)])
     rhs = 2 * t.N * resonance_constant(dataset.shape)
     return lhs, rhs, lhs == rhs
 
@@ -255,11 +246,13 @@ def _default_problem(
     problem = SelectionProblem(
         paths, delta=delta, m_bar=m_bar, N_bound=n_bound, N_multiple_of=n_multiple
     )
-    # proximity tight enough that floors become exact multiples of N in the
-    # 2 m_k gamma_k resonance identity
-    gamma_total = sum(abs(gamma_invariant(r)) for r in dataset.records)
-    eps = Fraction(1, 1 + 2 * problem.period * math.ceil(gamma_total))
-    return problem, min(eps, problem.delta)
+    # proximity 1/e, e = 1 + 2*Mbar*E(sum |gamma_k|), tight enough that floors
+    # become exact multiples of N in the 2 m_k gamma_k resonance identity;
+    # delta where that is smaller
+    twice = sum([abs(r.path.two_gamma) for r in dataset.records])
+    e = 1 + 2 * problem.period * ((twice + 1) // 2)
+    p, q = problem.delta.numerator, problem.delta.denominator
+    return problem, problem.delta if p * e < q else Fraction(1, e)
 
 
 def _census_block(dataset, t, t_opp, margin):
@@ -326,7 +319,7 @@ def _verify(theorem, dataset, delta, n_bound):
         checks.append(_check("resonance identity", res.passes, True))
         for label, tt in (("primary", t), ("opposite", t_opp)):
             lhs, rhs, _ = tuple_resonance_identity(dataset, tt)
-            checks.append(_check("sum 2 m_k gamma_k at %s tuple" % label, lhs, rhs))
+            checks.append(_check("sum 2 m_k gamma_k at %s tuple" % label, Fraction(lhs), rhs))
         checks.append(_check("opposite-census symmetry", symmetry, True))
         non_hyp = _non_hyperbolic_names((census, opp), (2 * t.N, 2 * t_opp.N))
         details = {

@@ -8,6 +8,7 @@ they are of the very same class with equal fields; a verification check is
 a plain row instead.  ``dumps`` writes the JSON text of their documents.
 """
 
+from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_str  # the C function json.dumps uses
 from typing import NamedTuple
 
@@ -58,18 +59,20 @@ class CheckRecord(NamedTuple):
         return self.lhs == self.rhs
 
 
+# CheckRecord._make with no Python-level call per row
+_check = partial(tuple.__new__, CheckRecord)
+
+
 class VerificationReport(FrozenRecord):
     """One tuple's check rows; ``dumps`` writes them as ``to_json`` lists them."""
 
     _fields = ("checks",)
 
     def __init__(self, checks: tuple[CheckRecord, ...]):
-        # ok is decided once and stays out of _fields: ==, hash and repr skip it
-        self.__dict__.update(checks=checks, ok=all(c.lhs == c.rhs for c in checks))
-
-    @property
-    def mismatches(self) -> tuple[CheckRecord, ...]:
-        return tuple(c for c in self.checks if not c.ok)
+        # mismatches and ok are decided once and stay out of _fields: ==,
+        # hash and repr skip them
+        mismatches = tuple([c for c in checks if c[3] != c[4]])
+        self.__dict__.update(checks=checks, mismatches=mismatches, ok=not mismatches)
 
     def to_json(self):
         """The check objects that ``dumps`` writes for this report."""

@@ -48,6 +48,14 @@ def _rational(x) -> tuple[int, int]:
     raise TypeError("expected an int or Fraction, not %s" % type(x).__name__)
 
 
+def _below_half(x, name: str):
+    """x, once its integer pair p/q shows 0 < x < 1/2; a float is refused."""
+    p, q = _rational(x)
+    if not 0 < 2 * p < q:
+        raise ValueError("%s must lie in (0, 1/2)" % name)
+    return x
+
+
 def _enclosure(A: int, terms, q: int, m: int, bits: int) -> tuple[int, int, int]:
     """Integers (lo, hi, den) enclosing m*(A + sum b*sqrt(s))*den/q at `bits`
     bits, over the pairs (s, b) of `terms`: s squarefree > 1 and b != 0.
@@ -152,11 +160,7 @@ class Exact:
     @staticmethod
     def surd(a, b, s: int) -> "Exact":
         """a + b*sqrt(s); s is reduced to its squarefree part."""
-        (an, ad), (bn, bd) = _rational(a), _rational(b)
-        f, s0 = _squarefree_split(int(s))
-        if s0 == 1:
-            return _exact(an * bd + bn * f * ad, {}, ad * bd)
-        return _exact(an * bd, {s0: bn * f * ad}, ad * bd)
+        return _from_pairs(_rational(a), ((_rational(b), int(s)),))
 
     @property
     def is_rational(self) -> bool:
@@ -336,17 +340,27 @@ class Exact:
             raise TypeError("scalar %r is not an object" % (obj,))
         kind = obj.get("kind")
         if kind == "rational":
-            return Exact(Fraction(obj["num"], obj["den"]))
+            return _from_pairs((obj["num"], obj["den"]), ())
         if kind == "surd":
-            return Exact.surd(
-                Fraction(*obj["a"]), Fraction(*obj["b"]), _capped(obj["s"])
-            )
+            return _from_pairs(obj["a"], ((obj["b"], _capped(obj["s"])),))
         if kind == "sum":
-            out = Exact(Fraction(*obj["rational"]))
-            for t in obj["terms"]:
-                out = out + Exact.surd(0, Fraction(*t["coeff"]), _capped(t["s"]))
-            return out
+            terms = [(t["coeff"], _capped(t["s"])) for t in obj["terms"]]
+            return _from_pairs(obj["rational"], terms)
         raise ValueError("unknown scalar kind: %r" % (kind,))
+
+
+def _from_pairs(a, terms) -> Exact:
+    """The Exact a[0]/a[1] + sum (c[0]/c[1])*sqrt(s) over the pairs (c, s) of
+    terms, from integers over one common denominator; each s is reduced to
+    its squarefree part."""
+    (A, q), B = a, {}
+    Q = q * math.prod([c[1] for c, _ in terms])
+    if not Q:
+        raise ZeroDivisionError("zero denominator")
+    for (n, d), s in terms:
+        f, s = _squarefree_split(s)
+        B[s] = B.get(s, 0) + n * f * (Q // d)
+    return _exact(A * (Q // q) + B.pop(1, 0), B, Q)  # s = 1: a rational term
 
 
 # -- floors / fractional parts of integer multiples -------------------------

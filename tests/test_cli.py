@@ -226,6 +226,20 @@ class TestCijt:
         assert json.loads(outs[0])["N"] == 754
 
 
+class TestNBoundMetamorphic:
+    @pytest.mark.parametrize("vertex", ["auto", "opposite"])
+    @pytest.mark.parametrize("name", ["s2_elliptic", "s3_elliptic", "s2_hyperbolic", "single_sqrt2"])
+    def test_raising_the_bound_keeps_the_tuple(self, capsys, name, vertex):
+        """--n-bound at the found N and at 10**18 prints the same tuple."""
+        code, out, _ = run(capsys, "cijt", ds(name), "--vertex", vertex)
+        assert code == 0
+        found = json.loads(out)["N"]
+        for bound in (found, 10**18):
+            assert run(capsys, "cijt", ds(name), "--vertex", vertex, "--n-bound", str(bound)) == (
+                code, out, ""
+            )
+
+
 class TestVerify:
     def test_theorem_1_1_passes(self, capsys):
         code, out, _ = run(
@@ -774,6 +788,10 @@ class TestDatasetLoading:
         unknown_option["options"] = {"bumpy": True, "strict": False}
         odd_sign = json.load(open(ds("s3_elliptic")))
         odd_sign["records"][2]["blocks"][0] = {"type": "N1", "lambda": 1, "b_sign": "odd"}
+        zero_b = json.load(open(ds("single_sqrt2")))
+        zero_b["records"][0]["blocks"][0]["theta_over_pi"]["b"] = [-1, 0]
+        zero_rational = json.load(open(ds("single_sqrt2")))
+        zero_rational["records"][0]["blocks"][0]["theta_over_pi"] = {"kind": "rational", "num": 1, "den": 0}
         cases = (
             ('{"version": 99}', "version"),
             ("[1, 2]", "JSON object"),
@@ -802,6 +820,10 @@ class TestDatasetLoading:
             ),
             (json.dumps(unknown_option), 'dataset.options has the key "strict"'),
             (json.dumps(odd_sign), "N1 b_sign is 'odd', not one of positive, zero, negative"),
+            (json.dumps(zero_b), "invalid dataset: dataset.records[0].blocks[0].theta_over_pi.b "
+                                 "is [-1, 0], a zero denominator"),
+            (json.dumps(zero_rational), "invalid dataset: dataset.records[0].blocks[0].theta_over_pi.den "
+                                        "is 0, a zero denominator"),
         )
         for text, reason in cases:
             p = tmp_path / "bad.json"

@@ -106,7 +106,48 @@ class TestPartialSums:
             betti_partial_sum(CohomologyShape(4, 2), 3)
 
 
+def epsilon_by_fractions(shape, l):
+    """The epsilon correction as it was computed before it became integers
+    over one denominator, kept as its oracle: x = {(l - (d-1))/D} and
+    {D/(dn)*x} - (2/d + (d-2)/(dn))*x - n*{D/2*x} - {D/d*x} in Fractions."""
+    d, n, D = shape.d, shape.n, shape.D
+
+    def frac(x):
+        return x - (x.numerator // x.denominator)
+
+    x = frac(Fraction(l - (d - 1), D))
+    return (
+        frac(Fraction(D, d * n) * x)
+        - (Fraction(2, d) + Fraction(d - 2, d * n)) * x
+        - n * frac(Fraction(D, 2) * x)
+        - frac(Fraction(D, d) * x)
+    )
+
+
+def closed_form_by_fractions(shape, l):
+    """The even-d closed form of sum_{p<=l} b_p in Fractions, with the
+    epsilon oracle."""
+    d, n = shape.d, shape.n
+    return (
+        Fraction(n * (n + 1) * d, 2 * shape.D) * (l - (d - 1))
+        - Fraction(n * (n - 1) * d, 4)
+        + 1
+        + epsilon_by_fractions(shape, l)
+    )
+
+
 class TestEpsilon:
+    @given(st.integers(1, 5).map(lambda h: 2 * h), st.integers(1, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_integer_form_against_fractions(self, d, n, data):
+        """Even d <= 10, n <= 5, l across three periods D past dn - 1: the
+        integer epsilon and closed form against their Fraction forms."""
+        shape = CohomologyShape(d, n)
+        l = data.draw(st.integers(d * n - 1, d * n - 1 + 3 * shape.D))
+        assert epsilon_correction(shape, l) == epsilon_by_fractions(shape, l)
+        closed, direct = betti_partial_sum(shape, l)
+        assert closed == closed_form_by_fractions(shape, l) == direct
+
     def test_d2_vanishes_on_integer_points(self):
         s = CohomologyShape(2, 1)
         for l in (1, 3, 5, 99):

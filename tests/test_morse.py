@@ -15,6 +15,7 @@ from cijt.cli import load_dataset
 from cijt.record import dumps
 from cijt.engine import (
     CijtTuple,
+    NonPositiveMeanIndex,
     NotFoundWithinBound,
     SelectionProblem,
     find_tuple,
@@ -27,7 +28,6 @@ from cijt.morse import (
     GeodesicRecord,
     HypothesisRejected,
     JumpCensus,
-    gamma_invariant,
     jump_census,
     morse_type_number,
     morse_type_numbers,
@@ -68,6 +68,17 @@ def digest(verdict):
 
 def failed_checks(verdict):
     return [c["check"] for c in verdict.details["checks"] if not c["pass"]]
+
+
+def gamma_invariant(record):
+    """gamma_c as a Fraction, as it was computed before each path held
+    2*gamma_c as an integer (``PathClass.two_gamma``), kept as its oracle:
+    sign from the parity of i(c), magnitude 1/2 unless i(c^2) - i(c) is
+    even."""
+    i1 = record.path.i1
+    diff = index_iterate(record.path, 2) - i1
+    mag = Fraction(1) if diff % 2 == 0 else Fraction(1, 2)
+    return mag if i1 % 2 == 0 else -mag
 
 
 def rec(name, i1, *blocks):
@@ -178,6 +189,35 @@ class TestGamma:
         assert gamma_invariant(s2_dataset.records[1]) == Fraction(1, 2)
         assert gamma_invariant(hyperbolic_dataset.records[0]) == Fraction(-1, 2)
         assert gamma_invariant(rec("h", 2, D(Exact(2)))) == 1
+        for r in (*s2_dataset.records, *hyperbolic_dataset.records, rec("h", 2, D(Exact(2)))):
+            assert r.path.two_gamma == 2 * gamma_invariant(r)
+
+    def test_two_gamma_against_fractions(self):
+        """The integer 2*gamma_c against the Fraction form, and the resonance
+        sums that read it against their Fraction forms: every shipped record,
+        and the paths of random search problems."""
+        from test_engine import _scan_problem
+
+        for name in ("s2_elliptic", "s3_elliptic", "s2_hyperbolic", "single_sqrt2"):
+            ds = load_dataset(os.path.join(DATASETS, name + ".json"))
+            for r in ds.records:
+                assert r.path.two_gamma == 2 * gamma_invariant(r), (name, r.name)
+            lhs = Exact(0)
+            for r in ds.records:
+                lhs = lhs + Exact(gamma_invariant(r)) / mean_index(r.path)
+            assert resonance_check(ds).lhs == lhs
+            t = CijtTuple(7, tuple(range(3, 3 + len(ds.records))), (), (), 1, None, Fraction(1, 9))
+            want = sum(2 * m_k * gamma_invariant(r) for r, m_k in zip(ds.records, t.m))
+            assert tuple_resonance_identity(ds, t)[0] == want
+        rng, seen = random.Random(23), 0
+        while seen < 300:
+            try:
+                prob = _scan_problem(rng)
+            except NonPositiveMeanIndex:
+                continue
+            for p in prob.paths:
+                assert p.two_gamma == 2 * gamma_invariant(GeodesicRecord("c", p)), p
+                seen += 1
 
 
 class TestResonance:
@@ -765,3 +805,28 @@ class TestRecordOrder:
                 rng.shuffle(records)
             permuted = GeodesicDataset(ds.shape, records, ds.bumpy_required)
             assert _outcome_by_name(pipeline(permuted), permuted) == want
+
+    @pytest.mark.parametrize("name, pipeline", [
+        ("s3_elliptic", verify_theorem_1_5),
+        ("s2_elliptic", verify_theorem_1_1),
+        ("s2_hyperbolic", verify_theorem_1_8),
+    ])
+    def test_renamed_records(self, name, pipeline):
+        """Renaming every record changes only the names: the new names sort
+        in the reverse order of the old ones, and the last of them holds a
+        line break, a quote and a non-ASCII letter, so it prints escaped."""
+        ds = load_dataset(os.path.join(DATASETS, name + ".json"))
+        passed, N, non_hyp, ms = _outcome_by_name(pipeline(ds), ds)
+        old = sorted(r.name for r in ds.records)
+        new = {o: "r%02d" % (len(old) - i) for i, o in enumerate(old)}
+        new[old[0]] += '\n"\u00e9'
+        assert sorted(new.values()) == [new[o] for o in reversed(old)]
+        renamed = GeodesicDataset(
+            ds.shape, [GeodesicRecord(new[r.name], r.path) for r in ds.records], ds.bumpy_required
+        )
+        verdict = pipeline(renamed)
+        assert _outcome_by_name(verdict, renamed) == (
+            passed, N, None if non_hyp is None else sorted(new[o] for o in non_hyp),
+            {new[o]: m for o, m in ms.items()},
+        )
+        digest(verdict)  # the escaped name prints as json.dumps prints it
