@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .scalars import Exact, _below_half, _edges, _floor, _locate, _next_hit, floor_mult, frac_mult
-from .normal_forms import nullity
+from .normal_forms import m_check, nullity, validate_bumpy
 from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index
 from .record import CheckRecord, FrozenRecord, Record, VerificationReport, _check
 
@@ -47,7 +47,10 @@ class CertificationError(AssertionError):
 
 def common_period(paths: Sequence[PathClass]) -> int:
     """Least Mbar with Mbar * theta/pi integral for every rational angle."""
-    return math.lcm(1, *(q2 // 2 for p in paths for _, q2, _ in p.monodromy.rows))
+    return math.lcm(1, *(
+        b.angle.q for p in paths for b in p.monodromy.blocks
+        if b.angle is not None and b.angle.is_rational
+    ))
 
 
 def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Fraction:
@@ -348,21 +351,22 @@ def find_tuple(
 
 def verify_tuple(t: CijtTuple, problem: SelectionProblem) -> VerificationReport:
     """Re-derive the index/nullity identities of the jump interval from scratch:
-    nullities by ``nullity``, read off the class's rational rows, Q_k(m)
-    (the S^- weight of rational angles with {m_k*theta/pi} = {m*theta/2pi}
-    = 0) off the path's rational S^- angles, indices by ``index_iterate``."""
+    nullities by ``nullity``, Q_k(m) (the S^- weight of rational angles with
+    {m_k*theta/pi} = {m*theta/2pi} = 0) off the path's rational S^- angles,
+    indices by ``index_iterate``.  On a bumpy path every nullity and Q_k is 0."""
     checks: list[CheckRecord] = []
     row = checks.append
     two_n = 2 * t.N
     for k, (path, m_k) in enumerate(zip(problem.paths, t.m)):
         sp, _, minus = path.spectral
-        M, mc = path.monodromy, path.monodromy.m_check
+        M = path.monodromy
+        mc, bumpy = m_check(M), validate_bumpy(M)
         pinned = [(A, q, w) for A, terms, q, w in minus if not terms and 2 * m_k * A % q == 0]
         nu1 = nullity(M, 1)
         nu_m = nu_up = nu_down = q_k = 0
         for m in range(1, problem.m_bar + 1):
             up, down, i_m = 2 * m_k + m, 2 * m_k - m, index_iterate(path, m)
-            if M.rows:  # else every nullity and Q_k is 0
+            if not bumpy:
                 nu_m, nu_up = nullity(M, m), nullity(M, up)
                 nu_down = nullity(M, down) if down >= 1 else 0
                 q_k = sum([w for A, q, w in pinned if m * A % q == 0])

@@ -251,8 +251,7 @@ def _default_problem(
     # delta where that is smaller
     twice = sum([abs(r.path.two_gamma) for r in dataset.records])
     e = 1 + 2 * problem.period * ((twice + 1) // 2)
-    p, q = problem.delta.numerator, problem.delta.denominator
-    return problem, problem.delta if p * e < q else Fraction(1, e)
+    return problem, min(Fraction(1, e), problem.delta)
 
 
 def _census_block(dataset, t, t_opp, margin):

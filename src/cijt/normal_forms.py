@@ -11,15 +11,13 @@ Each block holds one eigen-angle ``angle`` = theta/pi, set at construction:
 0 for N1(1, .), 1 for N1(-1, .), theta for R and N2, and None for D, whose
 eigenvalues lie off the unit circle.  Beside it the block sets ``pairs``, its
 nonzero splitting pairs (S^+, S^-) by unit-circle angle; splitting numbers
-and C(M) sum them.  The angle drives the elliptic height, and a class reads
-its rational angles once into the integer rows that nullity, the return
-time of rational angles and bumpiness read.
+and C(M) sum them.  The angle drives nullity, the return time of rational
+angles, bumpiness and the elliptic height.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Union
+from typing import Optional, Union
 
 from .scalars import Exact, _exact, _floor
 from .record import FrozenRecord
@@ -121,23 +119,13 @@ def _block_key(b: Block):
 
 class SymplecticClass(FrozenRecord):
     """Multiset of blocks in canonical order; half_dimension is half their
-    total dimension.  Set once beside them and left out of ==: ``rows``, each
-    rational angle theta/pi = A/q as (A, 2q, w), the block adding w to the
-    nullity of the m-th power when 2q divides m*A (1 for N1 with b != 0, else
-    2); and ``m_check``, the first iterate returning a rational angle in
-    (0, 2) to 1: k*A/q is first even at k = 2q/gcd(A, 2q), None if none."""
+    total dimension."""
 
     _fields = ("blocks", "half_dimension")
 
     def __init__(self, blocks: tuple[Block, ...]):
         blocks = tuple(sorted(blocks, key=_block_key))
-        rows = tuple(
-            (b.angle.A, 2 * b.angle.q, 1 if isinstance(b, N1) and b.b_sign else 2)
-            for b in blocks if b.angle is not None and b.angle.is_rational
-        )
-        m_check = min((q2 // math.gcd(A, q2) for A, q2, _ in rows if A), default=None)
-        self.__dict__.update(blocks=blocks, half_dimension=sum(b.dim for b in blocks) // 2,
-                             rows=rows, m_check=m_check)
+        self.__dict__.update(blocks=blocks, half_dimension=sum(b.dim for b in blocks) // 2)
 
 
 def crossing_sum(M: SymplecticClass) -> int:
@@ -146,11 +134,16 @@ def crossing_sum(M: SymplecticClass) -> int:
 
 
 def nullity(M: SymplecticClass, m: int) -> int:
-    """Geometric multiplicity of eigenvalue 1 of the m-th power, read off
-    ``M.rows``."""
+    """Geometric multiplicity of eigenvalue 1 of the m-th power: a block counts
+    when m*theta/pi is even, with 1 for N1(., b != 0) and 2 for any other."""
     if m < 1:
         raise ValueError("m must be positive")
-    return sum([w for A, q2, w in M.rows if m * A % q2 == 0])
+    total = 0
+    for b in M.blocks:
+        t = b.angle
+        if t is not None and t.is_rational and (m * t.A) % (2 * t.q) == 0:
+            total += 1 if isinstance(b, N1) and b.b_sign else 2
+    return total
 
 
 def elliptic_height(M: SymplecticClass) -> int:
@@ -161,9 +154,16 @@ def is_hyperbolic(M: SymplecticClass) -> bool:
     return elliptic_height(M) == 0
 
 
+def m_check(M: SymplecticClass) -> Optional[int]:
+    """First iterate returning a rational angle p/q in (0, 2) to 1: k*p/q is
+    first even at k = q for even p, 2q for odd p; None if there is none."""
+    times = [(1 + t.A % 2) * t.q for t in (b.angle for b in M.blocks) if t and t.is_rational]
+    return min(times, default=None)
+
+
 def validate_bumpy(M: SymplecticClass) -> bool:
     """True iff nullity vanishes for every iterate: no rational angle."""
-    return not M.rows
+    return not any(b.angle is not None and b.angle.is_rational for b in M.blocks)
 
 
 # -- serialization -----------------------------------------------------------

@@ -54,10 +54,6 @@ class CheckRecord(NamedTuple):
     lhs: int
     rhs: int
 
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
 
 # CheckRecord._make with no Python-level call per row
 _check = partial(tuple.__new__, CheckRecord)
@@ -71,7 +67,7 @@ class VerificationReport(FrozenRecord):
     def __init__(self, checks: tuple[CheckRecord, ...]):
         # mismatches and ok are decided once and stay out of _fields: ==,
         # hash and repr skip them
-        mismatches = tuple([c for c in checks if c[3] != c[4]])
+        mismatches = tuple([c for c in checks if c.lhs != c.rhs])
         self.__dict__.update(checks=checks, mismatches=mismatches, ok=not mismatches)
 
     def to_json(self):

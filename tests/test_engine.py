@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cijt.scalars import Exact, _next_hit, floor_mult, frac_mult
-from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum
-from cijt.iteration import PathClass, index_iterate, jump_index, mean_index
+from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum, m_check
+from cijt.iteration import PathClass, index_iterate, jump_index, mean_index, path_nullity
 from cijt.engine import (
     CertificationError,
     CheckRecord,
@@ -26,7 +26,7 @@ from cijt.engine import (
     opposite_tuple,
     verify_tuple,
 )
-from test_normal_forms import classes, m_check, nullity_by_blocks
+from test_normal_forms import classes
 from test_iteration import _index_iterate_by_unit_angles, _spectral_by_unit_angles
 from test_scalars import Lattice, is_near_lattice
 
@@ -903,8 +903,8 @@ class TestOppositeFromPrimaryN:
 
 def q_correction(path, m_k, m):
     """Q_k(m): S^- weight of angles with {m_k*theta/pi} = {m*theta/2pi} = 0,
-    as verify_tuple computed it before it read the rational angles once per
-    path."""
+    as verify_tuple computed it before it filtered the rational S^- angles
+    by m_k once per path."""
     return sum(
         w for A, terms, q, w in path.spectral[2]
         if not terms and (2 * m_k * A) % q == 0 and (m * A) % q == 0
@@ -913,22 +913,20 @@ def q_correction(path, m_k, m):
 
 def _verify_tuple_by_definition(t, problem):
     """verify_tuple as it was before each value was evaluated once, kept as
-    an oracle: every check evaluates both of its sides afresh, nullities and
-    the first return by walking the blocks."""
+    an oracle: every check evaluates both of its sides afresh."""
     checks = []
     for k, (p, m_k) in enumerate(zip(problem.paths, t.m)):
-        M, sp, two_n = p.monodromy, p.spectral[0], 2 * t.N
-        mc = m_check(M)
+        sp, mc, two_n = p.spectral[0], m_check(p.monodromy), 2 * t.N
         for m in range(1, problem.m_bar + 1):
             for side, it in (("+", 2 * m_k + m), ("-", 2 * m_k - m)):
                 if it < 1:
                     continue
                 eq = "nullity(2m%s m)" % side
-                checks.append(CheckRecord(k, m, eq, nullity_by_blocks(M, it), nullity_by_blocks(M, m)))
+                checks.append(CheckRecord(k, m, eq, path_nullity(p, it), path_nullity(p, m)))
                 if mc is None or m < mc:
-                    checks.append(CheckRecord(
-                        k, m, eq + " = nullity(1)", nullity_by_blocks(M, it), nullity_by_blocks(M, 1)
-                    ))
+                    checks.append(
+                        CheckRecord(k, m, eq + " = nullity(1)", path_nullity(p, it), path_nullity(p, 1))
+                    )
             checks.append(CheckRecord(
                 k, m, "index(2m+m)", index_iterate(p, 2 * m_k + m), two_n + index_iterate(p, m)
             ))
@@ -964,7 +962,7 @@ class TestVerifyTupleOracle:
                 assert report == _verify_tuple_by_definition(u, prob), (prob, u)
                 seen["failing"] += not report.ok
                 seen["nullity"] += any(c.lhs for c in report.checks if "nullity" in c.equation)
-                seen["nullity fails"] += any(not c.ok for c in report.checks if "nullity" in c.equation)
+                seen["nullity fails"] += any(c.lhs != c.rhs for c in report.checks if "nullity" in c.equation)
         assert min(seen.values()) >= 3, seen
 
 
@@ -1027,5 +1025,5 @@ class TestSerialization:
             "path": 0, "m": 1, "equation": "nullity(2m+ m)", "lhs": 0, "rhs": 0, "ok": True,
         }
         assert [(c["path"], c["m"], c["equation"], c["lhs"], c["rhs"], c["ok"]) for c in report.to_json()] == [
-            (*c, c.ok) for c in report.checks
+            (*c, c.lhs == c.rhs) for c in report.checks
         ]

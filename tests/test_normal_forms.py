@@ -18,6 +18,7 @@ from cijt.normal_forms import (
     crossing_sum,
     elliptic_height,
     is_hyperbolic,
+    m_check,
     nullity,
     validate_bumpy,
 )
@@ -48,27 +49,6 @@ def unit_angles(M):
             if w:  # not 0 (eigenvalue 1)
                 acc[w] = add_pairs(acc.get(w, SplittingPair(0, 0)), pair)
     return sorted(acc.items(), key=lambda kv: kv[0])
-
-
-def nullity_by_blocks(M, m):
-    """nullity as it was before SymplecticClass held its rational rows, kept
-    as their oracle: each block counts when m*theta/pi is even, with 1 for
-    N1(., b != 0) and 2 for any other."""
-    total = 0
-    for b in M.blocks:
-        t = b.angle
-        if t is not None and t.is_rational and (m * t.A) % (2 * t.q) == 0:
-            total += 1 if isinstance(b, N1) and b.b_sign else 2
-    return total
-
-
-def m_check(M):
-    """The first return as it was before SymplecticClass held it, kept as
-    the oracle of ``SymplecticClass.m_check``: k*p/q, for a rational angle
-    p/q in (0, 2), is first even at k = q for even p, 2q for odd p; None if
-    there is none."""
-    times = [(1 + t.A % 2) * t.q for t in (b.angle for b in M.blocks) if t and t.is_rational]
-    return min(times, default=None)
 
 
 def s_plus_one(M):
@@ -365,20 +345,7 @@ class TestDenseOracle:
     def test_m_check_is_first_return(self, M):
         rest = [b for b in M.blocks if not (isinstance(b, N1) and b.lam == 1)]
         first = next((m for m in range(1, 121) if _rank_nullity(rest, m) > 0), None)
-        assert M.m_check == m_check(M) == first
-
-
-class TestRationalRows:
-    """The rows a class reads its rational angles into, against the block
-    walks they replaced."""
-
-    @given(classes, classes, st.integers(1, 60))
-    @settings(max_examples=150, deadline=None)
-    def test_nullity_and_first_return(self, M, N, m):
-        for C in (M, diamond(M, N)):
-            assert nullity(C, m) == nullity_by_blocks(C, m)
-            assert C.m_check == m_check(C)
-            assert validate_bumpy(C) == all(nullity_by_blocks(C, k) == 0 for k in range(1, 121))
+        assert m_check(M) == first
 
 
 class TestPredicates:
@@ -393,11 +360,11 @@ class TestPredicates:
         assert not is_irrationally_elliptic(cls(R(Exact(Fraction(1, 3)))))
 
     def test_m_check(self):
-        assert cls(R(Exact(Fraction(2, 3)))).m_check == 3      # even numerator
-        assert cls(R(Exact(Fraction(1, 3)))).m_check == 6      # odd numerator
-        assert cls(N1(-1, 0)).m_check == 2
-        assert cls(N1(1, 1), N1(1, 0)).m_check is None         # angle 0 returns at once
-        assert cls(R(SQRT2M1)).m_check is None
+        assert m_check(cls(R(Exact(Fraction(2, 3))))) == 3      # even numerator
+        assert m_check(cls(R(Exact(Fraction(1, 3))))) == 6      # odd numerator
+        assert m_check(cls(N1(-1, 0))) == 2
+        assert m_check(cls(N1(1, 1), N1(1, 0))) is None        # angle 0 returns at once
+        assert m_check(cls(R(SQRT2M1))) is None
 
     def test_validate_bumpy(self):
         assert validate_bumpy(cls(D(Exact(2)), R(SQRT2M1)))
