@@ -20,7 +20,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .normal_forms import SymplecticClass, block_from_json
-from .record import dumps
+from .record import dumps, fields, integer, item, listed, refuse
 from .iteration import PathClass, index_iterate, path_nullity
 from .engine import (
     NotFoundWithinBound,
@@ -34,7 +34,6 @@ from .morse import (
     GeodesicDataset,
     GeodesicRecord,
     HypothesisRejected,
-    _shown,
     resonance_check,
     verify_theorem_1_1,
     verify_theorem_1_5,
@@ -60,124 +59,47 @@ class CliError(Exception):
         self.code = code
 
 
-_STRING_FIELDS = ("name", "type", "kind", "b_sign")
-_PAIR_FIELDS = ("a", "b", "rational", "coeff")
-
-
-def _check_fields(node, where=None, key=None):
-    """Every JSON number of a dataset is an integer, true/false appear only in
-    options, strings only in string fields, every pair is two integers and no
-    denominator (a pair's second entry, a den) is zero.
-
-    Python reads 2.5, true, "1" and [1] as values that int(), Fraction() and
-    the comparisons downstream would silently round or accept.  where is the
-    (parent, key or index) chain down to node, spelled out only on an error.
-    """
-    if key in _PAIR_FIELDS and not (
-        isinstance(node, list) and len(node) == 2 and all(isinstance(v, int) for v in node)
-    ):
-        raise _invalid(where, node, ", not a pair of integers")
-    zero = node[1] if key in _PAIR_FIELDS else node if key == "den" else None
-    if type(zero) is int and not zero:
-        raise _invalid(where, node, ", a zero denominator")
-    if isinstance(node, dict):
-        for k, value in node.items():
-            # a plain int passes every check but a zero den
-            if k != "options" and (
-                type(value) is not int or k in _PAIR_FIELDS or k == "den" and not value
-            ):
-                _check_fields(value, (where, k), k)
-    elif isinstance(node, list):
-        for k, value in enumerate(node):
-            if type(value) is not int:  # a plain int passes every check
-                _check_fields(value, (where, k))
-    elif isinstance(node, (bool, float)):
-        raise _invalid(where, node, ", not an integer")
-    elif isinstance(node, str) and key not in _STRING_FIELDS:
-        raise _invalid(where, node, "; strings belong in %s only" % ", ".join(_STRING_FIELDS))
-
-
-def _invalid(where, node, why: str) -> CliError:
-    """The error for a bad node: its place, its JSON and why it is refused."""
-    return CliError("invalid dataset: %s is %s%s" % (_place(where), json.dumps(node), why))
-
-
-def _place(where):
-    """dataset.records[0].name of a chain; a key that is no identifier is
-    escaped, so no line break splits the error."""
-    steps = []
-    while where:
-        where, step = where
-        steps.append("[%d]" % step if type(step) is int else "." + _shown(step))
-    return "dataset" + "".join(reversed(steps))
-
-
-def _objects(node, where):
-    """The items of a JSON list that must hold objects only."""
-    if not isinstance(node, list):
-        raise _invalid(where, node, ", not a list")
-    for k, item in enumerate(node):
-        if not isinstance(item, dict):
-            raise _invalid((where, k), item, ", not an object")
-    return node
-
-
-def _string(node, where):
-    if not isinstance(node, str):
-        raise _invalid(where, node, ", not a string")
-    return node
-
-
-def _morse_index(node, where):
-    index = int(node)
-    if index < 0:
-        raise _invalid(where, index, ", not a Morse index >= 0")
-    return index
+def _record(node, where: str) -> GeodesicRecord:
+    name, index, blocks = fields(node, where, ("name", "initial_index", "blocks"))
+    if type(name) is not str:
+        raise refuse(where + ".name", name, "not a string")
+    if integer(index, where + ".initial_index") < 0:
+        raise refuse(where + ".initial_index", index, "not a Morse index >= 0")
+    blocks = SymplecticClass(tuple(listed(blocks, where + ".blocks", block_from_json)))
+    return GeodesicRecord(name, PathClass(index, blocks))
 
 
 def load_dataset(path: str) -> GeodesicDataset:
+    """The dataset of a JSON file, each node checked where it is read."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:  # bad JSON or UTF-8, a too long integer
+            # without the interpreter's advice on its digit limit: none to a dataset's author
+            raise CliError("cannot read dataset %s: %s" % (path, str(exc).partition("; use sys.")[0]))
+        if type(doc) is not dict:
             raise CliError("dataset must be a JSON object")
-        _check_fields(doc)
-    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, a too long integer
-        # without the interpreter's advice on its digit limit: none to a dataset's author
-        raise CliError("cannot read dataset %s: %s" % (path, str(exc).partition("; use sys.")[0]))
-    except RecursionError:
-        raise CliError("invalid dataset: %s nests lists or objects too deeply" % path)
-    if doc.get("version") != 1:
-        raise CliError("unsupported dataset version: %r" % doc.get("version"))
-    options = doc.get("options", {})
-    if not isinstance(options, dict):
-        raise _invalid((None, "options"), options, ", not an object")
-    for key, value in options.items():
-        if key != "bumpy":
-            raise CliError(
-                "invalid dataset: dataset.options has the key %s; bumpy is the only option"
-                % json.dumps(key)
-            )
-        if not isinstance(value, bool):
-            raise _invalid(((None, "options"), key), value, ", not true or false")
-    try:
-        shape = CohomologyShape(doc["shape"]["d"], doc["shape"]["n"])
-        at = (None, "records")
-        records = tuple(
-            GeodesicRecord(
-                _string(r["name"], ((at, i), "name")),
-                PathClass(
-                    _morse_index(r["initial_index"], ((at, i), "initial_index")),
-                    SymplecticClass(tuple(
-                        map(block_from_json, _objects(r["blocks"], ((at, i), "blocks")))
-                    )),
-                ),
-            )
-            for i, r in enumerate(_objects(doc["records"], at))
+        if item(doc, "dataset", "version") != 1 or type(doc["version"]) is not int:
+            raise refuse("dataset.version", doc["version"], "not 1, the only supported version")
+        _, shape, records, options = fields(
+            {"options": {}, **doc}, "dataset", ("version", "shape", "records", "options")
         )
-        return GeodesicDataset(shape, records, options.get("bumpy", True))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        d, n = fields(shape, "dataset.shape", ("d", "n"))
+        d, n = integer(d, "dataset.shape.d"), integer(n, "dataset.shape.n")
+        try:
+            shape = CohomologyShape(d, n)
+        except ValueError as exc:
+            raise ValueError("dataset.shape: %s" % exc)
+        (bumpy,) = fields(options, "dataset.options", ("bumpy",)) if options != {} else (True,)
+        if type(bumpy) is not bool:
+            raise refuse("dataset.options.bumpy", bumpy, "not true or false")
+        records = listed(records, "dataset.records", _record)
+        return GeodesicDataset(shape, tuple(records), bumpy)
+    except ValueError as exc:
         raise CliError("invalid dataset: %s" % exc)
+    except RecursionError:  # in the file, or in a refused node shown as JSON
+        raise CliError("invalid dataset: %s nests lists or objects too deeply" % path)
 
 
 def _parse_fraction(s: str) -> Fraction:

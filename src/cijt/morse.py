@@ -13,7 +13,6 @@ can be computed: both sides of every (in)equality appear in the emitted report.
 from __future__ import annotations
 
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
 from .scalars import Exact
@@ -32,17 +31,11 @@ from .loop_homology import (
     betti,
     resonance_constant,
 )
-from .record import FrozenRecord, Record
+from .record import FrozenRecord, Record, _shown
 
 
 class HypothesisRejected(ValueError):
     """Dataset violates a theorem hypothesis; a diagnostic, not a verdict."""
-
-
-def _shown(name: str) -> str:
-    """A record name or JSON key as a one-line message shows it: as is when it
-    is an identifier, else escaped and quoted, so no line break splits it."""
-    return name if name.isidentifier() else encode_basestring_ascii(name)
 
 
 class GeodesicRecord(FrozenRecord):
@@ -62,7 +55,8 @@ class GeodesicDataset(Record):
             raise ValueError("dataset needs at least one record")
         names = [r.name for r in self.records]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate record names")
+            twice = next(name for k, name in enumerate(names) if name in names[:k])
+            raise ValueError("duplicate record name %s" % _shown(twice))
         want = shape.dim - 1
         for r in self.records:
             if r.path.monodromy.half_dimension != want:

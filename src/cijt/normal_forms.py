@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .scalars import Exact, _exact, _floor
-from .record import FrozenRecord
+from .record import FrozenRecord, fields, integer, item, named
 
 
 def _conjugate(theta: Exact) -> Exact:
@@ -169,6 +169,9 @@ def validate_bumpy(M: SymplecticClass) -> bool:
 # -- serialization -----------------------------------------------------------
 
 
+_SIGNS = {"positive": 1, "zero": 0, "negative": -1}
+
+
 def block_to_json(b: Block):
     if isinstance(b, N1):
         sign = {1: "positive", 0: "zero", -1: "negative"}[b.b_sign]
@@ -184,23 +187,23 @@ def block_to_json(b: Block):
     }
 
 
-def _named(obj, field: str, table: dict):
-    """table[obj[field]] for a string naming one of table's keys."""
-    value = obj[field]
-    if isinstance(value, str) and value in table:
-        return table[value]
-    raise ValueError("%s %s is %r, not one of %s" % (obj["type"], field, value, ", ".join(table)))
-
-
-def block_from_json(obj) -> Block:
-    t = obj.get("type")
+def block_from_json(obj, where: str = "block") -> Block:
+    """The block of a block_to_json object at the place where; a refusal
+    of its constructor is prefixed with that place."""
+    t = named(item(obj, where, "type"), where + ".type", ("N1", "D", "R", "N2"))
     if t == "N1":
-        return N1(obj["lambda"], _named(obj, "b_sign", {"positive": 1, "zero": 0, "negative": -1}))
-    if t == "D":
-        return D(Exact.from_json(obj["lambda"]))
-    if t == "R":
-        return R(Exact.from_json(obj["theta_over_pi"]))
-    if t == "N2":
-        kind = _named(obj, "kind", {"trivial": False, "nontrivial": True})
-        return N2(Exact.from_json(obj["theta_over_pi"]), kind)
-    raise ValueError("unknown block type: %r" % (t,))
+        _, lam, sign = fields(obj, where, ("type", "lambda", "b_sign"))
+        make, args = N1, (integer(lam, where + ".lambda"),
+                          _SIGNS[named(sign, where + ".b_sign", _SIGNS)])
+    elif t == "N2":
+        _, theta, kind = fields(obj, where, ("type", "theta_over_pi", "kind"))
+        make, args = N2, (Exact.from_json(theta, where + ".theta_over_pi"),
+                          named(kind, where + ".kind", ("trivial", "nontrivial")) == "nontrivial")
+    else:
+        make, key = (D, "lambda") if t == "D" else (R, "theta_over_pi")
+        _, x = fields(obj, where, ("type", key))
+        args = (Exact.from_json(x, "%s.%s" % (where, key)),)
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (where, exc))

@@ -5,11 +5,14 @@ Each record class names its compared fields in ``_fields`` and fills
 ``self.__dict__`` in its own ``__init__``, so no code is generated at import
 and building an instance costs one dict update.  Two records are equal when
 they are of the very same class with equal fields; a verification check is
-a plain row instead.  ``dumps`` writes the JSON text of their documents.
+a plain row instead.  ``dumps`` writes the JSON text of their documents,
+and the getters at the end read the nodes of a JSON document, each checked
+where it is read.
 """
 
 from functools import partial
-from json.encoder import encode_basestring_ascii as _encode_str  # the C function json.dumps uses
+# encode_basestring_ascii is the C function json.dumps uses
+from json.encoder import JSONEncoder, encode_basestring_ascii as _encode_str
 from typing import NamedTuple
 
 
@@ -151,3 +154,75 @@ def _write(x, pad, append):
         append(pad + "]")
     else:
         raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
+
+
+# -- reading JSON documents ---------------------------------------------------
+# Each getter takes a node and its place, such as dataset.records[0].name, and
+# refuses a node of the wrong shape with a ValueError in one of three forms:
+# "<place> is <json>, <why>", "<place> has the key <json>, not one of <keys>"
+# and "<place> has no key <key>".
+
+
+def _shown(name: str) -> str:
+    """A record name as a one-line message shows it: as is when it is an
+    identifier, else escaped and quoted, so no line break splits it."""
+    return name if name.isidentifier() else _encode_str(name)
+
+
+def refuse(where: str, node, why: str) -> ValueError:
+    """The error for a bad node, written by the pure-Python JSON encoder: on
+    every Python version it meets the recursion limit on a very deep node."""
+    return ValueError("%s is %s, %s" % (where, "".join(JSONEncoder().iterencode(node)), why))
+
+
+def item(node, where: str, key: str):
+    """node[key] of a JSON object node that has key."""
+    if type(node) is not dict:
+        raise refuse(where, node, "not an object")
+    if key not in node:
+        raise ValueError("%s has no key %s" % (where, key))
+    return node[key]
+
+
+def fields(node, where: str, keys: tuple) -> list:
+    """The values of keys of a JSON object node with these keys and no other."""
+    if type(node) is not dict:
+        raise refuse(where, node, "not an object")
+    if len(node) != len(keys) or not all(map(node.__contains__, keys)):
+        for key in node:
+            if key not in keys:
+                raise ValueError("%s has the key %s, not one of %s"
+                                 % (where, _encode_str(key), ", ".join(keys)))
+        raise ValueError("%s has no key %s" % (where, next(k for k in keys if k not in node)))
+    return [node[key] for key in keys]
+
+
+def listed(node, where: str, read) -> list:
+    """read(item, place) of each item of a JSON list node."""
+    if type(node) is not list:
+        raise refuse(where, node, "not a list")
+    return [read(x, "%s[%d]" % (where, k)) for k, x in enumerate(node)]
+
+
+def named(node, where: str, names):
+    """node, a string that is one of names."""
+    if type(node) is str and node in names:
+        return node
+    raise refuse(where, node, "not one of %s" % ", ".join(names))
+
+
+def integer(node, where: str) -> int:
+    """A JSON integer node: true, 1.0 and "1" are refused."""
+    if type(node) is not int:
+        raise refuse(where, node, "not an integer")
+    return node
+
+
+def pair(node, where: str) -> tuple[int, int]:
+    """(n, d) of a JSON list [n, d] of integers with d nonzero."""
+    if type(node) is not list or len(node) != 2:
+        raise refuse(where, node, "not a pair of integers")
+    n, d = integer(node[0], where + "[0]"), integer(node[1], where + "[1]")
+    if not d:
+        raise refuse(where, node, "a zero denominator")
+    return n, d

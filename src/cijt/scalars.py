@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .record import fields, integer, item, listed, named, pair, refuse
+
 
 # Largest radicand ``Exact.from_json`` accepts.  Reducing s to its squarefree
 # part is trial division, about 0.35 s at this size and without end beyond it.
@@ -32,11 +34,17 @@ def _squarefree_split(s: int) -> tuple[int, int]:
     return f, s
 
 
-def _capped(s):
-    """A radicand read from outside the program, refused above MAX_RADICAND."""
-    if s > MAX_RADICAND:
-        raise ValueError("radicand %d exceeds the cap %d" % (s, MAX_RADICAND))
-    return s
+def _radicand(node, where: str) -> int:
+    """A radicand read from a document: an integer from 1 to MAX_RADICAND."""
+    if not 0 < integer(node, where) <= MAX_RADICAND:
+        raise refuse(where, node, "not a radicand from 1 to %d" % MAX_RADICAND)
+    return node
+
+
+def _term(node, where: str):
+    """(coeff, s) of a term {"coeff": [n, d], "s": s} of a sum."""
+    coeff, s = fields(node, where, ("coeff", "s"))
+    return pair(coeff, where + ".coeff"), _radicand(s, where + ".s")
 
 
 def _rational(x) -> tuple[int, int]:
@@ -335,18 +343,20 @@ class Exact:
         return {"kind": "sum", "rational": a, "terms": terms}
 
     @staticmethod
-    def from_json(obj) -> "Exact":
-        if not isinstance(obj, dict):
-            raise TypeError("scalar %r is not an object" % (obj,))
-        kind = obj.get("kind")
+    def from_json(obj, where: str = "scalar") -> "Exact":
+        """The Exact of a to_json object at the place where."""
+        kind = named(item(obj, where, "kind"), where + ".kind", ("rational", "surd", "sum"))
         if kind == "rational":
-            return _from_pairs((obj["num"], obj["den"]), ())
+            _, num, den = fields(obj, where, ("kind", "num", "den"))
+            if not integer(den, where + ".den"):
+                raise refuse(where + ".den", den, "a zero denominator")
+            return _from_pairs((integer(num, where + ".num"), den), ())
         if kind == "surd":
-            return _from_pairs(obj["a"], ((obj["b"], _capped(obj["s"])),))
-        if kind == "sum":
-            terms = [(t["coeff"], _capped(t["s"])) for t in obj["terms"]]
-            return _from_pairs(obj["rational"], terms)
-        raise ValueError("unknown scalar kind: %r" % (kind,))
+            _, a, b, s = fields(obj, where, ("kind", "a", "b", "s"))
+            return _from_pairs(pair(a, where + ".a"),
+                               ((pair(b, where + ".b"), _radicand(s, where + ".s")),))
+        _, a, terms = fields(obj, where, ("kind", "rational", "terms"))
+        return _from_pairs(pair(a, where + ".rational"), listed(terms, where + ".terms", _term))
 
 
 def _from_pairs(a, terms) -> Exact:
@@ -355,8 +365,6 @@ def _from_pairs(a, terms) -> Exact:
     its squarefree part."""
     (A, q), B = a, {}
     Q = q * math.prod([c[1] for c, _ in terms])
-    if not Q:
-        raise ZeroDivisionError("zero denominator")
     for (n, d), s in terms:
         f, s = _squarefree_split(s)
         B[s] = B.get(s, 0) + n * f * (Q // d)

@@ -14,6 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from cijt import cli, engine, iteration
 from cijt.cli import CliError, load_dataset, main
+from cijt.iteration import PathClass
+from cijt.loop_homology import CohomologyShape
+from cijt.morse import GeodesicDataset, GeodesicRecord
+from cijt.normal_forms import D, N1, N2, R, SymplecticClass
+from cijt.scalars import MAX_RADICAND, _from_pairs
 from cijt.record import CheckRecord, VerificationReport, dumps
 from test_scalars import time_limit
 
@@ -792,11 +797,32 @@ class TestDatasetLoading:
         zero_b["records"][0]["blocks"][0]["theta_over_pi"]["b"] = [-1, 0]
         zero_rational = json.load(open(ds("single_sqrt2")))
         zero_rational["records"][0]["blocks"][0]["theta_over_pi"] = {"kind": "rational", "num": 1, "den": 0}
+        no_den = json.load(open(ds("single_sqrt2")))
+        no_den["records"][0]["blocks"][0]["theta_over_pi"] = {"kind": "rational", "num": 1}
+        no_index = json.load(open(ds("single_sqrt2")))
+        del no_index["records"][0]["initial_index"]
+        no_n = json.load(open(ds("single_sqrt2")))
+        del no_n["shape"]["n"]
+        no_s = json.load(open(ds("single_sqrt2")))
+        del no_s["records"][0]["blocks"][0]["theta_over_pi"]["s"]
+        list_shape = json.load(open(ds("single_sqrt2")))
+        list_shape["shape"] = [2, 1]
+        sums = {}
+        for label, terms in (("[5]", [5]), ("{}", {"coeff": [1, 1], "s": 2})):
+            sums[label] = json.load(open(ds("single_sqrt2")))
+            sums[label]["records"][0]["blocks"][0]["theta_over_pi"] = {
+                "kind": "sum", "rational": [-1, 1], "terms": terms}
+        radicands = {}
+        for s in (0, -3):
+            radicands[s] = json.load(open(ds("single_sqrt2")))
+            radicands[s]["records"][0]["blocks"][0]["theta_over_pi"]["s"] = s
+        angle = "invalid dataset: dataset.records[0].blocks[0].theta_over_pi"
         cases = (
             ('{"version": 99}', "version"),
             ("[1, 2]", "JSON object"),
             (json.dumps(zero_den), "invalid dataset"),
-            (json.dumps(huge_radicand), "exceeds the cap"),
+            (json.dumps(huge_radicand), angle + ".s is 1000000000000000000000000000039, "
+                                        "not a radicand from 1 to 1000000000000"),
             (json.dumps(half_radicand), "theta_over_pi.s is 2.5, not an integer"),
             (json.dumps(float_index), "initial_index is 1.9, not an integer"),
             (json.dumps(float_shape), "shape.d is 2.0, not an integer"),
@@ -804,14 +830,14 @@ class TestDatasetLoading:
             (json.dumps(list_options), "dataset.options is [1], not an object"),
             (json.dumps(number_block), "dataset.records[0].blocks[0] is 5, not an object"),
             (json.dumps(list_record), "dataset.records[0] is [1], not an object"),
-            (json.dumps(list_angle), "scalar [1] is not an object"),
+            (json.dumps(list_angle), angle + " is [1], not an object"),
             (json.dumps(null_name), "dataset.records[0].name is null, not a string"),
             (json.dumps(number_name), "dataset.records[1].name is 7, not a string"),
             (
                 json.dumps(negative_index),
                 "dataset.records[0].initial_index is -1, not a Morse index >= 0",
             ),
-            (json.dumps(string_index), 'dataset.records[0].initial_index is "1"; strings'),
+            (json.dumps(string_index), 'dataset.records[0].initial_index is "1", not an integer'),
             (json.dumps(string_coeff), 'theta_over_pi.b is "1", not a pair of integers'),
             (json.dumps(short_pair), "theta_over_pi.a is [-1], not a pair of integers"),
             *(
@@ -819,11 +845,27 @@ class TestDatasetLoading:
                 for label, doc in bumpy.items()
             ),
             (json.dumps(unknown_option), 'dataset.options has the key "strict"'),
-            (json.dumps(odd_sign), "N1 b_sign is 'odd', not one of positive, zero, negative"),
+            (json.dumps(odd_sign),
+             'dataset.records[2].blocks[0].b_sign is "odd", not one of positive, zero, negative'),
             (json.dumps(zero_b), "invalid dataset: dataset.records[0].blocks[0].theta_over_pi.b "
                                  "is [-1, 0], a zero denominator"),
             (json.dumps(zero_rational), "invalid dataset: dataset.records[0].blocks[0].theta_over_pi.den "
                                         "is 0, a zero denominator"),
+            (json.dumps(no_den), angle + " has no key den"),
+            (json.dumps(no_index), "invalid dataset: dataset.records[0] has no key initial_index"),
+            (json.dumps(no_n), "invalid dataset: dataset.shape has no key n"),
+            (json.dumps(no_s), angle + " has no key s"),
+            (json.dumps(list_shape), "invalid dataset: dataset.shape is [2, 1], not an object"),
+            (json.dumps(sums["[5]"]), angle + ".terms[0] is 5, not an object"),
+            (json.dumps(sums["{}"]), angle + '.terms is {"coeff": [1, 1], "s": 2}, not a list'),
+            *(
+                (json.dumps(doc), angle + ".s is %d, not a radicand from 1 to 1000000000000" % s)
+                for s, doc in radicands.items()
+            ),
+            # True == 1 and 1.0 == 1 in Python: the version must be the integer
+            ('{"version": true}', "invalid dataset: dataset.version is true"),
+            ('{"version": 1.0}', "invalid dataset: dataset.version is 1.0"),
+            ('{"version": "1"}', 'invalid dataset: dataset.version is "1"'),
         )
         for text, reason in cases:
             p = tmp_path / "bad.json"
@@ -856,10 +898,12 @@ class TestDatasetLoading:
             (("records",), [[1] * 200000], "dataset.records[0] is [1, 1"),
             (("records", 0, "name"), list(range(100000)), "dataset.records[0].name is [0, 1"),
             (("records", 0, "blocks", 0), "x" * 300000, "dataset.records[0].blocks[0] is"),
-            (("records", 0, "blocks", 0, "theta_over_pi"), [1] * 100000, "scalar [1, 1"),
-            (("records", 0, "blocks", 0, "type"), "Q" * 100000, "unknown block type: 'QQ"),
+            (("records", 0, "blocks", 0, "theta_over_pi"), [1] * 100000,
+             "dataset.records[0].blocks[0].theta_over_pi is [1, 1"),
+            (("records", 0, "blocks", 0, "type"), "Q" * 100000,
+             'dataset.records[0].blocks[0].type is "QQ'),
             (("records", 0, "blocks", 0, "theta_over_pi", "kind"), "k" * 100000,
-             "unknown scalar kind: 'kk"),
+             'dataset.records[0].blocks[0].theta_over_pi.kind is "kk'),
         )
         doc = json.load(open(ds("s2_elliptic")))
         for where, value, head in edits:
@@ -872,7 +916,7 @@ class TestDatasetLoading:
                 assert len(err.encode()) < 300 and err.count("\n") == 1
 
     def test_line_break_in_key(self, capsys, tmp_path):
-        """An object key is named escaped in the error, which stays one line."""
+        """An unknown object key is named escaped in the error, which stays one line."""
         doc = json.load(open(ds("s2_elliptic")))
         keys = (("na\nme", r'"na\nme"'), ("a\rb", r'"a\rb"'), ("x\u2028y", r'"x\u2028y"'))
         for key, shown in keys:
@@ -884,13 +928,14 @@ class TestDatasetLoading:
                 code, out, err = run(capsys, command, str(p))
                 assert code == 2 and out == ""
                 assert err == (
-                    "error: invalid dataset: dataset.records[0].%s is 2.5, not an integer\n" % shown
+                    "error: invalid dataset: dataset.records[0] has the key %s, "
+                    "not one of name, initial_index, blocks\n" % shown
                 )
                 assert len(err.splitlines()) == 1
 
     def test_escaped_key_deep_in_the_tree(self, capsys, tmp_path):
-        """A key that is no identifier, between the root and the fault, is
-        named escaped in the place."""
+        """A key that is no identifier, deep in the tree, is refused at its
+        object and named escaped; the value under it is not read."""
         doc = json.load(open(ds("single_sqrt2")))
         doc["records"][0]["blocks"][0]["theta_over_pi"]["x\ny"] = [{"a b": [1, 2.5]}]
         p = tmp_path / "deep_key.json"
@@ -898,7 +943,36 @@ class TestDatasetLoading:
         code, out, err = run(capsys, "cijt", str(p))
         assert (code, out) == (2, "")
         assert err == ('error: invalid dataset: dataset.records[0].blocks[0].theta_over_pi'
-                       '."x\\ny"[0]."a b"[1] is 2.5, not an integer\n')
+                       ' has the key "x\\ny", not one of kind, a, b, s\n')
+
+    @pytest.mark.parametrize("block, why", [
+        ({"type": "R", "theta_over_pi": {"kind": "rational", "num": 5, "den": 2}},
+         "theta/pi must lie in (0, 2)"),
+        ({"type": "D", "lambda": {"kind": "rational", "num": -1, "den": 1}},
+         "D(lam) needs lam real with |lam| not in {0, 1}"),
+        ({"type": "N1", "lambda": 2, "b_sign": "zero"}, "bad N1 block"),
+    ])
+    def test_block_refusal_names_its_place(self, capsys, tmp_path, block, why):
+        """A block its constructor refuses is named by its place."""
+        doc = json.load(open(ds("s2_elliptic")))
+        doc["records"][1]["blocks"][0] = block
+        p = tmp_path / "block.json"
+        p.write_text(json.dumps(doc))
+        for command in ("resonance", "cijt"):
+            code, out, err = run(capsys, command, str(p))
+            assert (code, out) == (2, "")
+            assert err == "error: invalid dataset: dataset.records[1].blocks[0]: %s\n" % why
+
+    def test_duplicate_record_name_is_named(self, capsys, tmp_path):
+        """A repeated record name is named, escaped as a record name is."""
+        doc = json.load(open(ds("s2_elliptic")))
+        doc["records"][0]["name"] = doc["records"][1]["name"] = "c\n1"
+        p = tmp_path / "twice.json"
+        p.write_text(json.dumps(doc))
+        for command in ("resonance", "cijt"):
+            code, out, err = run(capsys, command, str(p))
+            assert (code, out) == (2, "")
+            assert err == 'error: invalid dataset: duplicate record name "c\\n1"\n'
 
     def test_line_break_in_record_name(self, capsys, tmp_path):
         """A record name is shown escaped in the error, which stays one line."""
@@ -921,16 +995,17 @@ class TestDatasetLoading:
         doc = {"version": 1, "shape": {"d": 3, "n": 1},
                "records": [{"name": "c", "initial_index": 2, "blocks": [n2]}]}
         p = tmp_path / "kind.json"
-        for kind, want in (("trivial", [0]), ("nontrivial", [1]), ("nontrvial", "'nontrvial'"),
-                           (None, "None"), (7, "7")):
+        for kind, want in (("trivial", [0]), ("nontrivial", [1]), ("nontrvial", '"nontrvial"'),
+                           (None, "null"), (7, "7")):
             n2["kind"] = kind
             p.write_text(json.dumps(doc))
             code, out, err = run(capsys, "cijt", str(p))
             if code == 0:
                 assert json.loads(out)["Delta"] == want
             else:
-                assert (code, out, err) == (2, "", "error: invalid dataset: N2 kind is %s, "
-                                            "not one of trivial, nontrivial\n" % want)
+                assert (code, out, err) == (2, "", "error: invalid dataset: dataset.records[0]"
+                                            ".blocks[0].kind is %s, not one of trivial, "
+                                            "nontrivial\n" % want)
 
     def test_unreadable_file_is_named(self, capsys, tmp_path):
         """Bytes that are not UTF-8 and an integer past the interpreter's digit
@@ -1023,3 +1098,182 @@ class TestLoaderFuzz:
             load_dataset(str(scratch))
         except CliError as exc:
             assert exc.code == 2 and "\n" not in str(exc)
+
+
+# -- the two-pass reader that load_dataset replaced, kept as an oracle --------
+# A schema-blind walk (_check_fields) first, then indexing under one catch-all
+# except; its messages are cut short here, its accept-or-refuse verdict is not.
+
+_STRING_FIELDS = ("name", "type", "kind", "b_sign")
+_PAIR_FIELDS = ("a", "b", "rational", "coeff")
+
+
+def _check_fields(node, key=None):
+    if key in _PAIR_FIELDS and not (
+        isinstance(node, list) and len(node) == 2 and all(isinstance(v, int) for v in node)
+    ):
+        raise CliError("not a pair of integers")
+    zero = node[1] if key in _PAIR_FIELDS else node if key == "den" else None
+    if type(zero) is int and not zero:
+        raise CliError("a zero denominator")
+    if isinstance(node, dict):
+        for k, value in node.items():
+            if k != "options" and (
+                type(value) is not int or k in _PAIR_FIELDS or k == "den" and not value
+            ):
+                _check_fields(value, k)
+    elif isinstance(node, list):
+        for value in node:
+            if type(value) is not int:
+                _check_fields(value)
+    elif isinstance(node, (bool, float)):
+        raise CliError("not an integer")
+    elif isinstance(node, str) and key not in _STRING_FIELDS:
+        raise CliError("a string outside the string fields")
+
+
+def _objects(node):
+    if not isinstance(node, list) or not all(isinstance(item, dict) for item in node):
+        raise CliError("not a list of objects")
+    return node
+
+
+def _capped(s):
+    if s > MAX_RADICAND:
+        raise ValueError("radicand %d exceeds the cap %d" % (s, MAX_RADICAND))
+    return s
+
+
+def _two_pass_scalar(obj):
+    if not isinstance(obj, dict):
+        raise TypeError("scalar %r is not an object" % (obj,))
+    kind = obj.get("kind")
+    if kind == "rational":
+        return _from_pairs((obj["num"], obj["den"]), ())
+    if kind == "surd":
+        return _from_pairs(obj["a"], ((obj["b"], _capped(obj["s"])),))
+    if kind == "sum":
+        terms = [(t["coeff"], _capped(t["s"])) for t in obj["terms"]]
+        return _from_pairs(obj["rational"], terms)
+    raise ValueError("unknown scalar kind: %r" % (kind,))
+
+
+def _named(obj, field, table):
+    value = obj[field]
+    if isinstance(value, str) and value in table:
+        return table[value]
+    raise ValueError("%s %s is %r" % (obj["type"], field, value))
+
+
+def _two_pass_block(obj):
+    t = obj.get("type")
+    if t == "N1":
+        return N1(obj["lambda"], _named(obj, "b_sign", {"positive": 1, "zero": 0, "negative": -1}))
+    if t == "D":
+        return D(_two_pass_scalar(obj["lambda"]))
+    if t == "R":
+        return R(_two_pass_scalar(obj["theta_over_pi"]))
+    if t == "N2":
+        kind = _named(obj, "kind", {"trivial": False, "nontrivial": True})
+        return N2(_two_pass_scalar(obj["theta_over_pi"]), kind)
+    raise ValueError("unknown block type: %r" % (t,))
+
+
+def _two_pass_load(doc):
+    """The dataset of a parsed document, or CliError."""
+    if not isinstance(doc, dict):
+        raise CliError("dataset must be a JSON object")
+    _check_fields(doc)
+    if doc.get("version") != 1:
+        raise CliError("unsupported dataset version")
+    options = doc.get("options", {})
+    if not isinstance(options, dict) or set(options) - {"bumpy"}:
+        raise CliError("bad options")
+    if not all(isinstance(value, bool) for value in options.values()):
+        raise CliError("bad options.bumpy")
+    try:
+        shape = CohomologyShape(doc["shape"]["d"], doc["shape"]["n"])
+        records = []
+        for r in _objects(doc["records"]):
+            if not isinstance(r["name"], str):
+                raise CliError("name not a string")
+            index = int(r["initial_index"])
+            if index < 0:
+                raise CliError("not a Morse index")
+            blocks = tuple(map(_two_pass_block, _objects(r["blocks"])))
+            records.append(GeodesicRecord(r["name"], PathClass(index, SymplecticClass(blocks))))
+        return GeodesicDataset(shape, tuple(records), options.get("bumpy", True))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CliError("invalid dataset: %s" % exc)
+
+
+# Every block type and scalar kind, and options: valid for both readers.
+MIXED = {
+    "version": 1, "shape": {"d": 3, "n": 1}, "options": {"bumpy": False},
+    "records": [
+        {"name": "n", "initial_index": 3, "blocks": [
+            {"type": "N1", "lambda": 1, "b_sign": "positive"},
+            {"type": "R", "theta_over_pi": {"kind": "sum", "rational": [1, 3], "terms": [
+                {"coeff": [1, 5], "s": 2}, {"coeff": [1, 7], "s": 12}]}}]},
+        {"name": "s", "initial_index": 2, "blocks": [
+            {"type": "N2", "kind": "nontrivial",
+             "theta_over_pi": {"kind": "surd", "a": [1, 2], "b": [1, 4], "s": 5}}]},
+        {"name": "h", "initial_index": 1, "blocks": [
+            {"type": "D", "lambda": {"kind": "surd", "a": [2, 1], "b": [1, 1], "s": 3}},
+            {"type": "N1", "lambda": -1, "b_sign": "negative"}]},
+        {"name": "r", "initial_index": 2, "blocks": [
+            {"type": "D", "lambda": {"kind": "rational", "num": -3, "den": 2}},
+            {"type": "R", "theta_over_pi": {"kind": "rational", "num": 2, "den": 3}}]},
+    ],
+}
+# keys that no object of the schema names
+UNKNOWN_KEYS = ("extra", "Name", "theta", "den ", "", "x\ny")
+
+
+def _node(doc, where):
+    for step in where:
+        doc = doc[step]
+    return doc
+
+
+class TestReaderAgainstTwoPass:
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("differential") / "changed.json"
+
+    @given(data=st.data(), value=malformed,
+           change=st.sampled_from(("replace", "delete", "insert")))
+    @settings(max_examples=600, deadline=None)
+    def test_same_verdict_as_the_two_pass_reader(self, scratch, data, value, change):
+        """One change to a valid dataset: a value replaced, a key deleted or
+        a key the schema does not name inserted.  The one-pass reader refuses
+        what the two-pass reader refused, reads what it read to an equal
+        dataset, and refuses an unknown key at the object that holds it."""
+        name = data.draw(st.sampled_from(SHIPPED + ("MIXED",)))
+        doc = json.loads(json.dumps(MIXED)) if name == "MIXED" else json.load(open(ds(name)))
+        paths = list(_field_paths(doc))
+        unknown = None
+        if change == "replace":
+            doc = _replaced(doc, data.draw(st.sampled_from(paths)), value)
+        elif change == "delete":
+            where = data.draw(st.sampled_from([w for w in paths if w and type(w[-1]) is str]))
+            del _node(doc, where[:-1])[where[-1]]
+        else:
+            where = data.draw(st.sampled_from([w for w in paths if type(_node(doc, w)) is dict]))
+            key = data.draw(st.sampled_from(UNKNOWN_KEYS))
+            _node(doc, where)[key] = value
+            place = "dataset" + "".join("[%d]" % s if type(s) is int else "." + s for s in where)
+            unknown = "invalid dataset: %s has the key %s, not one of " % (place, json.dumps(key))
+        try:
+            old = _two_pass_load(doc)
+        except CliError:
+            old = None
+        scratch.write_text(json.dumps(doc))
+        try:
+            new = load_dataset(str(scratch))
+        except CliError as exc:
+            assert exc.code == 2 and "\n" not in str(exc)
+            assert unknown is None or str(exc).startswith(unknown), str(exc)
+            assert unknown is not None or old is None, str(exc)
+        else:
+            assert unknown is None and old is not None and new == old
