@@ -174,7 +174,7 @@ _SIGNS = {"positive": 1, "zero": 0, "negative": -1}
 
 def block_to_json(b: Block):
     if isinstance(b, N1):
-        sign = {1: "positive", 0: "zero", -1: "negative"}[b.b_sign]
+        sign = {v: k for k, v in _SIGNS.items()}[b.b_sign]
         return {"type": "N1", "lambda": b.lam, "b_sign": sign}
     if isinstance(b, D):
         return {"type": "D", "lambda": b.lam.to_json()}
