@@ -51,9 +51,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cijt.scalars import Exact
 from cijt.normal_forms import D, R, SymplecticClass, block_to_json
-from cijt.iteration import PathClass
-from cijt.loop_homology import CohomologyShape
-from cijt.morse import GeodesicDataset, GeodesicRecord, resonance_check
+from cijt.iteration import CohomologyShape, GeodesicDataset, GeodesicRecord, PathClass
+from cijt.morse import resonance_check
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "datasets")
 

@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Subcommands: iterate, betti, resonance, cijt, verify, the rows of _COMMANDS.
+A command imports morse or loop_homology in its body, so that a process with
+no bytecode cache compiles a theorem pipeline only when it runs one.
 Datasets are JSON documents (schema version 1):
 
     {"version": 1,
@@ -21,23 +23,21 @@ from types import SimpleNamespace
 
 from .normal_forms import SymplecticClass, block_from_json
 from .record import dumps, fields, integer, item, listed, refuse
-from .iteration import PathClass, index_iterate, path_nullity
+from .iteration import (
+    CohomologyShape,
+    GeodesicDataset,
+    GeodesicRecord,
+    HypothesisRejected,
+    PathClass,
+    index_iterate,
+    path_nullity,
+)
 from .engine import (
     NotFoundWithinBound,
     SelectionProblem,
     VertexSpec,
     find_tuple,
     opposite_tuple,
-)
-from .loop_homology import CohomologyShape, betti, betti_partial_sum, resonance_constant
-from .morse import (
-    GeodesicDataset,
-    GeodesicRecord,
-    HypothesisRejected,
-    resonance_check,
-    verify_theorem_1_1,
-    verify_theorem_1_5,
-    verify_theorem_1_8,
 )
 
 EXIT_PASS = 0
@@ -174,6 +174,8 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_betti(args) -> int:
+    from .loop_homology import betti, betti_partial_sum, resonance_constant
+
     if args.l_max < 0:
         raise CliError("--l-max must be >= 0, got %d" % args.l_max)
     shape = CohomologyShape(args.d, args.n)
@@ -203,6 +205,8 @@ def cmd_betti(args) -> int:
 
 
 def cmd_resonance(args) -> int:
+    from .morse import resonance_check
+
     ds = load_dataset(args.dataset)
     report = resonance_check(ds)
     _emit(report.to_json())
@@ -233,6 +237,8 @@ def cmd_cijt(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .morse import verify_theorem_1_1, verify_theorem_1_5, verify_theorem_1_8
+
     ds = load_dataset(args.dataset)
     pipeline = {
         "1.1": verify_theorem_1_1,

@@ -6,6 +6,10 @@ off its blocks' pairs once, as integers, and every ceiling is one exact
 floor.  The tests hold the non-degenerate shortcut, floors over rotation
 angles only; the two agree on non-degenerate classes, which gates the
 splitting table in normal_forms.
+
+The dataset model sits beside ``PathClass``: a shape H^*(M;Q) = T_{d,n+1}(x)
+and one named path per prime closed geodesic, so reading a dataset and
+searching a tuple need neither loop_homology nor morse.
 """
 
 from __future__ import annotations
@@ -15,8 +19,31 @@ import sys
 from functools import cached_property
 
 from .scalars import Exact, _exact, _floor, ceil_mult, floor_mult
-from .normal_forms import SymplecticClass, nullity
-from .record import FrozenRecord
+from .normal_forms import SymplecticClass, nullity, validate_bumpy
+from .record import FrozenRecord, Record, _shown
+
+
+class HypothesisRejected(ValueError):
+    """Dataset violates a theorem hypothesis; a diagnostic, not a verdict."""
+
+
+class CohomologyShape(FrozenRecord):
+    _fields = ("d", "n")
+
+    def __init__(self, d: int, n: int):
+        if d < 2 or n < 1:
+            raise ValueError("need d >= 2 and n >= 1")
+        if d % 2 and n != 1:
+            raise ValueError("odd d forces n = 1 (x^2 = 0)")
+        self.__dict__.update(d=d, n=n)
+
+    @property
+    def dim(self) -> int:
+        return self.d * self.n
+
+    @property
+    def D(self) -> int:
+        return self.d * (self.n + 1) - 2
 
 
 class PathClass(FrozenRecord):
@@ -82,6 +109,42 @@ class PathClass(FrozenRecord):
     def rho(self) -> int:
         sp, c, _ = self.spectral
         return self.i1 + sp - c
+
+
+class GeodesicRecord(FrozenRecord):
+    _fields = ("name", "path")
+
+    def __init__(self, name: str, path: PathClass):
+        self.__dict__.update(name=name, path=path)
+
+
+class GeodesicDataset(Record):
+    _fields = ("shape", "records", "bumpy_required")
+
+    def __init__(self, shape: CohomologyShape, records: tuple[GeodesicRecord, ...],
+                 bumpy_required: bool = True):
+        self.shape, self.records, self.bumpy_required = shape, tuple(records), bumpy_required
+        if not self.records:
+            raise ValueError("dataset needs at least one record")
+        names = [r.name for r in self.records]
+        if len(set(names)) != len(names):
+            twice = next(name for k, name in enumerate(names) if name in names[:k])
+            raise ValueError("duplicate record name %s" % _shown(twice))
+        want = shape.dim - 1
+        for r in self.records:
+            if r.path.monodromy.half_dimension != want:
+                raise ValueError(
+                    "record %s: half-dimension %d, expected dn - 1 = %d"
+                    % (_shown(r.name), r.path.monodromy.half_dimension, want)
+                )
+            if not mean_index(r.path) > 0:
+                raise ValueError("record %s: mean index must be positive" % _shown(r.name))
+            if self.bumpy_required and not validate_bumpy(r.path.monodromy):
+                raise ValueError("record %s: degenerate iterate present" % _shown(r.name))
+
+    @property
+    def paths(self) -> tuple[PathClass, ...]:
+        return tuple(r.path for r in self.records)
 
 
 def index_iterate(p: PathClass, m: int) -> int:

@@ -21,26 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .record import FrozenRecord
-
-
-class CohomologyShape(FrozenRecord):
-    _fields = ("d", "n")
-
-    def __init__(self, d: int, n: int):
-        if d < 2 or n < 1:
-            raise ValueError("need d >= 2 and n >= 1")
-        if d % 2 and n != 1:
-            raise ValueError("odd d forces n = 1 (x^2 = 0)")
-        self.__dict__.update(d=d, n=n)
-
-    @property
-    def dim(self) -> int:
-        return self.d * self.n
-
-    @property
-    def D(self) -> int:
-        return self.d * (self.n + 1) - 2
+from .iteration import CohomologyShape
 
 
 def resonance_constant(shape: CohomologyShape) -> Fraction:

@@ -16,8 +16,16 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .scalars import Exact
-from .normal_forms import is_hyperbolic, validate_bumpy
-from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index
+from .normal_forms import is_hyperbolic
+from .iteration import (
+    CohomologyShape,
+    GeodesicDataset,
+    HypothesisRejected,
+    PathClass,
+    index_iterate,
+    index_window,
+    jump_index,
+)
 from .engine import (
     CijtTuple,
     SelectionProblem,
@@ -25,53 +33,8 @@ from .engine import (
     m_bar_for_geodesics,
     opposite_tuple,
 )
-from .loop_homology import (
-    CohomologyShape,
-    alternating_betti_sum,
-    betti,
-    resonance_constant,
-)
-from .record import FrozenRecord, Record, _shown
-
-
-class HypothesisRejected(ValueError):
-    """Dataset violates a theorem hypothesis; a diagnostic, not a verdict."""
-
-
-class GeodesicRecord(FrozenRecord):
-    _fields = ("name", "path")
-
-    def __init__(self, name: str, path: PathClass):
-        self.__dict__.update(name=name, path=path)
-
-
-class GeodesicDataset(Record):
-    _fields = ("shape", "records", "bumpy_required")
-
-    def __init__(self, shape: CohomologyShape, records: tuple[GeodesicRecord, ...],
-                 bumpy_required: bool = True):
-        self.shape, self.records, self.bumpy_required = shape, tuple(records), bumpy_required
-        if not self.records:
-            raise ValueError("dataset needs at least one record")
-        names = [r.name for r in self.records]
-        if len(set(names)) != len(names):
-            twice = next(name for k, name in enumerate(names) if name in names[:k])
-            raise ValueError("duplicate record name %s" % _shown(twice))
-        want = shape.dim - 1
-        for r in self.records:
-            if r.path.monodromy.half_dimension != want:
-                raise ValueError(
-                    "record %s: half-dimension %d, expected dn - 1 = %d"
-                    % (_shown(r.name), r.path.monodromy.half_dimension, want)
-                )
-            if not mean_index(r.path) > 0:
-                raise ValueError("record %s: mean index must be positive" % _shown(r.name))
-            if self.bumpy_required and not validate_bumpy(r.path.monodromy):
-                raise ValueError("record %s: degenerate iterate present" % _shown(r.name))
-
-    @property
-    def paths(self) -> tuple[PathClass, ...]:
-        return tuple(r.path for r in self.records)
+from .loop_homology import alternating_betti_sum, betti, resonance_constant
+from .record import FrozenRecord, _shown
 
 
 class ResonanceReport(FrozenRecord):

@@ -13,7 +13,7 @@ import pytest
 
 from cijt.scalars import Exact, ceil_mult, floor_mult, frac_mult
 from cijt.normal_forms import D, N2, R, SymplecticClass, crossing_sum
-from cijt.iteration import PathClass, index_iterate
+from cijt.iteration import CohomologyShape, GeodesicDataset, GeodesicRecord, PathClass, index_iterate
 from cijt.engine import (
     NotFoundWithinBound,
     SelectionProblem,
@@ -21,20 +21,8 @@ from cijt.engine import (
     opposite_tuple,
     verify_tuple,
 )
-from cijt.loop_homology import (
-    CohomologyShape,
-    betti,
-    betti_partial_sum,
-    epsilon_correction,
-)
-from cijt.morse import (
-    GeodesicDataset,
-    GeodesicRecord,
-    jump_census,
-    resonance_check,
-    verify_theorem_1_1,
-    verify_theorem_1_8,
-)
+from cijt.loop_homology import betti, betti_partial_sum, epsilon_correction
+from cijt.morse import jump_census, resonance_check, verify_theorem_1_1, verify_theorem_1_8
 from test_iteration import index_iterate_bumpy_class
 
 DATASETS = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")

@@ -12,14 +12,13 @@ from enum import IntEnum
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cijt import cli, engine, iteration
+from cijt import cli, engine, iteration, loop_homology
 from cijt.cli import CliError, load_dataset, main
-from cijt.iteration import PathClass
-from cijt.loop_homology import CohomologyShape
-from cijt.morse import GeodesicDataset, GeodesicRecord
+from cijt.iteration import CohomologyShape, GeodesicDataset, GeodesicRecord, PathClass
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass
 from cijt.scalars import MAX_RADICAND, _from_pairs
 from cijt.record import CheckRecord, VerificationReport, dumps
+from test_morse import GOLDEN
 from test_scalars import time_limit
 
 DATASETS = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
@@ -101,8 +100,8 @@ class TestBetti:
 
     def test_closed_form_is_checked(self, capsys, monkeypatch):
         """A closed-form partial sum off by one is an internal error, not a row."""
-        partial = cli.betti_partial_sum
-        monkeypatch.setattr(cli, "betti_partial_sum",
+        partial = loop_homology.betti_partial_sum
+        monkeypatch.setattr(loop_homology, "betti_partial_sum",
                             lambda shape, l: (partial(shape, l)[0] + 1, partial(shape, l)[1]))
         code, out, err = run(capsys, "betti", "--d", "2", "--n", "1", "--l-max", "3",
                              "--format", "tsv")
@@ -367,6 +366,33 @@ class TestParser:
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), check=True).stdout
         assert out == "[]\n"
+
+
+class TestImportFootprint:
+    def test_search_compiles_no_theorem_pipeline(self):
+        """A fresh interpreter that reads a dataset, searches a tuple and
+        prints an index table imports neither morse nor loop_homology; a
+        verify imports both and prints the pinned 1.5 verdict."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        probe = (
+            "import contextlib, hashlib, io, sys\n"
+            "from cijt.cli import load_dataset, main\n"
+            "def run(*argv):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        return main(list(argv)), out.getvalue()\n"
+            "def pipelines():\n"
+            "    return sorted({'cijt.morse', 'cijt.loop_homology'} & set(sys.modules))\n"
+            "load_dataset(sys.argv[1])\n"
+            "codes = [run('cijt', sys.argv[1])[0], run('iterate', sys.argv[2], '--record', 'c1')[0]]\n"
+            "print(codes, pipelines())\n"
+            "code, out = run('verify', sys.argv[3], '--theorem', '1.5')\n"
+            "print(code, pipelines(), hashlib.sha256(out[:-1].encode()).hexdigest())\n"
+        )
+        argv = [ds("single_sqrt2"), ds("s2_elliptic"), ds("s3_elliptic")]
+        out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+        assert out == "[0, 0] []\n0 ['cijt.loop_homology', 'cijt.morse'] %s\n" % GOLDEN["1.5 s3"]
 
 
 class _OracleParser(argparse.ArgumentParser):
@@ -709,7 +735,7 @@ class TestInternalError:
         def broken(dataset):
             raise AssertionError("lower window violated at c1, m=3")
 
-        monkeypatch.setattr("cijt.cli.resonance_check", broken)
+        monkeypatch.setattr("cijt.morse.resonance_check", broken)
         code, out, err = run(capsys, "resonance", ds("s2_elliptic"))
         assert code == 4 and out == ""
         assert err == "internal error: lower window violated at c1, m=3\n"
@@ -728,7 +754,7 @@ class TestInternalError:
             raise exc
 
         for command in (("resonance", ds("s2_elliptic")), ("cijt", ds("single_sqrt2"))):
-            monkeypatch.setattr("cijt.cli.resonance_check", broken)
+            monkeypatch.setattr("cijt.morse.resonance_check", broken)
             monkeypatch.setattr("cijt.cli.find_tuple", broken)
             code, out, err = run(capsys, *command)
             assert (code, out, err) == (4, "", line)

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cijt.iteration import CohomologyShape
 from cijt.loop_homology import (
-    CohomologyShape,
     _in_omega,
     alternating_betti_sum,
     betti,

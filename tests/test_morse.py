@@ -10,7 +10,17 @@ import pytest
 
 from cijt.scalars import Exact, ceil_mult, floor_mult
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass
-from cijt.iteration import PathClass, index_bracket, index_iterate, index_window, mean_index
+from cijt.iteration import (
+    CohomologyShape,
+    GeodesicDataset,
+    GeodesicRecord,
+    HypothesisRejected,
+    PathClass,
+    index_bracket,
+    index_iterate,
+    index_window,
+    mean_index,
+)
 from cijt.cli import load_dataset
 from cijt.record import dumps
 from cijt.engine import (
@@ -22,11 +32,8 @@ from cijt.engine import (
     m_bar_for_geodesics,
     opposite_tuple,
 )
-from cijt.loop_homology import CohomologyShape, resonance_constant
+from cijt.loop_homology import resonance_constant
 from cijt.morse import (
-    GeodesicDataset,
-    GeodesicRecord,
-    HypothesisRejected,
     JumpCensus,
     jump_census,
     morse_type_number,

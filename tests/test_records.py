@@ -12,7 +12,7 @@ import pytest
 import cijt
 from cijt.scalars import Exact
 from cijt.normal_forms import D, N1, N2, R, SplittingPair, SymplecticClass
-from cijt.iteration import PathClass
+from cijt.iteration import CohomologyShape, GeodesicDataset, GeodesicRecord, PathClass
 from cijt.engine import (
     CheckRecord,
     CijtTuple,
@@ -22,14 +22,7 @@ from cijt.engine import (
     VertexSpec,
     find_tuple,
 )
-from cijt.loop_homology import CohomologyShape
-from cijt.morse import (
-    GeodesicDataset,
-    GeodesicRecord,
-    JumpCensus,
-    ResonanceReport,
-    Verdict,
-)
+from cijt.morse import JumpCensus, ResonanceReport, Verdict
 
 SQRT2M1 = Exact.surd(-1, 1, 2)
 
