@@ -9,8 +9,9 @@ Datasets are JSON documents (schema version 1):
      "shape": {"d": 2, "n": 1},
      "records": [{"name": "c1", "initial_index": 1, "blocks": [...]}]}
 
-Exit codes: 0 success/verdict pass, 1 verdict fail, 2 hypothesis or input
-rejection, 3 search exhaustion, 4 internal error (any other exception).
+A command returns its document; main alone prints it, or one line of stderr.
+Exit codes: 0 success/verdict pass, 1 verdict fail ("pass": false), 2 hypothesis
+or input rejection, 3 search exhaustion, 4 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -47,16 +48,26 @@ EXIT_EXHAUSTED = 3
 EXIT_INTERNAL = 4
 
 
+def _one_line(message: str) -> str:
+    """message as one line: a line break is escaped (a path may hold one), and
+    past 240 characters it loses its middle, where an offending value is
+    shown, and keeps the head that names the place of the fault."""
+    message = "\\n".join(message.splitlines())
+    return message if len(message) <= 240 else "%s ... %s" % (message[:170], message[-65:])
+
+
+def _fail(head: str, error, code: int = EXIT_REJECT) -> int:
+    """Write head, then error under the one-line rule, as one stderr line (cijt
+    writes none elsewhere); return code."""
+    sys.stderr.write("%s%s\n" % (head, _one_line(str(error))))
+    return code
+
+
 class CliError(Exception):
-    def __init__(self, message, code=EXIT_REJECT):
-        # one line: a line break is escaped (a path may hold one), and a long
-        # message loses its middle, where an offending value is shown, and
-        # keeps the head that names the place of the fault
-        message = "\\n".join(message.splitlines())
-        if len(message) > 240:
-            message = "%s ... %s" % (message[:170], message[-65:])
-        super().__init__(message)
-        self.code = code
+    """A rejected input: exit 2, its message already one line."""
+
+    def __init__(self, message):
+        super().__init__(_one_line(message))
 
 
 def _record(node, where: str) -> GeodesicRecord:
@@ -134,13 +145,17 @@ def _parse_vertex(spec: str, dataset: GeodesicDataset):
     return VertexSpec(chi, tuple(angle_bits))
 
 
-def _emit(doc, fmt: str = "json", tsv_rows=(), tsv_header=()):
-    """Print doc as JSON, or, with fmt "tsv", the header and rows of its table."""
+# the header of the table that each command with --format prints
+_TSV_HEADER = {"iterate": "m\tindex\tnullity", "betti": "p\tb_p\tpartial_direct\tpartial_closed"}
+
+
+def _emit(doc, args):
+    """Print doc as JSON, or, with --format tsv, its table: a header and doc["rows"]."""
     try:
-        if fmt == "tsv":
-            print("\t".join(tsv_header))
-            for row in tsv_rows:
-                print("\t".join(str(x) for x in row))
+        if getattr(args, "format", "json") == "tsv":
+            print(_TSV_HEADER[args.command])
+            for row in doc["rows"]:
+                print("\t".join(map(str, row)))
         else:
             print(dumps(doc))
         sys.stdout.flush()
@@ -152,7 +167,7 @@ def _emit(doc, fmt: str = "json", tsv_rows=(), tsv_header=()):
         os.close(devnull)
 
 
-def cmd_iterate(args) -> int:
+def cmd_iterate(args) -> dict:
     ds = load_dataset(args.dataset)
     match = [r for r in ds.records if r.name == args.record]
     if not match:
@@ -160,20 +175,11 @@ def cmd_iterate(args) -> int:
     if args.m_max < 0:
         raise CliError("--m-max must be >= 0, got %d" % args.m_max)
     path = match[0].path
-    rows = [
-        (m, index_iterate(path, m), path_nullity(path, m))
-        for m in range(1, args.m_max + 1)
-    ]
-    _emit(
-        {"record": args.record, "rows": [list(r) for r in rows]},
-        args.format,
-        tsv_rows=rows,
-        tsv_header=("m", "index", "nullity"),
-    )
-    return EXIT_PASS
+    rows = [[m, index_iterate(path, m), path_nullity(path, m)] for m in range(1, args.m_max + 1)]
+    return {"record": args.record, "rows": rows}
 
 
-def cmd_betti(args) -> int:
+def cmd_betti(args) -> dict:
     from .loop_homology import betti, betti_partial_sum, resonance_constant
 
     if args.l_max < 0:
@@ -190,30 +196,21 @@ def cmd_betti(args) -> int:
             closed, direct = betti_partial_sum(shape, p)
             if not closed == direct == running:
                 raise AssertionError("partial-sum drift at p=%d" % p)
-        rows.append((p, b, running, closed))
-    _emit(
-        {
-            "shape": {"d": shape.d, "n": shape.n},
-            "resonance_constant": str(resonance_constant(shape)),
-            "rows": [list(r) for r in rows],
-        },
-        args.format,
-        tsv_rows=rows,
-        tsv_header=("p", "b_p", "partial_direct", "partial_closed"),
-    )
-    return EXIT_PASS
+        rows.append([p, b, running, closed])
+    return {
+        "shape": {"d": shape.d, "n": shape.n},
+        "resonance_constant": str(resonance_constant(shape)),
+        "rows": rows,
+    }
 
 
-def cmd_resonance(args) -> int:
+def cmd_resonance(args) -> dict:
     from .morse import resonance_check
 
-    ds = load_dataset(args.dataset)
-    report = resonance_check(ds)
-    _emit(report.to_json())
-    return EXIT_PASS if report.passes else EXIT_FAIL
+    return resonance_check(load_dataset(args.dataset)).to_json()
 
 
-def cmd_cijt(args) -> int:
+def cmd_cijt(args) -> dict:
     ds = load_dataset(args.dataset)
     problem = SelectionProblem(
         ds.paths,
@@ -232,11 +229,10 @@ def cmd_cijt(args) -> int:
     doc = t.to_json()
     doc["delta_shrunk"] = problem.delta_shrunk
     doc["records"] = [r.name for r in ds.records]
-    _emit(doc)
-    return EXIT_PASS if t.report is not None and t.report.ok else EXIT_FAIL
+    return doc
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     from .morse import verify_theorem_1_1, verify_theorem_1_5, verify_theorem_1_8
 
     ds = load_dataset(args.dataset)
@@ -246,9 +242,7 @@ def cmd_verify(args) -> int:
         "1.8": verify_theorem_1_8,
     }[args.theorem]
     delta = None if args.delta is None else _parse_fraction(args.delta)
-    verdict = pipeline(ds, delta=delta, n_bound=args.n_bound)
-    _emit(verdict.to_json())
-    return EXIT_PASS if verdict.passed else EXIT_FAIL
+    return pipeline(ds, delta=delta, n_bound=args.n_bound).to_json()
 
 
 _REQUIRED = object()  # the default of an option that must be given
@@ -285,24 +279,18 @@ _COMMANDS = {
 }
 
 
-def _fail(prog, message):
-    """Exit 2 with one line, as every other rejection does."""
-    message = "\\n".join(message.splitlines())  # a raw argument may hold a line break
-    sys.stderr.write("error: %s: %s\n" % (prog, message))
-    sys.exit(EXIT_REJECT)
-
-
 def _value(prog, flag, row, text):
     """text read as the value of flag, or exit 2 with argparse's message."""
     _, typ, _, choices, _ = row
     try:
         value = typ(text)
     except ValueError:
-        _fail(prog, "argument %s: invalid %s value: %r" % (flag, typ.__name__, text))
-    if choices and value not in choices:
-        _fail(prog, "argument %s: invalid choice: %r (choose from %s)"
-              % (flag, value, ", ".join(map(repr, choices))))
-    return value
+        why = "invalid %s value: %r" % (typ.__name__, text)
+    else:
+        if not choices or value in choices:
+            return value
+        why = "invalid choice: %r (choose from %s)" % (value, ", ".join(map(repr, choices)))
+    sys.exit(_fail("error: %s: " % prog, "argument %s: %s" % (flag, why)))
 
 
 def _argparse(argv):
@@ -311,7 +299,7 @@ def _argparse(argv):
 
     class Parser(argparse.ArgumentParser):
         def error(self, message):
-            _fail(self.prog, message)
+            sys.exit(_fail("error: %s: " % self.prog, message))
 
     parser = Parser(prog="cijt")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -368,26 +356,19 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return exc.code
-    except HypothesisRejected as exc:
-        print("hypothesis rejected: %s" % exc, file=sys.stderr)
-        return EXIT_REJECT
+        doc = args.func(args)
+        _emit(doc, args)
+    except HypothesisRejected as exc:  # a ValueError, named apart
+        return _fail("hypothesis rejected: ", exc)
     except NotFoundWithinBound as exc:
-        print("search exhausted: %s" % exc, file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_REJECT
+        return _fail("search exhausted: ", exc, EXIT_EXHAUSTED)
+    except (CliError, ValueError) as exc:
+        return _fail("error: ", exc)
     except AssertionError as exc:
-        print("internal error: %s" % exc, file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail("internal error: ", exc, EXIT_INTERNAL)
     except Exception as exc:  # a fault of cijt's own: one line, not exit 1 (fail)
-        message = "\\n".join(str(exc).splitlines())
-        print("internal error: %s: %s" % (type(exc).__name__, message), file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail("internal error: %s: " % type(exc).__name__, exc, EXIT_INTERNAL)
+    return EXIT_FAIL if doc.get("pass") is False else EXIT_PASS
 
 
 if __name__ == "__main__":

@@ -342,7 +342,7 @@ def find_tuple(
         bad = report.mismatches
         raise CertificationError(
             "search produced an uncertifiable tuple: %d of %d checks fail, the first %r"
-            % (len(bad), len(report.checks), bad[:3])
+            % (len(bad), len(report.checks), bad[0])
         )
     return CijtTuple(
         best.N, best.m, best.chi, best.Delta, best.M_bar, best.vertex, best.delta, report
@@ -408,7 +408,10 @@ def opposite_tuple(
     bits = tuple(tuple(1 - b for b in path_bits) for path_bits in t.vertex.angle_bits)
     if chi_eps is None:
         chi_eps = problem.delta
-    opp = find_tuple(problem, vertex=VertexSpec(chi, bits), chi_eps=chi_eps, min_N=t.N)
+    try:
+        opp = find_tuple(problem, vertex=VertexSpec(chi, bits), chi_eps=chi_eps, min_N=t.N)
+    except NotFoundWithinBound as exc:
+        raise NotFoundWithinBound("opposite vertex: %s" % exc, exc.best_residual) from None
     for k, pd in enumerate(data):
         if t.Delta[k] + opp.Delta[k] != pd.C_irrational:
             raise CertificationError(
