@@ -1159,6 +1159,25 @@ malformed = st.one_of(
 )
 
 
+class TestLoaderFuzz:
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "mutated.json"
+
+    @given(data=st.data(), value=malformed)
+    @settings(max_examples=400, deadline=None)
+    def test_load_returns_or_raises_cli_error(self, scratch, data, value):
+        """One field of a shipped dataset replaced: loading ends in a dataset
+        or a CliError (exit 2, one line), never another exception."""
+        doc = json.load(open(ds(data.draw(st.sampled_from(SHIPPED)))))
+        where = data.draw(st.sampled_from(list(_field_paths(doc))))
+        scratch.write_text(json.dumps(_replaced(doc, where, value)))
+        try:
+            load_dataset(str(scratch))
+        except CliError as exc:
+            assert "\n" not in str(exc)
+
+
 # -- the two-pass reader that load_dataset replaced, kept as an oracle --------
 # A schema-blind walk (_check_fields) first, then indexing under one catch-all
 # except; its messages are cut short here, its accept-or-refuse verdict is not.
