@@ -47,10 +47,7 @@ class CertificationError(AssertionError):
 
 def common_period(paths: Sequence[PathClass]) -> int:
     """Least Mbar with Mbar * theta/pi integral for every rational angle."""
-    return math.lcm(1, *(
-        b.angle.q for p in paths for b in p.monodromy.blocks
-        if b.angle is not None and b.angle.is_rational
-    ))
+    return math.lcm(1, *(q for p in paths for _, terms, q, _, _ in p.spectral[2] if not terms))
 
 
 def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Fraction:
@@ -62,7 +59,7 @@ def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Fraction:
     j >= 1 whose floor of 2**j times the minimum is at least 1."""
     if m_bar < 1:
         raise ValueError("m_bar must be positive")
-    halves = [(t.A, t.B.items(), 2 * t.q) for p in paths for t in p.bit_angles]
+    halves = [(A, terms, 2 * q) for p in paths for A, terms, q, _, _ in p.spectral[2] if terms]
     if not halves:
         return Fraction(1, 2)
 
@@ -151,17 +148,11 @@ class _PathData:
     def __init__(self, path: PathClass, m_bar_period: int):
         self.path, self.m_bar = path, m_bar_period
         self.mean = mean_index(path)
-        sp, c, minus = path.spectral
+        sp, c, angles = path.spectral
         self.spc, self.two_rho = sp + c, 2 * (path.i1 + sp - c)
-        # each irrational block angle theta/pi as (A, terms, q, S^- weight at
-        # theta, at 2 - theta); R and N2 list theta's pair first
-        self.blocks = tuple(
-            (b.angle.A, tuple(b.angle.B.items()), b.angle.q,
-             *([pair.minus for _, pair in b.pairs] or (0, 0)))
-            for b in path.monodromy.blocks if b.angle is not None and b.angle.B
-        )
-        # rational S^- angles as spectral holds them: -theta/2pi = A/q
-        self.rational = tuple((A, q, w) for A, terms, q, w in minus if not terms)
+        # the irrational and the rational block angles (A, terms, q, wl, wh)
+        self.blocks = tuple(e for e in angles if e[1])
+        self.rational = tuple(e for e in angles if not e[1])
         # Delta_k + Delta'_k at opposite vertices: S^- weight on irrational angles
         self.C_irrational = sum(e[3] + e[4] for e in self.blocks)
         # u = 1 / (Mbar * ihat): chi component of the torus vector
@@ -204,8 +195,9 @@ class _PathData:
             bits.append(hi)
             dl += wh if hi else wl
             index += 2 * (wl * (fl + 1) + wh * (2 * m - fl))
-        for A, q, w in self.rational:
-            index -= 2 * w * (2 * m * A // q)
+        for A, _, q, wl, wh in self.rational:
+            f, r = divmod(m * A, q)
+            index += 2 * (wl * (f + (r > 0)) + wh * (2 * m - f))
         return tuple(bits), dl, index
 
     def chi(self, N: int):
@@ -281,11 +273,13 @@ def find_tuple(
     gen = max(range(len(data)), key=lambda i: len(data[i].bit_angles))
     g = data[gen]
     # K from a path's m and N caps and the band denominators, so that an exact
-    # floor is rarely needed and a widened window is a sliver of its band
-    slack = max(delta.denominator, chi_eps.denominator if chi_eps else 1).bit_length() + 16
+    # floor is rarely needed and a widened window is a sliver of its band; a
+    # denominator longer than the caps adds no more bits than they have
+    slack = max(delta.denominator, chi_eps.denominator if chi_eps else 1).bit_length()
     for pd in data:
         m_cap = (floor_mult(pd.u, problem.N_bound) + 1) * mbar
-        pd.fix(max(m_cap, problem.N_bound).bit_length() + slack, delta, chi_eps)
+        bits = max(m_cap, problem.N_bound).bit_length()
+        pd.fix(bits + min(slack, bits) + 16, delta, chi_eps)
 
     def accept(N: int, seen):
         if N < max(1, min_N) or N > problem.N_bound or N % problem.N_multiple_of:
@@ -352,16 +346,17 @@ def find_tuple(
 def verify_tuple(t: CijtTuple, problem: SelectionProblem) -> VerificationReport:
     """Re-derive the index/nullity identities of the jump interval from scratch:
     nullities by ``nullity``, Q_k(m) (the S^- weight of rational angles with
-    {m_k*theta/pi} = {m*theta/2pi} = 0) off the path's rational S^- angles,
-    indices by ``index_iterate``.  On a bumpy path every nullity and Q_k is 0."""
+    {m_k*theta/pi} = {m*theta/2pi} = 0) off the path's rational block angles,
+    weighed wl + wh, indices by ``index_iterate``.  On a bumpy path every
+    nullity and Q_k is 0."""
     checks: list[CheckRecord] = []
     row = checks.append
     two_n = 2 * t.N
     for k, (path, m_k) in enumerate(zip(problem.paths, t.m)):
-        sp, _, minus = path.spectral
+        sp, _, angles = path.spectral
         M = path.monodromy
         mc, bumpy = m_check(M), validate_bumpy(M)
-        pinned = [(A, q, w) for A, terms, q, w in minus if not terms and 2 * m_k * A % q == 0]
+        pinned = [(A, 2 * q, wl + wh) for A, B, q, wl, wh in angles if not B and m_k * A % q == 0]
         nu1 = nullity(M, 1)
         nu_m = nu_up = nu_down = q_k = 0
         for m in range(1, problem.m_bar + 1):

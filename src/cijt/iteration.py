@@ -2,10 +2,10 @@
 
 The precise formula sums ceilings of m*theta/(2*pi) over the unit-circle
 spectrum, weighted by minus-splitting numbers.  Each path reads that spectrum
-off its blocks' pairs once, as integers, and every ceiling is one exact
-floor.  The tests hold the non-degenerate shortcut, floors over rotation
-angles only; the two agree on non-degenerate classes, which gates the
-splitting table in normal_forms.
+off its blocks once, one integer entry per block angle that the engine reads
+too, and every ceiling is one exact floor.  The tests hold the non-degenerate
+shortcut, floors over rotation angles only; the two agree on non-degenerate
+classes, which gates the splitting table in normal_forms.
 
 The dataset model sits beside ``PathClass``: a shape H^*(M;Q) = T_{d,n+1}(x)
 and one named path per prime closed geodesic, so reading a dataset and
@@ -55,33 +55,34 @@ class PathClass(FrozenRecord):
         self.__dict__.update(i1=i1, monodromy=monodromy)
 
     @cached_property
-    def spectral(self) -> tuple[int, int, tuple[tuple[int, tuple, int, int], ...]]:
-        """(S^+(1), C(M), minus), read off the blocks' pairs: minus holds each
-        pair at a unit angle theta/pi != 0 with S^- weight w > 0 as integers
-        (A, terms, q, w), (A + sum b*sqrt(s))/q = -theta/2pi over the pairs
-        (s, b) of terms, so that E(m*theta/2pi) = -[m*(A + ...)/q]."""
-        sp, minus = 0, []
+    def spectral(self) -> tuple[int, int, tuple[tuple[int, tuple, int, int, int], ...]]:
+        """(S^+(1), C(M), angles) off the blocks' pairs: one integer entry (A,
+        terms, q, wl, wh) per block angle theta/pi = (A + sum b*sqrt(s))/q != 0,
+        (s, b) over terms, S^- weight wl at theta, wh at 2 - theta (theta's
+        pair comes first).  f = [m*theta/2pi] = _floor(A, terms, 2q, m) gives
+        E(m*theta/2pi) = f + 1 (f at an integer), E(m*(2pi - theta)/2pi) = m - f."""
+        sp, angles = 0, []
         for b in self.monodromy.blocks:
-            for t, pair in b.pairs:
-                if not (t.A or t.B):
-                    sp += pair.plus
-                elif pair.minus:
-                    terms = tuple((s, -c) for s, c in t.B.items())
-                    minus.append((-t.A, terms, 2 * t.q, pair.minus))
-        return sp, sum(e[3] for e in minus), tuple(minus)
+            t = b.angle
+            if t is not None and (t.A or t.B):
+                w = [pair.minus for _, pair in b.pairs] + [0, 0]
+                angles.append((t.A, tuple(t.B.items()), t.q, w[0], w[1]))
+            else:
+                sp += sum(pair.plus for _, pair in b.pairs)
+        return sp, sum(e[3] + e[4] for e in angles), tuple(angles)
 
     @cached_property
     def mean(self) -> Exact:
         """i-hat = i1 + S^+(1) - C(M) + sum theta/pi * S^-, summed as integers
         over the common denominator of the angles."""
-        sp, c, minus = self.spectral
-        L = math.lcm(1, *(e[2] for e in minus))
+        sp, c, angles = self.spectral
+        L = math.lcm(1, *(e[2] for e in angles))
         A, B = (self.i1 + sp - c) * L, {}
-        for a, terms, q, w in minus:
-            f = 2 * w * (L // q)
-            A -= f * a
+        for a, terms, q, wl, wh in angles:
+            f = (wl - wh) * (L // q)
+            A += f * a + 2 * wh * L
             for s, b in terms:
-                B[s] = B.get(s, 0) - f * b
+                B[s] = B.get(s, 0) + f * b
         return _exact(A, B, L)
 
     @cached_property
@@ -151,10 +152,13 @@ def index_iterate(p: PathClass, m: int) -> int:
     """i(gamma, m) by the precise iteration formula."""
     if m < 1:
         raise ValueError("m must be positive")
-    sp, c, minus = p.spectral
+    sp, c, angles = p.spectral
     total = m * (p.i1 + sp - c) - (sp + c)
-    for A, terms, q, w in minus:
-        total -= 2 * w * _floor(A, terms, q, m)
+    for A, terms, q, wl, wh in angles:
+        f = _floor(A, terms, 2 * q, m)  # [m*theta/2pi]
+        total += 2 * wl * (f + 1 if terms or m * A % (2 * q) else f)
+        if wh:
+            total += 2 * wh * (m - f)
     return total
 
 

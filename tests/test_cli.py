@@ -254,6 +254,20 @@ class TestNBoundMetamorphic:
                 code, out, ""
             )
 
+    @pytest.mark.parametrize("name, theorem", [
+        ("s3_elliptic", "1.5"), ("s2_elliptic", "1.1"), ("s2_hyperbolic", "1.8"),
+    ])
+    def test_raising_the_bound_keeps_the_verdict(self, capsys, name, theorem):
+        """verify --n-bound at the larger of the tuple's and the opposite
+        tuple's N, and at 10**18, prints the default's bytes and exit code."""
+        code, out, err = run(capsys, "verify", ds(name), "--theorem", theorem)
+        doc = json.loads(out)
+        found = max(doc["tuple"]["N"], doc.get("opposite_tuple", doc["tuple"])["N"])
+        for bound in (found, 10**18):
+            assert run(capsys, "verify", ds(name), "--theorem", theorem, "--n-bound", str(bound)) == (
+                code, out, err
+            )
+
 
 class TestVerify:
     def test_theorem_1_1_passes(self, capsys):

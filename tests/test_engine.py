@@ -28,7 +28,7 @@ from cijt.engine import (
 )
 from test_normal_forms import classes
 from test_iteration import _index_iterate_by_unit_angles, _spectral_by_unit_angles
-from test_scalars import Lattice, is_near_lattice
+from test_scalars import Lattice, is_near_lattice, time_limit
 
 SQRT2M1 = Exact.surd(-1, 1, 2)
 T35 = Exact.surd(3, -1, 5)
@@ -259,6 +259,19 @@ class TestFindTuple:
         with pytest.raises(NotFoundWithinBound) as exc:
             find_tuple(prob)
         assert exc.value.best_residual is not None
+
+    def test_long_delta_adds_no_more_bits_than_the_range(self):
+        """A delta with a 3001-digit denominator and N_bound 10 fixes the
+        kernel at fewer than 100 bits, not about 10^4 from the denominator,
+        and the search reports the residual of a delta with 301 digits."""
+        residuals = []
+        for digits in (300, 3000):
+            prob = SelectionProblem((path(1, R(SQRT2M1)),), delta=Fraction(1, 10**digits), N_bound=10)
+            with time_limit(10), pytest.raises(NotFoundWithinBound) as exc:
+                find_tuple(prob)
+            residuals.append(exc.value.best_residual)
+        assert [pd.kernel[0] < 100 for pd in prob.data] == [True]
+        assert residuals[0] is not None and residuals[0] == residuals[1]
 
     @pytest.mark.parametrize("paths, delta, N_bound, min_N", [
         ((path(1, R(SQRT2M1)),), Fraction(1, 100), 20, 1),
@@ -903,11 +916,10 @@ class TestOppositeFromPrimaryN:
 
 def q_correction(path, m_k, m):
     """Q_k(m): S^- weight of angles with {m_k*theta/pi} = {m*theta/2pi} = 0,
-    as verify_tuple computed it before it filtered the rational S^- angles
-    by m_k once per path."""
+    summed over the merged unit angles theta/2pi of the Exact oracle."""
     return sum(
-        w for A, terms, q, w in path.spectral[2]
-        if not terms and (2 * m_k * A) % q == 0 and (m * A) % q == 0
+        w for x, w in _spectral_by_unit_angles(path)[2]
+        if x.is_rational and (2 * m_k * x.A) % x.q == 0 and (m * x.A) % x.q == 0
     )
 
 
@@ -964,6 +976,29 @@ class TestVerifyTupleOracle:
                 seen["nullity"] += any(c.lhs for c in report.checks if "nullity" in c.equation)
                 seen["nullity fails"] += any(c.lhs != c.rhs for c in report.checks if "nullity" in c.equation)
         assert min(seen.values()) >= 3, seen
+
+    def test_matches_on_probe_paths(self):
+        """The same on one or two paths of ``_probe_path``: rational R and N2
+        blocks, N1(-1, b) and two-radicand angles, with m_bar up to 6, where
+        Q_k > 0 comes from an N1 or N2 block as well as from an R block."""
+        rng = random.Random(41)
+        seen = Counter()
+        for _ in range(46):
+            paths = [_probe_path(rng) for _ in range(rng.randint(1, 2))]
+            prob = SelectionProblem(paths, delta=Fraction(1, 50), m_bar=rng.randint(1, 6), N_bound=3000)
+            t = _outcome(find_tuple, prob)
+            if not isinstance(t, CijtTuple):
+                continue
+            seen["tuples"] += 1
+            moved_m = tuple(m + 1 for m in t.m)
+            for u in (t, CijtTuple(t.N, moved_m, t.chi, t.Delta, t.M_bar, t.vertex, t.delta)):
+                assert verify_tuple(u, prob) == _verify_tuple_by_definition(u, prob), (prob, u)
+                seen["Q_k > 0 beside N1 or N2"] += any(
+                    q_correction(p, m_k, m) > 0
+                    for p, m_k in zip(paths, u.m) if any(isinstance(b, (N1, N2)) for b in p.monodromy.blocks)
+                    for m in range(1, prob.m_bar + 1) if 2 * m_k - m >= 1
+                )
+        assert seen["tuples"] >= 30 and seen["Q_k > 0 beside N1 or N2"] >= 5, seen
 
 
 class TestVerifyTuple:

@@ -136,11 +136,14 @@ def _index_iterate_by_unit_angles(p, m):
 
 
 def _merged_minus(p):
-    """spectral's integer entries as {theta/2pi: summed S^- weight}."""
+    """spectral's integer entries as {theta/2pi: summed S^- weight}: wl at
+    theta/2pi and wh at 1 - theta/2pi, weight 0 left out."""
     acc = {}
-    for A, terms, q, w in p.spectral[2]:
-        x = -sum((Exact.surd(0, Fraction(b, q), s) for s, b in terms), Exact(Fraction(A, q)))
-        acc[x] = acc.get(x, 0) + w
+    for A, terms, q, wl, wh in p.spectral[2]:
+        x = sum((Exact.surd(0, Fraction(b, 2 * q), s) for s, b in terms), Exact(Fraction(A, 2 * q)))
+        for y, w in ((x, wl), (1 - x, wh)):
+            if w:
+                acc[y] = acc.get(y, 0) + w
     return acc
 
 

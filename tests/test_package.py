@@ -82,3 +82,34 @@ def test_modules_stay_under_the_size_cap():
     process's peak memory, so no module grows past the cap (see README)."""
     sizes = {os.path.basename(p): os.path.getsize(p) for p in glob.glob(os.path.join(ROOT, "src/cijt/*.py"))}
     assert len(sizes) > 5 and {name: n for name, n in sizes.items() if n > MODULE_CAP} == {}
+
+
+def _module_trees(*skipped):
+    """(file name, AST) of each src/cijt module but the skipped ones."""
+    for path in sorted(glob.glob(os.path.join(ROOT, "src/cijt/*.py"))):
+        name = os.path.basename(path)
+        if name not in skipped:
+            with open(path) as fh:
+                yield name, ast.parse(fh.read())
+
+
+def test_block_kinds_stay_in_normal_forms():
+    """Every other module reads a block's eigen-angle, never its class: none
+    imports N1, D, R or N2."""
+    bad = ["%s imports %s" % (name, a.name)
+           for name, tree in _module_trees("normal_forms.py", "__init__.py")
+           for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+           for a in node.names if a.name in ("N1", "D", "R", "N2")]
+    assert bad == []
+
+
+def test_block_angles_are_read_in_iteration_only():
+    """Outside normal_forms and iteration no module reads a block's .angle
+    or .pairs, or a .monodromy.blocks: PathClass.spectral holds each block
+    angle as integers, and every other module reads that table."""
+    bad = ["%s:%d reads .%s" % (name, node.lineno, node.attr)
+           for name, tree in _module_trees("normal_forms.py", "iteration.py")
+           for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+           if node.attr in ("angle", "pairs") or node.attr == "blocks"
+           and isinstance(node.value, ast.Attribute) and node.value.attr == "monodromy"]
+    assert bad == []
