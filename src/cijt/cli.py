@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .normal_forms import SymplecticClass, block_from_json
+from .normal_forms import SymplecticClass, block_from_json, nullity
 from .record import dumps, fields, integer, item, listed, refuse
 from .iteration import (
     CohomologyShape,
@@ -31,7 +31,6 @@ from .iteration import (
     HypothesisRejected,
     PathClass,
     index_iterate,
-    path_nullity,
 )
 from .engine import (
     NotFoundWithinBound,
@@ -114,8 +113,14 @@ def load_dataset(path: str) -> GeodesicDataset:
 
 
 def _parse_fraction(s: str) -> Fraction:
+    """s as a Fraction whose integers print, refused as it is read and not
+    after a search: the 7 characters 1e-5000 pass the interpreter's digit limit."""
     try:
-        return Fraction(s)
+        if abs(int(s.lower().partition("e")[2] or 0)) > 10**5:  # 10**e: seconds past 10**6
+            raise ValueError(s)
+        x = Fraction(s)
+        str(x)  # past the digit limit a ValueError, as Fraction raises for a slash form
+        return x
     except (ValueError, ZeroDivisionError):
         raise CliError("not a rational number: %r" % s)
 
@@ -130,7 +135,7 @@ def _parse_vertex(spec: str, dataset: GeodesicDataset):
     if not set(bits) <= {"0", "1"}:
         raise CliError("vertex bits must be 0/1")
     q = len(dataset.records)
-    counts = [len(r.path.bit_angles) for r in dataset.records]
+    counts = [sum(1 for e in r.path.spectral[2] if e[1]) for r in dataset.records]
     if len(bits) != q + sum(counts):
         raise CliError(
             "vertex needs %d bits (%d chi + %d angle)" % (q + sum(counts), q, sum(counts))
@@ -175,7 +180,8 @@ def cmd_iterate(args) -> dict:
     if args.m_max < 0:
         raise CliError("--m-max must be >= 0, got %d" % args.m_max)
     path = match[0].path
-    rows = [[m, index_iterate(path, m), path_nullity(path, m)] for m in range(1, args.m_max + 1)]
+    rows = [[m, index_iterate(path, m), nullity(path.monodromy, m)]
+            for m in range(1, args.m_max + 1)]
     return {"record": args.record, "rows": rows}
 
 
@@ -212,6 +218,7 @@ def cmd_resonance(args) -> dict:
 
 def cmd_cijt(args) -> dict:
     ds = load_dataset(args.dataset)
+    vertex = _parse_vertex(args.vertex, ds)  # before the problem's delta_0 floors
     problem = SelectionProblem(
         ds.paths,
         delta=_parse_fraction(args.delta),
@@ -219,7 +226,6 @@ def cmd_cijt(args) -> dict:
         N_bound=args.n_bound,
         N_multiple_of=args.n_multiple,
     )
-    vertex = _parse_vertex(args.vertex, ds)
     if vertex == "auto":
         t = find_tuple(problem)
     elif vertex == "opposite":

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Exact, _below_half, _edges, _floor, _locate, _next_hit, floor_mult, frac_mult
+from .scalars import Exact, _below_half, _edges, _exact, _floor, _locate, _next_hit, floor_mult
 from .normal_forms import m_check, nullity, validate_bumpy
 from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index
 from .record import CheckRecord, FrozenRecord, Record, VerificationReport, _check
@@ -150,7 +150,7 @@ class _PathData:
         self.mean = mean_index(path)
         sp, c, angles = path.spectral
         self.spc, self.two_rho = sp + c, 2 * (path.i1 + sp - c)
-        # the irrational and the rational block angles (A, terms, q, wl, wh)
+        # irrational and rational block angles (A, terms, q, wl, wh)
         self.blocks = tuple(e for e in angles if e[1])
         self.rational = tuple(e for e in angles if not e[1])
         # Delta_k + Delta'_k at opposite vertices: S^- weight on irrational angles
@@ -158,7 +158,6 @@ class _PathData:
         # u = 1 / (Mbar * ihat): chi component of the torus vector
         self.u = 1 / (self.mean * m_bar_period)
         self.u_pinned = self.u.is_rational
-        self.bit_angles = path.bit_angles
 
     def fix(self, K: int, delta: Fraction, eps: Optional[Fraction]) -> None:
         """The kernel at M = 2^K: a = [M*theta/pi] per irrational block angle,
@@ -228,16 +227,19 @@ def _try_path(pd: _PathData, N: int, want_chi: Optional[int],
 
 
 def _least_residual(g: _PathData, k_lo: int, k_cap: int) -> Exact:
-    """min over k_lo <= k <= k_cap of the largest lattice distance
-    min({m*theta}, 1 - {m*theta}) over the path's bit angles, m = k*Mbar.
+    """min over k_lo <= k <= k_cap of the largest lattice distance |m*theta - n|
+    over the path's irrational angles, m = k*Mbar, n = [(F + 1)/2], F = [2m*theta].
 
     A ratchet: only k whose first angle lies nearer the lattice than the best
     so far can improve on it, and those are the hits of a window shrunk to it.
     """
 
     def residual(k):
-        fracs = [frac_mult(t, k * g.m_bar) for t in g.bit_angles]
-        return max(min(f, 1 - f) for f in fracs)
+        m, d = k * g.m_bar, []
+        for A, terms, q, _, _ in g.blocks:
+            t = (-1) ** (F := _floor(A, terms, q, 2 * m))  # sign of m*theta - n
+            d.append(_exact(t * (m * A - (F + 1 >> 1) * q), {s: t * m * b for s, b in terms}, q))
+        return max(d)
 
     best, k = residual(k_lo), k_lo
     while True:
@@ -263,14 +265,12 @@ def find_tuple(
     if chi_eps is not None:
         _below_half(chi_eps, "chi_eps")
     mbar, data, delta = problem.period, problem.data, problem.delta
-    if vertex is not None:
-        if len(vertex.chi) != len(data) or any(
-            len(bits) != len(pd.bit_angles) for bits, pd in zip(vertex.angle_bits, data)
-        ):
-            raise ValueError("vertex spec shape does not match the problem")
+    if vertex is not None and (len(vertex.chi) != len(data) or any(
+            len(bits) != len(pd.blocks) for bits, pd in zip(vertex.angle_bits, data))):
+        raise ValueError("vertex spec shape does not match the problem")
 
     # generator path: the one with the most lattice conditions (sparsest hits)
-    gen = max(range(len(data)), key=lambda i: len(data[i].bit_angles))
+    gen = max(range(len(data)), key=lambda i: len(data[i].blocks))
     g = data[gen]
     # K from a path's m and N caps and the band denominators, so that an exact
     # floor is rarely needed and a widened window is a sliver of its band; a
@@ -321,7 +321,7 @@ def find_tuple(
                     # a later m can only help with N <= best.N - 1
                     k_cap = k_max(N - 1)
         k = g.next_hit(k + 1, k_cap, h, bit)
-    if best is None and g.bit_angles and k_lo <= k_cap:
+    if best is None and g.blocks and k_lo <= k_cap:
         best_residual = float(_least_residual(g, k_lo, k_cap))
 
     if best is None:

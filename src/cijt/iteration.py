@@ -1,4 +1,4 @@
-"""Index iteration: i(gamma, m), nu(gamma, m) and the mean index.
+"""Index iteration: i(gamma, m) and the mean index.
 
 The precise formula sums ceilings of m*theta/(2*pi) over the unit-circle
 spectrum, weighted by minus-splitting numbers.  Each path reads that spectrum
@@ -19,7 +19,7 @@ import sys
 from functools import cached_property
 
 from .scalars import Exact, _exact, _floor, ceil_mult, floor_mult
-from .normal_forms import SymplecticClass, nullity, validate_bumpy
+from .normal_forms import SymplecticClass, validate_bumpy
 from .record import FrozenRecord, Record, _shown
 
 
@@ -91,16 +91,6 @@ class PathClass(FrozenRecord):
         return 1 / self.mean
 
     @cached_property
-    def bit_angles(self) -> tuple[Exact, ...]:
-        """Each block's irrational angle theta/pi, in block order: one
-        representative per block, carrying a vertex bit of the tuple search
-        (its conjugate follows)."""
-        return tuple(
-            b.angle for b in self.monodromy.blocks
-            if b.angle is not None and not b.angle.is_rational
-        )
-
-    @cached_property
     def two_gamma(self) -> int:
         """2*gamma_c, the gamma invariant doubled to an integer: sign
         (-1)^{i(c)}, magnitude 2 when i(c^2) - i(c) is even, else 1."""
@@ -160,10 +150,6 @@ def index_iterate(p: PathClass, m: int) -> int:
         if wh:
             total += 2 * wh * (m - f)
     return total
-
-
-def path_nullity(p: PathClass, m: int) -> int:
-    return nullity(p.monodromy, m)
 
 
 def mean_index(p: PathClass) -> Exact:

@@ -371,7 +371,7 @@ def _from_pairs(a, terms) -> Exact:
     return _exact(A * (Q // q) + B.pop(1, 0), B, Q)  # s = 1: a rational term
 
 
-# -- floors / fractional parts of integer multiples -------------------------
+# -- floors and ceilings of integer multiples ------------------------------
 
 
 def floor_mult(x: Exact, m: int) -> int:
@@ -387,11 +387,6 @@ def ceil_mult(x: Exact, m: int) -> int:
     if not x.B and (m * x.A) % x.q == 0:
         return f
     return f + 1
-
-
-def frac_mult(x: Exact, m: int) -> Exact:
-    """{m*x} = m*x - [m*x] in [0,1), exact."""
-    return x * m - floor_mult(x, m)
 
 
 # -- fixed point: x held as the integer a = [2^K*x] --------------------------

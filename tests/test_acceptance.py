@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from cijt.scalars import Exact, ceil_mult, floor_mult, frac_mult
+from cijt.scalars import Exact, ceil_mult, floor_mult
 from cijt.normal_forms import D, N2, R, SymplecticClass, crossing_sum
 from cijt.iteration import CohomologyShape, GeodesicDataset, GeodesicRecord, PathClass, index_iterate
 from cijt.engine import (
@@ -24,6 +24,7 @@ from cijt.engine import (
 from cijt.loop_homology import betti, betti_partial_sum, epsilon_correction
 from cijt.morse import jump_census, resonance_check, verify_theorem_1_1, verify_theorem_1_8
 from test_iteration import index_iterate_bumpy_class
+from test_scalars import frac_mult
 
 DATASETS = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
 

@@ -190,6 +190,33 @@ class TestCijt:
         )
         assert code == 2 and "bits" in err
 
+    def test_bad_vertex_is_refused_before_the_problem(self, capsys):
+        """--vertex is read off the dataset's angle table before the problem
+        takes its M-bar floors per angle for delta_0: at --m-bar 10**6 a bad
+        vertex exits 2 at once with its own line."""
+        for vertex, line in (
+            ("bogus", "error: --vertex must be auto, opposite, or bits:<01...>\n"),
+            ("bits:0", "error: vertex needs 2 bits (1 chi + 1 angle)\n"),
+        ):
+            with time_limit(5):
+                argv = ("cijt", ds("single_sqrt2"), "--m-bar", "1000000", "--vertex", vertex)
+                assert run(capsys, *argv) == (2, "", line)
+
+    def test_delta_past_the_digit_limit_is_refused_as_read(self, capsys):
+        """A delta whose integers pass the interpreter's 4300-digit limit for
+        printing is no rational number to cijt, in the exponent form as in the
+        slash form: each command refuses it before a search, and 10**e is
+        not raised for a huge exponent.  3001 digits still run."""
+        commands = (("cijt", ds("single_sqrt2")), ("cijt", ds("s2_hyperbolic")),
+                    ("verify", ds("s2_elliptic"), "--theorem", "1.1"))
+        for command in commands:
+            for delta in ("1e-5000", "1/1" + "0" * 5000, "1E-100000000"):
+                line = "error: %s\n" % cli._one_line("not a rational number: %r" % delta)
+                with time_limit(5):
+                    assert run(capsys, *command, "--delta", delta) == (2, "", line)
+        code, out, err = run(capsys, "cijt", ds("single_sqrt2"), "--delta", "1e-3000", "--n-bound", "10")
+        assert (code, out) == (3, "") and err.startswith("search exhausted: no tuple with N <= 10 (delta = 1/1000")
+
     def test_exhaustion_exit_code(self, capsys):
         code, _, err = run(
             capsys, "cijt", ds("single_sqrt2"), "--delta", "1/100",

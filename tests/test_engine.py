@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cijt.scalars import Exact, _next_hit, floor_mult, frac_mult
-from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum, m_check
-from cijt.iteration import PathClass, index_iterate, jump_index, mean_index, path_nullity
+from cijt.scalars import Exact, _next_hit, floor_mult
+from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum, m_check, nullity
+from cijt.iteration import PathClass, index_iterate, jump_index, mean_index
 from cijt.engine import (
     CertificationError,
     CheckRecord,
@@ -19,6 +19,7 @@ from cijt.engine import (
     VerificationReport,
     VertexSpec,
     _PathData,
+    _least_residual,
     common_period,
     delta_zero,
     find_tuple,
@@ -27,8 +28,8 @@ from cijt.engine import (
     verify_tuple,
 )
 from test_normal_forms import classes
-from test_iteration import _index_iterate_by_unit_angles, _spectral_by_unit_angles
-from test_scalars import Lattice, is_near_lattice, time_limit
+from test_iteration import _bit_angles, _index_iterate_by_unit_angles, _spectral_by_unit_angles
+from test_scalars import Lattice, frac_mult, is_near_lattice, time_limit
 
 SQRT2M1 = Exact.surd(-1, 1, 2)
 T35 = Exact.surd(3, -1, 5)
@@ -97,7 +98,7 @@ def _delta_zero_exact(paths, m_bar):
     half = Exact(Fraction(1, 2))
     best = half
     for p in paths:
-        for t in p.bit_angles:
+        for t in _bit_angles(p):
             for h in range(1, m_bar + 1):
                 f = frac_mult(t * half, h)
                 for cand in (f, 1 - f):
@@ -292,10 +293,10 @@ class TestFindTuple:
         with pytest.raises(NotFoundWithinBound) as exc:
             find_tuple(prob, min_N=min_N)
         mbar = common_period(paths)
-        g = max((_PathData(p, mbar) for p in paths), key=lambda pd: len(pd.bit_angles))
+        g = max((_PathData(p, mbar) for p in paths), key=lambda pd: len(_bit_angles(pd.path)))
         k_lo, k_cap = max(1, floor_mult(g.u, min_N)), floor_mult(g.u, N_bound) + 1
         brute = min(
-            max(min(f, 1 - f) for f in (frac_mult(t, k * mbar) for t in g.bit_angles))
+            max(min(f, 1 - f) for f in (frac_mult(t, k * mbar) for t in _bit_angles(g.path)))
             for k in range(k_lo, k_cap + 1)
         )
         assert exc.value.best_residual == float(brute)
@@ -334,7 +335,7 @@ def _bands_by_exact(pd, m, delta):
     any is Interior or Zero: one is_near_lattice per angle.  The search's
     classify_bits as it was before the fixed-point probe, kept as an oracle."""
     bits = []
-    for t in pd.bit_angles:
+    for t in _bit_angles(pd.path):
         cls = is_near_lattice(t, m, delta)
         if cls is Lattice.LOW:
             bits.append(0)
@@ -555,6 +556,50 @@ class TestProbeOracle:
         assert min(seen.values()) >= 10 and len(seen) == 7, seen
 
 
+class TestResidualOnTable:
+    def test_table_and_residual_match_block_walk(self):
+        """On seeded ``_probe_path`` draws (R, N2 of both kinds, N1, D,
+        rational and two-radicand angles): the irrational entries of
+        ``PathClass.spectral`` are the block walk's angles in count, order and
+        value, and an exhausted search's residual, read off those entries,
+        is the frac_mult brute-force minimum over the generator's k range."""
+        rng = random.Random(47)
+        seen = Counter()
+        while seen["residual checked"] < 120:
+            paths = [_probe_path(rng) for _ in range(rng.randint(1, 2))]
+            for p in paths:
+                table = [sum((Exact.surd(0, b, s) for s, b in terms), Exact(A)) / q
+                         for A, terms, q, _, _ in p.spectral[2] if terms]
+                assert tuple(table) == _bit_angles(p), p
+            prob = SelectionProblem(paths, delta=Fraction(1, 10**7), N_bound=rng.choice([40, 300, 2000]))
+            try:
+                find_tuple(prob)
+            except NotFoundWithinBound as exc:
+                residual = exc.best_residual
+            else:
+                seen["found"] += 1
+                continue
+            mbar = prob.period
+            gen = max(range(len(paths)), key=lambda i: len(_bit_angles(paths[i])))
+            g, angles = prob.data[gen], _bit_angles(paths[gen])
+            if not angles:
+                assert residual is None, paths
+                seen["no angle"] += 1
+                continue
+            k_lo, k_cap = max(1, floor_mult(g.u, 1)), floor_mult(g.u, prob.N_bound) + 1
+            brute = min(
+                max(min(f, 1 - f) for f in (frac_mult(t, k * mbar) for t in angles))
+                for k in range(k_lo, k_cap + 1)
+            )
+            assert _least_residual(g, k_lo, k_cap) == brute, paths
+            assert residual == float(brute), paths
+            seen["residual checked"] += 1
+            seen["generator angles>1"] += len(angles) > 1
+            seen["two radicands"] += any(len(a.B) > 1 for a in angles)
+            seen["mbar>1"] += mbar > 1
+        assert min(seen.values()) >= 2 and len(seen) == 6, seen
+
+
 class TestDeepDelta:
     def test_sqrt2_at_1e_12_gives_pell_numbers(self):
         """sqrt(2) - 1 at delta = 1e-12: the tuples sit on consecutive Pell
@@ -662,10 +707,10 @@ def _find_tuple_by_scan(problem, vertex=None, chi_eps=None, min_N=1):
     data = [_PathData(p, mbar) for p in problem.paths]
     delta = problem.delta
     if vertex is not None and (len(vertex.chi) != len(data) or any(
-        len(bits) != len(pd.bit_angles) for bits, pd in zip(vertex.angle_bits, data)
+        len(bits) != len(_bit_angles(pd.path)) for bits, pd in zip(vertex.angle_bits, data)
     )):
         raise ValueError("vertex spec shape does not match the problem")
-    gen = max(range(len(data)), key=lambda i: len(data[i].bit_angles))
+    gen = max(range(len(data)), key=lambda i: len(_bit_angles(data[i].path)))
     g = data[gen]
     sp, C, _ = g.path.spectral
 
@@ -687,10 +732,10 @@ def _find_tuple_by_scan(problem, vertex=None, chi_eps=None, min_N=1):
         return CijtTuple(N, ms, chis, deltas, mbar, VertexSpec(chis, bits), delta)
 
     best = None
-    if g.bit_angles:
+    if _bit_angles(g.path):
         want = vertex.angle_bits[gen] if vertex is not None else None
         df, ihat = float(delta), float(g.mean)
-        floats = [float(t) for t in g.bit_angles]
+        floats = [float(t) for t in _bit_angles(g.path)]
         m_cap = int((problem.N_bound + 2 * C + 4) / ihat) + 2 * mbar
         m = max(mbar, (int(min_N / ihat) // mbar) * mbar)
         while m <= m_cap:
@@ -778,11 +823,11 @@ class TestHitSteppingOracle:
                 continue
             mbar = common_period(prob.paths)
             data = [_PathData(p, mbar) for p in prob.paths]
-            seen["no angle"] += not any(pd.bit_angles for pd in data)
+            seen["no angle"] += not any(_bit_angles(pd.path) for pd in data)
             calls = [{}]
             t = _outcome(find_tuple, prob)
             if isinstance(t, CijtTuple):
-                seen["mbar>1"] += mbar > 1 and any(pd.bit_angles for pd in data)
+                seen["mbar>1"] += mbar > 1 and any(_bit_angles(pd.path) for pd in data)
                 opp = VertexSpec(
                     tuple(c if pd.u_pinned else 1 - c for c, pd in zip(t.chi, data)),
                     tuple(tuple(1 - b for b in bits) for bits in t.vertex.angle_bits),
@@ -794,7 +839,7 @@ class TestHitSteppingOracle:
                 ]
             explicit = VertexSpec(
                 tuple(rng.randint(0, 1) for _ in data),
-                tuple(tuple(rng.randint(0, 1) for _ in pd.bit_angles) for pd in data),
+                tuple(tuple(rng.randint(0, 1) for _ in _bit_angles(pd.path)) for pd in data),
             )
             calls.append({"vertex": explicit})
             if isinstance(t, CijtTuple) and t.N > 1:
@@ -883,7 +928,7 @@ class TestOppositeFromPrimaryN:
             except NonPositiveMeanIndex:
                 continue
             seen["problems"] += 1
-            g = max(prob.data, key=lambda pd: len(pd.bit_angles))  # the generator path
+            g = max(prob.data, key=lambda pd: len(_bit_angles(pd.path)))  # the generator path
             for chi_eps in (None, prob.delta):
                 t = _outcome(find_tuple, prob, chi_eps=chi_eps)
                 if not isinstance(t, CijtTuple):
@@ -897,7 +942,7 @@ class TestOppositeFromPrimaryN:
                 assert fast == _outcome(_opposite_from_one, t, prob, chi_eps=chi_eps), (prob, chi_eps)
                 seen["mbar>1"] += prob.period > 1
                 seen["N multiple>1"] += prob.N_multiple_of > 1
-                seen["irrational paths>1"] += sum(bool(pd.bit_angles) for pd in prob.data) > 1
+                seen["irrational paths>1"] += sum(bool(_bit_angles(pd.path)) for pd in prob.data) > 1
                 if isinstance(fast, CijtTuple):
                     seen["found"] += 1
                     seen["found above primary N"] += fast.N > t.N
@@ -905,8 +950,8 @@ class TestOppositeFromPrimaryN:
                 seen["exhausted"] += fast is NotFoundWithinBound
                 k_lo = max(1, floor_mult(g.u, t.N))
                 k_cap = floor_mult(g.u, prob.N_bound) + 1
-                if fast is NotFoundWithinBound and g.bit_angles and k_cap - k_lo < 4000:
-                    fracs = ([frac_mult(a, k * prob.period) for a in g.bit_angles]
+                if fast is NotFoundWithinBound and _bit_angles(g.path) and k_cap - k_lo < 4000:
+                    fracs = ([frac_mult(a, k * prob.period) for a in _bit_angles(g.path)]
                              for k in range(k_lo, k_cap + 1))
                     brute = min(max(min(f, 1 - f) for f in fs) for fs in fracs)
                     assert residual == float(brute), (prob, chi_eps)
@@ -934,10 +979,10 @@ def _verify_tuple_by_definition(t, problem):
                 if it < 1:
                     continue
                 eq = "nullity(2m%s m)" % side
-                checks.append(CheckRecord(k, m, eq, path_nullity(p, it), path_nullity(p, m)))
+                checks.append(CheckRecord(k, m, eq, nullity(p.monodromy, it), nullity(p.monodromy, m)))
                 if mc is None or m < mc:
                     checks.append(
-                        CheckRecord(k, m, eq + " = nullity(1)", path_nullity(p, it), path_nullity(p, 1))
+                        CheckRecord(k, m, eq + " = nullity(1)", nullity(p.monodromy, it), nullity(p.monodromy, 1))
                     )
             checks.append(CheckRecord(
                 k, m, "index(2m+m)", index_iterate(p, 2 * m_k + m), two_n + index_iterate(p, m)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cijt.scalars import Exact, ceil_mult, floor_mult
-from cijt.normal_forms import D, N1, N2, R, SymplecticClass, validate_bumpy
+from cijt.normal_forms import D, N1, N2, R, SymplecticClass, nullity, validate_bumpy
 from cijt.cli import load_dataset
 from cijt.iteration import (
     PathClass,
@@ -15,7 +15,6 @@ from cijt.iteration import (
     index_iterate,
     index_window,
     mean_index,
-    path_nullity,
 )
 from test_normal_forms import blocks, s_plus_one, unit_angles
 
@@ -116,6 +115,15 @@ def _spectral_by_unit_angles(p):
     half = Exact(Fraction(1, 2))
     minus = tuple((t * half, pair.minus) for t, pair in unit_angles(p.monodromy) if pair.minus)
     return s_plus_one(p.monodromy), sum(w for _, w in minus), minus
+
+
+def _bit_angles(p):
+    """Each block's irrational angle theta/pi, in block order, read off the
+    blocks themselves: the irrational entries of ``PathClass.spectral``."""
+    return tuple(
+        b.angle for b in p.monodromy.blocks
+        if b.angle is not None and not b.angle.is_rational
+    )
 
 
 def _mean_by_unit_angles(p):
@@ -321,4 +329,4 @@ class TestCrossCheckGate:
         for _ in range(20):
             p = self._random_bumpy(rng)
             for m in (1, 2, 5, 12):
-                assert path_nullity(p, m) == 0
+                assert nullity(p.monodromy, m) == 0

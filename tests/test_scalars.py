@@ -15,13 +15,18 @@ from cijt.scalars import (
     _squarefree_split,
     ceil_mult,
     floor_mult,
-    frac_mult,
 )
 
 SQRT2M1 = Exact.surd(-1, 1, 2)
 
 
 Lattice = Enum("Lattice", "ZERO LOW HIGH INTERIOR")
+
+
+def frac_mult(x: Exact, m: int) -> Exact:
+    """{m*x} = m*x - [m*x] in [0,1), exact: the oracle of every lattice
+    distance the search reads off one floor."""
+    return x * m - floor_mult(x, m)
 
 
 def is_near_lattice(x: Exact, m: int, delta: Fraction) -> Lattice:
