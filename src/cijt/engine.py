@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .scalars import Exact, _below_half, _edges, _exact, _floor, _locate, _next_hit, floor_mult
+from .scalars import _return_time, _returns
 from .normal_forms import m_check, nullity, validate_bumpy
 from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index
 from .record import CheckRecord, FrozenRecord, Record, VerificationReport, _check
@@ -167,6 +168,7 @@ class _PathData:
         self.ua = _floor(u.A, u.B.items(), u.q, M)
         self.kernel = _edges(K, delta)
         self.chi_kernel = _edges(K, eps or Fraction(0))  # band 0/0: [N*u] only
+        self.walk = [None]  # next_hit's window and its return times
 
     def next_hit(self, k: int, k_cap: int, h: int, bit: Optional[int]) -> Optional[int]:
         """Least k' >= k whose 2^K*{k'*Mbar*theta}, theta the first bit angle,
@@ -174,12 +176,22 @@ class _PathData:
         (None); None if none ever does, k if the path has no bit angle."""
         if not self.a:
             return k
-        M, mbar = 1 << self.kernel[0], self.m_bar
-        step = self.a[0] * mbar % M
-        # k*step lags 2^K*k*Mbar*theta mod 2^K by k*Mbar*(2^K*theta - a) < k_cap*Mbar
-        # units for k <= k_cap, so windows widened by k_cap*Mbar + 1 lose no hit
-        w = k_cap * mbar + 1
-        j = _next_hit(step, step * k % M, M, -w if bit == 0 else -h - w, -1 if bit == 1 else h)
+        if self.walk[0] != (k_cap, h, bit):
+            M, mbar = 1 << self.kernel[0], self.m_bar
+            step = self.a[0] * mbar % M
+            # k*step lags 2^K*k*Mbar*theta mod 2^K by k*Mbar*(2^K*theta - a) < k_cap*Mbar
+            # units for k <= k_cap, so windows widened by k_cap*Mbar + 1 lose no hit
+            w = k_cap * mbar + 1
+            lo, hi = -w if bit == 0 else -h - w, -1 if bit == 1 else h
+            self.walk = [(k_cap, h, bit), (step, M, lo, hi - lo + 1), None]
+        _, (step, M, lo, L), ret = self.walk
+        y = (step * (k - 1) - lo) % M  # k - 1 is a hit if y < L
+        if y < L and ret is not None:  # from the window's third hit on
+            ret = self.walk[2] = ret or _returns(step, M, L)
+            j = _return_time(ret, y, M, L) - 1
+        else:  # ret is None, then (): most searches end by then
+            self.walk[2] = () if y < L else ret
+            j = _next_hit(step, step * k % M, M, lo, lo + L - 1)
         return None if j is None else k + j
 
     def probe(self, m: int):

@@ -444,3 +444,24 @@ def _next_hit(a: int, b: int, M: int, lo: int, hi: int) -> int | None:
     for m, a, l in reversed(frames):
         x = -(-(m * x + l) // a)
     return x
+
+
+def _returns(a: int, M: int, L: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (n, n*a mod M), n increasing, of the return times of the
+    rotation y -> y + a mod M to the window 0 <= y < L: n1, the least n >= 1
+    with n*a mod M < L, n2, the least with n*a mod M > M - L (none if no n
+    has it), and n1 + n2.  By the three gap theorem (Slater, Proc. Cambridge
+    Philos. Soc. 63 (1967)) every first return takes one of them."""
+    n1 = _next_hit(a, a, M, 0, L - 1) + 1
+    j = _next_hit(a, a, M, 1 - L, -1) if L > 1 else None
+    if j is None:  # every n*a mod M is a multiple of gcd(a, M) >= L: n1*a = 0
+        return ((n1, n1 * a % M),)
+    return tuple(sorted((n, n * a % M) for n in (n1, j + 1, n1 + j + 1)))
+
+
+def _return_time(returns, y: int, M: int, L: int) -> int:
+    """Least n >= 1 with (y + n*a) mod M < L, from 0 <= y < L and the
+    ``_returns`` of a to that window: the least of them that lands in it."""
+    for n, d in returns:
+        if (y + d) % M < L:
+            return n

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cijt.scalars import Exact, _next_hit, floor_mult
+from cijt import engine, scalars
+from cijt.cli import main
+from cijt.scalars import Exact, _next_hit, _return_time, floor_mult
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum, m_check, nullity
 from cijt.iteration import PathClass, index_iterate, jump_index, mean_index
 from cijt.engine import (
@@ -30,6 +34,7 @@ from cijt.engine import (
 from test_normal_forms import classes
 from test_iteration import _bit_angles, _index_iterate_by_unit_angles, _spectral_by_unit_angles
 from test_scalars import Lattice, frac_mult, is_near_lattice, time_limit
+from test_morse import DATASETS, GOLDEN
 
 SQRT2M1 = Exact.surd(-1, 1, 2)
 T35 = Exact.surd(3, -1, 5)
@@ -690,6 +695,23 @@ class TestHitStepper:
                 assert g.next_hit(k_cap, k_cap, g.kernel[2], bit) == k_cap
         assert lags_past == {False, True}
 
+    def test_hit_after_hit_or_jump(self):
+        """In one window, next_hit from the k after a hit (a step by the
+        return times from the window's third hit on) and from a k past it (a
+        descent) is the least hit >= k that the descent from k finds."""
+        rng = random.Random(29)
+        for theta, mbar, bit in itertools.product((SQRT2M1, T35, PHI_M1), (1, 3), (None, 0, 1)):
+            g = _PathData(path(1, R(theta)), mbar)
+            g.fix(40, Fraction(1, 10), None)
+            M, step, h, k_cap = 1 << 40, g.a[0] * mbar % (1 << 40), g.kernel[2], 10**4
+            w = k_cap * mbar + 1
+            lo, hi = -w if bit == 0 else -h - w, -1 if bit == 1 else h
+            k = rng.randint(1, 100)
+            for _ in range(200):
+                hit = g.next_hit(k, k_cap, h, bit)
+                assert hit == k + _next_hit(step, step * k % M, M, lo, hi), (theta, mbar, bit, k)
+                k = hit + 1 + (rng.randint(1, 30) if rng.random() < 0.3 else 0)
+
 
 _FLOAT_GUARD = 1e-6
 
@@ -774,10 +796,11 @@ SCAN_BASES = [
 SCAN_RATIONALS = [Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), Fraction(3, 5)]
 
 
-def _scan_problem(rng):
+def _scan_problem(rng, q_range=(1, 3),
+                  deltas=(Fraction(1, 50), Fraction(1, 120), Fraction(1, 300))):
     """q <= 3 paths: at most one irrationally elliptic (one or two angles of
     one base surd), the rest hyperbolic or rational elliptic (Mbar > 1)."""
-    q = rng.randint(1, 3)
+    q = rng.randint(*q_range)
     irr = rng.randrange(q)
     paths = []
     for j in range(q):
@@ -794,7 +817,7 @@ def _scan_problem(rng):
             paths.append(path(rng.randint(1, 3), R(Exact(rng.choice(SCAN_RATIONALS)))))
     return SelectionProblem(
         paths,
-        delta=rng.choice([Fraction(1, 50), Fraction(1, 120), Fraction(1, 300)]),
+        delta=rng.choice(deltas),
         m_bar=rng.randint(1, 3),
         N_bound=rng.choice([300, 1000, 3000]),
         N_multiple_of=rng.choice([1, 1, 2]),
@@ -857,6 +880,57 @@ class TestHitSteppingOracle:
                 seen["min_N"] += "min_N" in kw
                 seen["exhausted"] += fast is NotFoundWithinBound
         assert all(seen.values()), seen
+
+    def test_steps_by_every_return_time(self, monkeypatch):
+        """Two or three paths at delta >= 1/20, so that a window has many
+        hits: the search steps by each of the return times n1, n2 and n1 + n2
+        and still finds what the linear scan finds, at the auto and opposite
+        vertices and from min_N > 1."""
+        taken = Counter()
+
+        def return_time(ret, y, M, L):
+            n = _return_time(ret, y, M, L)
+            n1 = ret[0][0] if ret[0][1] < L else ret[1][0]  # n1*a mod M < L
+            taken["n1 + n2" if len(ret) == 3 and n == ret[2][0] else "n1" if n == n1 else "n2"] += 1
+            return n
+
+        monkeypatch.setattr(engine, "_return_time", return_time)
+        rng = random.Random(29)
+        wide = (Fraction(1, 20), Fraction(1, 10), Fraction(1, 6))
+        for _ in range(30):
+            try:
+                prob = _scan_problem(rng, (2, 3), wide)
+            except NonPositiveMeanIndex:
+                continue
+            t = _outcome(find_tuple, prob)
+            calls = [{"min_N": rng.randint(2, prob.N_bound)}]
+            if isinstance(t, CijtTuple):
+                opp = VertexSpec(
+                    tuple(c if pd.u_pinned else 1 - c for c, pd in zip(t.chi, prob.data)),
+                    tuple(tuple(1 - b for b in bits) for bits in t.vertex.angle_bits),
+                )
+                calls.append({"vertex": opp, "chi_eps": prob.delta})
+            assert t == _outcome(_find_tuple_by_scan, prob), prob
+            for kw in calls:
+                assert _outcome(find_tuple, prob, **kw) == _outcome(_find_tuple_by_scan, prob, **kw)
+        assert len(taken) == 3, taken
+
+    def test_theorem_1_5_descents(self, monkeypatch, capsys):
+        """The 1.5 verdict on s3_elliptic runs the Euclid descent fewer than
+        20 times (105 when every hit was one): the hits after a window's
+        second come from its return times."""
+        calls, descent = [0], _next_hit
+
+        def counting(*args):
+            calls[0] += 1
+            return descent(*args)
+
+        monkeypatch.setattr(scalars, "_next_hit", counting)
+        monkeypatch.setattr(engine, "_next_hit", counting)
+        assert main(["verify", os.path.join(DATASETS, "s3_elliptic.json"), "--theorem", "1.5"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out[:-1].encode()).hexdigest() == GOLDEN["1.5 s3"]
+        assert calls[0] < 20, calls
 
 
     @pytest.mark.parametrize("p, q", [(1, 1), (1, 3), (2, 3), (1, 5), (4, 7)])

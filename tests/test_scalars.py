@@ -12,6 +12,9 @@ from cijt.scalars import (
     Exact,
     _enclosure,
     _floor,
+    _next_hit,
+    _return_time,
+    _returns,
     _squarefree_split,
     ceil_mult,
     floor_mult,
@@ -589,3 +592,54 @@ class TestLatticeOracle:
     @settings(max_examples=100, deadline=None)
     def test_several_radicands(self, x, m, delta):
         assert is_near_lattice(x, m, delta) is _bands_by_exact(x, m, delta)
+
+
+def _step_by_descent(a, M, lo, L, y):
+    """1 + the least j >= 0 with a*j + b mod M in {lo..lo + L - 1}, b the
+    residue after the one at y of the window: the next return by ``_next_hit``."""
+    return _next_hit(a, (lo + y + a) % M, M, lo, lo + L - 1) + 1
+
+
+class TestReturnTimes:
+    """Stepping from a point of a window by its three return times lands
+    where the Euclid descent ``_next_hit`` from the next step does."""
+
+    def test_every_small_window(self):
+        """Every M = 2^K <= 16, every step a, every window (wrapped ones, a
+        single point and the whole circle included) and every point in it."""
+        for K in range(5):
+            M = 1 << K
+            for a in range(M):
+                for L in range(1, M + 1):
+                    ret = _returns(a, M, L)
+                    assert [n for n, _ in ret] == sorted(n for n, _ in ret)
+                    assert all(d == n * a % M for n, d in ret)
+                    for lo in range(M):
+                        for y in range(L):
+                            got = _return_time(ret, y, M, L)
+                            assert got == _step_by_descent(a, M, lo, L, y), (a, M, lo, L, y)
+
+    def test_three_gaps(self):
+        """n1 is the least n with n*a mod M below L, n2 the least above
+        M - L, and the third return time is their sum."""
+        M = 1 << 10
+        for a in (0, 1, 3, 512, 641, 1000, 1023):
+            for L in (1, 2, 37, 500, 700, M):
+                n1 = next(n for n in range(1, M + 1) if n * a % M < L)
+                n2 = next((n for n in range(1, M + 1) if n * a % M > M - L), None)
+                want = [n1] if n2 is None else sorted((n1, n2, n1 + n2))
+                assert _returns(a, M, L) == tuple((n, n * a % M) for n in want), (a, L)
+        assert _returns(4, 16, 3) == ((4, 0),)  # gcd(a, M) >= L: no return from above
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_large_moduli(self, data):
+        """M up to 2^128, a with any power of two in it, and windows short,
+        long or covering the circle."""
+        M = 1 << data.draw(st.integers(1, 128))
+        a = (data.draw(st.integers(0, M - 1)) << data.draw(st.integers(0, 8))) % M
+        L = data.draw(st.one_of(st.integers(1, 64), st.integers(1, M)))
+        lo = data.draw(st.integers(0, M - 1))
+        y = data.draw(st.one_of(st.integers(0, min(L, 64) - 1), st.integers(0, L - 1)))
+        ret = _returns(a, M, L)
+        assert _return_time(ret, y, M, L) == _step_by_descent(a, M, lo, L, y)
