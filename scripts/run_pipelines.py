@@ -13,28 +13,23 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from cijt.cli import load_dataset
-from cijt.morse import (
-    resonance_check,
-    verify_theorem_1_1,
-    verify_theorem_1_5,
-    verify_theorem_1_8,
-)
+from cijt.morse import resonance_check, verify
 
 DATASETS = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
 
 PIPELINES = [
-    ("s2_elliptic.json", "1.1", verify_theorem_1_1),
-    ("s3_elliptic.json", "1.5", verify_theorem_1_5),
-    ("s2_hyperbolic.json", "1.8", verify_theorem_1_8),
+    ("s2_elliptic.json", "1.1"),
+    ("s3_elliptic.json", "1.5"),
+    ("s2_hyperbolic.json", "1.8"),
 ]
 
 
 def main():
     failures = 0
-    for name, label, pipeline in PIPELINES:
+    for name, label in PIPELINES:
         ds = load_dataset(os.path.join(DATASETS, name))
         res = resonance_check(ds)
-        verdict = pipeline(ds)  # cijt verify <dataset> --theorem <label>
+        verdict = verify(label, ds)  # cijt verify <dataset> --theorem <label>
         t = verdict.details["tuple"]
         print(
             "%-20s theorem %s: resonance %s, N = %d, m = %s -> %s"

@@ -239,16 +239,11 @@ def cmd_cijt(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    from .morse import verify_theorem_1_1, verify_theorem_1_5, verify_theorem_1_8
+    from .morse import verify
 
     ds = load_dataset(args.dataset)
-    pipeline = {
-        "1.1": verify_theorem_1_1,
-        "1.5": verify_theorem_1_5,
-        "1.8": verify_theorem_1_8,
-    }[args.theorem]
     delta = None if args.delta is None else _parse_fraction(args.delta)
-    return pipeline(ds, delta=delta, n_bound=args.n_bound).to_json()
+    return verify(args.theorem, ds, delta=delta, n_bound=args.n_bound).to_json()
 
 
 _REQUIRED = object()  # the default of an option that must be given

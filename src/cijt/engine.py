@@ -148,7 +148,6 @@ class _PathData:
 
     def __init__(self, path: PathClass, m_bar_period: int):
         self.path, self.m_bar = path, m_bar_period
-        self.mean = mean_index(path)
         sp, c, angles = path.spectral
         self.spc, self.two_rho = sp + c, 2 * (path.i1 + sp - c)
         # irrational and rational block angles (A, terms, q, wl, wh)
@@ -157,7 +156,8 @@ class _PathData:
         # Delta_k + Delta'_k at opposite vertices: S^- weight on irrational angles
         self.C_irrational = sum(e[3] + e[4] for e in self.blocks)
         # u = 1 / (Mbar * ihat): chi component of the torus vector
-        self.u = 1 / (self.mean * m_bar_period)
+        inv = path.inverse_mean
+        self.u = _exact(inv.A, inv.B, inv.q * m_bar_period)
         self.u_pinned = self.u.is_rational
 
     def fix(self, K: int, delta: Fraction, eps: Optional[Fraction]) -> None:
@@ -332,7 +332,8 @@ def find_tuple(
                     best = cand
                     # a later m can only help with N <= best.N - 1
                     k_cap = k_max(N - 1)
-        k = g.next_hit(k + 1, k_cap, h, bit)
+        # no descent past the cap an accepted tuple may have just lowered
+        k = g.next_hit(k + 1, k_cap, h, bit) if k < k_cap else None
     if best is None and g.blocks and k_lo <= k_cap:
         best_residual = float(_least_residual(g, k_lo, k_cap))
 

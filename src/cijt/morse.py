@@ -4,7 +4,7 @@ A dataset is a cohomology shape plus, per prime closed geodesic, its initial
 Morse index and linearized-Poincare-map class.  On top of the index iteration
 and tuple machinery this module computes the gamma invariant, the Morse-type
 numbers (counted by bracket and parity, not listed) and the jump censuses
-around 2N.  One driver, ``_verify``, runs theorems 1.1, 1.5 and 1.8 (tuple,
+around 2N.  One driver, ``verify``, runs theorems 1.1, 1.5 and 1.8 (tuple,
 opposite tuple and censuses where used, Morse chain, Betti sum); the table
 ``_THEOREMS`` holds only what differs per theorem.  Verdicts never assume an identity that
 can be computed: both sides of every (in)equality appear in the emitted report.
@@ -241,7 +241,7 @@ def _non_hyperbolic_names(censuses, two_ns):
 
 
 class _Theorem(NamedTuple):
-    """What sets one theorem pipeline apart; ``_verify`` runs the rest."""
+    """What sets one theorem pipeline apart; ``verify`` runs the rest."""
 
     shape_ok: Callable[[CohomologyShape], bool]
     shape_msg: str
@@ -254,9 +254,14 @@ class _Theorem(NamedTuple):
     passed_by: Optional[str] = None  # detail that decides instead of the checks
 
 
-def _verify(theorem, dataset, delta, n_bound):
-    """Hypotheses, tuple (and opposite tuple with censuses), Morse chain, verdict."""
-    spec = _THEOREMS[theorem]
+def verify(theorem: str, dataset: GeodesicDataset, delta: Optional[Fraction] = None,
+           n_bound: int = 10**8) -> Verdict:
+    """Theorem "1.1", "1.5" or "1.8" on a dataset: hypotheses, tuple (and the
+    opposite tuple with censuses where the theorem has a census margin), Morse
+    chain, Betti sum; its ``_THEOREMS`` entry says what it checks on top."""
+    spec = _THEOREMS.get(theorem)
+    if spec is None:
+        raise ValueError("unknown theorem %r: choose 1.1, 1.5 or 1.8" % (theorem,))
     shape = dataset.shape
     if not spec.shape_ok(shape):
         raise HypothesisRejected(spec.shape_msg)
@@ -359,16 +364,19 @@ def _conclude_1_8(dataset, t, census, opp, non_hyp, alt_m, alt_b, chain):
 
 
 _THEOREMS = {
+    # even d, N a multiple of D: census bounds, Morse inequality at 2N, dn(n+1)/2 count
     "1.1": _Theorem(
         lambda shape: shape.d % 2 == 0, "theorem needs even d",
         lambda path: path.i1 >= 1, "record %s has zero Morse index",
         n_multiple=lambda shape: shape.D, margin=1, top=0, conclude=_conclude_1_1,
     ),
+    # odd spheres: widened (+-2) jump windows, d + 1 even-index records
     "1.5": _Theorem(
         lambda shape: shape.d % 2 == 1 and shape.n == 1, "theorem needs odd d (so n = 1)",
         lambda path: path.i1 >= 2, "record %s has Morse index < 2",
         n_multiple=lambda shape: shape.d - 1, margin=2, top=1, conclude=_conclude_1_5,
     ),
+    # all hyperbolic: the count's two sides differ by dn(n+1)/4, a contradiction
     "1.8": _Theorem(
         lambda shape: shape.d % 2 == 0, "pipeline needs even d",
         lambda path: is_hyperbolic(path.monodromy), "record %s is not hyperbolic",
@@ -376,37 +384,3 @@ _THEOREMS = {
         passed_by="contradiction_found",
     ),
 }
-
-
-def verify_theorem_1_1(
-    dataset: GeodesicDataset,
-    delta: Optional[Fraction] = None,
-    n_bound: int = 10**8,
-) -> Verdict:
-    """Multiplicity pipeline for even-dimensional shapes.
-
-    Builds the tuple at a vertex and its opposite with N a multiple of D,
-    re-derives the jump censuses, and checks the exact alternating-sum chain,
-    the Morse inequality at degree 2N, the census lower bounds, the
-    opposite-vertex symmetry, and the dn(n+1)/2 multiplicity count.
-    """
-    return _verify("1.1", dataset, delta, n_bound)
-
-
-def verify_theorem_1_5(
-    dataset: GeodesicDataset,
-    delta: Optional[Fraction] = None,
-    n_bound: int = 10**8,
-) -> Verdict:
-    """Odd-dimensional sphere pipeline with the widened (+-2) jump windows."""
-    return _verify("1.5", dataset, delta, n_bound)
-
-
-def verify_theorem_1_8(
-    dataset: GeodesicDataset,
-    delta: Optional[Fraction] = None,
-    n_bound: int = 10**8,
-) -> Verdict:
-    """All-hyperbolic contradiction: the two sides of the final count differ
-    by exactly dn(n+1)/4, so no finite all-hyperbolic dataset is Morse-consistent."""
-    return _verify("1.8", dataset, delta, n_bound)

@@ -22,7 +22,7 @@ from cijt.engine import (
     verify_tuple,
 )
 from cijt.loop_homology import betti, betti_partial_sum, epsilon_correction
-from cijt.morse import jump_census, resonance_check, verify_theorem_1_1, verify_theorem_1_8
+from cijt.morse import jump_census, resonance_check, verify
 from test_iteration import index_iterate_bumpy_class
 from test_scalars import frac_mult
 
@@ -241,7 +241,7 @@ def test_criterion_5_multiplicity_pipeline_s2():
         ds = load_dataset(os.path.join(DATASETS, "s2_elliptic.json"))
         res = resonance_check(ds)
         assert res.passes and res.lhs == Exact(-1)
-        v = verify_theorem_1_1(ds)
+        v = verify("1.1", ds)
         assert v.passed, [c for c in v.details["checks"] if not c["pass"]]
         census = v.details["census"]
         census_opp = v.details["opposite_census"]
@@ -293,7 +293,7 @@ def test_criterion_6_hyperbolic_contradiction_randomized():
         for _ in range(10):
             ds = _random_hyperbolic_dataset(rng)
             assert resonance_check(ds).passes
-            v = verify_theorem_1_8(ds)
+            v = verify("1.8", ds)
             assert v.passed and v.details["contradiction_found"]
             assert v.details["gap_matches"], (
                 v.details["gap"], v.details["expected_gap"])

@@ -756,7 +756,7 @@ def _find_tuple_by_scan(problem, vertex=None, chi_eps=None, min_N=1):
     best = None
     if _bit_angles(g.path):
         want = vertex.angle_bits[gen] if vertex is not None else None
-        df, ihat = float(delta), float(g.mean)
+        df, ihat = float(delta), float(g.path.mean)
         floats = [float(t) for t in _bit_angles(g.path)]
         m_cap = int((problem.N_bound + 2 * C + 4) / ihat) + 2 * mbar
         m = max(mbar, (int(min_N / ihat) // mbar) * mbar)
@@ -931,6 +931,29 @@ class TestHitSteppingOracle:
         out = capsys.readouterr().out
         assert hashlib.sha256(out[:-1].encode()).hexdigest() == GOLDEN["1.5 s3"]
         assert calls[0] < 20, calls
+
+    @pytest.mark.parametrize("argv, stepper, returns", [
+        (["cijt", "single_sqrt2.json", "--delta", "1/100"], 1, 0),
+        (["verify", "s3_elliptic.json", "--theorem", "1.5"], 3, 4),
+    ], ids=["single_sqrt2", "s3_elliptic-1.5"])
+    def test_no_descent_past_the_cap(self, monkeypatch, capsys, argv, stepper, returns):
+        """A search asks for no hit past its cap, which an accepted tuple
+        lowers to k_max(N - 1): the stepper's Euclid descents (2 and 5 when
+        it made one more past the cap) and those that set up a window's
+        return times, counted apart."""
+        calls, descent = Counter(), _next_hit
+
+        def counting(where):
+            def call(*args):
+                calls[where] += 1
+                return descent(*args)
+            return call
+
+        monkeypatch.setattr(scalars, "_next_hit", counting("returns"))
+        monkeypatch.setattr(engine, "_next_hit", counting("stepper"))
+        assert main([argv[0], os.path.join(DATASETS, argv[1]), *argv[2:]]) == 0
+        capsys.readouterr()
+        assert (calls["stepper"], calls["returns"]) == (stepper, returns), calls
 
 
     @pytest.mark.parametrize("p, q", [(1, 1), (1, 3), (2, 3), (1, 5), (4, 7)])

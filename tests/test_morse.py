@@ -40,9 +40,7 @@ from cijt.morse import (
     morse_type_numbers,
     resonance_check,
     tuple_resonance_identity,
-    verify_theorem_1_1,
-    verify_theorem_1_5,
-    verify_theorem_1_8,
+    verify,
 )
 
 DATASETS = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
@@ -149,7 +147,7 @@ class TestDatasetValidation:
                  "record %s: mean index must be positive"),
                 (lambda: GeodesicDataset(s2, (rec(name, 1, R(Exact(Fraction(1, 3)))),)),
                  "record %s: degenerate iterate present"),
-                (lambda: verify_theorem_1_1(GeodesicDataset(
+                (lambda: verify("1.1", GeodesicDataset(
                     s2, (rec("z", 1, R(T35)), rec(name, 0, positive_at_zero)))),
                  "record %s has zero Morse index"),
             ]
@@ -657,7 +655,7 @@ class TestMorseCountsOracle:
 
 class TestTheorem11:
     def test_s2_passes(self, s2_dataset):
-        v = verify_theorem_1_1(s2_dataset)
+        v = verify("1.1", s2_dataset)
         assert v.passed
         assert v.details["non_hyperbolic"] == ["c1", "c2"]
         assert v.details["tuple"]["N"] == 754
@@ -668,21 +666,21 @@ class TestTheorem11:
         # N = 35422 took minutes while the Betti sum and the census windows
         # were swept degree by degree and iterate by iterate
         ds = load_dataset(os.path.join(DATASETS, "s2_elliptic.json"))
-        v = verify_theorem_1_1(ds, delta=Fraction(1, 5000))
+        v = verify("1.1", ds, delta=Fraction(1, 5000))
         assert v.passed
         assert v.details["tuple"]["N"] == 35422
 
     def test_shipped_s2_at_delta_1e12(self):
         # N ~ 3.1e12: the Morse chain and the Betti sum cost no more than at N = 754
         ds = load_dataset(os.path.join(DATASETS, "s2_elliptic.json"))
-        v = verify_theorem_1_1(ds, delta=Fraction(1, 10**12), n_bound=10**18)
+        v = verify("1.1", ds, delta=Fraction(1, 10**12), n_bound=10**18)
         assert v.passed and not failed_checks(v)
         assert v.details["tuple"]["N"] > 10**12
         assert digest(v) == GOLDEN["1.1 s2 1e-12"]
 
     def test_record_removed_fails(self, s2_dataset):
         partial = GeodesicDataset(s2_dataset.shape, s2_dataset.records[:1])
-        v = verify_theorem_1_1(partial)
+        v = verify("1.1", partial)
         assert not v.passed
         assert digest(v) == GOLDEN["1.1 s2[:1]"]
 
@@ -691,16 +689,16 @@ class TestTheorem11:
                              (rec("z", 1, R(T35)),
                               rec("z0", 0, R(Exact(2) - Exact.surd(-1, 1, 2)))))
         with pytest.raises(HypothesisRejected):
-            verify_theorem_1_1(ds)
+            verify("1.1", ds)
 
     def test_odd_d_rejected(self, s3_dataset):
         with pytest.raises(HypothesisRejected):
-            verify_theorem_1_1(s3_dataset)
+            verify("1.1", s3_dataset)
 
 
 class TestTheorem15:
     def test_s3_passes(self, s3_dataset):
-        v = verify_theorem_1_5(s3_dataset)
+        v = verify("1.5", s3_dataset)
         assert v.passed
         assert sorted(v.details["pinned_at_2N"]) == ["P1", "P2"]
         assert len(v.details["even_index_records"]) >= 4
@@ -709,14 +707,14 @@ class TestTheorem15:
 
     def test_shipped_s3_at_delta_1e12(self):
         ds = load_dataset(os.path.join(DATASETS, "s3_elliptic.json"))
-        v = verify_theorem_1_5(ds, delta=Fraction(1, 10**12), n_bound=10**18)
+        v = verify("1.5", ds, delta=Fraction(1, 10**12), n_bound=10**18)
         assert v.passed and not failed_checks(v)
         assert v.details["tuple"]["N"] > 10**13
         assert digest(v) == GOLDEN["1.5 s3 1e-12"]
 
     def test_records_removed_fails(self, s3_dataset):
         partial = GeodesicDataset(s3_dataset.shape, s3_dataset.records[:3])
-        v = verify_theorem_1_5(partial)
+        v = verify("1.5", partial)
         assert not v.passed
         assert len(failed_checks(v)) == 8
         assert digest(v) == GOLDEN["1.5 s3[:3]"]
@@ -727,33 +725,43 @@ class TestTheorem15:
             (rec("x", 1, R(PHI_M1 * Fraction(4, 3)), R(PHI_M1 * Fraction(8, 3))),),
         )
         with pytest.raises(HypothesisRejected):
-            verify_theorem_1_5(ds)
+            verify("1.5", ds)
 
     def test_even_d_rejected(self, s2_dataset):
         with pytest.raises(HypothesisRejected):
-            verify_theorem_1_5(s2_dataset)
+            verify("1.5", s2_dataset)
 
 
 class TestTheorem18:
     def test_contradiction(self, hyperbolic_dataset):
-        v = verify_theorem_1_8(hyperbolic_dataset)
+        v = verify("1.8", hyperbolic_dataset)
         assert v.passed and v.details["contradiction_found"]
         assert v.details["gap_matches"]
         assert digest(v) == GOLDEN["1.8 hyp"]
 
     def test_record_removed_fails(self, hyperbolic_dataset):
         partial = GeodesicDataset(hyperbolic_dataset.shape, hyperbolic_dataset.records[:1])
-        v = verify_theorem_1_8(partial)
+        v = verify("1.8", partial)
         assert not v.passed and not v.details["contradiction_found"]
         assert digest(v) == GOLDEN["1.8 hyp[:1]"]
 
     def test_mixed_rejected(self, s2_dataset):
         with pytest.raises(HypothesisRejected):
-            verify_theorem_1_8(s2_dataset)
+            verify("1.8", s2_dataset)
 
     def test_odd_d_rejected(self, s3_dataset):
         with pytest.raises(HypothesisRejected):
-            verify_theorem_1_8(s3_dataset)
+            verify("1.8", s3_dataset)
+
+
+@pytest.mark.parametrize("theorem", ["2.0", "1.2", 1.5, ""], ids=["2.0", "1.2", "float", "empty"])
+def test_unknown_theorem_rejected(s2_dataset, theorem):
+    """Only the three theorem labels run a pipeline; any other is refused,
+    before a search, with a message that names the three."""
+    with pytest.raises(ValueError) as exc:
+        verify(theorem, s2_dataset)
+    assert not isinstance(exc.value, HypothesisRejected)
+    assert all(label in str(exc.value) for label in ("1.1", "1.5", "1.8")), exc.value
 
 
 def _katok_pair(alpha):
@@ -776,7 +784,7 @@ class TestKatokPair:
     def test_attains_the_bound(self, alpha, N):
         ds = _katok_pair(alpha)
         assert resonance_check(ds).passes
-        v = verify_theorem_1_1(ds)
+        v = verify("1.1", ds)
         assert v.passed and not failed_checks(v)
         assert v.details["non_hyperbolic"] == ["c_minus", "c_plus"]
         d, n = ds.shape.d, ds.shape.n
@@ -797,33 +805,33 @@ class TestRecordOrder:
     """Permuting a dataset's records changes no verdict: not pass, N,
     non_hyperbolic, nor m of any record."""
 
-    @pytest.mark.parametrize("name, pipeline, orders", [
-        ("s3_elliptic", verify_theorem_1_5, 4),
-        ("s2_elliptic", verify_theorem_1_1, 1),
-        ("s2_hyperbolic", verify_theorem_1_8, 1),
+    @pytest.mark.parametrize("name, theorem, orders", [
+        ("s3_elliptic", "1.5", 4),
+        ("s2_elliptic", "1.1", 1),
+        ("s2_hyperbolic", "1.8", 1),
     ])
-    def test_permuted_records(self, name, pipeline, orders):
+    def test_permuted_records(self, name, theorem, orders):
         ds = load_dataset(os.path.join(DATASETS, name + ".json"))
-        want = _outcome_by_name(pipeline(ds), ds)
+        want = _outcome_by_name(verify(theorem, ds), ds)
         rng = random.Random(7)
         for _ in range(orders):
             records = list(ds.records)
             while records == list(ds.records):
                 rng.shuffle(records)
             permuted = GeodesicDataset(ds.shape, records, ds.bumpy_required)
-            assert _outcome_by_name(pipeline(permuted), permuted) == want
+            assert _outcome_by_name(verify(theorem, permuted), permuted) == want
 
-    @pytest.mark.parametrize("name, pipeline", [
-        ("s3_elliptic", verify_theorem_1_5),
-        ("s2_elliptic", verify_theorem_1_1),
-        ("s2_hyperbolic", verify_theorem_1_8),
+    @pytest.mark.parametrize("name, theorem", [
+        ("s3_elliptic", "1.5"),
+        ("s2_elliptic", "1.1"),
+        ("s2_hyperbolic", "1.8"),
     ])
-    def test_renamed_records(self, name, pipeline):
+    def test_renamed_records(self, name, theorem):
         """Renaming every record changes only the names: the new names sort
         in the reverse order of the old ones, and the last of them holds a
         line break, a quote and a non-ASCII letter, so it prints escaped."""
         ds = load_dataset(os.path.join(DATASETS, name + ".json"))
-        passed, N, non_hyp, ms = _outcome_by_name(pipeline(ds), ds)
+        passed, N, non_hyp, ms = _outcome_by_name(verify(theorem, ds), ds)
         old = sorted(r.name for r in ds.records)
         new = {o: "r%02d" % (len(old) - i) for i, o in enumerate(old)}
         new[old[0]] += '\n"\u00e9'
@@ -831,7 +839,7 @@ class TestRecordOrder:
         renamed = GeodesicDataset(
             ds.shape, [GeodesicRecord(new[r.name], r.path) for r in ds.records], ds.bumpy_required
         )
-        verdict = pipeline(renamed)
+        verdict = verify(theorem, renamed)
         assert _outcome_by_name(verdict, renamed) == (
             passed, N, None if non_hyp is None else sorted(new[o] for o in non_hyp),
             {new[o]: m for o, m in ms.items()},
