@@ -9,14 +9,10 @@ Given symplectic paths gamma_1..gamma_q with positive mean indices, find
     i(gamma_k, 2m_k) = 2N - (S^+_k + C_k - 2*Delta_k),
 
 and certify the index identities for the iterates 2m_k +- m.  The search
-steps from lattice hit to lattice hit of one angle of one path in 2^-K fixed
-point on that path's kernel, and each path answers a candidate from its
-kernel: every irrational angle held as [2^K*theta] decides the floor and the
-band of m*theta, and one exact floor settles the rare m whose error interval
-meets an edge.  No float decides anything, and the reported tuple is the
-smallest admissible N.  The opposite-vertex search starts at the N of the
-auto-vertex tuple, the least over every vertex, so no range is searched twice;
-delta_0 comes from integer floors alone.
+steps through the lattice hits of ``_search``'s fixed-point kernel, so no
+float decides anything, and reports the smallest admissible N.  The opposite
+vertex search starts at the auto-vertex tuple's N, the least over every
+vertex, so no range is searched twice; delta_0 comes from integer floors alone.
 """
 
 from __future__ import annotations
@@ -25,8 +21,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Exact, _below_half, _edges, _exact, _floor, _locate, _next_hit, floor_mult
-from .scalars import _return_time, _returns
+from .scalars import _below_half, _floor, floor_mult
+from ._search import _PathData, _least_residual, _try_path
 from .normal_forms import m_check, nullity, validate_bumpy
 from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index
 from .record import CheckRecord, FrozenRecord, Record, VerificationReport, _check
@@ -140,125 +136,6 @@ class CijtTuple(FrozenRecord):
                 "ok": self.report.ok, "checks": self.report,  # dumps writes its rows
             },
         }
-
-
-class _PathData:
-    """Per-path search constants, built once per problem; ``fix`` sets the
-    fixed-point kernel of one search, which every other method reads."""
-
-    def __init__(self, path: PathClass, m_bar_period: int):
-        self.path, self.m_bar = path, m_bar_period
-        sp, c, angles = path.spectral
-        self.spc, self.two_rho = sp + c, 2 * (path.i1 + sp - c)
-        # irrational and rational block angles (A, terms, q, wl, wh)
-        self.blocks = tuple(e for e in angles if e[1])
-        self.rational = tuple(e for e in angles if not e[1])
-        # Delta_k + Delta'_k at opposite vertices: S^- weight on irrational angles
-        self.C_irrational = sum(e[3] + e[4] for e in self.blocks)
-        # u = 1 / (Mbar * ihat): chi component of the torus vector
-        inv = path.inverse_mean
-        self.u = _exact(inv.A, inv.B, inv.q * m_bar_period)
-        self.u_pinned = self.u.is_rational
-
-    def fix(self, K: int, delta: Fraction, eps: Optional[Fraction]) -> None:
-        """The kernel at M = 2^K: a = [M*theta/pi] per irrational block angle,
-        [M*u], and the band edges of delta and eps (none for eps None)."""
-        M, u = 1 << K, self.u
-        self.a = [_floor(A, terms, q, M) for A, terms, q, _, _ in self.blocks]
-        self.ua = _floor(u.A, u.B.items(), u.q, M)
-        self.kernel = _edges(K, delta)
-        self.chi_kernel = _edges(K, eps or Fraction(0))  # band 0/0: [N*u] only
-        self.walk = [None]  # next_hit's window and its return times
-
-    def next_hit(self, k: int, k_cap: int, h: int, bit: Optional[int]) -> Optional[int]:
-        """Least k' >= k whose 2^K*{k'*Mbar*theta}, theta the first bit angle,
-        might lie below h + 1 (bit 0), above 2^K - h - 1 (bit 1) or either
-        (None); None if none ever does, k if the path has no bit angle."""
-        if not self.a:
-            return k
-        if self.walk[0] != (k_cap, h, bit):
-            M, mbar = 1 << self.kernel[0], self.m_bar
-            step = self.a[0] * mbar % M
-            # k*step lags 2^K*k*Mbar*theta mod 2^K by k*Mbar*(2^K*theta - a) < k_cap*Mbar
-            # units for k <= k_cap, so windows widened by k_cap*Mbar + 1 lose no hit
-            w = k_cap * mbar + 1
-            lo, hi = -w if bit == 0 else -h - w, -1 if bit == 1 else h
-            self.walk = [(k_cap, h, bit), (step, M, lo, hi - lo + 1), None]
-        _, (step, M, lo, L), ret = self.walk
-        y = (step * (k - 1) - lo) % M  # k - 1 is a hit if y < L
-        if y < L and ret is not None:  # from the window's third hit on
-            ret = self.walk[2] = ret or _returns(step, M, L)
-            j = _return_time(ret, y, M, L) - 1
-        else:  # ret is None, then (): most searches end by then
-            self.walk[2] = () if y < L else ret
-            j = _next_hit(step, step * k % M, M, lo, lo + L - 1)
-        return None if j is None else k + j
-
-    def probe(self, m: int):
-        """(bits, Delta, i(c^{2m})), or None if an angle lies in neither band:
-        bit 0 Low, 1 High; Delta is the S^- weight at theta if Low, at 2 - theta
-        if High; E(m*theta) = [m*theta] + 1, E(m*(2 - theta)) = 2m - [m*theta]."""
-        bits, dl, index = [], 0, m * self.two_rho - self.spc
-        for (A, terms, q, wl, wh), a in zip(self.blocks, self.a):
-            fl, hi = _locate(a, m, self.kernel, A, terms, q)
-            if hi is None:
-                return None
-            bits.append(hi)
-            dl += wh if hi else wl
-            index += 2 * (wl * (fl + 1) + wh * (2 * m - fl))
-        for A, _, q, wl, wh in self.rational:
-            f, r = divmod(m * A, q)
-            index += 2 * (wl * (f + (r > 0)) + wh * (2 * m - f))
-        return tuple(bits), dl, index
-
-    def chi(self, N: int):
-        """([N*u], band of {N*u} against eps); a pinned u has no band."""
-        u = self.u
-        if self.u_pinned:
-            return N * u.A // u.q, None
-        return _locate(self.ua, N, self.chi_kernel, u.A, u.B.items(), u.q)
-
-
-def _try_path(pd: _PathData, N: int, want_chi: Optional[int],
-              want_bits: Optional[tuple[int, ...]], chi_eps: Optional[Fraction], seen):
-    """Check one path at candidate N; returns (m, chi, bits, Delta) or None.
-    seen = (m, probe at m) of the generator hit, which is not probed again."""
-    base, band = pd.chi(N)
-    chis = (want_chi,) if want_chi is not None and not pd.u_pinned else (0, 1)
-    for chi in chis:
-        m = (base + chi) * pd.m_bar
-        if m < 1 or (chi_eps is not None and not pd.u_pinned and band != chi):
-            continue  # |{N*u} - chi| < chi_eps fails
-        got = seen[1] if m == seen[0] else pd.probe(m)
-        if got is None or (want_bits is not None and got[0] != want_bits):
-            continue
-        bits, d, index = got
-        if index == 2 * N - pd.spc + 2 * d:  # i(c^{2m}) = jump_index(path, N, d)
-            return m, chi, bits, d
-    return None
-
-
-def _least_residual(g: _PathData, k_lo: int, k_cap: int) -> Exact:
-    """min over k_lo <= k <= k_cap of the largest lattice distance |m*theta - n|
-    over the path's irrational angles, m = k*Mbar, n = [(F + 1)/2], F = [2m*theta].
-
-    A ratchet: only k whose first angle lies nearer the lattice than the best
-    so far can improve on it, and those are the hits of a window shrunk to it.
-    """
-
-    def residual(k):
-        m, d = k * g.m_bar, []
-        for A, terms, q, _, _ in g.blocks:
-            t = (-1) ** (F := _floor(A, terms, q, 2 * m))  # sign of m*theta - n
-            d.append(_exact(t * (m * A - (F + 1 >> 1) * q), {s: t * m * b for s, b in terms}, q))
-        return max(d)
-
-    best, k = residual(k_lo), k_lo
-    while True:
-        k = g.next_hit(k + 1, k_cap, floor_mult(best, 1 << g.kernel[0]), None)
-        if k is None or k > k_cap:
-            return best
-        best = min(best, residual(k))
 
 
 def find_tuple(

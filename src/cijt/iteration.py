@@ -56,19 +56,18 @@ class PathClass(FrozenRecord):
 
     @cached_property
     def spectral(self) -> tuple[int, int, tuple[tuple[int, tuple, int, int, int], ...]]:
-        """(S^+(1), C(M), angles) off the blocks' pairs: one integer entry (A,
+        """(S^+(1), C(M), angles) off the blocks' minus: one integer entry (A,
         terms, q, wl, wh) per block angle theta/pi = (A + sum b*sqrt(s))/q != 0,
-        (s, b) over terms, S^- weight wl at theta, wh at 2 - theta (theta's
-        pair comes first).  f = [m*theta/2pi] = _floor(A, terms, 2q, m) gives
+        (s, b) over terms, S^- weight wl at theta, wh at 2 - theta; S^+(1) is
+        S^-(1) at theta = 0.  f = [m*theta/2pi] = _floor(A, terms, 2q, m) gives
         E(m*theta/2pi) = f + 1 (f at an integer), E(m*(2pi - theta)/2pi) = m - f."""
         sp, angles = 0, []
         for b in self.monodromy.blocks:
-            t = b.angle
-            if t is not None and (t.A or t.B):
-                w = [pair.minus for _, pair in b.pairs] + [0, 0]
-                angles.append((t.A, tuple(t.B.items()), t.q, w[0], w[1]))
+            t, (wl, wh) = b.angle, b.minus
+            if t:
+                angles.append((t.A, tuple(t.B.items()), t.q, wl, wh))
             else:
-                sp += sum(pair.plus for _, pair in b.pairs)
+                sp += wl
         return sp, sum(e[3] + e[4] for e in angles), tuple(angles)
 
     @cached_property

@@ -9,22 +9,21 @@ A conjugacy class is a multiset of 2x2/4x4 blocks:
 
 Each block holds one eigen-angle ``angle`` = theta/pi, set at construction:
 0 for N1(1, .), 1 for N1(-1, .), theta for R and N2, and None for D, whose
-eigenvalues lie off the unit circle.  Beside it the block sets ``pairs``, its
-nonzero splitting pairs (S^+, S^-) by unit-circle angle; splitting numbers
-and C(M) sum them.  The angle drives nullity, the return time of rational
-angles, bumpiness and the elliptic height.
+eigenvalues lie off the unit circle.  Beside it the block sets ``minus`` =
+(S^-(theta), S^-(2 - theta)), and S^+(w) = S^-(conj w).  The angle drives
+nullity, the return time of rational angles, bumpiness and the elliptic height.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
-from .scalars import Exact, _exact, _floor
+from .scalars import Exact, _floor
 from .record import FrozenRecord, fields, integer, item, named
 
 
-def _conjugate(theta: Exact) -> Exact:
-    """2 - theta/pi, once one floor shows 0 < theta/pi < 2 and theta/pi != 1."""
+def _check_angle(theta: Exact) -> None:
+    """One floor shows 0 < theta/pi < 2, and theta/pi != 1."""
     if not isinstance(theta, Exact):
         raise TypeError("theta/pi must be an Exact scalar")
     A, B, q = theta.A, theta.B, theta.q
@@ -33,26 +32,15 @@ def _conjugate(theta: Exact) -> Exact:
         raise ValueError("theta = pi is encoded by N1(-1, b), not by R/N2")
     if whole or _floor(A, B.items(), q) not in (0, 1):
         raise ValueError("theta/pi must lie in (0, 2)")
-    return _exact(2 * q - A, {s: -b for s, b in B.items()}, q)
 
 
 _ZERO, _ONE = Exact(0), Exact(1)
 
-
-class SplittingPair(FrozenRecord):
-    _fields = ("plus", "minus")
-
-    def __init__(self, plus: int, minus: int):
-        self.__dict__.update(plus=plus, minus=minus)
-
-
-# The per-block splitting table, set as ``pairs`` = ((theta/pi, pair), ...)
-# with its zero pairs left out.  Only the N1(1,b) value at omega=1 is printed
-# in the iteration-formula sources; the rest is fixed by conjugate symmetry
-# S^+(w) = S^-(conj w), additivity, and the requirement that the two iteration
-# formulas (precise and non-degenerate shortcut) agree -- the cross-check
-# suite gates every entry.
-_PAIR_01, _PAIR_10, _PAIR_11 = SplittingPair(0, 1), SplittingPair(1, 0), SplittingPair(1, 1)
+# The per-block splitting numbers ``minus``.  Only the N1(1,b) value at
+# omega=1 is printed in the iteration-formula sources; the rest is fixed by
+# conjugate symmetry S^+(w) = S^-(conj w), additivity, and the requirement
+# that the two iteration formulas (precise and non-degenerate shortcut)
+# agree -- the cross-check suite gates every entry.
 
 
 class N1(FrozenRecord):
@@ -62,8 +50,7 @@ class N1(FrozenRecord):
         if lam not in (1, -1) or b_sign not in (-1, 0, 1):
             raise ValueError("bad N1 block")
         angle = _ZERO if lam == 1 else _ONE  # b >= 0 at omega = 1, b <= 0 at omega = -1
-        pairs = ((angle, _PAIR_11),) if lam * b_sign >= 0 else ()
-        self.__dict__.update(lam=lam, b_sign=b_sign, angle=angle, pairs=pairs)
+        self.__dict__.update(lam=lam, b_sign=b_sign, angle=angle, minus=(int(lam * b_sign >= 0), 0))
 
     dim = 2
 
@@ -78,15 +65,15 @@ class D(FrozenRecord):
         self.__dict__["lam"] = lam
 
     dim = 2
-    angle, pairs = None, ()
+    angle, minus = None, (0, 0)
 
 
 class R(FrozenRecord):
     _fields = ("theta",)
 
     def __init__(self, theta: Exact):  # theta/pi
-        pairs = ((theta, _PAIR_01), (_conjugate(theta), _PAIR_10))
-        self.__dict__.update(theta=theta, angle=theta, pairs=pairs)
+        _check_angle(theta)
+        self.__dict__.update(theta=theta, angle=theta, minus=(1, 0))
 
     dim = 2
 
@@ -96,9 +83,9 @@ class N2(FrozenRecord):
 
     def __init__(self, theta: Exact, nontrivial: bool):
         # theta/pi; nontrivial: sign of (b2-b3)*sin(theta) < 0
-        conj = _conjugate(theta)
-        pairs = ((theta, _PAIR_11), (conj, _PAIR_11)) if nontrivial else ()
-        self.__dict__.update(theta=theta, nontrivial=nontrivial, angle=theta, pairs=pairs)
+        _check_angle(theta)
+        self.__dict__.update(theta=theta, nontrivial=nontrivial, angle=theta,
+                             minus=(1, 1) if nontrivial else (0, 0))
 
     dim = 4
 
@@ -130,7 +117,7 @@ class SymplecticClass(FrozenRecord):
 
 def crossing_sum(M: SymplecticClass) -> int:
     """C(M) = sum over theta in (0, 2pi) of S^-_M(e^{i theta})."""
-    return sum(pair.minus for b in M.blocks for t, pair in b.pairs if t)
+    return sum(sum(b.minus) for b in M.blocks if b.angle)
 
 
 def nullity(M: SymplecticClass, m: int) -> int:

@@ -387,81 +387,3 @@ def ceil_mult(x: Exact, m: int) -> int:
     if not x.B and (m * x.A) % x.q == 0:
         return f
     return f + 1
-
-
-# -- fixed point: x held as the integer a = [2^K*x] --------------------------
-
-
-def _edges(K: int, x: Fraction) -> tuple[int, ...]:
-    """(K, 2^K - 1, [2^K*x], [2^K*(1 - x)], p, d): the bands of x = p/d at
-    fixed point 2^-K, as ``_locate`` reads them."""
-    p, d = x.numerator, x.denominator
-    return K, (1 << K) - 1, (p << K) // d, ((d - p) << K) // d, p, d
-
-
-def _locate(a: int, n: int, kernel, A: int, terms, q: int):
-    """([n*x], band) of irrational x = (A + sum b*sqrt(s))/q, a = [2^K*x]: band
-    0 if {n*x} < p/d, 1 if {n*x} > 1 - p/d, else None.  2^K*n*x lies strictly
-    between v = n*a and v + n, which decides unless that interval meets a
-    multiple of 2^K or a band edge; then one exact floor [d*n*x] does."""
-    K, mask, lo, hi, p, d = kernel
-    v = n * a
-    r = v & mask
-    if r + n <= lo:
-        return v >> K, 0
-    if lo < r and r + n <= hi:
-        return v >> K, None
-    if hi < r and r + n <= mask + 1:
-        return v >> K, 1
-    F, f = divmod(_floor(A, terms, q, d * n), d)
-    return F, 0 if f < p else 1 if f >= d - p else None
-
-
-def _next_hit(a: int, b: int, M: int, lo: int, hi: int) -> int | None:
-    """Least j >= 0 with (a*j + b) mod M in the circular window {lo..hi} mod M
-    (integers lo <= hi), or None if the orbit never enters it.
-
-    After a shift this asks for the least x with l <= a*x mod m <= r.  Either
-    a multiple of a lies in [l, r] (x = ceil(l/a)), or [l, r] is shorter than
-    a and the least x comes with the least y of a*x - m*y in [l, r], which
-    is the same question for (m mod a, a): Euclid's steps, O(log M) of them.
-    """
-    l = (lo - b) % M
-    r = l + hi - lo
-    if r >= M:
-        return 0  # the window wraps through b itself
-    m, a = M, a % M
-    frames = []
-    x = 0
-    while l:
-        if a == 0:
-            return None
-        x = -(-l // a)
-        if a * x <= r:
-            break
-        frames.append((m, a, l))
-        m, a, l, r = a, m % a, (-r) % a, (-l) % a
-    for m, a, l in reversed(frames):
-        x = -(-(m * x + l) // a)
-    return x
-
-
-def _returns(a: int, M: int, L: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (n, n*a mod M), n increasing, of the return times of the
-    rotation y -> y + a mod M to the window 0 <= y < L: n1, the least n >= 1
-    with n*a mod M < L, n2, the least with n*a mod M > M - L (none if no n
-    has it), and n1 + n2.  By the three gap theorem (Slater, Proc. Cambridge
-    Philos. Soc. 63 (1967)) every first return takes one of them."""
-    n1 = _next_hit(a, a, M, 0, L - 1) + 1
-    j = _next_hit(a, a, M, 1 - L, -1) if L > 1 else None
-    if j is None:  # every n*a mod M is a multiple of gcd(a, M) >= L: n1*a = 0
-        return ((n1, n1 * a % M),)
-    return tuple(sorted((n, n * a % M) for n in (n1, j + 1, n1 + j + 1)))
-
-
-def _return_time(returns, y: int, M: int, L: int) -> int:
-    """Least n >= 1 with (y + n*a) mod M < L, from 0 <= y < L and the
-    ``_returns`` of a to that window: the least of them that lands in it."""
-    for n, d in returns:
-        if (y + d) % M < L:
-            return n

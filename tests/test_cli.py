@@ -12,7 +12,7 @@ from enum import IntEnum
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cijt import cli, engine, iteration, loop_homology
+from cijt import _search, cli, engine, iteration, loop_homology
 from cijt.cli import CliError, load_dataset, main
 from cijt.iteration import CohomologyShape, GeodesicDataset, GeodesicRecord, PathClass
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass
@@ -372,7 +372,7 @@ class TestBuildOnce:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = {"path_data": 0, "mean": 0}
-        init, mean = engine._PathData.__init__, iteration.PathClass.mean.func
+        init, mean = _search._PathData.__init__, iteration.PathClass.mean.func
 
         def counting_init(self, *args):
             counts["path_data"] += 1
@@ -384,7 +384,7 @@ class TestBuildOnce:
 
         prop = functools.cached_property(counting_mean)
         prop.__set_name__(iteration.PathClass, "mean")
-        monkeypatch.setattr(engine._PathData, "__init__", counting_init)
+        monkeypatch.setattr(_search._PathData, "__init__", counting_init)
         monkeypatch.setattr(iteration.PathClass, "mean", prop)
         return counts
 

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cijt import engine, scalars
+from cijt import _search
 from cijt.cli import main
-from cijt.scalars import Exact, _next_hit, _return_time, floor_mult
+from cijt.scalars import Exact, floor_mult
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum, m_check, nullity
 from cijt.iteration import PathClass, index_iterate, jump_index, mean_index
 from cijt.engine import (
@@ -22,8 +22,6 @@ from cijt.engine import (
     SelectionProblem,
     VerificationReport,
     VertexSpec,
-    _PathData,
-    _least_residual,
     common_period,
     delta_zero,
     find_tuple,
@@ -31,6 +29,7 @@ from cijt.engine import (
     opposite_tuple,
     verify_tuple,
 )
+from cijt._search import _PathData, _least_residual, _next_hit, _return_time
 from test_normal_forms import classes
 from test_iteration import _bit_angles, _index_iterate_by_unit_angles, _spectral_by_unit_angles
 from test_scalars import Lattice, frac_mult, is_near_lattice, time_limit
@@ -484,15 +483,36 @@ def _near_edge(rng, m0, K, delta):
 @pytest.fixture
 def floors(monkeypatch):
     """Counts the exact floors that the fixed-point kernel falls back to."""
-    import cijt.scalars as scalars
-
-    calls, floor = [0], scalars._floor
+    calls, floor = [0], _search._floor
 
     def counting(*args):
         calls[0] += 1
         return floor(*args)
 
-    monkeypatch.setattr(scalars, "_floor", counting)
+    monkeypatch.setattr(_search, "_floor", counting)
+    return calls
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """Counts the Euclid descents of ``_search._next_hit``: under "returns"
+    those that ``_returns`` makes to set up a window's return times, under
+    "stepper" every other."""
+    calls, where, descent, returns = Counter(), ["stepper"], _search._next_hit, _search._returns
+
+    def counting(*args):
+        calls[where[0]] += 1
+        return descent(*args)
+
+    def setting_up(*args):
+        where[0] = "returns"
+        try:
+            return returns(*args)
+        finally:
+            where[0] = "stepper"
+
+    monkeypatch.setattr(_search, "_next_hit", counting)
+    monkeypatch.setattr(_search, "_returns", setting_up)
     return calls
 
 
@@ -894,7 +914,7 @@ class TestHitSteppingOracle:
             taken["n1 + n2" if len(ret) == 3 and n == ret[2][0] else "n1" if n == n1 else "n2"] += 1
             return n
 
-        monkeypatch.setattr(engine, "_return_time", return_time)
+        monkeypatch.setattr(_search, "_return_time", return_time)
         rng = random.Random(29)
         wide = (Fraction(1, 20), Fraction(1, 10), Fraction(1, 6))
         for _ in range(30):
@@ -915,45 +935,27 @@ class TestHitSteppingOracle:
                 assert _outcome(find_tuple, prob, **kw) == _outcome(_find_tuple_by_scan, prob, **kw)
         assert len(taken) == 3, taken
 
-    def test_theorem_1_5_descents(self, monkeypatch, capsys):
+    def test_theorem_1_5_descents(self, descents, capsys):
         """The 1.5 verdict on s3_elliptic runs the Euclid descent fewer than
         20 times (105 when every hit was one): the hits after a window's
         second come from its return times."""
-        calls, descent = [0], _next_hit
-
-        def counting(*args):
-            calls[0] += 1
-            return descent(*args)
-
-        monkeypatch.setattr(scalars, "_next_hit", counting)
-        monkeypatch.setattr(engine, "_next_hit", counting)
         assert main(["verify", os.path.join(DATASETS, "s3_elliptic.json"), "--theorem", "1.5"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out[:-1].encode()).hexdigest() == GOLDEN["1.5 s3"]
-        assert calls[0] < 20, calls
+        assert descents["stepper"] + descents["returns"] < 20, descents
 
     @pytest.mark.parametrize("argv, stepper, returns", [
         (["cijt", "single_sqrt2.json", "--delta", "1/100"], 1, 0),
         (["verify", "s3_elliptic.json", "--theorem", "1.5"], 3, 4),
     ], ids=["single_sqrt2", "s3_elliptic-1.5"])
-    def test_no_descent_past_the_cap(self, monkeypatch, capsys, argv, stepper, returns):
+    def test_no_descent_past_the_cap(self, descents, capsys, argv, stepper, returns):
         """A search asks for no hit past its cap, which an accepted tuple
         lowers to k_max(N - 1): the stepper's Euclid descents (2 and 5 when
         it made one more past the cap) and those that set up a window's
         return times, counted apart."""
-        calls, descent = Counter(), _next_hit
-
-        def counting(where):
-            def call(*args):
-                calls[where] += 1
-                return descent(*args)
-            return call
-
-        monkeypatch.setattr(scalars, "_next_hit", counting("returns"))
-        monkeypatch.setattr(engine, "_next_hit", counting("stepper"))
         assert main([argv[0], os.path.join(DATASETS, argv[1]), *argv[2:]]) == 0
         capsys.readouterr()
-        assert (calls["stepper"], calls["returns"]) == (stepper, returns), calls
+        assert (descents["stepper"], descents["returns"]) == (stepper, returns), descents
 
 
     @pytest.mark.parametrize("p, q", [(1, 1), (1, 3), (2, 3), (1, 5), (4, 7)])

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from cijt.normal_forms import (
     N1,
     N2,
     R,
-    SplittingPair,
     SymplecticClass,
     block_from_json,
     block_to_json,
@@ -26,6 +26,23 @@ from cijt.normal_forms import (
 SQRT2M1 = Exact.surd(-1, 1, 2)
 T35 = Exact.surd(3, -1, 5)
 
+SplittingPair = namedtuple("SplittingPair", "plus minus")
+
+
+def block_pairs(b):
+    """A block's nonzero splitting pairs (S^+, S^-) by angle theta/pi, from its
+    ``minus`` = (S^-(theta), S^-(2 - theta)) and conjugate symmetry S^+(w) =
+    S^-(conj w): theta = 0 and 1 are their own conjugates."""
+    t = b.angle
+    if t is None:
+        return ()
+    wl, wh = b.minus
+    if t == 0 or t == 1:
+        pairs = ((t, SplittingPair(wl, wl)),)
+    else:
+        pairs = ((t, SplittingPair(wh, wl)), (2 - t, SplittingPair(wl, wh)))
+    return tuple((w, pair) for w, pair in pairs if pair != (0, 0))
+
 
 def add_pairs(*pairs):
     return SplittingPair(sum(p.plus for p in pairs), sum(p.minus for p in pairs))
@@ -35,17 +52,17 @@ def splitting_numbers(M, omega):
     """(S^+, S^-) of M at omega = +-1 or an Exact angle theta/pi, summed over
     the blocks' pairs: the package's query until nothing there asked it."""
     w = Exact(0) if omega == 1 else Exact(1) if omega == -1 else omega
-    return add_pairs(*(pair for b in M.blocks for t, pair in b.pairs if t == w))
+    return add_pairs(*(pair for b in M.blocks for t, pair in block_pairs(b) if t == w))
 
 
 def unit_angles(M):
     """Eigenvalue angles theta/pi in (0,2), sorted, each once with its summed
     splitting pair; a block adds its angle and the conjugate 2 - theta.  Kept
     as the oracle of the integer spectral data that PathClass reads off the
-    blocks' pairs."""
+    blocks' minus."""
     acc = {}
     for b in M.blocks:
-        for w, pair in b.pairs:
+        for w, pair in block_pairs(b):
             if w:  # not 0 (eigenvalue 1)
                 acc[w] = add_pairs(acc.get(w, SplittingPair(0, 0)), pair)
     return sorted(acc.items(), key=lambda kv: kv[0])
@@ -112,23 +129,23 @@ class TestBlockValidation:
 
     def test_one_floor_matches_comparisons(self):
         """R and N2 accept theta/pi exactly when 0 < theta/pi < 2 and
-        theta/pi != 1 by Exact comparison, and their conjugate pair angle is
-        Exact(2) - theta."""
+        theta/pi != 1 by Exact comparison, and hold theta as their angle with
+        S^- 1 at theta for R and at both theta and 2 - theta for a nontrivial
+        N2."""
         tiny = SQRT2M1 * Fraction(1, 10**30)
         bases = [Exact(0), Exact(1), Exact(2), Exact(-1), Exact(3), Exact(Fraction(1, 3)),
                  Exact(Fraction(5, 3)), Exact(Fraction(7, 3)), SQRT2M1, T35, -SQRT2M1]
         thetas = [b + e for b in bases for e in (0, tiny, -tiny, tiny + T35 * Fraction(1, 10**31))]
         for theta in thetas:
             ok = Exact(0) < theta < Exact(2) and theta != Exact(1)
-            for build in (R, lambda t: N2(t, True), lambda t: N2(t, False)):
+            for build, minus in ((R, (1, 0)), (lambda t: N2(t, True), (1, 1)),
+                                 (lambda t: N2(t, False), (0, 0))):
                 if not ok:
                     with pytest.raises(ValueError):
                         build(theta)
                     continue
                 b = build(theta)
-                conj = R(theta).pairs[1][0]
-                assert conj == Exact(2) - theta  # equal values hold equal integers
-                assert all(w in (theta, conj) for w, _ in b.pairs)
+                assert (b.angle, b.minus) == (theta, minus)
 
     def test_half_dimension(self):
         assert cls(R(SQRT2M1), N2(T35, True)).half_dimension == 3
@@ -179,7 +196,7 @@ class TestSplittingNumbers:
 
 def _block_splitting(b, w):
     """One block's splitting pair at w = theta/pi, worked out per query as it
-    was before each block set its pairs; kept as an oracle."""
+    was before each block set its splitting numbers; kept as an oracle."""
     t = b.angle
     if t is None or (w != t and w + t != 2):
         return SplittingPair(0, 0)

@@ -74,7 +74,7 @@ def test_every_import_is_used():
     assert unused == []
 
 
-MODULE_CAP = 20314  # bytes: engine.py before its fixed-point helpers moved to scalars
+MODULE_CAP = 20314  # bytes: compiling the largest module sets a cijt process's peak memory
 
 
 def test_modules_stay_under_the_size_cap():
@@ -105,11 +105,27 @@ def test_block_kinds_stay_in_normal_forms():
 
 def test_block_angles_are_read_in_iteration_only():
     """Outside normal_forms and iteration no module reads a block's .angle
-    or .pairs, or a .monodromy.blocks: PathClass.spectral holds each block
+    or .minus, or a .monodromy.blocks: PathClass.spectral holds each block
     angle as integers, and every other module reads that table."""
     bad = ["%s:%d reads .%s" % (name, node.lineno, node.attr)
            for name, tree in _module_trees("normal_forms.py", "iteration.py")
            for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-           if node.attr in ("angle", "pairs") or node.attr == "blocks"
+           if node.attr in ("angle", "minus") or node.attr == "blocks"
            and isinstance(node.value, ast.Attribute) and node.value.attr == "monodromy"]
     assert bad == []
+
+
+KERNEL = ("_edges", "_locate", "_next_hit", "_returns", "_return_time",
+          "_PathData", "_try_path", "_least_residual")
+
+
+def test_search_kernel_lives_in_search_only():
+    """The fixed-point search kernel has one owner: no module but _search
+    defines or imports a name of it, except that engine imports the three
+    that drive a search."""
+    found = []
+    for name, tree in _module_trees("_search.py"):
+        for node in tree.body:
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else _defined(node)
+            found += ["%s: %s" % (name, n) for n in names if n in KERNEL]
+    assert sorted(found) == ["engine.py: _PathData", "engine.py: _least_residual", "engine.py: _try_path"]

@@ -11,7 +11,7 @@ import pytest
 
 import cijt
 from cijt.scalars import Exact
-from cijt.normal_forms import D, N1, N2, R, SplittingPair, SymplecticClass
+from cijt.normal_forms import D, N1, N2, R, SymplecticClass
 from cijt.iteration import CohomologyShape, GeodesicDataset, GeodesicRecord, PathClass
 from cijt.engine import (
     CheckRecord,
@@ -23,9 +23,19 @@ from cijt.engine import (
     find_tuple,
 )
 from cijt.morse import JumpCensus, ResonanceReport, Verdict
+from cijt.record import FrozenRecord
 from test_iteration import _bit_angles
 
 SQRT2M1 = Exact.surd(-1, 1, 2)
+
+
+class SplittingPair(FrozenRecord):
+    """A two-field frozen record of the tests' own."""
+
+    _fields = ("plus", "minus")
+
+    def __init__(self, plus: int, minus: int):
+        self.__dict__.update(plus=plus, minus=minus)
 
 
 def path(i1, *blocks):

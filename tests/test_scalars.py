@@ -12,13 +12,11 @@ from cijt.scalars import (
     Exact,
     _enclosure,
     _floor,
-    _next_hit,
-    _return_time,
-    _returns,
     _squarefree_split,
     ceil_mult,
     floor_mult,
 )
+from cijt._search import _next_hit, _return_time, _returns
 
 SQRT2M1 = Exact.surd(-1, 1, 2)
 
