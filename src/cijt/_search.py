@@ -101,7 +101,7 @@ class _PathData:
     def __init__(self, path: PathClass, m_bar_period: int):
         self.path, self.m_bar = path, m_bar_period
         sp, c, angles = path.spectral
-        self.spc, self.two_rho = sp + c, 2 * (path.i1 + sp - c)
+        self.two_rho = 2 * (path.i1 + sp - c)
         # irrational and rational block angles (A, terms, q, wl, wh)
         self.blocks = tuple(e for e in angles if e[1])
         self.rational = tuple(e for e in angles if not e[1])
@@ -147,21 +147,22 @@ class _PathData:
         return None if j is None else k + j
 
     def probe(self, m: int):
-        """(bits, Delta, i(c^{2m})), or None if an angle lies in neither band:
-        bit 0 Low, 1 High; Delta is the S^- weight at theta if Low, at 2 - theta
-        if High; E(m*theta) = [m*theta] + 1, E(m*(2 - theta)) = 2m - [m*theta]."""
-        bits, dl, index = [], 0, m * self.two_rho - self.spc
+        """(bits, Delta, 2N), or None if an angle lies in neither band: bit 0
+        Low, 1 High; Delta is the S^- weight at theta if Low, at 2 - theta if
+        High; 2N = i(c^{2m}) + S^+ + C - 2*Delta solves the jump identity, with
+        E(m*theta) = [m*theta] + 1 and E(m*(2 - theta)) = 2m - [m*theta]."""
+        bits, dl, two_n = [], 0, m * self.two_rho
         for (A, terms, q, wl, wh), a in zip(self.blocks, self.a):
             fl, hi = _locate(a, m, self.kernel, A, terms, q)
             if hi is None:
                 return None
             bits.append(hi)
             dl += wh if hi else wl
-            index += 2 * (wl * (fl + 1) + wh * (2 * m - fl))
+            two_n += 2 * (wl * (fl + 1) + wh * (2 * m - fl))
         for A, _, q, wl, wh in self.rational:
             f, r = divmod(m * A, q)
-            index += 2 * (wl * (f + (r > 0)) + wh * (2 * m - f))
-        return tuple(bits), dl, index
+            two_n += 2 * (wl * (f + (r > 0)) + wh * (2 * m - f))
+        return tuple(bits), dl, two_n - 2 * dl
 
     def chi(self, N: int):
         """([N*u], band of {N*u} against eps); a pinned u has no band."""
@@ -172,20 +173,21 @@ class _PathData:
 
 
 def _try_path(pd: _PathData, N: int, want_chi: Optional[int],
-              want_bits: Optional[tuple[int, ...]], chi_eps: Optional[Fraction], seen):
+              want_bits: Optional[tuple[int, ...]], chi_eps: Optional[Fraction], hit):
     """Check one path at candidate N; returns (m, chi, bits, Delta) or None.
-    seen = (m, probe at m) of the generator hit, which is not probed again."""
+    On the generator path hit = (m, probe at m), and its row can only be that
+    m; hit is None on every other path."""
     base, band = pd.chi(N)
     chis = (want_chi,) if want_chi is not None and not pd.u_pinned else (0, 1)
     for chi in chis:
         m = (base + chi) * pd.m_bar
         if m < 1 or (chi_eps is not None and not pd.u_pinned and band != chi):
             continue  # |{N*u} - chi| < chi_eps fails
-        got = seen[1] if m == seen[0] else pd.probe(m)
+        got = pd.probe(m) if hit is None else hit[1] if m == hit[0] else None
         if got is None or (want_bits is not None and got[0] != want_bits):
             continue
-        bits, d, index = got
-        if index == 2 * N - pd.spc + 2 * d:  # i(c^{2m}) = jump_index(path, N, d)
+        bits, d, two_n = got
+        if two_n == 2 * N:  # i(c^{2m}) = jump_index(path, N, d)
             return m, chi, bits, d
     return None
 

@@ -170,14 +170,14 @@ def find_tuple(
         bits = max(m_cap, problem.N_bound).bit_length()
         pd.fix(bits + min(slack, bits) + 16, delta, chi_eps)
 
-    def accept(N: int, seen):
+    wants = [(None, None)] * len(data) if vertex is None else [*zip(vertex.chi, vertex.angle_bits)]
+
+    def accept(N: int, hit):
         if N < max(1, min_N) or N > problem.N_bound or N % problem.N_multiple_of:
             return None
         rows = []
-        for i, pd in enumerate(data):
-            want_chi = vertex.chi[i] if vertex is not None else None
-            want_bits = vertex.angle_bits[i] if vertex is not None else None
-            got = _try_path(pd, N, want_chi, want_bits, chi_eps, seen if i == gen else (0, None))
+        for i, (pd, (want_chi, want_bits)) in enumerate(zip(data, wants)):
+            got = _try_path(pd, N, want_chi, want_bits, chi_eps, hit if i == gen else None)
             if got is None:
                 return None
             rows.append(got)
@@ -186,7 +186,7 @@ def find_tuple(
 
     best: Optional[CijtTuple] = None
     best_residual = None
-    want_bits = vertex.angle_bits[gen] if vertex is not None else None
+    want_bits = wants[gen][1]
 
     # an accepted tuple has m_gen = ([u*N] + chi) * Mbar with chi in {0, 1}:
     # step k = m_gen / Mbar over [k_lo, k_cap] from hit to hit of one angle
@@ -202,13 +202,11 @@ def find_tuple(
         m = k * mbar
         got = g.probe(m)
         if got is not None and (want_bits is None or got[0] == want_bits):
-            N = (got[2] + g.spc - 2 * got[1]) // 2  # i(c^{2m}) = jump_index(N)
-            cand = accept(N, (m, got))
+            cand = accept(got[2] // 2, (m, got))  # N: half the 2N of m's jump identity
             if cand is not None and (best is None or cand.N < best.N):
-                if cand.m[gen] == m:
-                    best = cand
-                    # a later m can only help with N <= best.N - 1
-                    k_cap = k_max(N - 1)
+                best = cand
+                # a later m can only help with N <= best.N - 1
+                k_cap = k_max(cand.N - 1)
         # no descent past the cap an accepted tuple may have just lowered
         k = g.next_hit(k + 1, k_cap, h, bit) if k < k_cap else None
     if best is None and g.blocks and k_lo <= k_cap:

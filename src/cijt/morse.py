@@ -89,9 +89,7 @@ class JumpCensus(FrozenRecord):
         }
 
 
-def jump_census(
-    dataset: GeodesicDataset, t: CijtTuple, margin: int = 1
-) -> JumpCensus:
+def jump_census(dataset: GeodesicDataset, t: CijtTuple, margin: int) -> JumpCensus:
     """Bucket records by the position of i(c^{2m_k}) relative to 2N.
 
     Counts only records with i(c^{2m_k}) - i(c) even (the ones whose top
@@ -251,7 +249,7 @@ class _Theorem(NamedTuple):
     margin: Optional[int]  # census window margin; None: no opposite vertex
     top: int  # the Morse chain runs to degree 2N + top
     conclude: Callable  # (dataset, t, ..., chain) -> its own checks and details
-    passed_by: Optional[str] = None  # detail that decides instead of the checks
+    passed_by: Optional[str] = None  # detail that must hold beside the checks
 
 
 def verify(theorem: str, dataset: GeodesicDataset, delta: Optional[Fraction] = None,
@@ -297,7 +295,7 @@ def verify(theorem: str, dataset: GeodesicDataset, delta: Optional[Fraction] = N
     tail, extra = spec.conclude(dataset, t, census, opp, non_hyp, alt_m, alt_b, chain)
     checks += tail
     details.update(extra, checks=checks, tuple=t.to_json(), resonance=res.to_json())
-    passed = details[spec.passed_by] if spec.passed_by else all(c["pass"] for c in checks)
+    passed = all(c["pass"] for c in checks) and details.get(spec.passed_by, True)
     return Verdict(theorem, passed, details)
 
 

@@ -91,17 +91,12 @@ class N2(FrozenRecord):
 
 
 Block = Union[N1, D, R, N2]
+_KINDS = {N1: 0, D: 1, R: 2, N2: 3}
 
 
 def _block_key(b: Block):
-    """Canonical order: block type, then the exact eigenvalue or angle."""
-    if isinstance(b, N1):
-        return (0, b.lam, b.b_sign)
-    if isinstance(b, D):
-        return (1, b.lam)
-    if isinstance(b, R):
-        return (2, b.theta)
-    return (3, b.theta, b.nontrivial)
+    """Canonical order: block kind, then the block's own fields."""
+    return (_KINDS[type(b)], *b._values())
 
 
 class SymplecticClass(FrozenRecord):

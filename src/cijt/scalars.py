@@ -208,26 +208,17 @@ class Exact:
         if o is None:
             return NotImplemented
         C, D, r = o
-        A, B = self.A, self.B
-        a = A * C
+        # every pair of terms, a rational part as the coefficient of sqrt(1):
+        # sqrt(s)*sqrt(t) = g*sqrt(st/g^2), g = gcd, and st/g^2, the product of
+        # coprime squarefree ints, is squarefree (1 when s = t)
         terms: dict[int, int] = {}
-        if C:
-            for s, b in B.items():
-                terms[s] = b * C
-        if A:
-            for s, d in D.items():
-                terms[s] = terms.get(s, 0) + d * A
-        for s, b in B.items():
-            for t, d in D.items():
-                if s == t:
-                    a += b * d * s
-                else:
-                    # sqrt(s)*sqrt(t) = g*sqrt((s/g)(t/g)), g = gcd;
-                    # the product of coprime squarefree ints is squarefree.
-                    g = math.gcd(s, t)
-                    k = (s // g) * (t // g)
-                    terms[k] = terms.get(k, 0) + b * d * g
-        return _exact(a, terms, self.q * r)
+        right = ((1, C), *D.items())
+        for s, b in ((1, self.A), *self.B.items()):
+            for t, d in right:
+                g = math.gcd(s, t)
+                k = s * t // (g * g)
+                terms[k] = terms.get(k, 0) + b * d * g
+        return _exact(terms.pop(1), terms, self.q * r)
 
     __rmul__ = __mul__
 

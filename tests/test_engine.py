@@ -433,11 +433,14 @@ class TestChiProximity:
 
 
 def _probe_by_exact(pd, m, delta):
-    """(bits, Delta, i(c^{2m})) from the exact oracles, or None."""
+    """(bits, Delta, 2N) from the exact oracles, or None: 2N solves the jump
+    identity i(c^{2m}) = 2N - (S^+ + C - 2*Delta)."""
     bits = _bands_by_exact(pd, m, delta)
     if bits is None:
         return None
-    return bits, _delta_by_exact(pd, m, delta), _index_iterate_by_unit_angles(pd.path, 2 * m)
+    sp, c, _ = _spectral_by_unit_angles(pd.path)
+    dl = _delta_by_exact(pd, m, delta)
+    return bits, dl, _index_iterate_by_unit_angles(pd.path, 2 * m) + sp + c - 2 * dl
 
 
 PROBE_ANGLES = [SQRT2M1, T35, PHI_M1, Exact(2) - T35, SQRT2M1 * Fraction(1, 2) + T35 * Fraction(1, 7)]
@@ -956,6 +959,36 @@ class TestHitSteppingOracle:
         assert main([argv[0], os.path.join(DATASETS, argv[1]), *argv[2:]]) == 0
         capsys.readouterr()
         assert (descents["stepper"], descents["returns"]) == (stepper, returns), descents
+
+    @pytest.mark.parametrize("argv", [
+        ["cijt", "s3_elliptic.json"],
+        ["cijt", "single_sqrt2.json", "--delta", "1/10000"],
+    ], ids=["s3_elliptic", "single_sqrt2-1e-4"])
+    def test_generator_probed_once_per_hit(self, monkeypatch, capsys, argv):
+        """The generator path (the one whose stepper runs) is probed once at
+        each hit and at no other m: a candidate N takes its row from the hit
+        (19 more probes on s3_elliptic and 1 on single_sqrt2 when the
+        generator was searched again at both chi)."""
+        probes, hits = Counter(), Counter()
+        probe, next_hit = _PathData.probe, _PathData.next_hit
+
+        def probing(pd, m):
+            probes[pd, m] += 1
+            return probe(pd, m)
+
+        def stepping(pd, *args):
+            k = next_hit(pd, *args)
+            if k is not None:
+                hits[pd, k * pd.m_bar] += 1
+            return k
+
+        monkeypatch.setattr(_PathData, "probe", probing)
+        monkeypatch.setattr(_PathData, "next_hit", stepping)
+        assert main([argv[0], os.path.join(DATASETS, argv[1]), *argv[2:]]) == 0
+        capsys.readouterr()
+        gens = {pd for pd, _ in hits}
+        on_gen = Counter({key: n for key, n in probes.items() if key[0] in gens})
+        assert on_gen and on_gen <= hits, sorted(m for _, m in on_gen - hits)
 
 
     @pytest.mark.parametrize("p, q", [(1, 1), (1, 3), (2, 3), (1, 5), (4, 7)])

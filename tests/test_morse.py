@@ -745,6 +745,18 @@ class TestTheorem18:
         assert not v.passed and not v.details["contradiction_found"]
         assert digest(v) == GOLDEN["1.8 hyp[:1]"]
 
+    def test_broken_resonance_fails(self, hyperbolic_dataset):
+        """A third hyperbolic record (a copy of h1) breaks the resonance
+        identity: the Morse sum misses 2NB, and the gap is 3, not 1, though
+        the contradiction alt_b > alt_m is still found."""
+        extra = rec("h3", 1, D(Exact(2)))
+        ds = GeodesicDataset(hyperbolic_dataset.shape, (*hyperbolic_dataset.records, extra))
+        v = verify("1.8", ds)
+        assert v.details["contradiction_found"] and v.details["resonance"]["pass"] is False
+        assert failed_checks(v) == ["alternating Morse sum equals 2NB"]
+        assert (v.details["gap"], v.details["expected_gap"]) == ("3", "1")
+        assert not v.passed and v.to_json()["pass"] is False
+
     def test_mixed_rejected(self, s2_dataset):
         with pytest.raises(HypothesisRejected):
             verify("1.8", s2_dataset)

@@ -2,6 +2,7 @@
 hashing of the compared fields, frozen fields, repr, and the fields kept out
 of SelectionProblem's equality."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -77,6 +78,27 @@ class TestEquality:
 
     def test_block_order_is_canonical(self):
         assert SymplecticClass((R(SQRT2M1), N1(1, 0))) == SymplecticClass((N1(1, 0), R(SQRT2M1)))
+
+    def test_block_order_by_kind_then_fields(self):
+        """Two blocks of each kind that differ in their fields (the N2 pair
+        in its last) come out in one order from every permutation: the
+        order of the kind-by-kind key the blocks were once sorted by."""
+
+        def ladder(b):
+            if isinstance(b, N1):
+                return (0, b.lam, b.b_sign)
+            if isinstance(b, D):
+                return (1, b.lam)
+            if isinstance(b, R):
+                return (2, b.theta)
+            return (3, b.theta, b.nontrivial)
+
+        blocks = (N2(SQRT2M1, True), R(SQRT2M1), D(Exact(2)), N1(1, -1), N2(SQRT2M1, False),
+                  R(Exact(Fraction(1, 3))), D(Exact(-3)), N1(-1, 1))
+        want = tuple(sorted(blocks, key=ladder))
+        assert [type(b) for b in want] == [N1, N1, D, D, R, R, N2, N2]
+        for order in itertools.permutations(blocks):
+            assert SymplecticClass(order).blocks == want, order
 
 
 class TestHash:
