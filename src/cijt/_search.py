@@ -9,6 +9,7 @@ interval meets an edge.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Optional
 
@@ -120,31 +121,31 @@ class _PathData:
         self.ua = _floor(u.A, u.B.items(), u.q, M)
         self.kernel = _edges(K, delta)
         self.chi_kernel = _edges(K, eps or Fraction(0))  # band 0/0: [N*u] only
-        self.walk = [None]  # next_hit's window and its return times
 
-    def next_hit(self, k: int, k_cap: int, h: int, bit: Optional[int]) -> Optional[int]:
-        """Least k' >= k whose 2^K*{k'*Mbar*theta}, theta the first bit angle,
-        might lie below h + 1 (bit 0), above 2^K - h - 1 (bit 1) or either
-        (None); None if none ever does, k if the path has no bit angle."""
+    def hits(self, k: int, k_cap: int, h: int, bit: Optional[int]):
+        """The k' >= k, increasing, whose 2^K*{k'*Mbar*theta}, theta the first
+        bit angle, might lie below h + 1 (bit 0), above 2^K - h - 1 (bit 1) or
+        either (None), none missed up to k_cap; every k' if the path has no bit
+        angle.  The first is one descent, each later one a return time."""
         if not self.a:
-            return k
-        if self.walk[0] != (k_cap, h, bit):
-            M, mbar = 1 << self.kernel[0], self.m_bar
-            step = self.a[0] * mbar % M
-            # k*step lags 2^K*k*Mbar*theta mod 2^K by k*Mbar*(2^K*theta - a) < k_cap*Mbar
-            # units for k <= k_cap, so windows widened by k_cap*Mbar + 1 lose no hit
-            w = k_cap * mbar + 1
-            lo, hi = -w if bit == 0 else -h - w, -1 if bit == 1 else h
-            self.walk = [(k_cap, h, bit), (step, M, lo, hi - lo + 1), None]
-        _, (step, M, lo, L), ret = self.walk
-        y = (step * (k - 1) - lo) % M  # k - 1 is a hit if y < L
-        if y < L and ret is not None:  # from the window's third hit on
-            ret = self.walk[2] = ret or _returns(step, M, L)
-            j = _return_time(ret, y, M, L) - 1
-        else:  # ret is None, then (): most searches end by then
-            self.walk[2] = () if y < L else ret
-            j = _next_hit(step, step * k % M, M, lo, lo + L - 1)
-        return None if j is None else k + j
+            yield from itertools.count(k)
+            return
+        M, mbar = 1 << self.kernel[0], self.m_bar
+        step = self.a[0] * mbar % M
+        # k*step lags 2^K*k*Mbar*theta mod 2^K by k*Mbar*(2^K*theta - a) < k_cap*Mbar
+        # units for k <= k_cap, so a window widened by k_cap*Mbar + 1 loses no hit
+        # up to k_cap, nor up to any smaller cap the search lowers it to
+        w = k_cap * mbar + 1
+        lo, hi = -w if bit == 0 else -h - w, -1 if bit == 1 else h
+        j = _next_hit(step, step * k % M, M, lo, hi)
+        if j is None:
+            return
+        k, L = k + j, hi - lo + 1
+        yield k
+        ret = _returns(step, M, L)  # set up only when a second hit is asked for
+        while True:
+            k += _return_time(ret, (step * k - lo) % M, M, L)
+            yield k
 
     def probe(self, m: int):
         """(bits, Delta, 2N), or None if an angle lies in neither band: bit 0
@@ -209,7 +210,7 @@ def _least_residual(g: _PathData, k_lo: int, k_cap: int) -> Exact:
 
     best, k = residual(k_lo), k_lo
     while True:
-        k = g.next_hit(k + 1, k_cap, floor_mult(best, 1 << g.kernel[0]), None)
+        k = next(g.hits(k + 1, k_cap, floor_mult(best, 1 << g.kernel[0]), None), None)
         if k is None or k > k_cap:
             return best
         best = min(best, residual(k))

@@ -226,12 +226,9 @@ def cmd_cijt(args) -> dict:
         N_bound=args.n_bound,
         N_multiple_of=args.n_multiple,
     )
-    if vertex == "auto":
-        t = find_tuple(problem)
-    elif vertex == "opposite":
-        t = opposite_tuple(find_tuple(problem), problem)
-    else:
-        t = find_tuple(problem, vertex=vertex)
+    t = find_tuple(problem, vertex=None if isinstance(vertex, str) else vertex)
+    if vertex == "opposite":
+        t = opposite_tuple(t, problem)
     doc = t.to_json()
     doc["delta_shrunk"] = problem.delta_shrunk
     doc["records"] = [r.name for r in ds.records]

@@ -197,8 +197,9 @@ def find_tuple(
     k_cap = k_max(problem.N_bound)
     h = g.kernel[2]  # [2^K*delta], the Low edge
     bit = want_bits[0] if want_bits else None
-    k = g.next_hit(k_lo, k_cap, h, bit)
-    while k is not None and k <= k_cap:
+    for k in g.hits(k_lo, k_cap, h, bit):
+        if k > k_cap:
+            break
         m = k * mbar
         got = g.probe(m)
         if got is not None and (want_bits is None or got[0] == want_bits):
@@ -207,8 +208,9 @@ def find_tuple(
                 best = cand
                 # a later m can only help with N <= best.N - 1
                 k_cap = k_max(cand.N - 1)
-        # no descent past the cap an accepted tuple may have just lowered
-        k = g.next_hit(k + 1, k_cap, h, bit) if k < k_cap else None
+        # ask for no hit past the cap an accepted tuple may have just lowered
+        if k >= k_cap:
+            break
     if best is None and g.blocks and k_lo <= k_cap:
         best_residual = float(_least_residual(g, k_lo, k_cap))
 

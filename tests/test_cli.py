@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from cijt import _search, cli, engine, iteration, loop_homology
 from cijt.cli import CliError, load_dataset, main
 from cijt.iteration import CohomologyShape, GeodesicDataset, GeodesicRecord, PathClass
-from cijt.normal_forms import D, N1, N2, R, SymplecticClass
-from cijt.scalars import MAX_RADICAND, _from_pairs
+from cijt.normal_forms import D, N1, N2, R, SymplecticClass, nullity
+from cijt.scalars import MAX_RADICAND, Exact, _from_pairs, floor_mult
 from cijt.record import CheckRecord, VerificationReport, dumps
 from test_morse import GOLDEN
 from test_scalars import time_limit
@@ -864,6 +865,52 @@ class TestOneLineRule:
         assert err.startswith(prefix + start) and err.endswith("\n") and err.count("\n") == 1
         message = err[len(prefix):-1]
         assert len(message) == 240 and message[170:175] == " ... "
+
+
+def _no_records(tmp_path):
+    p = tmp_path / "no_records.json"
+    p.write_text(json.dumps({"version": 1, "shape": {"d": 2, "n": 1}, "records": []}))
+    return str(p)
+
+
+SQRT2_PATH = PathClass(1, SymplecticClass((R(Exact.surd(-1, 1, 2)),)))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call, want, message", [
+        (lambda tmp: main(["cijt", ds("single_sqrt2"), "--vertex", "bits:012"]), 2,
+         "error: vertex bits must be 0/1"),
+        (lambda tmp: main(["resonance", _no_records(tmp)]), 2,
+         "error: invalid dataset: dataset needs at least one record"),
+        (lambda tmp: engine.delta_zero([SQRT2_PATH], 0), ValueError, "m_bar must be positive"),
+        (lambda tmp: engine.SelectionProblem(()), ValueError, "need at least one path"),
+        (lambda tmp: engine.SelectionProblem([SQRT2_PATH], m_bar=0), ValueError,
+         "m_bar, N_bound, N_multiple_of must be positive"),
+        (lambda tmp: engine.SelectionProblem([SQRT2_PATH], N_bound=0), ValueError,
+         "m_bar, N_bound, N_multiple_of must be positive"),
+        (lambda tmp: engine.SelectionProblem([SQRT2_PATH], N_multiple_of=0), ValueError,
+         "m_bar, N_bound, N_multiple_of must be positive"),
+        (lambda tmp: loop_homology.betti(CohomologyShape(2, 1), -1), ValueError,
+         "degree must be non-negative"),
+        (lambda tmp: loop_homology.betti_partial_sum(CohomologyShape(3, 1), 1), ValueError,
+         "closed form needs l >= d - 1"),
+        (lambda tmp: nullity(SQRT2_PATH.monodromy, 0), ValueError, "m must be positive"),
+        (lambda tmp: R(Fraction(1, 3)), TypeError, "theta/pi must be an Exact scalar"),
+        (lambda tmp: Exact(1) / 0, ZeroDivisionError, "division by zero Exact"),
+        (lambda tmp: floor_mult(Exact(1), 0), ValueError, "m must be a positive integer"),
+    ], ids=["vertex-bits", "no-records", "delta_zero", "no-paths", "m_bar", "N_bound",
+            "N_multiple_of", "betti", "betti_partial_sum", "nullity", "R-type", "exact-div",
+            "floor_mult"])
+    def test_refused(self, capsys, tmp_path, call, want, message):
+        """Each refusal no other test reaches: a command exits 2 with its one
+        stderr line, a library call raises its type with its message."""
+        if isinstance(want, int):
+            assert call(tmp_path) == want
+            assert capsys.readouterr() == ("", message + "\n")
+        else:
+            with pytest.raises(want) as exc:
+                call(tmp_path)
+            assert str(exc.value) == message
 
 
 class TestDatasetLoading:

@@ -701,7 +701,7 @@ class TestHitStepper:
         cls = is_near_lattice(theta, k0 * mbar, delta)
         assert cls in (Lattice.LOW, Lattice.HIGH)
         for bit in (None, 0 if cls is Lattice.LOW else 1):
-            assert g.next_hit(k0, k_cap, g.kernel[2], bit) == k0
+            assert next(g.hits(k0, k_cap, g.kernel[2], bit)) == k0
 
     def test_window_widens_by_k_cap_times_mbar(self):
         """{k_cap*mbar*theta} a hair above 0, where k*a*mbar mod 2^K lags by up
@@ -715,13 +715,14 @@ class TestHitStepper:
             lag = floor_mult(theta, k_cap * mbar << g.kernel[0]) - k_cap * mbar * g.a[0]
             lags_past.add(lag > k_cap + 1)
             for bit in (None, 0):
-                assert g.next_hit(k_cap, k_cap, g.kernel[2], bit) == k_cap
+                assert next(g.hits(k_cap, k_cap, g.kernel[2], bit)) == k_cap
         assert lags_past == {False, True}
 
     def test_hit_after_hit_or_jump(self):
-        """In one window, next_hit from the k after a hit (a step by the
-        return times from the window's third hit on) and from a k past it (a
-        descent) is the least hit >= k that the descent from k finds."""
+        """Within one generator each hit (a step by the window's return times
+        after the first) is the least hit past the one before that the descent
+        finds; a jump to a k past a hit starts a new generator, whose first
+        hit is the descent from k."""
         rng = random.Random(29)
         for theta, mbar, bit in itertools.product((SQRT2M1, T35, PHI_M1), (1, 3), (None, 0, 1)):
             g = _PathData(path(1, R(theta)), mbar)
@@ -730,10 +731,14 @@ class TestHitStepper:
             w = k_cap * mbar + 1
             lo, hi = -w if bit == 0 else -h - w, -1 if bit == 1 else h
             k = rng.randint(1, 100)
+            hits = g.hits(k, k_cap, h, bit)
             for _ in range(200):
-                hit = g.next_hit(k, k_cap, h, bit)
+                hit = next(hits)
                 assert hit == k + _next_hit(step, step * k % M, M, lo, hi), (theta, mbar, bit, k)
-                k = hit + 1 + (rng.randint(1, 30) if rng.random() < 0.3 else 0)
+                k = hit + 1
+                if rng.random() < 0.3:
+                    k += rng.randint(1, 30)
+                    hits = g.hits(k, k_cap, h, bit)
 
 
 _FLOAT_GUARD = 1e-6
@@ -949,13 +954,15 @@ class TestHitSteppingOracle:
 
     @pytest.mark.parametrize("argv, stepper, returns", [
         (["cijt", "single_sqrt2.json", "--delta", "1/100"], 1, 0),
-        (["verify", "s3_elliptic.json", "--theorem", "1.5"], 3, 4),
+        (["verify", "s3_elliptic.json", "--theorem", "1.5"], 2, 4),
     ], ids=["single_sqrt2", "s3_elliptic-1.5"])
     def test_no_descent_past_the_cap(self, descents, capsys, argv, stepper, returns):
         """A search asks for no hit past its cap, which an accepted tuple
-        lowers to k_max(N - 1): the stepper's Euclid descents (2 and 5 when
-        it made one more past the cap) and those that set up a window's
-        return times, counted apart."""
+        lowers to k_max(N - 1), and a lowered cap keeps the window: the
+        stepper's Euclid descents and those that set up a window's return
+        times, counted apart.  A descent past the cap made the stepper's
+        counts 2 and 5; a window restarted at each lowered cap, 3 on
+        s3_elliptic."""
         assert main([argv[0], os.path.join(DATASETS, argv[1]), *argv[2:]]) == 0
         capsys.readouterr()
         assert (descents["stepper"], descents["returns"]) == (stepper, returns), descents
@@ -970,20 +977,19 @@ class TestHitSteppingOracle:
         (19 more probes on s3_elliptic and 1 on single_sqrt2 when the
         generator was searched again at both chi)."""
         probes, hits = Counter(), Counter()
-        probe, next_hit = _PathData.probe, _PathData.next_hit
+        probe, stepper = _PathData.probe, _PathData.hits
 
         def probing(pd, m):
             probes[pd, m] += 1
             return probe(pd, m)
 
         def stepping(pd, *args):
-            k = next_hit(pd, *args)
-            if k is not None:
+            for k in stepper(pd, *args):
                 hits[pd, k * pd.m_bar] += 1
-            return k
+                yield k
 
         monkeypatch.setattr(_PathData, "probe", probing)
-        monkeypatch.setattr(_PathData, "next_hit", stepping)
+        monkeypatch.setattr(_PathData, "hits", stepping)
         assert main([argv[0], os.path.join(DATASETS, argv[1]), *argv[2:]]) == 0
         capsys.readouterr()
         gens = {pd for pd, _ in hits}
