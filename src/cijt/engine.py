@@ -161,13 +161,18 @@ def find_tuple(
     # generator path: the one with the most lattice conditions (sparsest hits)
     gen = max(range(len(data)), key=lambda i: len(data[i].blocks))
     g = data[gen]
+
+    # an accepted tuple has m_k = ([u_k*N] + chi) * Mbar with chi in {0, 1}:
+    # k = m_k / Mbar is at most k_max(path k, N)
+    def k_max(pd, N: int) -> int:
+        return floor_mult(pd.u, N) + 1 if N >= 1 else 0
+
     # K from a path's m and N caps and the band denominators, so that an exact
     # floor is rarely needed and a widened window is a sliver of its band; a
     # denominator longer than the caps adds no more bits than they have
     slack = max(delta.denominator, chi_eps.denominator if chi_eps else 1).bit_length()
     for pd in data:
-        m_cap = (floor_mult(pd.u, problem.N_bound) + 1) * mbar
-        bits = max(m_cap, problem.N_bound).bit_length()
+        bits = max(k_max(pd, problem.N_bound) * mbar, problem.N_bound).bit_length()
         pd.fix(bits + min(slack, bits) + 16, delta, chi_eps)
 
     wants = [(None, None)] * len(data) if vertex is None else [*zip(vertex.chi, vertex.angle_bits)]
@@ -185,16 +190,11 @@ def find_tuple(
         return CijtTuple(N, ms, chis, deltas, mbar, VertexSpec(chis, all_bits), delta)
 
     best: Optional[CijtTuple] = None
-    best_residual = None
     want_bits = wants[gen][1]
 
-    # an accepted tuple has m_gen = ([u*N] + chi) * Mbar with chi in {0, 1}:
     # step k = m_gen / Mbar over [k_lo, k_cap] from hit to hit of one angle
-    def k_max(N: int) -> int:
-        return floor_mult(g.u, N) + 1 if N >= 1 else 0
-
     k_lo = max(1, floor_mult(g.u, max(1, min_N)))
-    k_cap = k_max(problem.N_bound)
+    k_cap = k_max(g, problem.N_bound)
     h = g.kernel[2]  # [2^K*delta], the Low edge
     bit = want_bits[0] if want_bits else None
     for k in g.hits(k_lo, k_cap, h, bit):
@@ -207,14 +207,13 @@ def find_tuple(
             if cand is not None and (best is None or cand.N < best.N):
                 best = cand
                 # a later m can only help with N <= best.N - 1
-                k_cap = k_max(cand.N - 1)
+                k_cap = k_max(g, cand.N - 1)
         # ask for no hit past the cap an accepted tuple may have just lowered
         if k >= k_cap:
             break
-    if best is None and g.blocks and k_lo <= k_cap:
-        best_residual = float(_least_residual(g, k_lo, k_cap))
-
     if best is None:
+        best_residual = (float(_least_residual(g, k_lo, k_cap))
+                         if g.blocks and k_lo <= k_cap else None)
         raise NotFoundWithinBound(
             "no tuple with N <= %d (delta = %s, best lattice residual %s)"
             % (problem.N_bound, problem.delta,

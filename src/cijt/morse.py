@@ -188,56 +188,6 @@ class Verdict(FrozenRecord):
         return {"theorem": self.theorem, "pass": self.passed, **self.details}
 
 
-def _default_problem(
-    dataset: GeodesicDataset,
-    n_multiple: int,
-    delta: Optional[Fraction],
-    n_bound: int,
-) -> tuple[SelectionProblem, Fraction]:
-    paths = dataset.paths
-    m_bar = m_bar_for_geodesics(paths, dataset.shape.d, dataset.shape.n)
-    if delta is None:
-        delta = Fraction(1, 200)  # the problem shrinks it below delta_0 if needed
-    problem = SelectionProblem(
-        paths, delta=delta, m_bar=m_bar, N_bound=n_bound, N_multiple_of=n_multiple
-    )
-    # proximity 1/e, e = 1 + 2*Mbar*E(sum |gamma_k|), tight enough that floors
-    # become exact multiples of N in the 2 m_k gamma_k resonance identity;
-    # delta where that is smaller
-    twice = sum([abs(r.path.two_gamma) for r in dataset.records])
-    e = 1 + 2 * problem.period * ((twice + 1) // 2)
-    return problem, min(Fraction(1, e), problem.delta)
-
-
-def _census_block(dataset, t, t_opp, margin):
-    """Censuses at both vertices, oriented so the above-window side is primary.
-
-    The counting argument reads the even/odd buckets off the vertex whose
-    window puts the jump values above 2N; the two tuples are interchangeable
-    (each is the other's opposite), so when the first-found vertex has the
-    smaller above-window census the labels are swapped.
-    """
-    census = jump_census(dataset, t, margin)
-    census_opp = jump_census(dataset, t_opp, margin)
-    if census_opp.plus_e + census_opp.plus_o > census.plus_e + census.plus_o:
-        t, t_opp = t_opp, t
-        census, census_opp = census_opp, census
-    symmetry = (census.plus_e, census.plus_o, census.minus_e, census.minus_o) == (
-        census_opp.minus_e, census_opp.minus_o, census_opp.plus_e, census_opp.plus_o
-    )
-    return t, t_opp, census, census_opp, symmetry
-
-
-def _non_hyperbolic_names(censuses, two_ns):
-    """Records certified non-hyperbolic: i(c^{2m_k}) != 2N at some tuple."""
-    out = set()
-    for census, two_n in zip(censuses, two_ns):
-        for name, (i2m, _) in census.classification.items():
-            if i2m != two_n:
-                out.add(name)
-    return sorted(out)
-
-
 class _Theorem(NamedTuple):
     """What sets one theorem pipeline apart; ``verify`` runs the rest."""
 
@@ -267,20 +217,41 @@ def verify(theorem: str, dataset: GeodesicDataset, delta: Optional[Fraction] = N
         if not spec.record_ok(r.path):
             raise HypothesisRejected(spec.record_msg % _shown(r.name))
     res = resonance_check(dataset)
-    problem, chi_eps = _default_problem(dataset, spec.n_multiple(shape), delta, n_bound)
+    paths = dataset.paths
+    # the problem shrinks the default delta below delta_0 if needed
+    problem = SelectionProblem(
+        paths, delta=Fraction(1, 200) if delta is None else delta,
+        m_bar=m_bar_for_geodesics(paths, shape.d, shape.n), N_bound=n_bound,
+        N_multiple_of=spec.n_multiple(shape),
+    )
+    # proximity 1/e, e = 1 + 2*Mbar*E(sum |gamma_k|), tight enough that floors
+    # become exact multiples of N in the 2 m_k gamma_k resonance identity;
+    # delta where that is smaller
+    twice = sum([abs(r.path.two_gamma) for r in dataset.records])
+    chi_eps = min(Fraction(1, 1 + 2 * problem.period * ((twice + 1) // 2)), problem.delta)
     t = find_tuple(problem, chi_eps=chi_eps)
 
     checks, details, non_hyp = [], {}, []
     census = opp = None
     if spec.margin is not None:
         t_opp = opposite_tuple(t, problem, chi_eps=chi_eps)
-        t, t_opp, census, opp, symmetry = _census_block(dataset, t, t_opp, spec.margin)
+        census, opp = jump_census(dataset, t, spec.margin), jump_census(dataset, t_opp, spec.margin)
+        # the counting argument reads the even/odd buckets off the vertex
+        # whose window puts the jump values above 2N; the tuples are each
+        # other's opposite, so the strictly larger above-window census is
+        # primary and a tie keeps the first-found vertex
+        if opp.plus_e + opp.plus_o > census.plus_e + census.plus_o:
+            t, t_opp, census, opp = t_opp, t, opp, census
         checks.append(_check("resonance identity", res.passes, True))
         for label, tt in (("primary", t), ("opposite", t_opp)):
             lhs, rhs, _ = tuple_resonance_identity(dataset, tt)
             checks.append(_check("sum 2 m_k gamma_k at %s tuple" % label, Fraction(lhs), rhs))
+        mirrored = (opp.minus_e, opp.minus_o, opp.plus_e, opp.plus_o)
+        symmetry = (census.plus_e, census.plus_o, census.minus_e, census.minus_o) == mirrored
         checks.append(_check("opposite-census symmetry", symmetry, True))
-        non_hyp = _non_hyperbolic_names((census, opp), (2 * t.N, 2 * t_opp.N))
+        # certified non-hyperbolic: i(c^{2m_k}) != 2N at some tuple
+        non_hyp = sorted({name for c, tt in ((census, t), (opp, t_opp))
+                          for name, (i2m, _) in c.classification.items() if i2m != 2 * tt.N})
         details = {
             "opposite_tuple": t_opp.to_json(),
             "census": census.to_json(),

@@ -684,6 +684,20 @@ class TestTheorem11:
         assert not v.passed
         assert digest(v) == GOLDEN["1.1 s2[:1]"]
 
+    def test_census_symmetry_is_checked(self, s2_dataset, monkeypatch):
+        """Every census reports one more N_-^o: the plus counts, and so the
+        orientation, stay, but no census mirrors the other any more, and the
+        verdict fails on the symmetry row alone."""
+        def skewed(dataset, t, margin):
+            c = jump_census(dataset, t, margin)
+            return JumpCensus(c.plus_e, c.plus_o, c.minus_e, c.minus_o + 1, margin, c.classification)
+
+        monkeypatch.setattr("cijt.morse.jump_census", skewed)
+        v = verify("1.1", s2_dataset)
+        assert v.to_json()["pass"] is False
+        assert failed_checks(v) == ["opposite-census symmetry"]
+        assert v.details["opposite_tuple"]["N"] == 1220  # the first-found vertex stays primary
+
     def test_zero_index_rejected(self):
         ds = GeodesicDataset(CohomologyShape(2, 1),
                              (rec("z", 1, R(T35)),
@@ -774,6 +788,32 @@ def test_unknown_theorem_rejected(s2_dataset, theorem):
         verify(theorem, s2_dataset)
     assert not isinstance(exc.value, HypothesisRejected)
     assert all(label in str(exc.value) for label in ("1.1", "1.5", "1.8")), exc.value
+
+
+@pytest.mark.parametrize("name, theorem, delta, want", [
+    ("s2_hyperbolic", "1.8", Fraction(2, 5), [Fraction(1, 3)]),
+    ("s2_hyperbolic", "1.8", None, [Fraction(1, 200)]),
+    ("s3_elliptic", "1.5", None, [Fraction(1, 200)] * 2),
+], ids=["1.8-delta-2/5", "1.8", "1.5"])
+def test_chi_eps_given_to_both_searches(monkeypatch, name, theorem, delta, want):
+    """chi_eps = min(1/(1 + 2*period*E(sum |gamma_k|)), delta): at delta = 2/5
+    the hyperbolic pair (common period 1, |gamma| = 1/2 each) gets 1/e = 1/3,
+    at the default delta it gets delta, and both searches of a census theorem
+    get the same value."""
+    seen = []
+
+    def recorded(search):
+        def wrapper(*args, chi_eps=None, **kwargs):
+            seen.append(chi_eps)
+            return search(*args, chi_eps=chi_eps, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("cijt.morse.find_tuple", recorded(find_tuple))
+    monkeypatch.setattr("cijt.morse.opposite_tuple", recorded(opposite_tuple))
+    ds = load_dataset(os.path.join(DATASETS, name + ".json"))
+    verdict = verify(theorem, ds, delta=delta)
+    assert seen == want
+    assert verdict.passed
 
 
 def _katok_pair(alpha):

@@ -27,11 +27,11 @@ def _defined(node):
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
-def test_every_public_name_has_a_caller():
-    """Every public top-level name of src/cijt is reached from scripts/,
-    bench/ or a module's top-level code, through the definitions that reach
-    it: one that only an unreached definition names is not.  cijt/__init__
-    holds its docstring and __version__, and re-exports nothing."""
+def _reached():
+    """The top-level names of src/cijt modules, and those reached from
+    scripts/, bench/ or a module's top-level code through the definitions
+    that reach them: one that only an unreached definition names is not.
+    Also the names cijt/__init__ binds, per statement."""
     reached, definitions = set(), {}
     for pattern in ("scripts/*.py", "bench/*.py", "src/cijt/*.py"):
         for path in glob.glob(os.path.join(ROOT, pattern)):
@@ -51,8 +51,23 @@ def test_every_public_name_has_a_caller():
         for node in definitions.get(todo.pop(), ()):
             todo += set(_names_in(node)) - reached
             reached.update(todo)
+    return definitions, reached, init
+
+
+def test_every_public_name_has_a_caller():
+    """Every public top-level name of src/cijt is reached from scripts/,
+    bench/ or a module's top-level code.  cijt/__init__ holds its docstring
+    and __version__, and re-exports nothing."""
+    definitions, reached, init = _reached()
     assert sorted(n for n in definitions if n not in reached and not n.startswith("_")) == []
     assert init == [[], ["__version__"]]
+
+
+def test_every_private_name_has_a_caller():
+    """The same walk for private names: a helper folded into its caller but
+    left defined is reached from nowhere."""
+    definitions, reached, _ = _reached()
+    assert sorted(n for n in definitions if n not in reached and n.startswith("_")) == []
 
 
 def test_every_import_is_used():
