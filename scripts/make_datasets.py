@@ -32,10 +32,15 @@ using 1/(phi-1) = phi:
 
     sum = phi/2 + 1/2 - (phi-1)/2 = 1 = B(3,1).
 
-The doubled-angle trick (second angle = 2 * first) makes the two lattice
-conditions of a record collapse ({2ma} is small iff {ma} is), so the tuple
-search stays cheap; the conjugate pair on P pins i(c^{2m_k}) at exactly 2N,
-which is what the M_{2N} >= 2 step of the odd-dimensional argument needs.
+The doubled angle (second angle = 2 * first) does not make a record's two
+lattice conditions collapse: {2ma} lies within delta of an integer iff {ma}
+lies within delta/2 of a multiple of 1/2, so the second condition halves the
+first one's band.  The conjugate pair on P shares one band, since
+{m(2 - x)} = 1 - {mx}, so the probes that fail an angle band fall on A1, A2
+and B1.  The search steps the record with the shortest k range, P1 (the
+largest mean index, 4).  The pair also
+pins i(c^{2m_k}) at exactly 2N, which is what the M_{2N} >= 2 step of the
+odd-dimensional argument needs.
 
 All-hyperbolic datasets: records (i_k, D-blocks) with sum gamma_k/i_k =
 B(d,n) solved greedily from odd indices (gamma = -1/2) and even indices

@@ -9,7 +9,6 @@ interval meets an edge.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Optional
 
@@ -106,12 +105,9 @@ class _PathData:
         # irrational and rational block angles (A, terms, q, wl, wh)
         self.blocks = tuple(e for e in angles if e[1])
         self.rational = tuple(e for e in angles if not e[1])
-        # Delta_k + Delta'_k at opposite vertices: S^- weight on irrational angles
-        self.C_irrational = sum(e[3] + e[4] for e in self.blocks)
         # u = 1 / (Mbar * ihat): chi component of the torus vector
         inv = path.inverse_mean
         self.u = _exact(inv.A, inv.B, inv.q * m_bar_period)
-        self.u_pinned = self.u.is_rational
 
     def fix(self, K: int, delta: Fraction, eps: Optional[Fraction]) -> None:
         """The kernel at M = 2^K: a = [M*theta/pi] per irrational block angle,
@@ -125,10 +121,10 @@ class _PathData:
     def hits(self, k: int, k_cap: int, h: int, bit: Optional[int]):
         """The k' >= k, increasing, whose 2^K*{k'*Mbar*theta}, theta the first
         bit angle, might lie below h + 1 (bit 0), above 2^K - h - 1 (bit 1) or
-        either (None), none missed up to k_cap; every k' if the path has no bit
-        angle.  The first is one descent, each later one a return time."""
+        either (None), none missed up to k_cap; every k' up to k_cap if the path
+        has no bit angle.  The first is one descent, each later one a return time."""
         if not self.a:
-            yield from itertools.count(k)
+            yield from range(k, k_cap + 1)
             return
         M, mbar = 1 << self.kernel[0], self.m_bar
         step = self.a[0] * mbar % M
@@ -168,7 +164,7 @@ class _PathData:
     def chi(self, N: int):
         """([N*u], band of {N*u} against eps); a pinned u has no band."""
         u = self.u
-        if self.u_pinned:
+        if u.is_rational:
             return N * u.A // u.q, None
         return _locate(self.ua, N, self.chi_kernel, u.A, u.B.items(), u.q)
 
@@ -179,10 +175,10 @@ def _try_path(pd: _PathData, N: int, want_chi: Optional[int],
     On the generator path hit = (m, probe at m), and its row can only be that
     m; hit is None on every other path."""
     base, band = pd.chi(N)
-    chis = (want_chi,) if want_chi is not None and not pd.u_pinned else (0, 1)
+    chis = (want_chi,) if want_chi is not None and not pd.u.is_rational else (0, 1)
     for chi in chis:
         m = (base + chi) * pd.m_bar
-        if m < 1 or (chi_eps is not None and not pd.u_pinned and band != chi):
+        if m < 1 or (chi_eps is not None and not pd.u.is_rational and band != chi):
             continue  # |{N*u} - chi| < chi_eps fails
         got = pd.probe(m) if hit is None else hit[1] if m == hit[0] else None
         if got is None or (want_bits is not None and got[0] != want_bits):

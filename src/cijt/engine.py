@@ -158,10 +158,6 @@ def find_tuple(
             len(bits) != len(pd.blocks) for bits, pd in zip(vertex.angle_bits, data))):
         raise ValueError("vertex spec shape does not match the problem")
 
-    # generator path: the one with the most lattice conditions (sparsest hits)
-    gen = max(range(len(data)), key=lambda i: len(data[i].blocks))
-    g = data[gen]
-
     # an accepted tuple has m_k = ([u_k*N] + chi) * Mbar with chi in {0, 1}:
     # k = m_k / Mbar is at most k_max(path k, N)
     def k_max(pd, N: int) -> int:
@@ -170,10 +166,16 @@ def find_tuple(
     # K from a path's m and N caps and the band denominators, so that an exact
     # floor is rarely needed and a widened window is a sliver of its band; a
     # denominator longer than the caps adds no more bits than they have
+    caps = [k_max(pd, problem.N_bound) for pd in data]
     slack = max(delta.denominator, chi_eps.denominator if chi_eps else 1).bit_length()
-    for pd in data:
-        bits = max(k_max(pd, problem.N_bound) * mbar, problem.N_bound).bit_length()
+    for pd, cap in zip(data, caps):
+        bits = max(cap * mbar, problem.N_bound).bit_length()
         pd.fix(bits + min(slack, bits) + 16, delta, chi_eps)
+
+    # generator path: the least cap among paths with a bit angle, since a path
+    # steps one angle's window, about cap*2*delta hits; one with none last
+    gen = min(range(len(data)), key=lambda i: (not data[i].blocks, caps[i]))
+    g = data[gen]
 
     wants = [(None, None)] * len(data) if vertex is None else [*zip(vertex.chi, vertex.angle_bits)]
 
@@ -194,7 +196,7 @@ def find_tuple(
 
     # step k = m_gen / Mbar over [k_lo, k_cap] from hit to hit of one angle
     k_lo = max(1, floor_mult(g.u, max(1, min_N)))
-    k_cap = k_max(g, problem.N_bound)
+    k_cap = caps[gen]
     h = g.kernel[2]  # [2^K*delta], the Low edge
     bit = want_bits[0] if want_bits else None
     for k in g.hits(k_lo, k_cap, h, bit):
@@ -212,8 +214,12 @@ def find_tuple(
         if k >= k_cap:
             break
     if best is None:
-        best_residual = (float(_least_residual(g, k_lo, k_cap))
-                         if g.blocks and k_lo <= k_cap else None)
+        # on the first path with the most bit angles, over its own k range,
+        # whichever path stepped
+        r = max(range(len(data)), key=lambda i: len(data[i].blocks))
+        k_lo = max(1, floor_mult(data[r].u, max(1, min_N)))
+        best_residual = (float(_least_residual(data[r], k_lo, caps[r]))
+                         if data[r].blocks and k_lo <= caps[r] else None)
         raise NotFoundWithinBound(
             "no tuple with N <= %d (delta = %s, best lattice residual %s)"
             % (problem.N_bound, problem.delta,
@@ -287,7 +293,7 @@ def opposite_tuple(
     """
     data = problem.data
     chi = tuple(
-        t.chi[i] if data[i].u_pinned else 1 - t.chi[i] for i in range(len(data))
+        t.chi[i] if data[i].u.is_rational else 1 - t.chi[i] for i in range(len(data))
     )
     bits = tuple(tuple(1 - b for b in path_bits) for path_bits in t.vertex.angle_bits)
     if chi_eps is None:
@@ -297,10 +303,10 @@ def opposite_tuple(
     except NotFoundWithinBound as exc:
         raise NotFoundWithinBound("opposite vertex: %s" % exc, exc.best_residual) from None
     for k, pd in enumerate(data):
-        if t.Delta[k] + opp.Delta[k] != pd.C_irrational:
+        if t.Delta[k] + opp.Delta[k] != (c := sum(e[3] + e[4] for e in pd.blocks)):
             raise CertificationError(
                 "Delta + Delta' = %d != irrational S^- weight %d on path %d"
-                % (t.Delta[k] + opp.Delta[k], pd.C_irrational, k)
+                % (t.Delta[k] + opp.Delta[k], c, k)
             )
     return opp
 

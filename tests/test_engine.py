@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import os
 import random
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cijt import _search
-from cijt.cli import main
+from cijt.cli import load_dataset, main
 from cijt.scalars import Exact, floor_mult
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum, m_check, nullity
 from cijt.iteration import PathClass, index_iterate, jump_index, mean_index
@@ -292,15 +293,16 @@ class TestFindTuple:
     def test_residual_is_brute_minimum(self, paths, delta, N_bound, min_N):
         """best_residual is the least, over the iterates m = k*Mbar the search
         covers ([u*min_N] <= k <= [u*N_bound] + 1, u = 1/(Mbar*ihat)), of the
-        largest lattice distance of the generator path's angles."""
+        largest lattice distance of the angles of the residual's path, the
+        first with the most irrational angles."""
         prob = SelectionProblem(paths, delta=delta, N_bound=N_bound)
         with pytest.raises(NotFoundWithinBound) as exc:
             find_tuple(prob, min_N=min_N)
         mbar = common_period(paths)
-        g = max((_PathData(p, mbar) for p in paths), key=lambda pd: len(_bit_angles(pd.path)))
-        k_lo, k_cap = max(1, floor_mult(g.u, min_N)), floor_mult(g.u, N_bound) + 1
+        rp = max((_PathData(p, mbar) for p in paths), key=lambda pd: len(_bit_angles(pd.path)))
+        k_lo, k_cap = max(1, floor_mult(rp.u, min_N)), floor_mult(rp.u, N_bound) + 1
         brute = min(
-            max(min(f, 1 - f) for f in (frac_mult(t, k * mbar) for t in _bit_angles(g.path)))
+            max(min(f, 1 - f) for f in (frac_mult(t, k * mbar) for t in _bit_angles(rp.path)))
             for k in range(k_lo, k_cap + 1)
         )
         assert exc.value.best_residual == float(brute)
@@ -361,7 +363,7 @@ def _delta_by_exact(pd, m, delta):
 
 def _chi_proximity_by_exact(pd, N, chi, eps):
     """|{N*u} - chi| < eps by the lattice band test (the old _chi_proximity_ok)."""
-    if pd.u_pinned:
+    if pd.u.is_rational:
         return True
     band = is_near_lattice(pd.u, N, eps)
     if chi == 0:
@@ -373,7 +375,7 @@ def _try_path_by_exact(pd, N, mbar, delta, want_chi, want_bits, chi_eps):
     """One path at candidate N by the oracles above: (m, chi, bits, Delta) or
     None, as _try_path decided it before the fixed-point probe."""
     base = floor_mult(pd.u, N)
-    chis = (want_chi,) if want_chi is not None and not pd.u_pinned else (0, 1)
+    chis = (want_chi,) if want_chi is not None and not pd.u.is_rational else (0, 1)
     for chi in chis:
         m = (base + chi) * mbar
         if m < 1:
@@ -392,7 +394,7 @@ def _try_path_by_exact(pd, N, mbar, delta, want_chi, want_bits, chi_eps):
 
 def _chi_proximity_by_frac(pd, N, chi, eps):
     """The chi test on {N*u} itself: frac_mult, then Exact comparisons."""
-    if pd.u_pinned:
+    if pd.u.is_rational:
         return True
     f = frac_mult(pd.u, N)
     return f < eps if chi == 0 else f > 1 - eps
@@ -417,7 +419,7 @@ class TestChiProximity:
                     for eps in eps_values:
                         got = _chi_proximity_by_exact(pd, N, chi, eps)
                         assert got is _chi_proximity_by_frac(pd, N, chi, eps)
-                        seen.add((pd.u_pinned, chi, got))
+                        seen.add((pd.u.is_rational, chi, got))
         assert seen == {(False, c, b) for c in (0, 1) for b in (False, True)} | {
             (True, 0, True), (True, 1, True)
         }
@@ -572,11 +574,11 @@ class TestProbeOracle:
                 for N in (rng.randint(1, 100), rng.randint(1, 10**6), rng.randint(1, 10**15)):
                     before = floors[0]
                     base, band = pd.chi(N)
-                    seen["fallback" if floors[0] > before else "fixed point"] += not pd.u_pinned
+                    seen["fallback" if floors[0] > before else "fixed point"] += not pd.u.is_rational
                     assert base == floor_mult(pd.u, N), (p, N)
-                    assert band is None or not pd.u_pinned  # a pinned u has no band
-                    if pd.u_pinned or eps is None:
-                        seen["pinned" if pd.u_pinned else "no eps"] += 1
+                    assert band is None or not pd.u.is_rational  # a pinned u has no band
+                    if pd.u.is_rational or eps is None:
+                        seen["pinned" if pd.u.is_rational else "no eps"] += 1
                         continue
                     for chi in (0, 1):
                         assert (band == chi) == _chi_proximity_by_exact(pd, N, chi, eps), (p, N, eps)
@@ -590,7 +592,8 @@ class TestResidualOnTable:
         rational and two-radicand angles): the irrational entries of
         ``PathClass.spectral`` are the block walk's angles in count, order and
         value, and an exhausted search's residual, read off those entries,
-        is the frac_mult brute-force minimum over the generator's k range."""
+        is the frac_mult brute-force minimum over the k range of the
+        residual's path, the first with the most irrational angles."""
         rng = random.Random(47)
         seen = Counter()
         while seen["residual checked"] < 120:
@@ -608,21 +611,21 @@ class TestResidualOnTable:
                 seen["found"] += 1
                 continue
             mbar = prob.period
-            gen = max(range(len(paths)), key=lambda i: len(_bit_angles(paths[i])))
-            g, angles = prob.data[gen], _bit_angles(paths[gen])
+            res = max(range(len(paths)), key=lambda i: len(_bit_angles(paths[i])))
+            rp, angles = prob.data[res], _bit_angles(paths[res])
             if not angles:
                 assert residual is None, paths
                 seen["no angle"] += 1
                 continue
-            k_lo, k_cap = max(1, floor_mult(g.u, 1)), floor_mult(g.u, prob.N_bound) + 1
+            k_lo, k_cap = max(1, floor_mult(rp.u, 1)), floor_mult(rp.u, prob.N_bound) + 1
             brute = min(
                 max(min(f, 1 - f) for f in (frac_mult(t, k * mbar) for t in angles))
                 for k in range(k_lo, k_cap + 1)
             )
-            assert _least_residual(g, k_lo, k_cap) == brute, paths
+            assert _least_residual(rp, k_lo, k_cap) == brute, paths
             assert residual == float(brute), paths
             seen["residual checked"] += 1
-            seen["generator angles>1"] += len(angles) > 1
+            seen["residual path angles>1"] += len(angles) > 1
             seen["two radicands"] += any(len(a.B) > 1 for a in angles)
             seen["mbar>1"] += mbar > 1
         assert min(seen.values()) >= 2 and len(seen) == 6, seen
@@ -880,7 +883,7 @@ class TestHitSteppingOracle:
             if isinstance(t, CijtTuple):
                 seen["mbar>1"] += mbar > 1 and any(_bit_angles(pd.path) for pd in data)
                 opp = VertexSpec(
-                    tuple(c if pd.u_pinned else 1 - c for c, pd in zip(t.chi, data)),
+                    tuple(c if pd.u.is_rational else 1 - c for c, pd in zip(t.chi, data)),
                     tuple(tuple(1 - b for b in bits) for bits in t.vertex.angle_bits),
                 )
                 calls += [
@@ -934,7 +937,7 @@ class TestHitSteppingOracle:
             calls = [{"min_N": rng.randint(2, prob.N_bound)}]
             if isinstance(t, CijtTuple):
                 opp = VertexSpec(
-                    tuple(c if pd.u_pinned else 1 - c for c, pd in zip(t.chi, prob.data)),
+                    tuple(c if pd.u.is_rational else 1 - c for c, pd in zip(t.chi, prob.data)),
                     tuple(tuple(1 - b for b in bits) for bits in t.vertex.angle_bits),
                 )
                 calls.append({"vertex": opp, "chi_eps": prob.delta})
@@ -1013,16 +1016,63 @@ class TestHitSteppingOracle:
             assert _outcome(find_tuple, prob, **after) == _outcome(_find_tuple_by_scan, prob, **after)
 
 
+class TestSteppedPath:
+    """find_tuple steps the path with the least cap among those with an
+    irrational angle, while the exit-3 residual stays on the first path with
+    the most irrational angles."""
+
+    @pytest.fixture
+    def stepped(self, monkeypatch):
+        """The hits each path's stepper yields, counted by path."""
+        hits, stepper = Counter(), _PathData.hits
+
+        def stepping(pd, *args):
+            for k in stepper(pd, *args):
+                hits[pd.path] += 1
+                yield k
+
+        monkeypatch.setattr(_PathData, "hits", stepping)
+        return hits
+
+    def test_exhausted_search_steps_the_sparse_path(self, stepped, tmp_path, capsys):
+        """s2_elliptic with c2's initial index at 10^6: c2's k range up to
+        N = 10^6 is two k wide, c1's about 1.3*10^6.  Stepping c1, the first of
+        the two one-angle paths, took 26,189 hits; stepping c2 and ratcheting
+        the residual on c1 takes 11, and the exit-3 line stays."""
+        with open(os.path.join(DATASETS, "s2_elliptic.json")) as fh:
+            doc = json.load(fh)
+        doc["records"][1]["initial_index"] = 10**6
+        dataset = tmp_path / "exhausted.json"
+        dataset.write_text(json.dumps(doc))
+        assert main(["cijt", str(dataset), "--delta", "1/100", "--n-bound", "1000000"]) == 3
+        assert capsys.readouterr().err == (
+            "search exhausted: no tuple with N <= 1000000 "
+            "(delta = 1/100, best lattice residual 5.37e-07)\n"
+        )
+        assert sum(stepped.values()) < 100, stepped
+
+    def test_theorem_1_1_steps_c2(self, stepped, capsys):
+        """On s2_elliptic both records have one irrational angle, and c2's
+        larger mean index gives it the smaller cap: every search of the 1.1
+        verdict steps c2."""
+        path = os.path.join(DATASETS, "s2_elliptic.json")
+        assert main(["verify", path, "--theorem", "1.1"]) == 0
+        capsys.readouterr()
+        records = load_dataset(path).records
+        assert records[1].name == "c2" and set(stepped) == {records[1].path}, stepped
+
+
 def _opposite_from_one(t, problem, chi_eps=None):
     """opposite_tuple as it was before it started at the primary N, kept as
     an oracle: the opposite vertex searched over every N from 1."""
     data = problem.data
-    chi = tuple(c if pd.u_pinned else 1 - c for c, pd in zip(t.chi, data))
+    chi = tuple(c if pd.u.is_rational else 1 - c for c, pd in zip(t.chi, data))
     bits = tuple(tuple(1 - b for b in path_bits) for path_bits in t.vertex.angle_bits)
     opp = find_tuple(
         problem, vertex=VertexSpec(chi, bits), chi_eps=problem.delta if chi_eps is None else chi_eps
     )
-    if any(t.Delta[k] + opp.Delta[k] != pd.C_irrational for k, pd in enumerate(data)):
+    if any(t.Delta[k] + opp.Delta[k] != sum(e[3] + e[4] for e in pd.blocks)
+           for k, pd in enumerate(data)):
         raise CertificationError("Delta + Delta' is not the irrational S^- weight")
     return opp
 
@@ -1057,7 +1107,8 @@ class TestOppositeFromPrimaryN:
         """The opposite search starts at the primary N; the search over every
         N from 1 finds the same tuple or raises the same exception, with
         chi_eps None and delta at both searches.  An exhausted opposite search
-        reports the least residual over k >= [u*N] of the primary tuple."""
+        reports the least residual on the residual's path (the first with the
+        most irrational angles) over k >= [u*N] of the primary tuple."""
         rng = random.Random(15)
         seen = Counter()
         while seen["problems"] < 220:
@@ -1066,7 +1117,7 @@ class TestOppositeFromPrimaryN:
             except NonPositiveMeanIndex:
                 continue
             seen["problems"] += 1
-            g = max(prob.data, key=lambda pd: len(_bit_angles(pd.path)))  # the generator path
+            rp = max(prob.data, key=lambda pd: len(_bit_angles(pd.path)))  # the residual's path
             for chi_eps in (None, prob.delta):
                 t = _outcome(find_tuple, prob, chi_eps=chi_eps)
                 if not isinstance(t, CijtTuple):
@@ -1086,10 +1137,10 @@ class TestOppositeFromPrimaryN:
                     seen["found above primary N"] += fast.N > t.N
                     continue
                 seen["exhausted"] += fast is NotFoundWithinBound
-                k_lo = max(1, floor_mult(g.u, t.N))
-                k_cap = floor_mult(g.u, prob.N_bound) + 1
-                if fast is NotFoundWithinBound and _bit_angles(g.path) and k_cap - k_lo < 4000:
-                    fracs = ([frac_mult(a, k * prob.period) for a in _bit_angles(g.path)]
+                k_lo = max(1, floor_mult(rp.u, t.N))
+                k_cap = floor_mult(rp.u, prob.N_bound) + 1
+                if fast is NotFoundWithinBound and _bit_angles(rp.path) and k_cap - k_lo < 4000:
+                    fracs = ([frac_mult(a, k * prob.period) for a in _bit_angles(rp.path)]
                              for k in range(k_lo, k_cap + 1))
                     brute = min(max(min(f, 1 - f) for f in fs) for fs in fracs)
                     assert residual == float(brute), (prob, chi_eps)
