@@ -9,7 +9,6 @@ interval meets an edge.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .scalars import Exact, _exact, _floor, floor_mult
@@ -19,7 +18,7 @@ from .iteration import PathClass
 # -- fixed point: x held as the integer a = [2^K*x] --------------------------
 
 
-def _edges(K: int, x: Fraction) -> tuple[int, ...]:
+def _edges(K: int, x: Exact) -> tuple[int, ...]:
     """(K, 2^K - 1, [2^K*x], [2^K*(1 - x)], p, d): the bands of x = p/d at
     fixed point 2^-K, as ``_locate`` reads them."""
     p, d = x.numerator, x.denominator
@@ -109,14 +108,14 @@ class _PathData:
         inv = path.inverse_mean
         self.u = _exact(inv.A, inv.B, inv.q * m_bar_period)
 
-    def fix(self, K: int, delta: Fraction, eps: Optional[Fraction]) -> None:
+    def fix(self, K: int, delta: Exact, eps: Optional[Exact]) -> None:
         """The kernel at M = 2^K: a = [M*theta/pi] per irrational block angle,
         [M*u], and the band edges of delta and eps (none for eps None)."""
         M, u = 1 << K, self.u
         self.a = [_floor(A, terms, q, M) for A, terms, q, _, _ in self.blocks]
         self.ua = _floor(u.A, u.B.items(), u.q, M)
         self.kernel = _edges(K, delta)
-        self.chi_kernel = _edges(K, eps or Fraction(0))  # band 0/0: [N*u] only
+        self.chi_kernel = _edges(K, eps or 0)  # band 0/0: [N*u] only
 
     def hits(self, k: int, k_cap: int, h: int, bit: Optional[int]):
         """The k' >= k, increasing, whose 2^K*{k'*Mbar*theta}, theta the first
@@ -170,7 +169,7 @@ class _PathData:
 
 
 def _try_path(pd: _PathData, N: int, want_chi: Optional[int],
-              want_bits: Optional[tuple[int, ...]], chi_eps: Optional[Fraction], hit):
+              want_bits: Optional[tuple[int, ...]], chi_eps: Optional[Exact], hit):
     """Check one path at candidate N; returns (m, chi, bits, Delta) or None.
     On the generator path hit = (m, probe at m), and its row can only be that
     m; hit is None on every other path."""

@@ -19,10 +19,10 @@ from __future__ import annotations
 import json
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .normal_forms import SymplecticClass, block_from_json, nullity
+from .scalars import Exact
 from .record import dumps, fields, integer, item, listed, refuse
 from .iteration import (
     CohomologyShape,
@@ -112,14 +112,33 @@ def load_dataset(path: str) -> GeodesicDataset:
         raise CliError("invalid dataset: %s nests lists or objects too deeply" % path)
 
 
-def _parse_fraction(s: str) -> Fraction:
-    """s as a Fraction whose integers print, refused as it is read and not
-    after a search: the 7 characters 1e-5000 pass the interpreter's digit limit."""
+def _digits(t: str, signed: bool = False) -> int:
+    """int(t) of digits that single underscores may group, signed if asked."""
+    body = t[1:] if signed and t[:1] in ("+", "-") else t
+    if not (body[:1].isdecimal() and body[-1:].isdecimal()):
+        raise ValueError(t)  # int() would take spaces, a sign or "_1" here
+    return int(t)
+
+
+def _parse_fraction(s: str) -> Exact:
+    """s as a rational whose integers print, refused as it is read and not
+    after a search: the 7 characters 1e-5000 pass the interpreter's digit
+    limit.  README gives its grammar, the same on every Python."""
     try:
-        if abs(int(s.lower().partition("e")[2] or 0)) > 10**5:  # 10**e: seconds past 10**6
-            raise ValueError(s)
-        x = Fraction(s)
-        str(x)  # past the digit limit a ValueError, as Fraction raises for a slash form
+        t = s.strip()
+        num, slash, den = (t[1:] if t[:1] in ("+", "-") else t).partition("/")
+        k = 0
+        if not slash:  # digits[.digits] or .digits, then an optional e or E exponent
+            num, e, exp = num.lower().partition("e")
+            k = _digits(exp, signed=True) if e else 0
+            if abs(k) > 10**5:  # 10**k: seconds past 10**6
+                raise ValueError(s)
+            whole, _, frac = num.partition(".")
+            k -= len(frac) - frac.count("_")
+            num, den = "_".join(filter(None, (whole, frac))), "1"  # 1.5, 1. and .5: 1_5, 1, 5
+        x = Exact(_digits(num) * 10**max(k, 0), _digits(den) * 10**max(-k, 0))
+        x = -x if t[:1] == "-" else x
+        str(x)  # past the digit limit a ValueError
         return x
     except (ValueError, ZeroDivisionError):
         raise CliError("not a rational number: %r" % s)

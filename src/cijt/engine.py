@@ -18,10 +18,9 @@ vertex, so no range is searched twice; delta_0 comes from integer floors alone.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import _below_half, _floor, floor_mult
+from .scalars import Exact, _below_half, _floor, floor_mult
 from ._search import _PathData, _least_residual, _try_path
 from .normal_forms import m_check, nullity, validate_bumpy
 from .iteration import PathClass, index_iterate, index_window, jump_index, mean_index
@@ -47,7 +46,7 @@ def common_period(paths: Sequence[PathClass]) -> int:
     return math.lcm(1, *(q for p in paths for _, terms, q, _, _ in p.spectral[2] if not terms))
 
 
-def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Fraction:
+def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Exact:
     """Rational lower bound just below the least lattice distance
     min({h*theta/2pi}, 1 - {h*theta/2pi}) over irrational angles and h <= m_bar,
     capped at 1/2.  It is read off integer floors: with F = [D*h*theta/2pi]
@@ -58,7 +57,7 @@ def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Fraction:
         raise ValueError("m_bar must be positive")
     halves = [(A, terms, 2 * q) for p in paths for A, terms, q, _, _ in p.spectral[2] if terms]
     if not halves:
-        return Fraction(1, 2)
+        return Exact(1, 2)
 
     def floor_min(D: int) -> int:
         fs = [_floor(*x, h * D) % D for x in halves for h in range(1, m_bar + 1)]
@@ -66,11 +65,11 @@ def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Fraction:
 
     k = floor_min(10**6)
     if k > 2:
-        return Fraction(k - 2, 10**6)
+        return Exact(k - 2, 10**6)
     j = 1
     while floor_min(1 << j) < 1:
         j += 1
-    return Fraction(1, 1 << j)
+    return Exact(1, 1 << j)
 
 
 class SelectionProblem(Record):
@@ -82,7 +81,7 @@ class SelectionProblem(Record):
     _fields = ("paths", "delta", "m_bar", "N_bound", "N_multiple_of", "delta_shrunk",
                "delta_zero_value")
 
-    def __init__(self, paths: Sequence[PathClass], delta: Fraction = Fraction(1, 200),
+    def __init__(self, paths: Sequence[PathClass], delta: Exact = Exact(1, 200),
                  m_bar: int = 1, N_bound: int = 10**8, N_multiple_of: int = 1):
         self.paths = paths = tuple(paths)
         if not paths:
@@ -115,7 +114,7 @@ class CijtTuple(FrozenRecord):
     _fields = ("N", "m", "chi", "Delta", "M_bar", "vertex", "delta", "report")
 
     def __init__(self, N: int, m: tuple[int, ...], chi: tuple[int, ...], Delta: tuple[int, ...],
-                 M_bar: int, vertex: VertexSpec, delta: Fraction,
+                 M_bar: int, vertex: VertexSpec, delta: Exact,
                  report: Optional[VerificationReport] = None):
         self.__dict__.update(N=N, m=m, chi=chi, Delta=Delta, M_bar=M_bar, vertex=vertex,
                              delta=delta, report=report)
@@ -141,7 +140,7 @@ class CijtTuple(FrozenRecord):
 def find_tuple(
     problem: SelectionProblem,
     vertex: Optional[VertexSpec] = None,
-    chi_eps: Optional[Fraction] = None,
+    chi_eps: Optional[Exact] = None,
     min_N: int = 1,
 ) -> CijtTuple:
     """Smallest admissible N realizing the (demanded or first-found) vertex.
@@ -280,7 +279,7 @@ def verify_tuple(t: CijtTuple, problem: SelectionProblem) -> VerificationReport:
 def opposite_tuple(
     t: CijtTuple,
     problem: SelectionProblem,
-    chi_eps: Optional[Fraction] = None,
+    chi_eps: Optional[Exact] = None,
 ) -> CijtTuple:
     """Tuple at the opposite cube vertex; pinned chi components stay free.
 

@@ -19,17 +19,16 @@ on the closed form.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .iteration import CohomologyShape
+from .scalars import Exact
 
 
-def resonance_constant(shape: CohomologyShape) -> Fraction:
+def resonance_constant(shape: CohomologyShape) -> Exact:
     """B(d,n): the exact value of sum gamma_c / ihat(c) over all geodesics."""
     d, n = shape.d, shape.n
     if d % 2 == 0:
-        return Fraction(-n * (n + 1) * d, 2 * d * (n + 1) - 4)
-    return Fraction(d + 1, 2 * d - 2)
+        return Exact(-n * (n + 1) * d, 2 * d * (n + 1) - 4)
+    return Exact(d + 1, 2 * d - 2)
 
 
 def _in_omega(shape: CohomologyShape, p: int) -> bool:
@@ -60,7 +59,7 @@ def betti(shape: CohomologyShape, p: int) -> int:
     return n
 
 
-def epsilon_correction(shape: CohomologyShape, l: int) -> Fraction:
+def epsilon_correction(shape: CohomologyShape, l: int) -> Exact:
     """The rational defect of the linear closed form for sum_{p<=l} b_p, even d:
     with r = (l - (d-1)) mod D, it is {r/dn} - (2n + d - 2)*r/(dnD) - n*{r/2}
     - {r/d}, summed as integers over the common denominator 2dnD."""
@@ -68,7 +67,7 @@ def epsilon_correction(shape: CohomologyShape, l: int) -> Fraction:
         raise ValueError("defined for even d only")
     d, n, D = shape.d, shape.n, shape.D
     r = (l - (d - 1)) % D
-    return Fraction(
+    return Exact(
         2 * D * (r % (d * n)) - 2 * (2 * n + d - 2) * r - d * n * n * D * (r % 2)
         - 2 * n * D * (r % d),
         2 * d * n * D,
@@ -89,7 +88,7 @@ def betti_partial_sum(shape: CohomologyShape, l: int) -> tuple[int, int]:
             raise ValueError("closed form needs l >= dn - 1")
         # n(n+1)d/2D * (l - (d-1)) - n(n-1)d/4 + 1 over 4D, plus epsilon
         linear = 2 * n * (n + 1) * d * (l - (d - 1)) - n * (n - 1) * d * D + 4 * D
-        closed_f = epsilon_correction(shape, l) + Fraction(linear, 4 * D)
+        closed_f = epsilon_correction(shape, l) + Exact(linear, 4 * D)
         if closed_f.denominator != 1:
             raise AssertionError("closed form is not an integer: %s" % closed_f)
         closed = closed_f.numerator

@@ -12,7 +12,6 @@ can be computed: both sides of every (in)equality appear in the emitted report.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .scalars import Exact
@@ -40,7 +39,7 @@ from .record import FrozenRecord, _shown
 class ResonanceReport(FrozenRecord):
     _fields = ("lhs", "rhs", "passes")
 
-    def __init__(self, lhs: Exact, rhs: Fraction, passes: bool):
+    def __init__(self, lhs: Exact, rhs: Exact, passes: bool):
         self.__dict__.update(lhs=lhs, rhs=rhs, passes=passes)
 
     def to_json(self):
@@ -171,9 +170,9 @@ def _check(name: str, lhs, rhs, op: str = "=="):
     ok = lhs == rhs if op == "==" else lhs >= rhs
     return {
         "check": name,
-        "lhs": str(lhs) if isinstance(lhs, (Fraction, Exact)) else lhs,
+        "lhs": str(lhs) if isinstance(lhs, Exact) else lhs,
         "op": op,
-        "rhs": str(rhs) if isinstance(rhs, (Fraction, Exact)) else rhs,
+        "rhs": str(rhs) if isinstance(rhs, Exact) else rhs,
         "pass": ok,
     }
 
@@ -202,7 +201,7 @@ class _Theorem(NamedTuple):
     passed_by: Optional[str] = None  # detail that must hold beside the checks
 
 
-def verify(theorem: str, dataset: GeodesicDataset, delta: Optional[Fraction] = None,
+def verify(theorem: str, dataset: GeodesicDataset, delta: Optional[Exact] = None,
            n_bound: int = 10**8) -> Verdict:
     """Theorem "1.1", "1.5" or "1.8" on a dataset: hypotheses, tuple (and the
     opposite tuple with censuses where the theorem has a census margin), Morse
@@ -220,7 +219,7 @@ def verify(theorem: str, dataset: GeodesicDataset, delta: Optional[Fraction] = N
     paths = dataset.paths
     # the problem shrinks the default delta below delta_0 if needed
     problem = SelectionProblem(
-        paths, delta=Fraction(1, 200) if delta is None else delta,
+        paths, delta=Exact(1, 200) if delta is None else delta,
         m_bar=m_bar_for_geodesics(paths, shape.d, shape.n), N_bound=n_bound,
         N_multiple_of=spec.n_multiple(shape),
     )
@@ -228,7 +227,7 @@ def verify(theorem: str, dataset: GeodesicDataset, delta: Optional[Fraction] = N
     # become exact multiples of N in the 2 m_k gamma_k resonance identity;
     # delta where that is smaller
     twice = sum([abs(r.path.two_gamma) for r in dataset.records])
-    chi_eps = min(Fraction(1, 1 + 2 * problem.period * ((twice + 1) // 2)), problem.delta)
+    chi_eps = min(Exact(1, 1 + 2 * problem.period * ((twice + 1) // 2)), problem.delta)
     t = find_tuple(problem, chi_eps=chi_eps)
 
     checks, details, non_hyp = [], {}, []
@@ -245,7 +244,7 @@ def verify(theorem: str, dataset: GeodesicDataset, delta: Optional[Fraction] = N
         checks.append(_check("resonance identity", res.passes, True))
         for label, tt in (("primary", t), ("opposite", t_opp)):
             lhs, rhs, _ = tuple_resonance_identity(dataset, tt)
-            checks.append(_check("sum 2 m_k gamma_k at %s tuple" % label, Fraction(lhs), rhs))
+            checks.append(_check("sum 2 m_k gamma_k at %s tuple" % label, Exact(lhs), rhs))
         mirrored = (opp.minus_e, opp.minus_o, opp.plus_e, opp.plus_o)
         symmetry = (census.plus_e, census.plus_o, census.minus_e, census.minus_o) == mirrored
         checks.append(_check("opposite-census symmetry", symmetry, True))
@@ -272,14 +271,14 @@ def verify(theorem: str, dataset: GeodesicDataset, delta: Optional[Fraction] = N
 
 def _conclude_1_1(dataset, t, census, opp, non_hyp, alt_m, alt_b, chain):
     shape = dataset.shape
-    quarter = Fraction(shape.d * shape.n * (shape.n + 1), 4)
+    quarter = Exact(shape.d * shape.n * (shape.n + 1), 4)
     return [
-        _check("alternating Morse sum vs census chain", Fraction(alt_m), chain),
+        _check("alternating Morse sum vs census chain", Exact(alt_m), chain),
         _check("Morse inequality at 2N", alt_m, alt_b, ">="),
-        _check("N_+^o lower bound", Fraction(census.plus_o), quarter, ">="),
-        _check("N_-^o lower bound (opposite window)", Fraction(opp.minus_o), quarter, ">="),
-        _check("certified non-hyperbolic count", Fraction(len(non_hyp)), 2 * quarter, ">="),
-        _check("record count q", Fraction(len(dataset.records)), 2 * quarter, ">="),
+        _check("N_+^o lower bound", Exact(census.plus_o), quarter, ">="),
+        _check("N_-^o lower bound (opposite window)", Exact(opp.minus_o), quarter, ">="),
+        _check("certified non-hyperbolic count", Exact(len(non_hyp)), 2 * quarter, ">="),
+        _check("record count q", Exact(len(dataset.records)), 2 * quarter, ">="),
     ], {}
 
 
@@ -293,15 +292,15 @@ def _conclude_1_5(dataset, t, census, opp, non_hyp, alt_m, alt_b, chain):
     )
     even_jumps = [name for name, (_, b) in census.classification.items() if b in ("+e", "-e")]
     even_valued = sorted(set(pinned) | set(even_jumps))
-    half_d = Fraction(shape.d - 1, 2)
+    half_d = Exact(shape.d - 1, 2)
     return [
-        _check("alternating Morse sum vs census chain (2N+1)", Fraction(alt_m), chain),
+        _check("alternating Morse sum vs census chain (2N+1)", Exact(alt_m), chain),
         # odd top degree flips the Morse inequality: sum (-1)^p M_p <= sum b_p
         _check("Morse chain vs Betti sum", alt_b, alt_m, ">="),
-        _check("H_+^e - H_+^o lower bound", Fraction(census.plus_e - census.plus_o), half_d, ">="),
+        _check("H_+^e - H_+^o lower bound", Exact(census.plus_e - census.plus_o), half_d, ">="),
         _check(
             "H_-^e - H_-^o lower bound (opposite window)",
-            Fraction(opp.minus_e - opp.minus_o),
+            Exact(opp.minus_e - opp.minus_o),
             half_d,
             ">=",
         ),
@@ -319,9 +318,9 @@ def _conclude_1_8(dataset, t, census, opp, non_hyp, alt_m, alt_b, chain):
         _check("i(%s^{2m_k}) pinned at 2N" % rec.name, index_iterate(rec.path, 2 * m_k), 2 * t.N)
         for rec, m_k in zip(dataset.records, t.m)
     ]
-    checks.append(_check("alternating Morse sum equals 2NB", Fraction(alt_m), chain))
-    gap = Fraction(alt_b) - Fraction(alt_m)
-    quarter = Fraction(shape.d * shape.n * (shape.n + 1), 4)
+    checks.append(_check("alternating Morse sum equals 2NB", Exact(alt_m), chain))
+    gap = alt_b - alt_m
+    quarter = Exact(shape.d * shape.n * (shape.n + 1), 4)
     return checks, {
         "contradiction_found": alt_b > alt_m,
         "alternating_morse_sum": alt_m,

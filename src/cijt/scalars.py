@@ -11,7 +11,7 @@ decides every sign, comparison, floor and lattice band.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import sys
 
 from .record import fields, integer, item, listed, named, pair, refuse
 
@@ -48,12 +48,12 @@ def _term(node, where: str):
 
 
 def _rational(x) -> tuple[int, int]:
-    """(numerator, denominator) of an int or Fraction; floats are refused."""
-    if isinstance(x, int):
-        return x, 1
-    if isinstance(x, Fraction):
+    """(numerator, denominator) of an int, a caller's Fraction or a rational
+    Exact; a float or an irrational Exact, which have neither, is refused."""
+    try:
         return x.numerator, x.denominator
-    raise TypeError("expected an int or Fraction, not %s" % type(x).__name__)
+    except AttributeError:
+        raise TypeError("expected an int or a rational, not %s" % type(x).__name__) from None
 
 
 def _below_half(x, name: str):
@@ -137,11 +137,10 @@ def _parts(x):
     """(A, B, q) of an Exact, int or Fraction; None for any other type."""
     if isinstance(x, Exact):
         return x.A, x.B, x.q
-    if isinstance(x, int):
-        return x, {}, 1
-    if isinstance(x, Fraction):
+    try:
         return x.numerator, {}, x.denominator
-    return None
+    except AttributeError:
+        return None
 
 
 def _single(B: dict[int, int]) -> tuple[int, int]:
@@ -150,7 +149,8 @@ def _single(B: dict[int, int]) -> tuple[int, int]:
 
 
 class Exact:
-    """Immutable element of Q adjoined with square roots of squarefree ints.
+    """Immutable element of Q adjoined with square roots of squarefree ints;
+    cijt's one rational type, a rational value acts as the equal Fraction.
 
     Held as integers: the value is (A + sum_s B[s]*sqrt(s))/q with q > 0, no
     zero B[s], and gcd(A, q, *B.values()) = 1, so equal values hold equal
@@ -159,9 +159,11 @@ class Exact:
 
     __slots__ = ("A", "B", "q")
 
-    def __init__(self, r: Fraction | int = 0):
-        n, d = _rational(r)
-        self.A, self.B, self.q = _lowest(n, {}, d)
+    def __init__(self, r=0, d: int = 1):  # r/d, r an int, Fraction or rational Exact
+        n, q = _rational(r)
+        if not d:
+            raise ZeroDivisionError("Exact(%s, 0)" % r)
+        self.A, self.B, self.q = _lowest(n, {}, q * d)
 
     # -- constructors -------------------------------------------------------
 
@@ -173,6 +175,15 @@ class Exact:
     @property
     def is_rational(self) -> bool:
         return not self.B
+
+    def _ratio(self) -> tuple[int, int]:
+        if self.B:  # so that an irrational value reads as no rational
+            raise AttributeError("an irrational Exact has no numerator or denominator")
+        return self.A, self.q
+
+    # p and q of a rational value p/q in lowest terms, as a Fraction has them
+    numerator = property(lambda self: self._ratio()[0])
+    denominator = property(lambda self: self._ratio()[1])
 
     # -- ring/field operations ---------------------------------------------
 
@@ -297,10 +308,14 @@ class Exact:
 
     def __hash__(self):
         # a rational value hashes as the equal Fraction (and int), so that
-        # Exact(1) and 1 are one dict key
+        # Exact(1) and 1 are one dict key: A/q modulo the prime P of the
+        # Python docs' "Hashing of numeric types", +-inf when P divides q
         if self.B:
             return hash((self.A, self.q, frozenset(self.B.items())))
-        return hash(Fraction(self.A, self.q))
+        P = sys.hash_info.modulus
+        if self.q % P:
+            return hash(self.A * pow(self.q, -1, P))  # hash(n): |n| mod P, n's sign
+        return sys.hash_info.inf if self.A > 0 else -sys.hash_info.inf
 
     def __bool__(self):
         return bool(self.A) or bool(self.B)
@@ -317,9 +332,15 @@ class Exact:
             k += 54 - bits if bits > 1 else k or 64
 
     def __repr__(self):
-        parts = [str(Fraction(self.A, self.q))] if self.A or not self.B else []
-        parts += ["%s*sqrt(%d)" % (Fraction(b, self.q), s) for s, b in sorted(self.B.items())]
+        parts = [str(_exact(self.A, {}, self.q))] if self.A or not self.B else []
+        parts += ["%s*sqrt(%d)" % (_exact(b, {}, self.q), s) for s, b in sorted(self.B.items())]
         return "Exact(%s)" % " + ".join(parts)
+
+    def __str__(self):
+        """A rational value as a Fraction prints it: "p/q", or "p" when q = 1."""
+        if self.B:
+            return repr(self)
+        return "%d/%d" % (self.A, self.q) if self.q != 1 else "%d" % self.A
 
     # -- serialization ------------------------------------------------------
 
@@ -327,8 +348,8 @@ class Exact:
         A, B, q = self.A, self.B, self.q
         if not B:
             return {"kind": "rational", "num": A, "den": q}
-        a = list(Fraction(A, q).as_integer_ratio())
-        terms = [{"coeff": list(Fraction(b, q).as_integer_ratio()), "s": s} for s, b in sorted(B.items())]
+        a = [*_exact(A, {}, q)._ratio()]
+        terms = [{"coeff": [*_exact(b, {}, q)._ratio()], "s": s} for s, b in sorted(B.items())]
         if len(B) == 1:
             return {"kind": "surd", "a": a, "b": terms[0]["coeff"], "s": terms[0]["s"]}
         return {"kind": "sum", "rational": a, "terms": terms}

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from enum import IntEnum
@@ -425,10 +426,15 @@ class TestImportFootprint:
     def test_search_compiles_no_theorem_pipeline(self):
         """A fresh interpreter that reads a dataset, searches a tuple and
         prints an index table imports neither morse nor loop_homology; a
-        verify imports both and prints the pinned 1.5 verdict."""
+        verify imports both and prints the pinned 1.5 verdict.  After these
+        and a betti table, none of fractions, decimal and numbers has been
+        imported since the probe started (the interpreter's site may load
+        other modules first): Exact is cijt's one rational type."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         probe = (
-            "import contextlib, hashlib, io, sys\n"
+            "import sys\n"
+            "start = set(sys.modules)\n"
+            "import contextlib, hashlib, io\n"
             "from cijt.cli import load_dataset, main\n"
             "def run(*argv):\n"
             "    out = io.StringIO()\n"
@@ -441,11 +447,87 @@ class TestImportFootprint:
             "print(codes, pipelines())\n"
             "code, out = run('verify', sys.argv[3], '--theorem', '1.5')\n"
             "print(code, pipelines(), hashlib.sha256(out[:-1].encode()).hexdigest())\n"
+            "code = run('betti', '--d', '2', '--n', '1', '--format', 'tsv')[0]\n"
+            "print(code, sorted({'fractions', 'decimal', 'numbers'} & (set(sys.modules) - start)))\n"
         )
         argv = [ds("single_sqrt2"), ds("s2_elliptic"), ds("s3_elliptic")]
         out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), check=True).stdout
-        assert out == "[0, 0] []\n0 ['cijt.loop_homology', 'cijt.morse'] %s\n" % GOLDEN["1.5 s3"]
+        assert out == "[0, 0] []\n0 ['cijt.loop_homology', 'cijt.morse'] %s\n0 []\n" % GOLDEN["1.5 s3"]
+
+
+def _read_delta(s):
+    """--delta s as cijt reads it, or None when it is refused."""
+    try:
+        return cli._parse_fraction(s)
+    except CliError as exc:
+        assert str(exc) == "not a rational number: %r" % s
+        return None
+
+
+def _fraction_or_none(s):
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+# strings over the --delta grammar's characters
+delta_texts = st.text(alphabet="0123456789+-/.eE_ ", max_size=12)
+
+
+def _grouped(s):
+    """Each underscore of s stands alone between two digits."""
+    return all(0 < i < len(s) - 1 and s[i - 1].isdigit() and s[i + 1].isdigit()
+               for i, c in enumerate(s) if c == "_")
+
+
+class TestDeltaGrammar:
+    """--delta has one grammar on every supported Python: optional
+    surrounding whitespace and sign, then digits/digits, or digits[.digits]
+    or .digits with an optional e or E exponent, digits grouped by single
+    underscores as int() takes them."""
+
+    @given(delta_texts.filter(lambda s: "_" not in s and " /" not in s and "/ " not in s
+                              and not re.search("[eE][-+]?[0-9]{4}", s)))
+    @settings(max_examples=400, deadline=None)
+    def test_reads_as_fraction_where_pythons_agree(self, s):
+        """Without an underscore (3.10's Fraction takes none, later ones do)
+        and without a space beside the slash (where versions differ too),
+        every supported Python's Fraction reads s alike, and so does cijt.
+        Exponents stay under 1000: cijt refuses a value whose integers pass
+        the interpreter's digit limit, and Fraction would build 10**e."""
+        want = _fraction_or_none(s)
+        got = _read_delta(s)
+        assert (got is None) == (want is None), s
+        if want is not None:
+            assert got == want and str(got) == str(want), s
+
+    @given(delta_texts)
+    @settings(max_examples=400, deadline=None)
+    def test_underscores_group_digits(self, s):
+        """An underscore is taken only alone between two digits, and then it
+        changes nothing."""
+        assert _read_delta(s) == (_read_delta(s.replace("_", "")) if _grouped(s) else None), s
+
+    @pytest.mark.parametrize("text, value", [
+        ("1_000/3", Fraction(1000, 3)), (" 1/200 ", Fraction(1, 200)), ("-.5e-3", Fraction(-1, 2000)),
+        ("1.", Fraction(1)), ("2_5E-0_3", Fraction(1, 40)), ("+1e1", Fraction(10)),
+    ])
+    def test_accepted(self, text, value):
+        x = cli._parse_fraction(text)
+        assert type(x) is Exact and x == value and str(x) == str(value)
+
+    @pytest.mark.parametrize("text", [
+        "1/0", "1/ 2", "1 /2", "nan", "inf", "0x10", "1__0/3", "_1/3", "1_/3", "1e", ".", "", "- 1/3",
+        "1.5/2", "1e-5000", "1E-100000000",
+    ])
+    def test_refused_with_one_line(self, capsys, text):
+        """Each refusal exits 2 with one line and no advice on the
+        interpreter's digit limit."""
+        with time_limit(5):
+            line = "error: not a rational number: %r\n" % text
+            assert run(capsys, "cijt", ds("single_sqrt2"), "--delta", text) == (2, "", line)
 
 
 def _one_line(message):

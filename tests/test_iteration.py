@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import sys
@@ -9,11 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from cijt.scalars import Exact, ceil_mult, floor_mult
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass, nullity, validate_bumpy
 from cijt.cli import load_dataset
+from cijt.engine import SelectionProblem, find_tuple, opposite_tuple
 from cijt.iteration import (
     PathClass,
     index_bracket,
     index_iterate,
     index_window,
+    jump_index,
     mean_index,
 )
 from test_normal_forms import blocks, s_plus_one, unit_angles
@@ -330,3 +333,104 @@ class TestCrossCheckGate:
             p = self._random_bumpy(rng)
             for m in (1, 2, 5, 12):
                 assert nullity(p.monodromy, m) == 0
+
+
+# -- Bott's formula: index and nullity oracles apart from the iteration formula
+
+
+@functools.cache
+def _roots(m):
+    """The angles 2j/m, 0 < j < m, of the m-th roots of unity other than 1, over pi."""
+    return tuple(Exact(2 * j, m) for j in range(1, m))
+
+
+def _eigenvalues(b):
+    """(theta/pi, S^-, S^+, nu) of each eigenvalue e^{i theta} of a block on
+    the unit circle.  A block's minus gives S^- at theta and at 2pi - theta,
+    and S^+(w) = S^-(conj w), so at w = +-1 S^+ = S^-."""
+    if isinstance(b, N1):
+        return [(b.angle, b.minus[0], b.minus[0], 1 if b.b_sign else 2)]
+    if isinstance(b, D):
+        return []
+    (wl, wh), t = b.minus, b.angle
+    return [(t, wl, wh, 1), (2 - t, wh, wl, 1)]
+
+
+def index_by_bott(p: PathClass, m: int) -> int:
+    """i(gamma^m) by Bott's formula, the sum of the omega-indices i_omega(gamma)
+    over the m-th roots of unity (R. Bott, Comm. Pure Appl. Math. 9 (1956);
+    Y. Long, Index Theory for Symplectic Paths (2002), ch. 9): an oracle
+    that shares no floor with the iteration formula.  i_1 is i(gamma); round
+    the unit circle from 1, i_omega rises by S^+(w) - S^-(w) past each
+    eigenvalue w, and at w it is S^-(w) below its value just before.  Each
+    comparison of theta/pi with 2j/m is one Exact comparison."""
+    points = [e for b in p.monodromy.blocks for e in _eigenvalues(b)]
+    after_one = p.i1 + sum(s_plus for t, _, s_plus, _ in points if t == 0)
+    total = p.i1
+    for x in _roots(m):
+        i = after_one
+        for t, s_minus, s_plus, _ in points:
+            c = t._cmp(x)
+            i += s_plus - s_minus if c < 0 else -s_minus if c == 0 else 0
+        total += i
+    return total
+
+
+def nullity_by_bott(p: PathClass, m: int) -> int:
+    """nu(gamma^m), the sum of nu_omega(gamma) over the m-th roots of unity:
+    each eigenvalue at 1 or at a root 2j/m adds its nu."""
+    roots = _roots(m)
+    return sum(nu for b in p.monodromy.blocks for t, _, _, nu in _eigenvalues(b)
+               if t == 0 or t in roots)
+
+
+def _seeded_paths(rng, count):
+    """Paths of one to four N1, D, R and N2 blocks at rational and surd
+    angles, some of them roots of unity of small order, and i(gamma) from -3
+    to 6."""
+    angles = [SQRT2M1, T35, 2 - SQRT2M1, Exact(1, 3), Exact(2, 3), Exact(1, 2), Exact(5, 4),
+              Exact(3, 2), Exact(7, 5)]
+    for _ in range(count):
+        bs = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                bs.append(N1(rng.choice([1, -1]), rng.choice([-1, 0, 1])))
+            elif kind == 1:
+                bs.append(D(Exact(rng.choice([2, -3]))))
+            elif kind == 2:
+                bs.append(R(rng.choice(angles)))
+            else:
+                bs.append(N2(rng.choice(angles), rng.random() < 0.5))
+        yield path(rng.randint(-3, 6), *bs)
+
+
+class TestBottOracle:
+    def test_shipped_records(self):
+        for where in SHIPPED:
+            p = where[-1]
+            for m in range(1, 41):
+                assert index_iterate(p, m) == index_by_bott(p, m), (where, m)
+
+    def test_seeded_paths(self):
+        """index_iterate and nullity equal the oracle's, and the oracle's
+        i(gamma^m) lies in index_bracket, for m <= 40 on 100 seeded paths."""
+        for p in _seeded_paths(random.Random(15), 100):
+            lo, hi = index_bracket(p)
+            for m in range(1, 41):
+                i = index_by_bott(p, m)
+                assert index_iterate(p, m) == i, (p, m)
+                assert nullity(p.monodromy, m) == nullity_by_bott(p, m), (p, m)
+                assert Exact(lo) <= i - p.mean * m < Exact(hi), (p, m)
+
+    def test_jump_identity_at_tuples(self):
+        """i(gamma^{2m_k}) by the oracle is jump_index's 2N - (S^+ + C - 2 Delta_k)
+        at the auto and opposite tuples on two shipped datasets."""
+        root = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
+        for name, delta in (("single_sqrt2", Exact(1, 100)), ("s2_elliptic", Exact(1, 200))):
+            paths = load_dataset(os.path.join(root, name + ".json")).paths
+            problem = SelectionProblem(paths, delta=delta)
+            t = find_tuple(problem)
+            for tt in (t, opposite_tuple(t, problem)):
+                for p, m_k, d_k in zip(paths, tt.m, tt.Delta):
+                    assert index_by_bott(p, 2 * m_k) == jump_index(p, tt.N, d_k), (name, tt)

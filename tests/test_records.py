@@ -164,7 +164,7 @@ class TestRepr:
             "SelectionProblem(paths=(PathClass(i1=1, monodromy=SymplecticClass(blocks="
             "(R(theta=Exact(-1 + 1*sqrt(2))),), half_dimension=1)),), delta=Fraction(1, 100), "
             "m_bar=1, N_bound=100000000, N_multiple_of=1, delta_shrunk=False, "
-            "delta_zero_value=Fraction(3236, 15625)"
+            "delta_zero_value=Exact(3236/15625)"
         )
         assert "data=" not in text and "_PathData" not in text
 

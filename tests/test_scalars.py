@@ -1,7 +1,9 @@
 import contextlib
 import decimal
 import math
+import os
 import signal
+import sys
 from enum import Enum
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cijt.scalars import (
     Exact,
+    _below_half,
     _enclosure,
     _floor,
     _squarefree_split,
@@ -30,11 +33,11 @@ def frac_mult(x: Exact, m: int) -> Exact:
     return x * m - floor_mult(x, m)
 
 
-def is_near_lattice(x: Exact, m: int, delta: Fraction) -> Lattice:
+def is_near_lattice(x: Exact, m: int, delta: Fraction | Exact) -> Lattice:
     """{m*x} against the open bands (0, delta) and (1 - delta, 1), from one
     floor: the search's band test before its fixed-point kernels."""
-    if not isinstance(delta, Fraction):  # a float is no exact band
-        raise TypeError("delta must be a Fraction, not %s" % type(delta).__name__)
+    if not isinstance(delta, (Fraction, Exact)):  # a float is no exact band
+        raise TypeError("delta must be a Fraction or an Exact, not %s" % type(delta).__name__)
     p, r = delta.numerator, delta.denominator
     if not 0 < 2 * p < r:
         raise ValueError("delta must lie in (0, 1/2)")
@@ -239,6 +242,70 @@ class TestConstruction:
             assert a == b and hash(a) == hash(b), (a, b)
         assert {Exact(1): "v"}.get(1) == "v"
         assert {Fraction(1, 2): "v"}.get(Exact(Fraction(1, 2))) == "v"
+
+
+# numerators and denominators up to 2^200, and the hash modulus, where a
+# Fraction's hash is inf
+_BIG = 2**200
+_P = sys.hash_info.modulus
+
+
+class TestRationalParity:
+    """A rational Exact prints, hashes and compares as the equal Fraction, so
+    that it can stand in for one byte for byte."""
+
+    @given(p=st.one_of(st.integers(-_BIG, _BIG), st.sampled_from([0, 1, -1])),
+           q=st.one_of(st.integers(1, _BIG), st.just(1)),
+           p2=st.integers(-_BIG, _BIG), q2=st.integers(1, _BIG))
+    @example(p=1, q=_P, p2=-1, q2=_P)  # hash inf, and -inf
+    @example(p=-(_P + 2), q=2, p2=0, q2=1)  # a hash of -1 is -2
+    @example(p=3, q=6, p2=1, q2=2)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_fraction(self, p, q, p2, q2):
+        x, f = Exact(p, q), Fraction(p, q)
+        y, g = Exact(p2, q2), Fraction(p2, q2)
+        assert (x.numerator, x.denominator) == (f.numerator, f.denominator)
+        assert str(x) == str(f) and hash(x) == hash(f)
+        assert x == f and f == x and (x == g) == (f == g) == (g == x) == (x == y)
+        assert (x < g) == (f < g) == (g > x) == (x < y)
+        assert (g < x) == (g < f) == (x > g) == (y < x)
+        assert x.to_json() == {"kind": "rational", "num": f.numerator, "den": f.denominator}
+        assert repr(x) == "Exact(%s)" % f
+
+    def test_shipped_angles_print_as_before(self):
+        """The repr of every block of the shipped datasets, as it read when
+        the rational parts printed through Fraction."""
+        from cijt.cli import load_dataset
+
+        want = {
+            "s2_elliptic": ["R(theta=Exact(3 + -1*sqrt(5)))", "R(theta=Exact(-1/2 + 1/2*sqrt(5)))"],
+            "s3_elliptic": [
+                "R(theta=Exact(-2/3 + 2/3*sqrt(5)))", "R(theta=Exact(-4/3 + 4/3*sqrt(5)))",
+                "R(theta=Exact(-2/3 + 2/3*sqrt(5)))", "R(theta=Exact(-4/3 + 4/3*sqrt(5)))",
+                "R(theta=Exact(-1/2 + 1/2*sqrt(5)))", "R(theta=Exact(5/2 + -1/2*sqrt(5)))",
+                "R(theta=Exact(-1/2 + 1/2*sqrt(5)))", "R(theta=Exact(5/2 + -1/2*sqrt(5)))",
+                "R(theta=Exact(-1/6 + 1/6*sqrt(5)))", "R(theta=Exact(-1/3 + 1/3*sqrt(5)))",
+            ],
+            "s2_hyperbolic": ["D(lam=Exact(2))", "D(lam=Exact(-3))"],
+            "single_sqrt2": ["R(theta=Exact(-1 + 1*sqrt(2)))"],
+        }
+        root = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
+        for name, reprs in want.items():
+            ds = load_dataset(os.path.join(root, name + ".json"))
+            assert [repr(b) for r in ds.records for b in r.path.monodromy.blocks] == reprs, name
+
+    def test_irrational_has_no_ratio(self):
+        """An irrational Exact has no numerator or denominator, so every
+        entry point that reads a rational refuses it."""
+        assert not hasattr(SQRT2M1, "numerator") and not hasattr(SQRT2M1, "denominator")
+        with pytest.raises(TypeError):
+            _below_half(SQRT2M1 * Fraction(1, 10), "delta")
+        with pytest.raises(TypeError):
+            Exact(SQRT2M1)
+        assert str(SQRT2M1) == repr(SQRT2M1) == "Exact(-1 + 1*sqrt(2))"
+        assert _below_half(Exact(1, 3), "delta") == Fraction(1, 3)
+        with pytest.raises(ZeroDivisionError):
+            Exact(1, 0)
 
 
 class TestArithmetic:
