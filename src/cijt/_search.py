@@ -9,8 +9,6 @@ interval meets an edge.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .scalars import Exact, _exact, _floor, floor_mult
 from .iteration import PathClass
 
@@ -108,7 +106,7 @@ class _PathData:
         inv = path.inverse_mean
         self.u = _exact(inv.A, inv.B, inv.q * m_bar_period)
 
-    def fix(self, K: int, delta: Exact, eps: Optional[Exact]) -> None:
+    def fix(self, K: int, delta: Exact, eps: Exact | None) -> None:
         """The kernel at M = 2^K: a = [M*theta/pi] per irrational block angle,
         [M*u], and the band edges of delta and eps (none for eps None)."""
         M, u = 1 << K, self.u
@@ -117,7 +115,7 @@ class _PathData:
         self.kernel = _edges(K, delta)
         self.chi_kernel = _edges(K, eps or 0)  # band 0/0: [N*u] only
 
-    def hits(self, k: int, k_cap: int, h: int, bit: Optional[int]):
+    def hits(self, k: int, k_cap: int, h: int, bit: int | None):
         """The k' >= k, increasing, whose 2^K*{k'*Mbar*theta}, theta the first
         bit angle, might lie below h + 1 (bit 0), above 2^K - h - 1 (bit 1) or
         either (None), none missed up to k_cap; every k' up to k_cap if the path
@@ -168,8 +166,8 @@ class _PathData:
         return _locate(self.ua, N, self.chi_kernel, u.A, u.B.items(), u.q)
 
 
-def _try_path(pd: _PathData, N: int, want_chi: Optional[int],
-              want_bits: Optional[tuple[int, ...]], chi_eps: Optional[Exact], hit):
+def _try_path(pd: _PathData, N: int, want_chi: int | None,
+              want_bits: tuple[int, ...] | None, chi_eps: Exact | None, hit):
     """Check one path at candidate N; returns (m, chi, bits, Delta) or None.
     On the generator path hit = (m, probe at m), and its row can only be that
     m; hit is None on every other path."""

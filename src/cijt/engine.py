@@ -18,7 +18,6 @@ vertex, so no range is searched twice; delta_0 comes from integer floors alone.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
 
 from .scalars import Exact, _below_half, _floor, floor_mult
 from ._search import _PathData, _least_residual, _try_path
@@ -41,12 +40,12 @@ class CertificationError(AssertionError):
     """A tuple accepted by the search failed re-verification (engine bug)."""
 
 
-def common_period(paths: Sequence[PathClass]) -> int:
+def common_period(paths: tuple[PathClass, ...] | list[PathClass]) -> int:
     """Least Mbar with Mbar * theta/pi integral for every rational angle."""
     return math.lcm(1, *(q for p in paths for _, terms, q, _, _ in p.spectral[2] if not terms))
 
 
-def delta_zero(paths: Sequence[PathClass], m_bar: int) -> Exact:
+def delta_zero(paths: tuple[PathClass, ...] | list[PathClass], m_bar: int) -> Exact:
     """Rational lower bound just below the least lattice distance
     min({h*theta/2pi}, 1 - {h*theta/2pi}) over irrational angles and h <= m_bar,
     capped at 1/2.  It is read off integer floors: with F = [D*h*theta/2pi]
@@ -81,8 +80,9 @@ class SelectionProblem(Record):
     _fields = ("paths", "delta", "m_bar", "N_bound", "N_multiple_of", "delta_shrunk",
                "delta_zero_value")
 
-    def __init__(self, paths: Sequence[PathClass], delta: Exact = Exact(1, 200),
-                 m_bar: int = 1, N_bound: int = 10**8, N_multiple_of: int = 1):
+    def __init__(self, paths: tuple[PathClass, ...] | list[PathClass],
+                 delta: Exact = Exact(1, 200), m_bar: int = 1, N_bound: int = 10**8,
+                 N_multiple_of: int = 1):
         self.paths = paths = tuple(paths)
         if not paths:
             raise ValueError("need at least one path")
@@ -115,7 +115,7 @@ class CijtTuple(FrozenRecord):
 
     def __init__(self, N: int, m: tuple[int, ...], chi: tuple[int, ...], Delta: tuple[int, ...],
                  M_bar: int, vertex: VertexSpec, delta: Exact,
-                 report: Optional[VerificationReport] = None):
+                 report: VerificationReport | None = None):
         self.__dict__.update(N=N, m=m, chi=chi, Delta=Delta, M_bar=M_bar, vertex=vertex,
                              delta=delta, report=report)
 
@@ -139,8 +139,8 @@ class CijtTuple(FrozenRecord):
 
 def find_tuple(
     problem: SelectionProblem,
-    vertex: Optional[VertexSpec] = None,
-    chi_eps: Optional[Exact] = None,
+    vertex: VertexSpec | None = None,
+    chi_eps: Exact | None = None,
     min_N: int = 1,
 ) -> CijtTuple:
     """Smallest admissible N realizing the (demanded or first-found) vertex.
@@ -190,7 +190,7 @@ def find_tuple(
         ms, chis, all_bits, deltas = zip(*rows)
         return CijtTuple(N, ms, chis, deltas, mbar, VertexSpec(chis, all_bits), delta)
 
-    best: Optional[CijtTuple] = None
+    best: CijtTuple | None = None
     want_bits = wants[gen][1]
 
     # step k = m_gen / Mbar over [k_lo, k_cap] from hit to hit of one angle
@@ -279,7 +279,7 @@ def verify_tuple(t: CijtTuple, problem: SelectionProblem) -> VerificationReport:
 def opposite_tuple(
     t: CijtTuple,
     problem: SelectionProblem,
-    chi_eps: Optional[Exact] = None,
+    chi_eps: Exact | None = None,
 ) -> CijtTuple:
     """Tuple at the opposite cube vertex; pinned chi components stay free.
 
@@ -310,7 +310,7 @@ def opposite_tuple(
     return opp
 
 
-def m_bar_for_geodesics(paths: Sequence[PathClass], d: int, n: int) -> int:
+def m_bar_for_geodesics(paths: tuple[PathClass, ...] | list[PathClass], d: int, n: int) -> int:
     """max over paths of the least m with i(c^m) >= i(c) + 2(dn-1)."""
     out = 1
     for p in paths:

@@ -12,12 +12,11 @@ can be computed: both sides of every (in)equality appear in the emitted report.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from collections import namedtuple
 
 from .scalars import Exact
 from .normal_forms import is_hyperbolic
 from .iteration import (
-    CohomologyShape,
     GeodesicDataset,
     HypothesisRejected,
     PathClass,
@@ -69,7 +68,7 @@ class JumpCensus(FrozenRecord):
     _fields = ("plus_e", "plus_o", "minus_e", "minus_o", "margin", "classification")
 
     def __init__(self, plus_e: int, plus_o: int, minus_e: int, minus_o: int, margin: int,
-                 classification: dict[str, tuple[int, Optional[str]]]):
+                 classification: dict[str, tuple[int, str | None]]):
         # classification: name -> (i(c^{2m_k}), bucket in {"+e","+o","-e","-o",None})
         self.__dict__.update(plus_e=plus_e, plus_o=plus_o, minus_e=minus_e, minus_o=minus_o,
                              margin=margin, classification=classification)
@@ -187,21 +186,19 @@ class Verdict(FrozenRecord):
         return {"theorem": self.theorem, "pass": self.passed, **self.details}
 
 
-class _Theorem(NamedTuple):
-    """What sets one theorem pipeline apart; ``verify`` runs the rest."""
-
-    shape_ok: Callable[[CohomologyShape], bool]
-    shape_msg: str
-    record_ok: Callable[[PathClass], bool]
-    record_msg: str  # formatted with the record name
-    n_multiple: Callable[[CohomologyShape], int]
-    margin: Optional[int]  # census window margin; None: no opposite vertex
-    top: int  # the Morse chain runs to degree 2N + top
-    conclude: Callable  # (dataset, t, ..., chain) -> its own checks and details
-    passed_by: Optional[str] = None  # detail that must hold beside the checks
+# what sets one theorem pipeline apart; ``verify`` runs the rest
+_Theorem = namedtuple("_Theorem", [
+    "shape_ok", "shape_msg",  # (shape) -> bool, and its refusal
+    "record_ok", "record_msg",  # (path) -> bool, and its refusal, formatted with the record name
+    "n_multiple",  # (shape) -> what N must be a multiple of
+    "margin",  # census window margin; None: no opposite vertex
+    "top",  # the Morse chain runs to degree 2N + top
+    "conclude",  # (dataset, t, ..., chain) -> its own checks and details
+    "passed_by",  # detail that must hold beside the checks
+], defaults=(None,))
 
 
-def verify(theorem: str, dataset: GeodesicDataset, delta: Optional[Exact] = None,
+def verify(theorem: str, dataset: GeodesicDataset, delta: Exact | None = None,
            n_bound: int = 10**8) -> Verdict:
     """Theorem "1.1", "1.5" or "1.8" on a dataset: hypotheses, tuple (and the
     opposite tuple with censuses where the theorem has a census margin), Morse

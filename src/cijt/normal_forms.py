@@ -16,8 +16,6 @@ nullity, the return time of rational angles, bumpiness and the elliptic height.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 from .scalars import Exact, _floor
 from .record import FrozenRecord, fields, integer, item, named
 
@@ -90,11 +88,10 @@ class N2(FrozenRecord):
     dim = 4
 
 
-Block = Union[N1, D, R, N2]
 _KINDS = {N1: 0, D: 1, R: 2, N2: 3}
 
 
-def _block_key(b: Block):
+def _block_key(b: N1 | D | R | N2):
     """Canonical order: block kind, then the block's own fields."""
     return (_KINDS[type(b)], *b._values())
 
@@ -105,7 +102,7 @@ class SymplecticClass(FrozenRecord):
 
     _fields = ("blocks", "half_dimension")
 
-    def __init__(self, blocks: tuple[Block, ...]):
+    def __init__(self, blocks: tuple[N1 | D | R | N2, ...]):
         blocks = tuple(sorted(blocks, key=_block_key))
         self.__dict__.update(blocks=blocks, half_dimension=sum(b.dim for b in blocks) // 2)
 
@@ -136,7 +133,7 @@ def is_hyperbolic(M: SymplecticClass) -> bool:
     return elliptic_height(M) == 0
 
 
-def m_check(M: SymplecticClass) -> Optional[int]:
+def m_check(M: SymplecticClass) -> int | None:
     """First iterate returning a rational angle p/q in (0, 2) to 1: k*p/q is
     first even at k = q for even p, 2q for odd p; None if there is none."""
     times = [(1 + t.A % 2) * t.q for t in (b.angle for b in M.blocks) if t and t.is_rational]
@@ -154,7 +151,7 @@ def validate_bumpy(M: SymplecticClass) -> bool:
 _SIGNS = {"positive": 1, "zero": 0, "negative": -1}
 
 
-def block_to_json(b: Block):
+def block_to_json(b: N1 | D | R | N2):
     if isinstance(b, N1):
         sign = {v: k for k, v in _SIGNS.items()}[b.b_sign]
         return {"type": "N1", "lambda": b.lam, "b_sign": sign}
@@ -169,7 +166,7 @@ def block_to_json(b: Block):
     }
 
 
-def block_from_json(obj, where: str = "block") -> Block:
+def block_from_json(obj, where: str = "block") -> N1 | D | R | N2:
     """The block of a block_to_json object at the place where; a refusal
     of its constructor is prefixed with that place."""
     t = named(item(obj, where, "type"), where + ".type", ("N1", "D", "R", "N2"))

@@ -10,10 +10,10 @@ and the getters at the end read the nodes of a JSON document, each checked
 where it is read.
 """
 
+from collections import namedtuple
 from functools import partial
 # encode_basestring_ascii is the C function json.dumps uses
 from json.encoder import JSONEncoder, encode_basestring_ascii as _encode_str
-from typing import NamedTuple
 
 
 class Record:
@@ -48,14 +48,8 @@ class FrozenRecord(Record):
         raise AttributeError("cannot delete field %r" % name)
 
 
-class CheckRecord(NamedTuple):
-    """One identity of a verification: its two sides at path k and iterate m."""
-
-    k: int
-    m: int
-    equation: str
-    lhs: int
-    rhs: int
+# one identity of a verification: its two sides at path k and iterate m
+CheckRecord = namedtuple("CheckRecord", "k m equation lhs rhs")
 
 
 # CheckRecord._make with no Python-level call per row

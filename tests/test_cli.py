@@ -428,8 +428,10 @@ class TestImportFootprint:
         prints an index table imports neither morse nor loop_homology; a
         verify imports both and prints the pinned 1.5 verdict.  After these
         and a betti table, none of fractions, decimal and numbers has been
-        imported since the probe started (the interpreter's site may load
-        other modules first): Exact is cijt's one rational type."""
+        imported since the probe started, since Exact is cijt's one rational
+        type, and neither has typing, since annotations stay strings.  The
+        probe runs under -S, so no .pth file of the interpreter's site can
+        load typing first."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         probe = (
             "import sys\n"
@@ -448,10 +450,10 @@ class TestImportFootprint:
             "code, out = run('verify', sys.argv[3], '--theorem', '1.5')\n"
             "print(code, pipelines(), hashlib.sha256(out[:-1].encode()).hexdigest())\n"
             "code = run('betti', '--d', '2', '--n', '1', '--format', 'tsv')[0]\n"
-            "print(code, sorted({'fractions', 'decimal', 'numbers'} & (set(sys.modules) - start)))\n"
+            "print(code, sorted({'fractions', 'decimal', 'numbers', 'typing'} & (set(sys.modules) - start)))\n"
         )
         argv = [ds("single_sqrt2"), ds("s2_elliptic"), ds("s3_elliptic")]
-        out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+        out = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), check=True).stdout
         assert out == "[0, 0] []\n0 ['cijt.loop_homology', 'cijt.morse'] %s\n0 []\n" % GOLDEN["1.5 s3"]
 

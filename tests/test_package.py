@@ -1,6 +1,7 @@
 """The package holds no code that only the tests call."""
 
 import ast
+import builtins
 import glob
 import os
 
@@ -87,6 +88,42 @@ def test_every_import_is_used():
                     if name not in loaded:
                         unused.append("%s: %s" % (os.path.basename(path), name))
     assert unused == []
+
+
+def _annotation_names(tree):
+    """The names read by every annotation of a module, of arguments, returns
+    and annotated assignments; a string in one (such as -> "Exact") is parsed
+    as the expression it stands for."""
+    todo = []
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.arg, ast.AnnAssign)):
+            todo.append(n.annotation)
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.append(n.returns)
+    todo = [a for a in todo if a is not None]
+    while todo:
+        for n in ast.walk(todo.pop()):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                todo.append(ast.parse(n.value, mode="eval").body)
+            elif isinstance(n, ast.Name):
+                yield n.id
+
+
+def test_every_annotation_name_is_bound():
+    """Every name an annotation of a src/cijt module reads is imported,
+    defined at its top level, or a builtin.  No code evaluates annotations
+    (every module has from __future__ import annotations), so a name whose
+    import went would otherwise pass unnoticed."""
+    unbound = set()
+    for name, tree in _module_trees():
+        bound = set(dir(builtins))
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update((a.asname or a.name).partition(".")[0] for a in node.names)
+            else:
+                bound.update(_defined(node))
+        unbound.update("%s: %s" % (name, n) for n in _annotation_names(tree) if n not in bound)
+    assert sorted(unbound) == []
 
 
 MODULE_CAP = 20314  # bytes: compiling the largest module sets a cijt process's peak memory
