@@ -16,7 +16,7 @@ or input rejection, 3 search exhaustion, 4 internal error (any other exception).
 
 from __future__ import annotations
 
-import json
+import _json
 import os
 import sys
 from types import SimpleNamespace
@@ -79,12 +79,35 @@ def _record(node, where: str) -> GeodesicRecord:
     return GeodesicRecord(name, PathClass(index, blocks))
 
 
+# the C scanner that json.loads runs, with its default hooks: a document cijt
+# accepts is read without importing json, which compiles regular expressions
+_scan = _json.make_scanner(SimpleNamespace(
+    strict=True, object_hook=None, object_pairs_hook=None, parse_float=float, parse_int=int,
+    parse_constant={c: float(c) for c in ("NaN", "Infinity", "-Infinity")}.__getitem__,
+))
+
+
+def _loads(text: str):
+    """json.loads(text): the same value, or the same exception, which json.loads
+    raises for any text the scanner does not read whole or raises on (on 3.10
+    and 3.11 a SystemError on a syntax error until json.decoder is imported)."""
+    try:
+        doc, end = _scan(text, len(text) - len(text.lstrip(" \t\n\r")))
+        if end == len(text.rstrip(" \t\n\r")):
+            return doc
+    except Exception:
+        pass
+    import json
+
+    return json.loads(text)
+
+
 def load_dataset(path: str) -> GeodesicDataset:
     """The dataset of a JSON file, each node checked where it is read."""
     try:
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
+            with open(path, encoding="utf-8") as fh:
+                doc = _loads(fh.read())
         except (OSError, ValueError) as exc:  # bad JSON or UTF-8, a too long integer
             # without the interpreter's advice on its digit limit: none to a dataset's author
             raise CliError("cannot read dataset %s: %s" % (path, str(exc).partition("; use sys.")[0]))

@@ -13,7 +13,7 @@ where it is read.
 from collections import namedtuple
 from functools import partial
 # encode_basestring_ascii is the C function json.dumps uses
-from json.encoder import JSONEncoder, encode_basestring_ascii as _encode_str
+from _json import encode_basestring_ascii as _encode_str
 
 
 class Record:
@@ -165,7 +165,10 @@ def _shown(name: str) -> str:
 
 def refuse(where: str, node, why: str) -> ValueError:
     """The error for a bad node, written by the pure-Python JSON encoder: on
-    every Python version it meets the recursion limit on a very deep node."""
+    every Python version it meets the recursion limit on a very deep node.
+    Only a refusal imports json."""
+    from json.encoder import JSONEncoder
+
     return ValueError("%s is %s, %s" % (where, "".join(JSONEncoder().iterencode(node)), why))
 
 

@@ -429,9 +429,10 @@ class TestImportFootprint:
         verify imports both and prints the pinned 1.5 verdict.  After these
         and a betti table, none of fractions, decimal and numbers has been
         imported since the probe started, since Exact is cijt's one rational
-        type, and neither has typing, since annotations stay strings.  The
-        probe runs under -S, so no .pth file of the interpreter's site can
-        load typing first."""
+        type, nor typing, since annotations stay strings, nor json, re or
+        enum, since a valid dataset is read and strings are written through
+        _json alone.  The probe runs under -S, so no .pth file of the
+        interpreter's site can load typing or re first."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         probe = (
             "import sys\n"
@@ -450,7 +451,8 @@ class TestImportFootprint:
             "code, out = run('verify', sys.argv[3], '--theorem', '1.5')\n"
             "print(code, pipelines(), hashlib.sha256(out[:-1].encode()).hexdigest())\n"
             "code = run('betti', '--d', '2', '--n', '1', '--format', 'tsv')[0]\n"
-            "print(code, sorted({'fractions', 'decimal', 'numbers', 'typing'} & (set(sys.modules) - start)))\n"
+            "print(code, sorted({'fractions', 'decimal', 'numbers', 'typing', 're', 'enum', 'json',\n"
+        "                    'json.decoder', 'json.scanner', 'json.encoder'} & (set(sys.modules) - start)))\n"
         )
         argv = [ds("single_sqrt2"), ds("s2_elliptic"), ds("s3_elliptic")]
         out = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True, text=True,
@@ -1294,6 +1296,118 @@ class TestDatasetLoading:
         for name in ("s2_elliptic", "s3_elliptic", "s2_hyperbolic", "single_sqrt2"):
             dataset = load_dataset(ds(name))
             assert dataset.records
+
+
+# documents that json.loads refuses, or that it reads to a value cijt refuses
+MALFORMED = {
+    "empty": b"",
+    "whitespace": b" \n\t\r ",
+    "bom": '\ufeff{"version": 1}'.encode(),
+    "trailing data": b'{"version": 1} x',
+    "trailing comma": b'{"version": 1,}',
+    "unterminated": b'{"version": 1',
+    "bad escape": b'{"version": "\\q"}',
+    "control character": b'{"version": "a\x01b"}',
+    "deep": b"[" * 100000 + b"]" * 100000,
+    "nan": b"NaN",
+    "minus infinity": b'{"version": -Infinity}',
+    "1e400": b'{"version": 1e400}',
+    "5000 digits": b'{"version": ' + b"9" * 5000 + b"}",
+    "not utf-8": b'{"version": 1, "name": "\xff"}',
+    "form feed before": b'\x0c{"version": 1}',
+    "form feed after": b'{"version": 1}\x0c',
+    "trailing nbsp": '{"version": 1}\xa0'.encode(),
+    "duplicate key": b'{"version": 2, "version": 1}',
+    "lone surrogate": b'{"version": 1, "shape": "\\ud800"}',
+}
+# the malformed documents that a cijt search is run on as well
+SEARCHED = ("trailing comma", "bad escape", "bom", "deep")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def _json_refusal(path):
+    """The message json.loads raises on the file at path read as UTF-8, cut at
+    the interpreter's advice on its digit limit, or None if it reads a value."""
+    try:
+        json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        return str(exc).partition("; use sys.")[0]
+    except RecursionError:  # refused as nesting too deeply, not as unreadable
+        pass
+    return None
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+json_blanks = st.text(" \t\n\r\x0c\xa0\ufeff", max_size=3)
+
+
+@st.composite
+def json_texts(draw):
+    """json.dumps of a value, laid out one of several ways, between blanks;
+    sometimes with one character inserted, deleted or replaced."""
+    text = json.dumps(
+        draw(json_values),
+        indent=draw(st.sampled_from((None, 0, 2, "\t"))),
+        separators=draw(st.sampled_from((None, (",", ":"), (" , ", " : "), (",\n", ":\t")))),
+        ensure_ascii=draw(st.booleans()),
+    )
+    text = draw(json_blanks) + text + draw(json_blanks)
+    change = draw(st.sampled_from((None, "insert", "delete", "replace")))
+    if change and text:
+        k = draw(st.integers(0, len(text) - 1))
+        c = draw(st.sampled_from('{}[]",:\\ 0-.eEtn\x01\x0c') | st.characters())
+        text = text[:k] + (c if change != "delete" else "") + text[k + (change != "insert"):]
+    return text
+
+
+def _outcome(read, text):
+    """The repr of read(text), so that NaN equals itself, or its exception."""
+    try:
+        return repr(read(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestJsonReader:
+    @given(json_texts())
+    @settings(max_examples=1500, deadline=None)
+    def test_same_as_json_loads(self, text):
+        """The dataset reader gives the value json.loads gives, or raises its
+        exception with its message."""
+        assert _outcome(cli._loads, text) == _outcome(json.loads, text)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_refusal_in_a_fresh_interpreter(self, capsys, tmp_path, name):
+        """A process that has not imported json refuses a malformed document
+        as one that has: on Python 3.10 and 3.11 the C scanner raises
+        SystemError until json.decoder is imported.  A document that json.loads
+        refuses is one line naming the file and json.loads's message."""
+        p = tmp_path / "malformed.json"
+        p.write_bytes(MALFORMED[name])
+        refusal = _json_refusal(p)
+        for command in ("resonance", "cijt") if name in SEARCHED else ("resonance",):
+            fresh = subprocess.run([sys.executable, "-S", "-m", "cijt.cli", command, str(p)],
+                                   capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+            assert (fresh.returncode, fresh.stdout, fresh.stderr) == run(capsys, command, str(p))
+            assert fresh.returncode == 2 and fresh.stderr.count("\n") == 1
+            if refusal is not None:
+                assert fresh.stderr == "error: cannot read dataset %s: %s\n" % (p, refusal)
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        """A dataset is read as UTF-8 in an ASCII locale too."""
+        doc = json.load(open(ds("single_sqrt2")))
+        doc["records"][0]["name"] = "g\u00e9"
+        p = tmp_path / "accented.json"
+        p.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        env = dict(os.environ, PYTHONPATH=SRC, LC_ALL="C", PYTHONUTF8="0")
+        out = subprocess.run([sys.executable, "-m", "cijt.cli", "cijt", str(p)],
+                             capture_output=True, text=True, env=env)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert json.loads(out.stdout)["records"] == ["g\u00e9"]
 
 
 SHIPPED = ("s2_elliptic", "s3_elliptic", "s2_hyperbolic", "single_sqrt2")
