@@ -2,8 +2,10 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -23,7 +25,9 @@ from cijt.record import CheckRecord, VerificationReport, dumps
 from test_morse import GOLDEN
 from test_scalars import time_limit
 
-DATASETS = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+DATASETS = os.path.join(ROOT, "datasets")
+SRC = os.path.join(ROOT, "src")
 
 
 def ds(name):
@@ -34,6 +38,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cijt_process(*argv, stdout=subprocess.PIPE):
+    """`python -m cijt.cli *argv` on the source tree, for what only a whole
+    process shows: its exit code and the bytes it writes."""
+    return subprocess.run([sys.executable, "-m", "cijt.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=SRC))
 
 
 class TestIterate:
@@ -119,8 +130,7 @@ class TestClosedPipe:
     def test_reader_closing_early_is_quiet(self):
         # about 600 kB of JSON: far more than a pipe holds, so the writer is
         # still printing when the reader goes away
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=SRC)
         proc = subprocess.Popen(
             [sys.executable, "-m", "cijt.cli", "betti", "--d", "2", "--n", "1", "--l-max", "20000"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
@@ -167,11 +177,13 @@ class TestCijt:
         assert code == 0 and (doc["N"], doc["m"]) == (70, [169])
 
     def test_sqrt2_opposite_at_delta_1e12(self, capsys):
-        # the opposite search at N ~ 6e11, pinned by the sha256 of its stdout
-        code, out, _ = run(
-            capsys, "cijt", ds("single_sqrt2"), "--vertex", "opposite",
-            "--delta", "1/1000000000000", "--n-bound", "1000000000000000000",
-        )
+        # the opposite search at N ~ 6e11, pinned by the sha256 of its stdout;
+        # it steps from hit to hit, where a per-iterate scan would time out
+        with time_limit(120):
+            code, out, _ = run(
+                capsys, "cijt", ds("single_sqrt2"), "--vertex", "opposite",
+                "--delta", "1/1000000000000", "--n-bound", "1000000000000000000",
+            )
         assert code == 0 and json.loads(out)["N"] == 627013566048
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "8f4729001cb79d8029051282fdb8a914c179938b39e0f105d7b5a52657993724"
@@ -258,6 +270,28 @@ class TestCijt:
             code, out, _ = run(capsys, "resonance", str(p))
             assert code == 1 and json.loads(out)["pass"] is False
 
+    @pytest.mark.parametrize("radicands, argv, N", [
+        ((2, 3), ("--delta", "1/100000", "--n-bound", str(10**18)), 895621046),
+        ((2, 3), ("--delta", "1/1000000", "--n-bound", str(10**18)), 20022265786),
+        ((2, 3, 5), ("--delta", "1/1000"), 15881578),
+        ((2, 3, 5, 6), ("--delta", "1/200", "--n-bound", str(10**12)), 3521384),
+    ], ids=["two-1e-5", "two-1e-6", "three", "four"])
+    def test_one_record_per_field(self, tmp_path, radicands, argv, N):
+        """Records of initial index 1 with one R block at theta/pi =
+        sqrt(s) - floor(sqrt(s)), one per field: the least N of each field row
+        of ROADMAP's state table, which a faster search must reproduce."""
+        doc = {"version": 1, "shape": {"d": 2, "n": 1}, "records": [
+            {"name": "c%d" % k, "initial_index": 1, "blocks": [{"type": "R", "theta_over_pi": {
+                "kind": "surd", "a": [-math.isqrt(s), 1], "b": [1, 1], "s": s}}]}
+            for k, s in enumerate(radicands, 1)
+        ]}
+        p = tmp_path / "fields.json"
+        p.write_text(json.dumps(doc))
+        with time_limit(120):
+            done = cijt_process("cijt", str(p), *argv)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert '  "N": %d,' % N in done.stdout.splitlines()
+
     def test_determinism(self, capsys):
         outs = []
         for _ in range(2):
@@ -288,14 +322,18 @@ class TestNBoundMetamorphic:
     ])
     def test_raising_the_bound_keeps_the_verdict(self, capsys, name, theorem):
         """verify --n-bound at the larger of the tuple's and the opposite
-        tuple's N, and at 10**18, prints the default's bytes and exit code."""
-        code, out, err = run(capsys, "verify", ds(name), "--theorem", theorem)
-        doc = json.loads(out)
-        found = max(doc["tuple"]["N"], doc.get("opposite_tuple", doc["tuple"])["N"])
-        for bound in (found, 10**18):
-            assert run(capsys, "verify", ds(name), "--theorem", theorem, "--n-bound", str(bound)) == (
-                code, out, err
-            )
+        tuple's N, and at 10**18, prints the default's bytes and exit code.
+        1.8 has no irrational angle: its search steps k one by one and stops
+        past the first admissible N, whatever the bound."""
+        with time_limit(120):
+            code, out, err = run(capsys, "verify", ds(name), "--theorem", theorem)
+            assert code == 0
+            doc = json.loads(out)
+            found = max(doc["tuple"]["N"], doc.get("opposite_tuple", doc["tuple"])["N"])
+            for bound in (found, 10**18):
+                assert run(capsys, "verify", ds(name), "--theorem", theorem, "--n-bound", str(bound)) == (
+                    code, out, err
+                )
 
 
 class TestVerify:
@@ -312,6 +350,18 @@ class TestVerify:
         )
         doc = json.loads(out)
         assert code == 0 and doc["contradiction_found"] is True
+
+    def test_broken_resonance_exits_1(self, tmp_path):
+        """A copy of h1 as a third record: the contradiction is still found,
+        but the resonance identity fails, so the process prints a failing
+        verdict and exits 1."""
+        doc = json.load(open(ds("s2_hyperbolic")))
+        doc["records"].append(dict(doc["records"][0], name="h3"))
+        p = tmp_path / "three_hyperbolic.json"
+        p.write_text(json.dumps(doc))
+        done = cijt_process("verify", str(p), "--theorem", "1.8")
+        assert (done.returncode, done.stderr) == (1, "")
+        assert '  "pass": false,' in done.stdout.splitlines()
 
     def test_parity_rejection(self, capsys):
         code, _, err = run(
@@ -415,28 +465,34 @@ class TestParser:
     def test_import_builds_no_parser(self):
         """The command line is read from one table: importing cijt.cli loads
         neither argparse nor the gettext it imports."""
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         probe = "import sys, cijt.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+                             env=dict(os.environ, PYTHONPATH=SRC), check=True).stdout
         assert out == "[]\n"
 
 
 class TestImportFootprint:
     def test_search_compiles_no_theorem_pipeline(self):
-        """A fresh interpreter that reads a dataset, searches a tuple and
-        prints an index table imports neither morse nor loop_homology; a
-        verify imports both and prints the pinned 1.5 verdict.  After these
-        and a betti table, none of fractions, decimal and numbers has been
-        imported since the probe started, since Exact is cijt's one rational
-        type, nor typing, since annotations stay strings, nor json, re or
-        enum, since a valid dataset is read and strings are written through
-        _json alone.  The probe runs under -S, so no .pth file of the
-        interpreter's site can load typing or re first."""
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        """A fresh interpreter that imports cijt.cli loads none of these, each
+        of which would cost every cijt process its set-up: dataclasses and
+        inspect (the record classes are plain), argparse and gettext (read
+        only for an argv outside the table form), fractions, decimal and
+        numbers (Exact is the one rational type), typing (annotations stay
+        strings), json, re and enum (datasets are read and strings escaped
+        through _json), and the theorem pipelines, morse and loop_homology.
+        It then reads a dataset, searches a tuple and prints an index table
+        without the pipelines; each verify loads both and prints its shipped
+        verdict, pinned by GOLDEN.  After a betti table, none of the rational,
+        typing and json modules has been imported since the probe started.
+        The probe runs under -S, so no .pth file of the interpreter's site can
+        load typing or re first."""
         probe = (
             "import sys\n"
             "start = set(sys.modules)\n"
+            "import cijt.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'fractions', 'decimal',\n"
+            "              'numbers', 'typing', 're', 'enum', 'json', 'json.decoder', 'json.scanner',\n"
+            "              'json.encoder', 'cijt.morse', 'cijt.loop_homology'} & set(sys.modules)))\n"
             "import contextlib, hashlib, io\n"
             "from cijt.cli import load_dataset, main\n"
             "def run(*argv):\n"
@@ -448,16 +504,19 @@ class TestImportFootprint:
             "load_dataset(sys.argv[1])\n"
             "codes = [run('cijt', sys.argv[1])[0], run('iterate', sys.argv[2], '--record', 'c1')[0]]\n"
             "print(codes, pipelines())\n"
-            "code, out = run('verify', sys.argv[3], '--theorem', '1.5')\n"
-            "print(code, pipelines(), hashlib.sha256(out[:-1].encode()).hexdigest())\n"
+            "for path, theorem in ((sys.argv[3], '1.5'), (sys.argv[2], '1.1'), (sys.argv[4], '1.8')):\n"
+            "    code, out = run('verify', path, '--theorem', theorem)\n"
+            "    print(code, pipelines(), hashlib.sha256(out[:-1].encode()).hexdigest())\n"
             "code = run('betti', '--d', '2', '--n', '1', '--format', 'tsv')[0]\n"
             "print(code, sorted({'fractions', 'decimal', 'numbers', 'typing', 're', 'enum', 'json',\n"
-        "                    'json.decoder', 'json.scanner', 'json.encoder'} & (set(sys.modules) - start)))\n"
+            "                    'json.decoder', 'json.scanner', 'json.encoder'} & (set(sys.modules) - start)))\n"
         )
-        argv = [ds("single_sqrt2"), ds("s2_elliptic"), ds("s3_elliptic")]
+        argv = [ds("single_sqrt2"), ds("s2_elliptic"), ds("s3_elliptic"), ds("s2_hyperbolic")]
         out = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
-        assert out == "[0, 0] []\n0 ['cijt.loop_homology', 'cijt.morse'] %s\n0 []\n" % GOLDEN["1.5 s3"]
+                             env=dict(os.environ, PYTHONPATH=SRC), check=True).stdout
+        verdicts = "".join("0 ['cijt.loop_homology', 'cijt.morse'] %s\n" % GOLDEN[key]
+                           for key in ("1.5 s3", "1.1 s2", "1.8 hyp"))
+        assert out == "[]\n[0, 0] []\n" + verdicts + "0 []\n"
 
 
 def _read_delta(s):
@@ -691,7 +750,6 @@ class TestCallerForms:
 
     def test_run_without_argparse(self):
         """A whole run of each form imports neither argparse nor gettext."""
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         probe = (
             "import contextlib, io, json, sys, cijt.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -700,14 +758,15 @@ class TestCallerForms:
         )
         out = subprocess.run([sys.executable, "-c", probe, json.dumps(CALLER_ARGVS)],
                              capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+                             env=dict(os.environ, PYTHONPATH=SRC), check=True).stdout
         assert out == "[0, 0, 0, 0] []\n"
 
-    def test_prefix_reads_as_the_whole_flag(self):
-        """--de goes to argparse, and reads as --delta does in the table."""
+    def test_prefix_reads_as_the_whole_flag(self, capsys):
+        """--de goes to argparse, and reads and prints as --delta does in the table."""
         whole = ["cijt", ds("single_sqrt2"), "--delta", "1/100"]
         prefix = ["cijt", ds("single_sqrt2"), "--de", "1/100"]
         assert vars(cli.parse_args(prefix)) == vars(cli.parse_args(whole))
+        assert run(capsys, *prefix) == run(capsys, *whole)
 
 
 json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\u2028\xe9')))
@@ -769,6 +828,25 @@ class TestJsonWriterReports:
     ])
     def test_cases(self, doc):
         assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True, default=_to_json)
+
+    def test_large_reports(self, tmp_path):
+        """The 6,001 check rows of --m-bar 1000 print as json.dumps prints
+        them, and the 600,001 rows (93,333,873 bytes) of --m-bar 100000 keep
+        their pinned sha256, whole-process."""
+        with time_limit(120):
+            done = cijt_process("cijt", ds("single_sqrt2"), "--m-bar", "1000")
+            assert (done.returncode, done.stderr) == (0, "")
+            assert done.stdout == json.dumps(json.loads(done.stdout), indent=2, sort_keys=True) + "\n"
+            out = tmp_path / "larger.json"
+            with open(out, "wb") as fh:
+                done = cijt_process("cijt", ds("single_sqrt2"), "--m-bar", "100000", stdout=fh)
+        assert (done.returncode, done.stderr) == (0, "")
+        sha = hashlib.sha256()
+        with open(out, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                sha.update(chunk)
+        out.unlink()
+        assert sha.hexdigest() == "1ec7ae56bc4de8690a439d72c75391a8ca1808a5a862743f87ce160403adc068"
 
     def test_other_objects_raise(self):
         """Only a report is written from an object: one with a to_json()
@@ -1297,6 +1375,21 @@ class TestDatasetLoading:
             dataset = load_dataset(ds(name))
             assert dataset.records
 
+    def test_shipped_files_are_regenerated_alike(self, tmp_path, monkeypatch):
+        """GOLDEN and the bench digests hang on datasets/: scripts/make_datasets.py
+        writes the same files, byte for byte."""
+        script = os.path.join(ROOT, "scripts", "make_datasets.py")
+        spec = importlib.util.spec_from_file_location("make_datasets", script)
+        make_datasets = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "path", sys.path[:])  # the script puts src/ first
+        spec.loader.exec_module(make_datasets)
+        monkeypatch.setattr(make_datasets, "OUT", str(tmp_path))
+        make_datasets.main()
+        assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(DATASETS))
+        for name in os.listdir(DATASETS):
+            with open(os.path.join(DATASETS, name), "rb") as shipped:
+                assert (tmp_path / name).read_bytes() == shipped.read(), name
+
 
 # documents that json.loads refuses, or that it reads to a value cijt refuses
 MALFORMED = {
@@ -1322,7 +1415,6 @@ MALFORMED = {
 }
 # the malformed documents that a cijt search is run on as well
 SEARCHED = ("trailing comma", "bad escape", "bom", "deep")
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def _json_refusal(path):

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -42,6 +44,7 @@ from cijt.morse import (
     tuple_resonance_identity,
     verify,
 )
+from test_scalars import time_limit
 
 DATASETS = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
 T35 = Exact.surd(3, -1, 5)
@@ -671,9 +674,11 @@ class TestTheorem11:
         assert v.details["tuple"]["N"] == 35422
 
     def test_shipped_s2_at_delta_1e12(self):
-        # N ~ 3.1e12: the Morse chain and the Betti sum cost no more than at N = 754
+        # N ~ 3.1e12: the Morse chain and the Betti sum, counted by bracket and
+        # period, cost no more than at N = 754
         ds = load_dataset(os.path.join(DATASETS, "s2_elliptic.json"))
-        v = verify("1.1", ds, delta=Fraction(1, 10**12), n_bound=10**18)
+        with time_limit(120):
+            v = verify("1.1", ds, delta=Fraction(1, 10**12), n_bound=10**18)
         assert v.passed and not failed_checks(v)
         assert v.details["tuple"]["N"] > 10**12
         assert digest(v) == GOLDEN["1.1 s2 1e-12"]
@@ -720,8 +725,11 @@ class TestTheorem15:
         assert digest(v) == GOLDEN["1.5 s3"]
 
     def test_shipped_s3_at_delta_1e12(self):
+        # N ~ 7.9e13: the census windows and M(2N) are read off index_window,
+        # so only the iterates next to each window edge are evaluated
         ds = load_dataset(os.path.join(DATASETS, "s3_elliptic.json"))
-        v = verify("1.5", ds, delta=Fraction(1, 10**12), n_bound=10**18)
+        with time_limit(120):
+            v = verify("1.5", ds, delta=Fraction(1, 10**12), n_bound=10**18)
         assert v.passed and not failed_checks(v)
         assert v.details["tuple"]["N"] > 10**13
         assert digest(v) == GOLDEN["1.5 s3 1e-12"]
@@ -778,6 +786,14 @@ class TestTheorem18:
     def test_odd_d_rejected(self, s3_dataset):
         with pytest.raises(HypothesisRejected):
             verify("1.8", s3_dataset)
+
+
+def test_run_pipelines_script():
+    """scripts/run_pipelines.py replays every shipped dataset's theorem and
+    exits 0 only if each resonance check and verdict passes."""
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_pipelines.py")
+    done = subprocess.run([sys.executable, script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 @pytest.mark.parametrize("theorem", ["2.0", "1.2", 1.5, ""], ids=["2.0", "1.2", "float", "empty"])
