@@ -4,12 +4,8 @@ Each test prints a single PASS/FAIL line so the suite output doubles as a
 release checklist.  Everything here is exact arithmetic; no tolerances.
 """
 
-import json
-import os
 import random
 from fractions import Fraction
-
-import pytest
 
 from cijt.scalars import Exact, ceil_mult, floor_mult
 from cijt.normal_forms import D, N2, R, SymplecticClass, crossing_sum
@@ -23,10 +19,7 @@ from cijt.engine import (
 )
 from cijt.loop_homology import betti, betti_partial_sum, epsilon_correction
 from cijt.morse import jump_census, resonance_check, verify
-from test_iteration import index_iterate_bumpy_class
-from test_scalars import frac_mult
-
-DATASETS = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
+from oracles import SCAN_BASES, SCAN_RATIONALS, frac_mult, index_iterate_bumpy_class, shipped
 
 
 class _gate:
@@ -115,16 +108,6 @@ def test_criterion_2_sqrt2_oracle():
         assert min(lows)[0:2] == (70, 169)
 
 
-BASES = [
-    Exact.surd(-1, 1, 2),
-    Exact.surd(3, -1, 5),
-    Exact.surd(Fraction(-1, 2), Fraction(1, 2), 5),
-    Exact.surd(-1, 1, 3),
-    Exact.surd(Fraction(-1, 2), Fraction(1, 2), 7),
-]
-RATIONALS = [Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), Fraction(3, 5)]
-
-
 def _random_problem(rng):
     """q <= 3 paths: at most one irrationally elliptic (angles correlated to a
     single base surd so the search stays desk-scale), the rest hyperbolic or
@@ -134,7 +117,7 @@ def _random_problem(rng):
     paths = []
     for j in range(q):
         if j == irr_slot and rng.random() < 0.8:
-            base = rng.choice(BASES)
+            base = rng.choice(SCAN_BASES)
             blocks = [R(base)]
             if rng.random() < 0.4:
                 twice = base * 2
@@ -149,7 +132,7 @@ def _random_problem(rng):
             paths.append(
                 PathClass(
                     rng.randint(1, 3),
-                    SymplecticClass((R(Exact(rng.choice(RATIONALS))),)),
+                    SymplecticClass((R(Exact(rng.choice(SCAN_RATIONALS))),)),
                 )
             )
     return SelectionProblem(
@@ -236,9 +219,7 @@ def test_criterion_4_betti_agreement_gate():
 def test_criterion_5_multiplicity_pipeline_s2():
     """Full even-d pipeline on the shipped two-geodesic dataset."""
     with _gate("5 resonance + multiplicity pipeline on the S^2 dataset"):
-        from cijt.cli import load_dataset
-
-        ds = load_dataset(os.path.join(DATASETS, "s2_elliptic.json"))
+        ds = shipped("s2_elliptic")
         res = resonance_check(ds)
         assert res.passes and res.lhs == Exact(-1)
         v = verify("1.1", ds)
@@ -311,7 +292,7 @@ def test_criterion_7_census_symmetry_randomized():
         while done < 20:
             attempts += 1
             assert attempts < 400
-            base = rng.choice(BASES)
+            base = rng.choice(SCAN_BASES)
             q = rng.randint(1, 3)
             records = []
             for j in range(q):

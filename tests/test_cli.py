@@ -22,11 +22,8 @@ from cijt.iteration import CohomologyShape, GeodesicDataset, GeodesicRecord, Pat
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass, nullity
 from cijt.scalars import MAX_RADICAND, Exact, _from_pairs, floor_mult
 from cijt.record import CheckRecord, VerificationReport, dumps
-from test_morse import GOLDEN
-from test_scalars import time_limit
+from oracles import DATASETS, GOLDEN, ROOT, shipped, time_limit
 
-ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-DATASETS = os.path.join(ROOT, "datasets")
 SRC = os.path.join(ROOT, "src")
 
 
@@ -1372,7 +1369,7 @@ class TestDatasetLoading:
 
     def test_round_trip_all_shipped(self):
         for name in ("s2_elliptic", "s3_elliptic", "s2_hyperbolic", "single_sqrt2"):
-            dataset = load_dataset(ds(name))
+            dataset = shipped(name)
             assert dataset.records
 
     def test_shipped_files_are_regenerated_alike(self, tmp_path, monkeypatch):
@@ -1387,8 +1384,8 @@ class TestDatasetLoading:
         make_datasets.main()
         assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(DATASETS))
         for name in os.listdir(DATASETS):
-            with open(os.path.join(DATASETS, name), "rb") as shipped:
-                assert (tmp_path / name).read_bytes() == shipped.read(), name
+            with open(os.path.join(DATASETS, name), "rb") as fh:
+                assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
 # documents that json.loads refuses, or that it reads to a value cijt refuses

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cijt import _search
-from cijt.cli import load_dataset, main
+from cijt.cli import main
 from cijt.scalars import Exact, floor_mult
-from cijt.normal_forms import D, N1, N2, R, SymplecticClass, crossing_sum, m_check, nullity
-from cijt.iteration import PathClass, index_iterate, jump_index, mean_index
+from cijt.normal_forms import D, N1, N2, R, crossing_sum, m_check, nullity
+from cijt.iteration import PathClass, index_iterate, jump_index
 from cijt.engine import (
     CertificationError,
     CheckRecord,
@@ -31,18 +31,11 @@ from cijt.engine import (
     verify_tuple,
 )
 from cijt._search import _PathData, _least_residual, _next_hit, _return_time
-from test_normal_forms import classes
-from test_iteration import _bit_angles, _index_iterate_by_unit_angles, _spectral_by_unit_angles
-from test_scalars import Lattice, frac_mult, is_near_lattice, time_limit
-from test_morse import DATASETS, GOLDEN
-
-SQRT2M1 = Exact.surd(-1, 1, 2)
-T35 = Exact.surd(3, -1, 5)
-PHI_M1 = Exact.surd(Fraction(-1, 2), Fraction(1, 2), 5)
-
-
-def path(i1, *blocks):
-    return PathClass(i1, SymplecticClass(tuple(blocks)))
+from oracles import (
+    DATASETS, GOLDEN, PHI_M1, SCAN_BASES, SCAN_RATIONALS, SQRT2M1, T35, Lattice, _bit_angles,
+    _index_iterate_by_unit_angles, _scan_problem, _spectral_by_unit_angles, classes, frac_mult,
+    is_near_lattice, path, shipped, time_limit,
+)
 
 
 @pytest.fixture(scope="module")
@@ -361,14 +354,12 @@ def _delta_by_exact(pd, m, delta):
     )
 
 
-def _chi_proximity_by_exact(pd, N, chi, eps):
-    """|{N*u} - chi| < eps by the lattice band test (the old _chi_proximity_ok)."""
+def _chi_proximity_by_frac(pd, N, chi, eps):
+    """The chi test on {N*u} itself: frac_mult, then Exact comparisons."""
     if pd.u.is_rational:
         return True
-    band = is_near_lattice(pd.u, N, eps)
-    if chi == 0:
-        return band is Lattice.ZERO or band is Lattice.LOW
-    return band is Lattice.HIGH
+    f = frac_mult(pd.u, N)
+    return f < eps if chi == 0 else f > 1 - eps
 
 
 def _try_path_by_exact(pd, N, mbar, delta, want_chi, want_bits, chi_eps):
@@ -383,7 +374,7 @@ def _try_path_by_exact(pd, N, mbar, delta, want_chi, want_bits, chi_eps):
         bits = _bands_by_exact(pd, m, delta)
         if bits is None or (want_bits is not None and bits != want_bits):
             continue
-        if chi_eps is not None and not _chi_proximity_by_exact(pd, N, chi, chi_eps):
+        if chi_eps is not None and not _chi_proximity_by_frac(pd, N, chi, chi_eps):
             continue
         d = _delta_by_exact(pd, m, delta)
         if _index_iterate_by_unit_angles(pd.path, 2 * m) != jump_index(pd.path, N, d):
@@ -392,16 +383,10 @@ def _try_path_by_exact(pd, N, mbar, delta, want_chi, want_bits, chi_eps):
     return None
 
 
-def _chi_proximity_by_frac(pd, N, chi, eps):
-    """The chi test on {N*u} itself: frac_mult, then Exact comparisons."""
-    if pd.u.is_rational:
-        return True
-    f = frac_mult(pd.u, N)
-    return f < eps if chi == 0 else f > 1 - eps
-
-
 class TestChiProximity:
     def test_matches_frac_formula(self):
+        """The search's chi band, read off pd.chi(N), against the chi test on
+        {N*u} itself; a pinned u has no band and passes at either chi."""
         paths = (
             path(1, R(SQRT2M1)),                               # u in Q(sqrt2)
             path(2, R(PHI_M1), R(Exact(Fraction(1, 3)))),      # Mbar = 3
@@ -414,10 +399,11 @@ class TestChiProximity:
         seen = set()
         for p in paths:
             pd = _PathData(p, common_period([p]))
-            for N in Ns:
-                for chi in (0, 1):
-                    for eps in eps_values:
-                        got = _chi_proximity_by_exact(pd, N, chi, eps)
+            for eps in eps_values:
+                pd.fix(64, Fraction(1, 3), eps)
+                for N in Ns:
+                    for chi in (0, 1):
+                        got = pd.u.is_rational or pd.chi(N)[1] == chi
                         assert got is _chi_proximity_by_frac(pd, N, chi, eps)
                         seen.add((pd.u.is_rational, chi, got))
         assert seen == {(False, c, b) for c in (0, 1) for b in (False, True)} | {
@@ -581,7 +567,7 @@ class TestProbeOracle:
                         seen["pinned" if pd.u.is_rational else "no eps"] += 1
                         continue
                     for chi in (0, 1):
-                        assert (band == chi) == _chi_proximity_by_exact(pd, N, chi, eps), (p, N, eps)
+                        assert (band == chi) == _chi_proximity_by_frac(pd, N, chi, eps), (p, N, eps)
                     seen[band] += 1
         assert min(seen.values()) >= 10 and len(seen) == 7, seen
 
@@ -821,40 +807,6 @@ def _find_tuple_by_scan(problem, vertex=None, chi_eps=None, min_N=1):
     )
 
 
-SCAN_BASES = [
-    SQRT2M1, T35, PHI_M1, Exact.surd(-1, 1, 3), Exact.surd(Fraction(-1, 2), Fraction(1, 2), 7)
-]
-SCAN_RATIONALS = [Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), Fraction(3, 5)]
-
-
-def _scan_problem(rng, q_range=(1, 3),
-                  deltas=(Fraction(1, 50), Fraction(1, 120), Fraction(1, 300))):
-    """q <= 3 paths: at most one irrationally elliptic (one or two angles of
-    one base surd), the rest hyperbolic or rational elliptic (Mbar > 1)."""
-    q = rng.randint(*q_range)
-    irr = rng.randrange(q)
-    paths = []
-    for j in range(q):
-        if j == irr and rng.random() < 0.85:
-            base = rng.choice(SCAN_BASES)
-            blocks = [R(base) if rng.random() < 0.7 else N2(base, rng.random() < 0.5)]
-            if rng.random() < 0.4:
-                twice = base * 2
-                blocks.append(R(twice if Exact(0) < twice < Exact(2) else Exact(2) - base))
-            paths.append(path(rng.randint(1, 3), *blocks))
-        elif rng.random() < 0.4:
-            paths.append(path(rng.randint(1, 4), D(Exact(rng.choice([2, -2, 3])))))
-        else:
-            paths.append(path(rng.randint(1, 3), R(Exact(rng.choice(SCAN_RATIONALS)))))
-    return SelectionProblem(
-        paths,
-        delta=rng.choice(deltas),
-        m_bar=rng.randint(1, 3),
-        N_bound=rng.choice([300, 1000, 3000]),
-        N_multiple_of=rng.choice([1, 1, 2]),
-    )
-
-
 def _outcome(search, *args, **kw):
     try:
         return search(*args, **kw)
@@ -1059,10 +1011,9 @@ class TestSteppedPath:
         """On s2_elliptic both records have one irrational angle, and c2's
         larger mean index gives it the smaller cap: every search of the 1.1
         verdict steps c2."""
-        path = os.path.join(DATASETS, "s2_elliptic.json")
-        assert main(["verify", path, "--theorem", "1.1"]) == 0
+        assert main(["verify", os.path.join(DATASETS, "s2_elliptic.json"), "--theorem", "1.1"]) == 0
         capsys.readouterr()
-        records = load_dataset(path).records
+        records = shipped("s2_elliptic").records
         assert records[1].name == "c2" and set(stepped) == {records[1].path}, stepped
 
 

@@ -1,5 +1,4 @@
 import functools
-import os
 import random
 import sys
 from fractions import Fraction
@@ -8,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cijt.scalars import Exact, ceil_mult, floor_mult
-from cijt.normal_forms import D, N1, N2, R, SymplecticClass, nullity, validate_bumpy
-from cijt.cli import load_dataset
+from cijt.normal_forms import D, N1, N2, R, SymplecticClass, nullity
 from cijt.engine import SelectionProblem, find_tuple, opposite_tuple
 from cijt.iteration import (
     PathClass,
@@ -19,40 +17,10 @@ from cijt.iteration import (
     jump_index,
     mean_index,
 )
-from test_normal_forms import blocks, s_plus_one, unit_angles
-
-SQRT2M1 = Exact.surd(-1, 1, 2)
-T35 = Exact.surd(3, -1, 5)
-
-
-def path(i1, *blocks):
-    return PathClass(i1, SymplecticClass(tuple(blocks)))
-
-
-def index_iterate_bumpy(i_c: int, r: int, angles: list[Exact], m: int) -> int:
-    """i(c^m) = m*(i(c)-r) + 2*sum_j [m*theta_j/(2pi)] + r, rotation angles
-    only: the non-degenerate shortcut, kept as the oracle that gates the
-    splitting table.  Rational angles are rejected because the shortcut is
-    only claimed for irrational ones."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if len(angles) != r:
-        raise ValueError("expected %d rotation angles" % r)
-    half = Exact(Fraction(1, 2))
-    total = m * (i_c - r) + r
-    for t in angles:
-        if t.is_rational:
-            raise ValueError("bumpy shortcut needs irrational theta/pi")
-        total += 2 * floor_mult(t * half, m)
-    return total
-
-
-def index_iterate_bumpy_class(p: PathClass, m: int) -> int:
-    """index_iterate_bumpy with r and the rotation angles read off the class."""
-    if not validate_bumpy(p.monodromy):
-        raise ValueError("class is degenerate at some iterate")
-    angles = [b.theta for b in p.monodromy.blocks if isinstance(b, R)]
-    return index_iterate_bumpy(p.i1, len(angles), angles, m)
+from oracles import (
+    SQRT2M1, T35, _index_iterate_by_unit_angles, _spectral_by_unit_angles, blocks,
+    index_iterate_bumpy, index_iterate_bumpy_class, path, shipped,
+)
 
 
 class TestIndexIterate:
@@ -105,28 +73,8 @@ class TestMeanIndex:
 SHIPPED = [
     (name, r.name, r.path)
     for name in ("s2_elliptic", "s3_elliptic", "s2_hyperbolic", "single_sqrt2")
-    for r in load_dataset(
-        os.path.join(os.path.dirname(__file__), os.pardir, "datasets", name + ".json")
-    ).records
+    for r in shipped(name).records
 ]
-
-
-def _spectral_by_unit_angles(p):
-    """PathClass.spectral as it was first built, kept as an oracle: S^+(1),
-    C and ((theta/2pi, S^- weight), ...) over the merged, sorted unit angles,
-    each an Exact product."""
-    half = Exact(Fraction(1, 2))
-    minus = tuple((t * half, pair.minus) for t, pair in unit_angles(p.monodromy) if pair.minus)
-    return s_plus_one(p.monodromy), sum(w for _, w in minus), minus
-
-
-def _bit_angles(p):
-    """Each block's irrational angle theta/pi, in block order, read off the
-    blocks themselves: the irrational entries of ``PathClass.spectral``."""
-    return tuple(
-        b.angle for b in p.monodromy.blocks
-        if b.angle is not None and not b.angle.is_rational
-    )
 
 
 def _mean_by_unit_angles(p):
@@ -135,15 +83,6 @@ def _mean_by_unit_angles(p):
     for half_theta, w in minus:
         out = out + half_theta * (2 * w)
     return out
-
-
-def _index_iterate_by_unit_angles(p, m):
-    """index_iterate as it was: one ceil_mult of each Exact theta/2pi."""
-    sp, c, minus = _spectral_by_unit_angles(p)
-    total = m * (p.i1 + sp - c) - (sp + c)
-    for half_theta, w in minus:
-        total += 2 * ceil_mult(half_theta, m) * w
-    return total
 
 
 def _merged_minus(p):
@@ -426,9 +365,8 @@ class TestBottOracle:
     def test_jump_identity_at_tuples(self):
         """i(gamma^{2m_k}) by the oracle is jump_index's 2N - (S^+ + C - 2 Delta_k)
         at the auto and opposite tuples on two shipped datasets."""
-        root = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
         for name, delta in (("single_sqrt2", Exact(1, 100)), ("s2_elliptic", Exact(1, 200))):
-            paths = load_dataset(os.path.join(root, name + ".json")).paths
+            paths = shipped(name).paths
             problem = SelectionProblem(paths, delta=delta)
             t = find_tuple(problem)
             for tt in (t, opposite_tuple(t, problem)):

@@ -11,19 +11,17 @@ from fractions import Fraction
 import pytest
 
 from cijt.scalars import Exact, ceil_mult, floor_mult
-from cijt.normal_forms import D, N1, N2, R, SymplecticClass
+from cijt.normal_forms import D, N1, N2, R
 from cijt.iteration import (
     CohomologyShape,
     GeodesicDataset,
     GeodesicRecord,
     HypothesisRejected,
-    PathClass,
     index_bracket,
     index_iterate,
     index_window,
     mean_index,
 )
-from cijt.cli import load_dataset
 from cijt.record import dumps
 from cijt.engine import (
     CijtTuple,
@@ -44,27 +42,7 @@ from cijt.morse import (
     tuple_resonance_identity,
     verify,
 )
-from test_scalars import time_limit
-
-DATASETS = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
-T35 = Exact.surd(3, -1, 5)
-PHI_M1 = Exact.surd(Fraction(-1, 2), Fraction(1, 2), 5)
-
-# sha256 of each verdict as the CLI prints it, recorded before the three
-# pipelines were folded onto one driver: check names, their order and the
-# lhs/rhs types are all part of the contract.
-GOLDEN = {
-    "1.1 s2": "9542a83055f794888910cdc12502c6a4559526e92607478cefd5e281a1af7713",
-    "1.1 s2[:1]": "f623d4a70aa6b2785e7d542f5061d555922054f86e3bf00b3d013142a5c236f4",
-    "1.5 s3": "2baaa1b5cc15ee033142d43ad60c291a4ac667929c9a3de1f612f3cf3396c792",
-    "1.5 s3[:3]": "618f9b55c39059a0e0c6c17bdacadb9ad18a2828ac87772b408f5f951d0e7ee4",
-    "1.8 hyp": "4f338ebbd2e379a768826bd8a1dd6a3ed02a11d465c465f1d1000f767c399f7a",
-    "1.8 hyp[:1]": "6c596bbbb445bc92cf035bedd8e2707db77ca0087ecaf96295d56b9475ba2a66",
-    # the shipped datasets at delta = 1e-12, n_bound 1e18: both tuple searches
-    # run at N ~ 1e12..1e14, far past the default delta
-    "1.1 s2 1e-12": "d2552174dbe79564fab9f00199a77602cd205b2226db2848bb17ef9e8d3f6fc6",
-    "1.5 s3 1e-12": "ff4a03dda4f650b179584b20fdf437a6b04d40a6c22e330c10850e8c4e96a2e4",
-}
+from oracles import GOLDEN, PHI_M1, ROOT, T35, _scan_problem, path, shipped, time_limit
 
 
 def digest(verdict):
@@ -90,39 +68,22 @@ def gamma_invariant(record):
 
 
 def rec(name, i1, *blocks):
-    return GeodesicRecord(name, PathClass(i1, SymplecticClass(tuple(blocks))))
+    return GeodesicRecord(name, path(i1, *blocks))
 
 
 @pytest.fixture(scope="module")
 def s2_dataset():
-    return GeodesicDataset(
-        CohomologyShape(2, 1),
-        (rec("c1", 1, R(T35)), rec("c2", 2, R(PHI_M1))),
-    )
+    return shipped("s2_elliptic")
 
 
 @pytest.fixture(scope="module")
 def s3_dataset():
-    aA = PHI_M1 * Fraction(4, 3)
-    aB = PHI_M1 * Fraction(1, 3)
-    return GeodesicDataset(
-        CohomologyShape(3, 1),
-        (
-            rec("A1", 2, R(aA), R(aA * 2)),
-            rec("A2", 2, R(aA), R(aA * 2)),
-            rec("P1", 4, R(PHI_M1), R(Exact(2) - PHI_M1)),
-            rec("P2", 4, R(PHI_M1), R(Exact(2) - PHI_M1)),
-            rec("B1", 3, R(aB), R(aB * 2)),
-        ),
-    )
+    return shipped("s3_elliptic")
 
 
 @pytest.fixture(scope="module")
 def hyperbolic_dataset():
-    return GeodesicDataset(
-        CohomologyShape(2, 1),
-        (rec("h1", 1, D(Exact(2))), rec("h2", 1, D(Exact(-3)))),
-    )
+    return shipped("s2_hyperbolic")
 
 
 class TestDatasetValidation:
@@ -204,10 +165,8 @@ class TestGamma:
         """The integer 2*gamma_c against the Fraction form, and the resonance
         sums that read it against their Fraction forms: every shipped record,
         and the paths of random search problems."""
-        from test_engine import _scan_problem
-
         for name in ("s2_elliptic", "s3_elliptic", "s2_hyperbolic", "single_sqrt2"):
-            ds = load_dataset(os.path.join(DATASETS, name + ".json"))
+            ds = shipped(name)
             for r in ds.records:
                 assert r.path.two_gamma == 2 * gamma_invariant(r), (name, r.name)
             lhs = Exact(0)
@@ -668,7 +627,7 @@ class TestTheorem11:
     def test_shipped_s2_at_small_delta(self):
         # N = 35422 took minutes while the Betti sum and the census windows
         # were swept degree by degree and iterate by iterate
-        ds = load_dataset(os.path.join(DATASETS, "s2_elliptic.json"))
+        ds = shipped("s2_elliptic")
         v = verify("1.1", ds, delta=Fraction(1, 5000))
         assert v.passed
         assert v.details["tuple"]["N"] == 35422
@@ -676,7 +635,7 @@ class TestTheorem11:
     def test_shipped_s2_at_delta_1e12(self):
         # N ~ 3.1e12: the Morse chain and the Betti sum, counted by bracket and
         # period, cost no more than at N = 754
-        ds = load_dataset(os.path.join(DATASETS, "s2_elliptic.json"))
+        ds = shipped("s2_elliptic")
         with time_limit(120):
             v = verify("1.1", ds, delta=Fraction(1, 10**12), n_bound=10**18)
         assert v.passed and not failed_checks(v)
@@ -727,7 +686,7 @@ class TestTheorem15:
     def test_shipped_s3_at_delta_1e12(self):
         # N ~ 7.9e13: the census windows and M(2N) are read off index_window,
         # so only the iterates next to each window edge are evaluated
-        ds = load_dataset(os.path.join(DATASETS, "s3_elliptic.json"))
+        ds = shipped("s3_elliptic")
         with time_limit(120):
             v = verify("1.5", ds, delta=Fraction(1, 10**12), n_bound=10**18)
         assert v.passed and not failed_checks(v)
@@ -791,7 +750,7 @@ class TestTheorem18:
 def test_run_pipelines_script():
     """scripts/run_pipelines.py replays every shipped dataset's theorem and
     exits 0 only if each resonance check and verdict passes."""
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_pipelines.py")
+    script = os.path.join(ROOT, "scripts", "run_pipelines.py")
     done = subprocess.run([sys.executable, script], capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
 
@@ -826,7 +785,7 @@ def test_chi_eps_given_to_both_searches(monkeypatch, name, theorem, delta, want)
 
     monkeypatch.setattr("cijt.morse.find_tuple", recorded(find_tuple))
     monkeypatch.setattr("cijt.morse.opposite_tuple", recorded(opposite_tuple))
-    ds = load_dataset(os.path.join(DATASETS, name + ".json"))
+    ds = shipped(name)
     verdict = verify(theorem, ds, delta=delta)
     assert seen == want
     assert verdict.passed
@@ -879,7 +838,7 @@ class TestRecordOrder:
         ("s2_hyperbolic", "1.8", 1),
     ])
     def test_permuted_records(self, name, theorem, orders):
-        ds = load_dataset(os.path.join(DATASETS, name + ".json"))
+        ds = shipped(name)
         want = _outcome_by_name(verify(theorem, ds), ds)
         rng = random.Random(7)
         for _ in range(orders):
@@ -898,7 +857,7 @@ class TestRecordOrder:
         """Renaming every record changes only the names: the new names sort
         in the reverse order of the old ones, and the last of them holds a
         line break, a quote and a non-ASCII letter, so it prints escaped."""
-        ds = load_dataset(os.path.join(DATASETS, name + ".json"))
+        ds = shipped(name)
         passed, N, non_hyp, ms = _outcome_by_name(verify(theorem, ds), ds)
         old = sorted(r.name for r in ds.records)
         new = {o: "r%02d" % (len(old) - i) for i, o in enumerate(old)}

@@ -1,5 +1,4 @@
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -22,59 +21,7 @@ from cijt.normal_forms import (
     nullity,
     validate_bumpy,
 )
-
-SQRT2M1 = Exact.surd(-1, 1, 2)
-T35 = Exact.surd(3, -1, 5)
-
-SplittingPair = namedtuple("SplittingPair", "plus minus")
-
-
-def block_pairs(b):
-    """A block's nonzero splitting pairs (S^+, S^-) by angle theta/pi, from its
-    ``minus`` = (S^-(theta), S^-(2 - theta)) and conjugate symmetry S^+(w) =
-    S^-(conj w): theta = 0 and 1 are their own conjugates."""
-    t = b.angle
-    if t is None:
-        return ()
-    wl, wh = b.minus
-    if t == 0 or t == 1:
-        pairs = ((t, SplittingPair(wl, wl)),)
-    else:
-        pairs = ((t, SplittingPair(wh, wl)), (2 - t, SplittingPair(wl, wh)))
-    return tuple((w, pair) for w, pair in pairs if pair != (0, 0))
-
-
-def add_pairs(*pairs):
-    return SplittingPair(sum(p.plus for p in pairs), sum(p.minus for p in pairs))
-
-
-def splitting_numbers(M, omega):
-    """(S^+, S^-) of M at omega = +-1 or an Exact angle theta/pi, summed over
-    the blocks' pairs: the package's query until nothing there asked it."""
-    w = Exact(0) if omega == 1 else Exact(1) if omega == -1 else omega
-    return add_pairs(*(pair for b in M.blocks for t, pair in block_pairs(b) if t == w))
-
-
-def unit_angles(M):
-    """Eigenvalue angles theta/pi in (0,2), sorted, each once with its summed
-    splitting pair; a block adds its angle and the conjugate 2 - theta.  Kept
-    as the oracle of the integer spectral data that PathClass reads off the
-    blocks' minus."""
-    acc = {}
-    for b in M.blocks:
-        for w, pair in block_pairs(b):
-            if w:  # not 0 (eigenvalue 1)
-                acc[w] = add_pairs(acc.get(w, SplittingPair(0, 0)), pair)
-    return sorted(acc.items(), key=lambda kv: kv[0])
-
-
-def s_plus_one(M):
-    """S^+_M(1)."""
-    return splitting_numbers(M, 1).plus
-
-
-def cls(*blocks):
-    return SymplecticClass(tuple(blocks))
+from oracles import SQRT2M1, T35, SplittingPair, add_pairs, blocks, classes, cls, splitting_numbers, unit_angles
 
 
 def diamond(M, N):
@@ -90,32 +37,6 @@ def is_irrationally_elliptic(M):
     return is_elliptic(M) and all(
         isinstance(b, (R, N2)) and not b.theta.is_rational for b in M.blocks
     )
-
-
-rational_angles = st.sampled_from(
-    [Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), Fraction(3, 5), Fraction(5, 4)]
-)
-
-
-@st.composite
-def blocks(draw):
-    kind = draw(st.integers(0, 4))
-    if kind == 0:
-        return N1(draw(st.sampled_from([1, -1])), draw(st.sampled_from([-1, 0, 1])))
-    if kind == 1:
-        lam = draw(st.sampled_from([2, -2, 3, Fraction(5, 2), -7]))
-        return D(Exact(lam))
-    if kind == 2:
-        return R(Exact(draw(rational_angles)))
-    theta = draw(
-        st.sampled_from([SQRT2M1, T35, Exact.surd(Fraction(1, 2), Fraction(1, 7), 3)])
-    )
-    if kind == 3:
-        return R(theta)
-    return N2(theta, draw(st.booleans()))
-
-
-classes = st.lists(blocks(), min_size=1, max_size=3).map(lambda bs: cls(*bs))
 
 
 class TestBlockValidation:

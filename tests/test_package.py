@@ -5,7 +5,7 @@ import builtins
 import glob
 import os
 
-ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+from oracles import ROOT
 
 
 def _names_in(node):
@@ -71,13 +71,19 @@ def test_every_private_name_has_a_caller():
     assert sorted(n for n in definitions if n not in reached and n.startswith("_")) == []
 
 
+def _trees(*patterns):
+    """(path under the repo, AST) of each file the patterns match."""
+    for pattern in patterns:
+        for path in sorted(glob.glob(os.path.join(ROOT, pattern))):
+            with open(path) as fh:
+                yield os.path.relpath(path, ROOT), ast.parse(fh.read())
+
+
 def test_every_import_is_used():
-    """Every top-level import of a src/cijt module binds a name the module
-    loads; a __future__ import binds none."""
+    """Every top-level import of a src/cijt module or a test module binds a
+    name the module loads; a __future__ import binds none."""
     unused = []
-    for path in sorted(glob.glob(os.path.join(ROOT, "src/cijt/*.py"))):
-        with open(path) as fh:
-            tree = ast.parse(fh.read())
+    for path, tree in _trees("src/cijt/*.py", "tests/*.py"):
         loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -86,8 +92,20 @@ def test_every_import_is_used():
                 for alias in node.names:
                     name = (alias.asname or alias.name).partition(".")[0]
                     if name not in loaded:
-                        unused.append("%s: %s" % (os.path.basename(path), name))
+                        unused.append("%s: %s" % (path, name))
     assert unused == []
+
+
+def test_no_test_module_imports_another():
+    """A test module reads what it shares from tests/oracles.py, never from
+    another test module, at the top level or inside a test."""
+    found = []
+    for path, tree in _trees("tests/*.py"):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                found += ["%s:%d imports %s" % (path, node.lineno, n) for n in names if n.startswith("test_")]
+    assert found == []
 
 
 def _annotation_names(tree):
@@ -138,11 +156,9 @@ def test_modules_stay_under_the_size_cap():
 
 def _module_trees(*skipped):
     """(file name, AST) of each src/cijt module but the skipped ones."""
-    for path in sorted(glob.glob(os.path.join(ROOT, "src/cijt/*.py"))):
-        name = os.path.basename(path)
-        if name not in skipped:
-            with open(path) as fh:
-                yield name, ast.parse(fh.read())
+    for path, tree in _trees("src/cijt/*.py"):
+        if os.path.basename(path) not in skipped:
+            yield os.path.basename(path), tree
 
 
 def test_block_kinds_stay_in_normal_forms():

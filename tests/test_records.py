@@ -13,7 +13,7 @@ import pytest
 import cijt
 from cijt.scalars import Exact
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass
-from cijt.iteration import CohomologyShape, GeodesicDataset, GeodesicRecord, PathClass
+from cijt.iteration import CohomologyShape, GeodesicDataset, GeodesicRecord
 from cijt.engine import (
     CheckRecord,
     CijtTuple,
@@ -25,9 +25,7 @@ from cijt.engine import (
 )
 from cijt.morse import JumpCensus, ResonanceReport, Verdict
 from cijt.record import FrozenRecord
-from test_iteration import _bit_angles
-
-SQRT2M1 = Exact.surd(-1, 1, 2)
+from oracles import SQRT2M1, _bit_angles, path
 
 
 class SplittingPair(FrozenRecord):
@@ -37,10 +35,6 @@ class SplittingPair(FrozenRecord):
 
     def __init__(self, plus: int, minus: int):
         self.__dict__.update(plus=plus, minus=minus)
-
-
-def path(i1, *blocks):
-    return PathClass(i1, SymplecticClass(tuple(blocks)))
 
 
 def _frozen_records():

@@ -1,10 +1,6 @@
-import contextlib
 import decimal
 import math
-import os
-import signal
 import sys
-from enum import Enum
 from fractions import Fraction
 
 import pytest
@@ -20,37 +16,7 @@ from cijt.scalars import (
     floor_mult,
 )
 from cijt._search import _next_hit, _return_time, _returns
-
-SQRT2M1 = Exact.surd(-1, 1, 2)
-
-
-Lattice = Enum("Lattice", "ZERO LOW HIGH INTERIOR")
-
-
-def frac_mult(x: Exact, m: int) -> Exact:
-    """{m*x} = m*x - [m*x] in [0,1), exact: the oracle of every lattice
-    distance the search reads off one floor."""
-    return x * m - floor_mult(x, m)
-
-
-def is_near_lattice(x: Exact, m: int, delta: Fraction | Exact) -> Lattice:
-    """{m*x} against the open bands (0, delta) and (1 - delta, 1), from one
-    floor: the search's band test before its fixed-point kernels."""
-    if not isinstance(delta, (Fraction, Exact)):  # a float is no exact band
-        raise TypeError("delta must be a Fraction or an Exact, not %s" % type(delta).__name__)
-    p, r = delta.numerator, delta.denominator
-    if not 0 < 2 * p < r:
-        raise ValueError("delta must lie in (0, 1/2)")
-    F = _floor(x.A, x.B.items(), x.q, r * m) % r
-    whole = not x.B and r * m * x.A % x.q == 0  # r*m*x is an integer
-    if whole and F == 0:
-        return Lattice.ZERO
-    if F < p:
-        return Lattice.LOW
-    if F + (not whole) > r - p:
-        return Lattice.HIGH
-    return Lattice.INTERIOR
-
+from oracles import SQRT2M1, Lattice, frac_mult, is_near_lattice, shipped, time_limit
 
 fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -60,22 +26,6 @@ surd_bases = st.sampled_from([2, 3, 5, 7, 10, 13, 6])
 shared_primes = st.sampled_from([2, 3, 6, 5, 10, 15, 30, 7])
 # small iterates and ones far beyond float precision (m*x near 2**53 and up)
 multipliers = st.one_of(st.integers(1, 500), st.integers(1, 10**15))
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Fail, instead of hanging, when the body runs longer than `seconds`."""
-
-    def expire(signum, frame):
-        raise TimeoutError("no result within %d s" % seconds)
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def convergent_below(s, max_den):
@@ -275,8 +225,6 @@ class TestRationalParity:
     def test_shipped_angles_print_as_before(self):
         """The repr of every block of the shipped datasets, as it read when
         the rational parts printed through Fraction."""
-        from cijt.cli import load_dataset
-
         want = {
             "s2_elliptic": ["R(theta=Exact(3 + -1*sqrt(5)))", "R(theta=Exact(-1/2 + 1/2*sqrt(5)))"],
             "s3_elliptic": [
@@ -289,9 +237,8 @@ class TestRationalParity:
             "s2_hyperbolic": ["D(lam=Exact(2))", "D(lam=Exact(-3))"],
             "single_sqrt2": ["R(theta=Exact(-1 + 1*sqrt(2)))"],
         }
-        root = os.path.join(os.path.dirname(__file__), os.pardir, "datasets")
         for name, reprs in want.items():
-            ds = load_dataset(os.path.join(root, name + ".json"))
+            ds = shipped(name)
             assert [repr(b) for r in ds.records for b in r.path.monodromy.blocks] == reprs, name
 
     def test_irrational_has_no_ratio(self):
