@@ -233,18 +233,21 @@ def cmd_betti(args) -> dict:
     if args.l_max < 0:
         raise CliError("--l-max must be >= 0, got %d" % args.l_max)
     shape = CohomologyShape(args.d, args.n)
+    # partial_direct is the running sum and partial_closed, from lo on,
+    # betti_partial_sum's periodic sum: the column names and blanks are the
+    # table's format, pinned in the tests
     lo = (shape.d - 1) if shape.d % 2 else (shape.dim - 1)
     rows = []
     running = 0
     for p in range(args.l_max + 1):
         b = betti(shape, p)
         running += b
-        closed = ""
+        partial = ""
         if p >= lo:
-            closed, direct = betti_partial_sum(shape, p)
-            if not closed == direct == running:
+            partial = betti_partial_sum(shape, p)
+            if partial != running:
                 raise AssertionError("partial-sum drift at p=%d" % p)
-        rows.append([p, b, running, closed])
+        rows.append([p, b, running, partial])
     return {
         "shape": {"d": shape.d, "n": shape.n},
         "resonance_constant": str(resonance_constant(shape)),

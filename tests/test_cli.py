@@ -22,13 +22,9 @@ from cijt.iteration import CohomologyShape, GeodesicDataset, GeodesicRecord, Pat
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass, nullity
 from cijt.scalars import MAX_RADICAND, Exact, _from_pairs, floor_mult
 from cijt.record import CheckRecord, VerificationReport, dumps
-from oracles import DATASETS, GOLDEN, ROOT, shipped, time_limit
+from oracles import DATASETS, GOLDEN, ROOT, betti_closed_form, ds, shipped, time_limit
 
 SRC = os.path.join(ROOT, "src")
-
-
-def ds(name):
-    return os.path.join(DATASETS, name + ".json")
 
 
 def run(capsys, *argv):
@@ -109,13 +105,31 @@ class TestBetti:
         assert out.strip().splitlines()[-1].split("\t") == ["20000", "0", "19999", "19999"]
 
     def test_closed_form_is_checked(self, capsys, monkeypatch):
-        """A closed-form partial sum off by one is an internal error, not a row."""
+        """A periodic partial sum off by one is an internal error, not a row."""
         partial = loop_homology.betti_partial_sum
         monkeypatch.setattr(loop_homology, "betti_partial_sum",
-                            lambda shape, l: (partial(shape, l)[0] + 1, partial(shape, l)[1]))
+                            lambda shape, l: partial(shape, l) + 1)
         code, out, err = run(capsys, "betti", "--d", "2", "--n", "1", "--l-max", "3",
                              "--format", "tsv")
         assert (code, out, err) == (4, "", "internal error: partial-sum drift at p=1\n")
+
+    @pytest.mark.parametrize("d, n, fmt, digest", [
+        (2, 1, "tsv", "5b23bde3152a15e09846c17ba60d660ed72ceb97d252f3f673cc8980799247c1"),
+        (2, 1, "json", "ba7535216c1db95e948fabeba6f52f8e603b7c577268d24564a8e8ceda36307a"),
+        (4, 2, "tsv", "a0c784d85c6a0efd946b0a050cc58e6b05f0779ddc00b0eba5fb79977c18522d"),
+        (4, 2, "json", "1183045c43e84e81eb8e0d46a1337635c3aebc61c86905b99e0dcf13846860ac"),
+        (8, 2, "tsv", "08432dd748df44388b3637c4d5d14d3e948a9a51dcb89e3c54f47373bf03395f"),
+        (8, 2, "json", "4d19b42fbda085ec47ba7f014172330f231dd7022e650356be61ca03a0765d7f"),
+        (3, 1, "tsv", "2fd4c52f2c2666192bf34c1fe4b264303e73174cc01e6f3b7215ca910eb12b2f"),
+        (3, 1, "json", "82d9a89290def3296526a849d4ebb33432c866363f5aa7666568cd28e72b1415"),
+    ])
+    def test_table_bytes_are_pinned(self, capsys, d, n, fmt, digest):
+        """sha256 of the whole output at --l-max 200, recorded while each row
+        still checked a closed form and a periodic sum: one sum now fills both
+        partial columns, blank below the same degree, and prints the same bytes."""
+        code, out, _ = run(capsys, "betti", "--d", str(d), "--n", str(n), "--l-max", "200",
+                           "--format", fmt)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_json_has_resonance_constant(self, capsys):
         code, out, _ = run(capsys, "betti", "--d", "2", "--n", "1", "--l-max", "3")
@@ -1053,7 +1067,7 @@ class TestRefusals:
          "m_bar, N_bound, N_multiple_of must be positive"),
         (lambda tmp: loop_homology.betti(CohomologyShape(2, 1), -1), ValueError,
          "degree must be non-negative"),
-        (lambda tmp: loop_homology.betti_partial_sum(CohomologyShape(3, 1), 1), ValueError,
+        (lambda tmp: betti_closed_form(CohomologyShape(3, 1), 1), ValueError,
          "closed form needs l >= d - 1"),
         (lambda tmp: nullity(SQRT2_PATH.monodromy, 0), ValueError, "m must be positive"),
         (lambda tmp: R(Fraction(1, 3)), TypeError, "theta/pi must be an Exact scalar"),

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -32,9 +31,9 @@ from cijt.engine import (
 )
 from cijt._search import _PathData, _least_residual, _next_hit, _return_time
 from oracles import (
-    DATASETS, GOLDEN, PHI_M1, SCAN_BASES, SCAN_RATIONALS, SQRT2M1, T35, Lattice, _bit_angles,
-    _index_iterate_by_unit_angles, _scan_problem, _spectral_by_unit_angles, classes, frac_mult,
-    is_near_lattice, path, shipped, time_limit,
+    GOLDEN, PHI_M1, SCAN_BASES, SCAN_RATIONALS, SQRT2M1, T35, Lattice, _bit_angles,
+    _index_iterate_by_unit_angles, _scan_problem, _spectral_by_unit_angles, classes, ds,
+    frac_mult, is_near_lattice, path, shipped, time_limit,
 )
 
 
@@ -329,7 +328,7 @@ class TestFindTuple:
         assert opp.vertex.angle_bits == ((1,), (1,))
 
 
-def _bands_by_exact(pd, m, delta):
+def _bits_by_exact(pd, m, delta):
     """Low/High bits (0/1) of the path's bit angles at iterate m, or None if
     any is Interior or Zero: one is_near_lattice per angle.  The search's
     classify_bits as it was before the fixed-point probe, kept as an oracle."""
@@ -371,7 +370,7 @@ def _try_path_by_exact(pd, N, mbar, delta, want_chi, want_bits, chi_eps):
         m = (base + chi) * mbar
         if m < 1:
             continue
-        bits = _bands_by_exact(pd, m, delta)
+        bits = _bits_by_exact(pd, m, delta)
         if bits is None or (want_bits is not None and bits != want_bits):
             continue
         if chi_eps is not None and not _chi_proximity_by_frac(pd, N, chi, chi_eps):
@@ -423,7 +422,7 @@ class TestChiProximity:
 def _probe_by_exact(pd, m, delta):
     """(bits, Delta, 2N) from the exact oracles, or None: 2N solves the jump
     identity i(c^{2m}) = 2N - (S^+ + C - 2*Delta)."""
-    bits = _bands_by_exact(pd, m, delta)
+    bits = _bits_by_exact(pd, m, delta)
     if bits is None:
         return None
     sp, c, _ = _spectral_by_unit_angles(pd.path)
@@ -782,7 +781,7 @@ def _find_tuple_by_scan(problem, vertex=None, chi_eps=None, min_N=1):
                 _float_band_ok((m * tf) % 1.0, df, want[j] if want else None)
                 for j, tf in enumerate(floats)
             ):
-                bits = _bands_by_exact(g, m, delta)
+                bits = _bits_by_exact(g, m, delta)
                 if bits is not None and (want is None or bits == want):
                     cand = accept(I(m) - _delta_by_exact(g, m, delta))
                     if cand is not None and (best is None or cand.N < best.N):
@@ -902,14 +901,14 @@ class TestHitSteppingOracle:
         """The 1.5 verdict on s3_elliptic runs the Euclid descent fewer than
         20 times (105 when every hit was one): the hits after a window's
         second come from its return times."""
-        assert main(["verify", os.path.join(DATASETS, "s3_elliptic.json"), "--theorem", "1.5"]) == 0
+        assert main(["verify", ds("s3_elliptic"), "--theorem", "1.5"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out[:-1].encode()).hexdigest() == GOLDEN["1.5 s3"]
         assert descents["stepper"] + descents["returns"] < 20, descents
 
     @pytest.mark.parametrize("argv, stepper, returns", [
-        (["cijt", "single_sqrt2.json", "--delta", "1/100"], 1, 0),
-        (["verify", "s3_elliptic.json", "--theorem", "1.5"], 2, 4),
+        (["cijt", "single_sqrt2", "--delta", "1/100"], 1, 0),
+        (["verify", "s3_elliptic", "--theorem", "1.5"], 2, 4),
     ], ids=["single_sqrt2", "s3_elliptic-1.5"])
     def test_no_descent_past_the_cap(self, descents, capsys, argv, stepper, returns):
         """A search asks for no hit past its cap, which an accepted tuple
@@ -918,13 +917,13 @@ class TestHitSteppingOracle:
         times, counted apart.  A descent past the cap made the stepper's
         counts 2 and 5; a window restarted at each lowered cap, 3 on
         s3_elliptic."""
-        assert main([argv[0], os.path.join(DATASETS, argv[1]), *argv[2:]]) == 0
+        assert main([argv[0], ds(argv[1]), *argv[2:]]) == 0
         capsys.readouterr()
         assert (descents["stepper"], descents["returns"]) == (stepper, returns), descents
 
     @pytest.mark.parametrize("argv", [
-        ["cijt", "s3_elliptic.json"],
-        ["cijt", "single_sqrt2.json", "--delta", "1/10000"],
+        ["cijt", "s3_elliptic"],
+        ["cijt", "single_sqrt2", "--delta", "1/10000"],
     ], ids=["s3_elliptic", "single_sqrt2-1e-4"])
     def test_generator_probed_once_per_hit(self, monkeypatch, capsys, argv):
         """The generator path (the one whose stepper runs) is probed once at
@@ -945,7 +944,7 @@ class TestHitSteppingOracle:
 
         monkeypatch.setattr(_PathData, "probe", probing)
         monkeypatch.setattr(_PathData, "hits", stepping)
-        assert main([argv[0], os.path.join(DATASETS, argv[1]), *argv[2:]]) == 0
+        assert main([argv[0], ds(argv[1]), *argv[2:]]) == 0
         capsys.readouterr()
         gens = {pd for pd, _ in hits}
         on_gen = Counter({key: n for key, n in probes.items() if key[0] in gens})
@@ -992,7 +991,7 @@ class TestSteppedPath:
         the two one-angle paths, took 26,189 hits; stepping c2 and ratcheting
         the residual on c1 takes 11, and the exit-3 line stays.  At --n-bound
         10^7 stepping c1 took 261,816 hits; stepping c2 takes 13."""
-        with open(os.path.join(DATASETS, "s2_elliptic.json")) as fh:
+        with open(ds("s2_elliptic")) as fh:
             doc = json.load(fh)
         doc["records"][1]["initial_index"] = 10**6
         dataset = tmp_path / "exhausted.json"
@@ -1011,7 +1010,7 @@ class TestSteppedPath:
         """On s2_elliptic both records have one irrational angle, and c2's
         larger mean index gives it the smaller cap: every search of the 1.1
         verdict steps c2."""
-        assert main(["verify", os.path.join(DATASETS, "s2_elliptic.json"), "--theorem", "1.1"]) == 0
+        assert main(["verify", ds("s2_elliptic"), "--theorem", "1.1"]) == 0
         capsys.readouterr()
         records = shipped("s2_elliptic").records
         assert records[1].name == "c2" and set(stepped) == {records[1].path}, stepped

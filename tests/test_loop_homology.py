@@ -9,12 +9,13 @@ from cijt.loop_homology import (
     alternating_betti_sum,
     betti,
     betti_partial_sum,
-    epsilon_correction,
     resonance_constant,
 )
+from oracles import _model, betti_by_sullivan, betti_closed_form, epsilon_correction
 
 EVEN_SHAPES = [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (6, 1), (8, 2)]
 ODD_SHAPES = [(3, 1), (5, 1), (7, 1), (9, 1)]
+CRITERION_4_SHAPES = EVEN_SHAPES + ODD_SHAPES[:3]
 
 
 class TestShape:
@@ -87,23 +88,25 @@ class TestOmegaMembership:
 
 class TestPartialSums:
     def test_spec_examples(self):
-        assert betti_partial_sum(CohomologyShape(3, 1), 4) == (3, 3)
-        assert betti_partial_sum(CohomologyShape(3, 1), 7) == (5, 5)
-        assert betti_partial_sum(CohomologyShape(2, 1), 5) == (5, 5)
+        for (d, n), l, want in (((3, 1), 4, 3), ((3, 1), 7, 5), ((2, 1), 5, 5)):
+            shape = CohomologyShape(d, n)
+            assert (betti_closed_form(shape, l), betti_partial_sum(shape, l)) == (want, want)
 
     @pytest.mark.parametrize("d,n", EVEN_SHAPES + ODD_SHAPES)
     def test_agreement_gate(self, d, n):
-        """Closed form and periodic direct sum both equal the degree-by-degree sum."""
+        """The oracle's closed form and the package's periodic sum both equal
+        the degree-by-degree sum."""
         shape = CohomologyShape(d, n)
         lo = (d - 1) if d % 2 else (d * n - 1)
         running = sum(betti(shape, p) for p in range(lo))
         for l in range(lo, 3000):
             running += betti(shape, l)
-            assert betti_partial_sum(shape, l) == (running, running), (d, n, l)
+            assert (betti_closed_form(shape, l), betti_partial_sum(shape, l)) == (
+                running, running), (d, n, l)
 
     def test_hypothesis_violation(self):
-        with pytest.raises(ValueError):
-            betti_partial_sum(CohomologyShape(4, 2), 3)
+        with pytest.raises(ValueError, match="closed form needs l >= dn - 1"):
+            betti_closed_form(CohomologyShape(4, 2), 3)
 
 
 def epsilon_by_fractions(shape, l):
@@ -145,8 +148,8 @@ class TestEpsilon:
         shape = CohomologyShape(d, n)
         l = data.draw(st.integers(d * n - 1, d * n - 1 + 3 * shape.D))
         assert epsilon_correction(shape, l) == epsilon_by_fractions(shape, l)
-        closed, direct = betti_partial_sum(shape, l)
-        assert closed == closed_form_by_fractions(shape, l) == direct
+        closed = betti_closed_form(shape, l)
+        assert closed == closed_form_by_fractions(shape, l) == betti_partial_sum(shape, l)
 
     def test_d2_vanishes_on_integer_points(self):
         s = CohomologyShape(2, 1)
@@ -164,8 +167,8 @@ class TestEpsilon:
     def test_4_2_example_value(self):
         s = CohomologyShape(4, 2)
         eps = epsilon_correction(s, 13)
-        closed, direct = betti_partial_sum(s, 13)
-        assert closed == direct  # eps is exactly what closes the gap
+        # eps is exactly what closes the gap
+        assert betti_closed_form(s, 13) == betti_partial_sum(s, 13)
 
     def test_odd_d_rejected(self):
         with pytest.raises(ValueError):
@@ -182,3 +185,41 @@ class TestAlternatingSum:
         s = CohomologyShape(3, 1)
         for N in (2, 4, 10):  # multiples of d - 1
             assert alternating_betti_sum(s, 2 * N) == 2 * N - 1
+
+
+def _in_omega_from_one(shape, p):
+    """Omega membership with j running from 1 to n: the published range."""
+    d, n, D = shape.d, shape.n, shape.D
+    r = p - (d - 1)
+    return any(r - j * d >= D and (r - j * d) % D == 0 for j in range(1, n + 1))
+
+
+class TestSullivanModel:
+    """betti against b_p computed from the Sullivan model of the free loop
+    space, which shares nothing with betti's reading of the paper."""
+
+    @pytest.mark.parametrize("d,n", CRITERION_4_SHAPES)
+    def test_betti_matches_model(self, d, n):
+        shape = CohomologyShape(d, n)
+        assert [betti(shape, p) for p in range(41)] == betti_by_sullivan(shape, 40)
+
+    def test_published_omega_range_disagrees(self, monkeypatch):
+        """The control: betti with Omega's j starting at 1 leaves the model at
+        (2,1), first at p = 3, where it gives 1 instead of 2."""
+        monkeypatch.setattr("cijt.loop_homology._in_omega", _in_omega_from_one)
+        shape = CohomologyShape(2, 1)
+        model = betti_by_sullivan(shape, 40)
+        bad = [p for p in range(41) if betti(shape, p) != model[p]]
+        assert bad[0] == 3 and (betti(shape, 3), model[3]) == (1, 2)
+
+    def test_model_must_be_a_complex(self, monkeypatch):
+        """A sign slip in D(sy) leaves every rank at p <= 40 alone, but not
+        D o D = 0, which the oracle checks."""
+
+        def slipped(shape):
+            degrees, D = _model(shape)
+            return degrees, D[:4] + [{m: -c for m, c in D[4].items()}]
+
+        monkeypatch.setattr("oracles._model", slipped)
+        with pytest.raises(AssertionError, match="D o D is not zero"):
+            betti_by_sullivan(CohomologyShape(2, 1), 40)
