@@ -51,7 +51,8 @@ def delta_zero(paths: tuple[PathClass, ...] | list[PathClass], m_bar: int) -> Ex
     capped at 1/2.  It is read off integer floors: with F = [D*h*theta/2pi]
     mod D, the floor of D times that minimum is the least F or D - 1 - F.  At
     D = 10**6 a floor k > 2 gives (k - 2)/10**6; else 1/2**j for the least
-    j >= 1 whose floor of 2**j times the minimum is at least 1."""
+    j >= 1 whose floor of 2**j times the minimum, F >> (J - j) for its floor
+    F at D = 2**J, is at least 1: one pass, J doubled from 64 while F is 0."""
     if m_bar < 1:
         raise ValueError("m_bar must be positive")
     halves = [(A, terms, 2 * q) for p in paths for A, terms, q, _, _ in p.spectral[2] if terms]
@@ -65,10 +66,10 @@ def delta_zero(paths: tuple[PathClass, ...] | list[PathClass], m_bar: int) -> Ex
     k = floor_min(10**6)
     if k > 2:
         return Exact(k - 2, 10**6)
-    j = 1
-    while floor_min(1 << j) < 1:
-        j += 1
-    return Exact(1, 1 << j)
+    J = 64
+    while not (F := floor_min(1 << J)):
+        J *= 2
+    return Exact(1, 1 << (J + 1 - F.bit_length()))  # j >= 19, as F < 3 * 2**J / 10**6
 
 
 class SelectionProblem(Record):
@@ -106,18 +107,10 @@ class VertexSpec(FrozenRecord):
 
     _fields = ("chi", "angle_bits")
 
-    def __init__(self, chi: tuple[int, ...], angle_bits: tuple[tuple[int, ...], ...]):
-        self.__dict__.update(chi=chi, angle_bits=angle_bits)
-
 
 class CijtTuple(FrozenRecord):
     _fields = ("N", "m", "chi", "Delta", "M_bar", "vertex", "delta", "report")
-
-    def __init__(self, N: int, m: tuple[int, ...], chi: tuple[int, ...], Delta: tuple[int, ...],
-                 M_bar: int, vertex: VertexSpec, delta: Exact,
-                 report: VerificationReport | None = None):
-        self.__dict__.update(N=N, m=m, chi=chi, Delta=Delta, M_bar=M_bar, vertex=vertex,
-                             delta=delta, report=report)
+    _defaults = (None,)  # no report until verify_tuple has run
 
     def to_json(self):
         return {

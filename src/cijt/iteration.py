@@ -19,7 +19,7 @@ import sys
 from functools import cached_property
 
 from .scalars import Exact, _exact, _floor, ceil_mult, floor_mult
-from .normal_forms import SymplecticClass, validate_bumpy
+from .normal_forms import validate_bumpy
 from .record import FrozenRecord, Record, _shown
 
 
@@ -50,9 +50,6 @@ class PathClass(FrozenRecord):
     """A symplectic path up to homotopy: initial index plus end-matrix class."""
 
     _fields = ("i1", "monodromy")
-
-    def __init__(self, i1: int, monodromy: SymplecticClass):
-        self.__dict__.update(i1=i1, monodromy=monodromy)
 
     @cached_property
     def spectral(self) -> tuple[int, int, tuple[tuple[int, tuple, int, int, int], ...]]:
@@ -103,9 +100,6 @@ class PathClass(FrozenRecord):
 
 class GeodesicRecord(FrozenRecord):
     _fields = ("name", "path")
-
-    def __init__(self, name: str, path: PathClass):
-        self.__dict__.update(name=name, path=path)
 
 
 class GeodesicDataset(Record):

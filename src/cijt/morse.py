@@ -38,9 +38,6 @@ from .record import FrozenRecord, _shown
 class ResonanceReport(FrozenRecord):
     _fields = ("lhs", "rhs", "passes")
 
-    def __init__(self, lhs: Exact, rhs: Exact, passes: bool):
-        self.__dict__.update(lhs=lhs, rhs=rhs, passes=passes)
-
     def to_json(self):
         return {
             "sum_gamma_over_mean_index": self.lhs.to_json(),
@@ -65,13 +62,8 @@ def tuple_resonance_identity(dataset: GeodesicDataset, t: CijtTuple):
 
 
 class JumpCensus(FrozenRecord):
+    # classification: name -> (i(c^{2m_k}), bucket in {"+e","+o","-e","-o",None})
     _fields = ("plus_e", "plus_o", "minus_e", "minus_o", "margin", "classification")
-
-    def __init__(self, plus_e: int, plus_o: int, minus_e: int, minus_o: int, margin: int,
-                 classification: dict[str, tuple[int, str | None]]):
-        # classification: name -> (i(c^{2m_k}), bucket in {"+e","+o","-e","-o",None})
-        self.__dict__.update(plus_e=plus_e, plus_o=plus_o, minus_e=minus_e, minus_o=minus_o,
-                             margin=margin, classification=classification)
 
     def to_json(self):
         return {
@@ -178,9 +170,6 @@ def _check(name: str, lhs, rhs, op: str = "=="):
 
 class Verdict(FrozenRecord):
     _fields = ("theorem", "passed", "details")
-
-    def __init__(self, theorem: str, passed: bool, details: dict):
-        self.__dict__.update(theorem=theorem, passed=passed, details=details)
 
     def to_json(self):
         return {"theorem": self.theorem, "pass": self.passed, **self.details}

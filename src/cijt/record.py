@@ -1,13 +1,13 @@
 """Value records: equality, hash, repr and frozen fields, read from one
 per-class ``_fields`` tuple.
 
-Each record class names its compared fields in ``_fields`` and fills
-``self.__dict__`` in its own ``__init__``, so no code is generated at import
-and building an instance costs one dict update.  Two records are equal when
-they are of the very same class with equal fields; a verification check is
-a plain row instead.  ``dumps`` writes the JSON text of their documents,
-and the getters at the end read the nodes of a JSON document, each checked
-where it is read.
+Each record class names its compared fields in ``_fields``; one positional
+``__init__`` fills them in order (a class's ``_defaults`` fill the last ones
+left out), so no code is generated at import and building an instance costs
+one dict update.  Two records are equal when they are of the very same class
+with equal fields; a verification check is a plain row instead.  ``dumps``
+writes the JSON text of their documents, and the getters at the end read the
+nodes of a JSON document, each checked where it is read.
 """
 
 from collections import namedtuple
@@ -20,6 +20,14 @@ class Record:
     """A mutable record: assignable fields, no hash."""
 
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()  # the values of the last fields, when left out
+
+    def __init__(self, *values):
+        n, k = len(self._fields), len(self._defaults)
+        if not n - k <= len(values) <= n:
+            raise TypeError("%s takes %s values, not %d" % (
+                type(self).__qualname__, "%d to %d" % (n - k, n) if k else n, len(values)))
+        self.__dict__.update(zip(self._fields, values + self._defaults[len(values) - n:]))
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))

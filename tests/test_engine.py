@@ -145,17 +145,25 @@ class TestDeltaZeroOracle:
     def test_matches_exact_minimum(self, paths, m_bar):
         assert delta_zero(paths, m_bar) == _delta_zero_exact(paths, m_bar)
 
-    @pytest.mark.parametrize("p, q, m_bar", [(1, 2, 4), (2, 3, 3), (1, 1, 2), (0, 1, 1), (5, 3, 6)])
-    def test_power_of_two_branch(self, p, q, m_bar):
-        """theta/pi = p/q + 1e-12*sqrt(2): h*theta/2pi is within 1e-11 of an
-        integer at h = 2q/gcd(p, 2q) <= m_bar, below 3/10**6, so delta_0 is
-        the largest 1/2**j under it."""
-        theta = Exact(Fraction(p, q)) + Exact.surd(0, Fraction(1, 10**12), 2)
+    POWER_OF_TWO_ROWS = [(1, 2, 4, 12), (2, 3, 3, 12), (1, 1, 2, 12), (0, 1, 1, 12), (5, 3, 6, 12),
+                         (1, 2, 4, 25), (5, 3, 6, 40)]
+
+    @pytest.mark.parametrize("p, q, m_bar, e", POWER_OF_TWO_ROWS, ids=[
+        "%d-%d-%d" % r[:3] + ("-1e-%d" % r[3] if r[3] != 12 else "") for r in POWER_OF_TWO_ROWS
+    ])
+    def test_power_of_two_branch(self, p, q, m_bar, e):
+        """theta/pi = p/q + 10**-e*sqrt(2): h*theta/2pi is within 10**(1-e) of
+        an integer at h = 2q/gcd(p, 2q) <= m_bar, below 3/10**6, so delta_0 is
+        the largest 1/2**j under it.  At e = 25 and 40 that distance is below
+        2**-64, so the floor pass at 2**64 reads 0 and is taken again at 2**128
+        (and 2**256)."""
+        theta = Exact(Fraction(p, q)) + Exact.surd(0, Fraction(1, 10**e), 2)
         paths = [path(1, R(theta)), path(2, R(T35))]
         d0 = delta_zero(paths, m_bar)
         assert d0 == _delta_zero_exact(paths, m_bar)
         assert d0.numerator == 1 and d0.denominator & (d0.denominator - 1) == 0
         assert d0 < Fraction(3, 10**6)
+        assert (d0 < Fraction(1, 2**64)) == (e > 12)
 
 
 class TestSelectionProblem:

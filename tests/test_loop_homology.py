@@ -166,9 +166,13 @@ class TestEpsilon:
 
     def test_4_2_example_value(self):
         s = CohomologyShape(4, 2)
-        eps = epsilon_correction(s, 13)
-        # eps is exactly what closes the gap
-        assert betti_closed_form(s, 13) == betti_partial_sum(s, 13)
+        # at l = 13 the linear part is already the integer sum: epsilon is 0
+        assert epsilon_correction(s, 13) == 0
+        assert betti_closed_form(s, 13) == betti_partial_sum(s, 13) == 11
+        # at l = 12 the linear part is 49/5, and epsilon = -9/5 closes the gap
+        eps = epsilon_correction(s, 12)
+        assert eps == Fraction(-9, 5) and (betti_partial_sum(s, 12) - eps).denominator == 5
+        assert betti_closed_form(s, 12) == betti_partial_sum(s, 12) == 8
 
     def test_odd_d_rejected(self):
         with pytest.raises(ValueError):

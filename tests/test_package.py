@@ -183,6 +183,43 @@ def test_block_angles_are_read_in_iteration_only():
     assert bad == []
 
 
+def _stores_its_parameters(init):
+    """Whether an __init__'s whole body, docstring aside, stores its own
+    parameters unchanged under their own names, through
+    self.__dict__.update(x=x, ...) or self.x, ... = x, ..."""
+    params = {a.arg for a in init.args.args[1:] + init.args.kwonlyargs}
+    body = init.body[1:] if ast.get_docstring(init) is not None else init.body
+
+    def stores(stmt):
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+            call = stmt.value
+            return ast.unparse(call.func) == "self.__dict__.update" and not call.args and all(
+                isinstance(k.value, ast.Name) and k.value.id == k.arg in params for k in call.keywords)
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            targets, values = stmt.targets[0], stmt.value
+            targets = targets.elts if isinstance(targets, ast.Tuple) else [targets]
+            values = values.elts if isinstance(values, ast.Tuple) else [values]
+            return len(targets) == len(values) and all(
+                isinstance(t, ast.Attribute) and ast.unparse(t.value) == "self"
+                and isinstance(v, ast.Name) and v.id == t.attr in params
+                for t, v in zip(targets, values))
+        return False
+
+    return bool(body) and all(map(stores, body))
+
+
+def test_no_init_only_stores_its_parameters():
+    """No class defines an __init__ that only stores its parameters under
+    their own names: Record.__init__ fills a record's _fields in order, so
+    such a class names each field once, in _fields."""
+    found = ["%s:%d %s" % (name, init.lineno, cls.name)
+             for name, tree in _module_trees()
+             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for init in cls.body if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+             if _stores_its_parameters(init)]
+    assert found == []
+
+
 KERNEL = ("_edges", "_locate", "_next_hit", "_returns", "_return_time",
           "_PathData", "_try_path", "_least_residual")
 

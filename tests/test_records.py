@@ -1,6 +1,7 @@
 """The value semantics of cijt's record classes: equality within one class,
-hashing of the compared fields, frozen fields, repr, and the fields kept out
-of SelectionProblem's equality."""
+hashing of the compared fields, frozen fields, repr, the fields kept out of
+SelectionProblem's equality, and the one positional constructor that Record
+gives every record without an __init__ of its own."""
 
 import itertools
 import os
@@ -13,7 +14,7 @@ import pytest
 import cijt
 from cijt.scalars import Exact
 from cijt.normal_forms import D, N1, N2, R, SymplecticClass
-from cijt.iteration import CohomologyShape, GeodesicDataset, GeodesicRecord
+from cijt.iteration import CohomologyShape, GeodesicDataset, GeodesicRecord, PathClass
 from cijt.engine import (
     CheckRecord,
     CijtTuple,
@@ -32,9 +33,6 @@ class SplittingPair(FrozenRecord):
     """A two-field frozen record of the tests' own."""
 
     _fields = ("plus", "minus")
-
-    def __init__(self, plus: int, minus: int):
-        self.__dict__.update(plus=plus, minus=minus)
 
 
 def _frozen_records():
@@ -169,6 +167,63 @@ class TestRepr:
             "path PathClass(i1=0, monodromy=SymplecticClass(blocks=(D(lam=Exact(2)),), "
             "half_dimension=1)) has mean index <= 0"
         )
+
+
+def _plain_records():
+    """One instance of each record that Record.__init__ builds, with its
+    values in field order and its repr."""
+    p = path(1, D(Exact(2)))
+    vertex = VertexSpec((0,), ((1,),))
+    shown = "PathClass(i1=1, monodromy=SymplecticClass(blocks=(D(lam=Exact(2)),), half_dimension=1))"
+    return [
+        (PathClass, (1, p.monodromy), shown),
+        (GeodesicRecord, ("c1", p), "GeodesicRecord(name='c1', path=%s)" % shown),
+        (VertexSpec, ((0,), ((1,),)), "VertexSpec(chi=(0,), angle_bits=((1,),))"),
+        (CijtTuple, (5, (6,), (0,), (1,), 1, vertex, Fraction(1, 100), None),
+         "CijtTuple(N=5, m=(6,), chi=(0,), Delta=(1,), M_bar=1, vertex=VertexSpec(chi=(0,), "
+         "angle_bits=((1,),)), delta=Fraction(1, 100), report=None)"),
+        (ResonanceReport, (Exact(1), Fraction(1), True),
+         "ResonanceReport(lhs=Exact(1), rhs=Fraction(1, 1), passes=True)"),
+        (JumpCensus, (1, 0, 0, 1, 1, {"c1": (4, "+e")}),
+         "JumpCensus(plus_e=1, plus_o=0, minus_e=0, minus_o=1, margin=1, "
+         "classification={'c1': (4, '+e')})"),
+        (Verdict, ("1.1", True, {"n": 1}), "Verdict(theorem='1.1', passed=True, details={'n': 1})"),
+    ]
+
+
+class TestSharedConstructor:
+    def test_fields_in_order(self):
+        for cls, values, shown in _plain_records():
+            rec = cls(*values)
+            assert "__init__" not in vars(cls)
+            assert tuple(getattr(rec, f) for f in rec._fields) == values
+            assert repr(rec) == shown
+
+    def test_wrong_count_names_the_class(self):
+        for cls, values, _ in _plain_records():
+            least = len(values) - len(cls._defaults)
+            for wrong in (values[:least - 1], values + (0,)):
+                with pytest.raises(TypeError, match="^%s takes " % cls.__name__):
+                    cls(*wrong)
+        with pytest.raises(TypeError) as info:
+            VertexSpec((0,))
+        assert str(info.value) == "VertexSpec takes 2 values, not 1"
+        with pytest.raises(TypeError) as info:
+            CijtTuple(1, (1,))
+        assert str(info.value) == "CijtTuple takes 7 to 8 values, not 2"
+
+    def test_cijt_tuple_report_defaults_to_none(self):
+        vertex = VertexSpec((0,), ((1,),))
+        t = CijtTuple(5, (6,), (0,), (1,), 1, vertex, Fraction(1, 100))
+        assert t.report is None
+        assert t == CijtTuple(5, (6,), (0,), (1,), 1, vertex, Fraction(1, 100), None)
+
+    def test_keywords_are_refused(self):
+        for cls, values, _ in _plain_records():
+            with pytest.raises(TypeError):
+                cls(**dict(zip(cls._fields, values)))
+            with pytest.raises(TypeError):
+                cls(*values[:-1], **{cls._fields[-1]: values[-1]})
 
 
 class TestSelectionProblem:
